@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .spaces import MetricTree, SpaceError, TreeDesc
 from .suites import RANDOMIZED_SUITES, SUITES, run_named_suite
@@ -42,6 +43,12 @@ class ScenarioConfig:
             if self.suite in RANDOMIZED_SUITES:
                 raise ConfigError(f"suite {self.suite!r} is randomized: a seed is required")
             self.seed = 0
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        tol = self.parameters.get("tol", 0.0)
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not math.isfinite(tol) or tol < 0):
+            raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
 
     @staticmethod
     def from_file(path: str, overrides: dict = None) -> "ScenarioConfig":
@@ -121,11 +128,6 @@ def emit_report(result: SuiteResult, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_result(text: str) -> dict:
-    """Inverse of emit_report for the JSON format."""
-    return json.loads(text)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="metriclab",
@@ -148,7 +150,7 @@ def main(argv=None) -> int:
                 raise ConfigError("either --config or --suite is required")
             config = ScenarioConfig.from_dict({}, overrides)
         if args.tol is not None:
-            config.parameters["tol"] = args.tol
+            config = replace(config, parameters={**config.parameters, "tol": args.tol})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

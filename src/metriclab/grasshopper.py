@@ -45,7 +45,7 @@ class UnitJumpGraph:
     @staticmethod
     def build(space, points, tol: float = 1e-9) -> "UnitJumpGraph":
         nodes = tuple(points)
-        exact = isinstance(space, MetricTree)
+        exact = space.exact
         adj = {i: [] for i in range(len(nodes))}
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):

@@ -16,18 +16,12 @@ from .spaces import (
     ConvergenceError,
     Euclidean,
     GeodesicRef,
-    HyperbolicPlane,
     IdealPoint,
-    MetricTree,
-    MinkowskiLp,
     Point,
-    RealLine,
     SpaceError,
     distance,
     point,
     ray_from,
-    vdot,
-    vsub,
 )
 from .verify import SampleSet, VerificationReport
 
@@ -68,7 +62,7 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "auto",
     if method not in ("auto", "closed", "limit"):
         raise SpaceError(f"unknown method {method!r}")
     if method != "limit":
-        val = _busemann_closed(space, ray, y)
+        val = space.busemann_closed(ray, y)
         if val is not None:
             return val
         if method == "closed":
@@ -76,36 +70,10 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "auto",
     return _busemann_limit(space, ray, y, tol=tol, t_cap=t_cap)
 
 
-def _busemann_closed(space, ray, y):
-    o = ray.point_at(0)
-    if isinstance(space, Euclidean):
-        u = vsub(ray.point_at(1).coords, o.coords)
-        return -vdot(vsub(y.coords, o.coords), u)
-    if isinstance(space, MinkowskiLp):
-        u = vsub(ray.point_at(1).coords, o.coords)
-        grad = tuple(math.copysign(abs(c) ** (space.p - 1.0), c) for c in u)
-        return -vdot(vsub(y.coords, o.coords), grad)
-    if isinstance(space, RealLine):
-        sgn = 1.0 if ray.point_at(1).coords > o.coords else -1.0
-        return -sgn * (y.coords - o.coords)
-    if isinstance(space, HyperbolicPlane):
-        xi = ray.plus.rep
-        if xi == INF:
-            return math.log(o.coords[1]) - math.log(y.coords[1])
-        def level(z):
-            return math.log(((z[0] - xi) ** 2 + z[1] ** 2) / z[1])
-        return level(y.coords) - level(o.coords)
-    if isinstance(space, MetricTree):
-        T = distance(space, o, y) + 1
-        far = ray.point_at(T)
-        return distance(space, y, far) - T
-    return None
-
-
 def _busemann_limit(space, ray, y, *, tol, t_cap):
     o = ray.point_at(0)
     d0 = distance(space, o, y)
-    if isinstance(space, MetricTree):
+    if space.exact:
         T = d0 + 1
         v1 = distance(space, y, ray.point_at(T)) - T
         v2 = distance(space, y, ray.point_at(2 * T)) - 2 * T
@@ -165,7 +133,7 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef, *,
     an expanding window; the distance is jointly convex there, so refinement
     converges. Raises SpaceError for visibly non-asymptotic continuous rays.
     """
-    if isinstance(space, MetricTree):
+    if space.exact:
         return _tree_ray_set_distance(space, c, d)
     dd0 = float(distance(space, c.point_at(0), d.point_at(0)))
     ddT = float(distance(space, c.point_at(64.0), d.point_at(64.0)))
@@ -251,7 +219,7 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint, *,
         raise SpaceError("tits_delta needs distinct ideal points")
     c = ray_from(space, o, xi)
     d = ray_from(space, o, eta)
-    exact = isinstance(space, MetricTree)
+    exact = space.exact
 
     def f(t):
         dist_t = distance(space, c.point_at(t), d.point_at(t))

@@ -1,6 +1,6 @@
-"""Small numerical toolkit: bisection on monotone functions, bracket search,
-and convex 1-d minimization. Everything here is deterministic and dependency
-free; callers pick tolerances."""
+"""Small numerical toolkit: bisection on monotone functions and convex 1-d
+minimization. Everything here is deterministic and dependency free; callers
+pick tolerances."""
 
 from __future__ import annotations
 
@@ -30,21 +30,6 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def expand_bracket(f, center: float, width: float, *, max_doublings: int = 20):
-    """Grow a symmetric window about `center` until f changes sign across it.
-
-    Returns (lo, hi) bracketing a root. Raises SearchError if the window cap
-    is exhausted.
-    """
-    w = width
-    for _ in range(max_doublings + 1):
-        lo, hi = center - w, center + w
-        if (f(lo) > 0) != (f(hi) > 0) or f(lo) == 0.0 or f(hi) == 0.0:
-            return lo, hi
-        w *= 2.0
-    raise SearchError(f"no sign change within window of half-width {w} about {center}")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

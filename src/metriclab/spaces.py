@@ -13,8 +13,10 @@ Each space in the catalog carries exact or closed-form distance, geodesics
 * ``RealLine()``              - the real line
 * ``MaxProduct(left, right)`` - product with the maximum metric (distance only)
 
-Tree points and distances are exact ``Fraction`` values; every other model
-works in 64-bit floats.
+Each model subclasses ``Space`` and owns its geometry behind that protocol;
+the module-level functions (``distance``, ``geodesic_between``, ``ray_from``,
+...) check membership and call the model. Tree points and distances are
+exact ``Fraction`` values; every other model works in 64-bit floats.
 """
 
 from __future__ import annotations
@@ -174,10 +176,134 @@ class TreeDesc:
 
 
 # ---------------------------------------------------------------------------
-# space models
+# the space protocol
+
+class Space:
+    """Base of every model space: the protocol behind the module functions.
+
+    Every model implements, on raw coordinates:
+
+    * ``validate(c)``             raise SpaceError unless c are point coordinates
+    * ``distance(a, b)``          the metric (exact Fraction on trees)
+    * ``random_point(rng, scale)`` a Point drawn from a seeded ``random.Random``
+    * ``tag()``                   the label used in report names
+
+    and overrides the defaults below where its geometry has them: ``coerce``
+    (coordinates for ``point``), the unit-speed evaluators t -> Point
+    ``segment(a, b, d)``, ``ray(base, xi)`` and ``line(eta, xi, through)``
+    (ideal points passed by their reps), ``direction_ideal``,
+    ``ideal_matches``, ``busemann_closed`` (None without a closed form),
+    ``closest_param``, and the JSON codecs ``to_json``, ``coords_from_json``
+    and ``ideal_from_json``. ``exact`` is true where distances are exact
+    Fractions.
+    """
+
+    exact = False
+
+    def coerce(self, coords):
+        return tuple(float(x) for x in coords)
+
+    def segment(self, a, b, d):
+        raise SpaceError(f"geodesics are not supported for {self!r}")
+
+    def ray(self, base, xi):
+        raise SpaceError(f"rays are not supported for {self!r}")
+
+    def line(self, eta, xi, through):
+        raise SpaceError(f"lines are not supported for {self!r}")
+
+    def direction_ideal(self, v):
+        raise SpaceError(f"direction ideal points undefined for {self!r}")
+
+    def ideal_matches(self, a, b, tol):
+        if isinstance(a, tuple):
+            return all(abs(x - y) <= tol for x, y in zip(a, b))
+        if a == INF or b == INF:
+            return a == b
+        return abs(a - b) <= tol
+
+    def busemann_closed(self, ray, y):
+        return None
+
+    def closest_param(self, geo, x, window):
+        # the distance along a geodesic is convex: golden-section search
+        d0 = float(distance(self, geo.point_at(0), x))
+        w = window if window is not None else 2.0 * d0 + 2.0
+        lo, hi = geo.domain()
+        lo = max(float(lo), -w) if lo != -INF else -w
+        hi = min(float(hi), w) if hi != INF else w
+
+        def f(t):
+            return float(distance(self, geo.point_at(t), x))
+        return golden_min(f, lo, hi, tol=1e-13 * max(1.0, w))
+
+    def to_json(self) -> dict:
+        return {"kind": type(self).__name__}
+
+    def coords_from_json(self, v):
+        return self.coerce(v)
+
+    def ideal_from_json(self, rep) -> "IdealPoint":
+        return direction_ideal(self, rep)
+
+
+def _check_space(space) -> Space:
+    if not isinstance(space, Space):
+        raise SpaceError(f"unknown space {space!r}")
+    return space
+
+
+def _flat_line_anchor(space, through):
+    if through is None:
+        raise SpaceError("flat lines need an anchor point")
+    _check_member(space, through)
+    return through.coords
+
+
+# ---------------------------------------------------------------------------
+# normed spaces
+
+class NormedSpace(Space):
+    """R^dim with a norm: distance, geodesics and ideal points are affine.
+    Subclasses give ``norm`` and a ``dim`` field."""
+
+    strictly_convex = True
+
+    def validate(self, c):
+        if not (isinstance(c, tuple) and len(c) == self.dim):
+            raise SpaceError(f"expected {self.dim}-tuple of reals, got {c!r}")
+
+    def distance(self, a, b):
+        return self.norm(vsub(a, b))
+
+    def _along(self, x0, u):
+        def at(t):
+            return Point(self, vadd(x0, vscale(u, float(t))))
+        return at
+
+    def segment(self, a, b, d):
+        return self._along(a, vscale(vsub(b, a), 1.0 / float(d)))
+
+    def ray(self, base, u):
+        return self._along(base, u)
+
+    def line(self, eta, xi, through):
+        if not all(abs(a + b) <= 1e-9 for a, b in zip(eta, xi)):
+            raise SpaceError("flat lines require opposite ideal directions")
+        return self._along(_flat_line_anchor(self, through), xi)
+
+    def direction_ideal(self, v):
+        n = self.norm(v)
+        if n == 0:
+            raise SpaceError("zero direction")
+        return IdealPoint(self, tuple(float(x) / n for x in v))
+
+    def random_point(self, rng, scale):
+        return point(self, tuple(rng.uniform(-scale, scale) for _ in range(self.dim)))
+
 
 @dataclass(frozen=True)
-class Euclidean:
+class Euclidean(NormedSpace):
     dim: int
 
     def __post_init__(self):
@@ -187,9 +313,20 @@ class Euclidean:
     def norm(self, v):
         return enorm(v)
 
+    def busemann_closed(self, ray, y):
+        o = ray.point_at(0)
+        u = vsub(ray.point_at(1).coords, o.coords)
+        return -vdot(vsub(y.coords, o.coords), u)
+
+    def tag(self):
+        return f"euclidean-{self.dim}"
+
+    def to_json(self):
+        return {"kind": "euclidean", "dim": self.dim}
+
 
 @dataclass(frozen=True)
-class MinkowskiLp:
+class MinkowskiLp(NormedSpace):
     """The plane with the l_p norm; 1 < p < oo keeps the norm strictly convex."""
 
     p: float
@@ -202,25 +339,127 @@ class MinkowskiLp:
     def norm(self, v):
         return pnorm(v, self.p)
 
+    def busemann_closed(self, ray, y):
+        o = ray.point_at(0)
+        u = vsub(ray.point_at(1).coords, o.coords)
+        grad = tuple(math.copysign(abs(c) ** (self.p - 1.0), c) for c in u)
+        return -vdot(vsub(y.coords, o.coords), grad)
+
+    def tag(self):
+        return f"minkowski-l{self.p:g}"
+
+    def to_json(self):
+        return {"kind": "minkowski", "p": self.p}
+
 
 @dataclass(frozen=True)
-class MinkowskiLinf:
+class MinkowskiLinf(NormedSpace):
     """Sup-norm plane. Not strictly convex; admitted only to produce
     convexity-violation witnesses and excluded from Busemann suites."""
 
     dim: int = 2
 
+    strictly_convex = False
+
     def norm(self, v):
         return supnorm(v)
 
+    def tag(self):
+        return "minkowski-linf"
+
+
+# ---------------------------------------------------------------------------
+# hyperbolic plane
+
+def _hyp_circle_point(m, r, tau):
+    # unit-speed parameterization of the semicircle |z - m| = r; the clamp
+    # keeps cosh inside double range (points merely pin to the boundary)
+    tau = max(-700.0, min(700.0, tau))
+    return (m + r * math.tanh(tau), r / math.cosh(tau))
+
+
+def _clamp_exp(t):
+    return max(-700.0, min(700.0, t))
+
 
 @dataclass(frozen=True)
-class HyperbolicPlane:
-    pass
+class HyperbolicPlane(Space):
+    """Upper half-plane model of H^2; ideal points are boundary reals or oo."""
 
+    def validate(self, c):
+        if not (isinstance(c, tuple) and len(c) == 2 and c[1] > 0):
+            raise SpaceError(f"upper half-plane point needs y > 0, got {c!r}")
+
+    def distance(self, a, b):
+        # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w))
+        rho = math.hypot(a[0] - b[0], a[1] - b[1])
+        return 2.0 * math.asinh(rho / (2.0 * math.sqrt(a[1] * b[1])))
+
+    def _vertical(self, x0, y0, sgn):
+        def at(t):
+            return Point(self, (x0, y0 * math.exp(_clamp_exp(sgn * float(t)))))
+        return at
+
+    def _arc(self, m, r, t0, sgn):
+        def at(t):
+            return Point(self, _hyp_circle_point(m, r, t0 + sgn * float(t)))
+        return at
+
+    def segment(self, a, b, d):
+        if abs(a[0] - b[0]) < 1e-14:
+            return self._vertical(a[0], a[1], 1.0 if b[1] > a[1] else -1.0)
+        m = (a[0] ** 2 + a[1] ** 2 - b[0] ** 2 - b[1] ** 2) / (2.0 * (a[0] - b[0]))
+        r = math.hypot(a[0] - m, a[1])
+        t1 = math.atanh((a[0] - m) / r)
+        t2 = math.atanh((b[0] - m) / r)
+        return self._arc(m, r, t1, 1.0 if t2 > t1 else -1.0)
+
+    def ray(self, base, u):
+        bx, by = base
+        if u == INF:
+            return self._vertical(bx, by, 1.0)
+        if abs(bx - u) < 1e-14:
+            return self._vertical(u, by, -1.0)
+        m = (bx * bx + by * by - u * u) / (2.0 * (bx - u))
+        r = abs(u - m)
+        return self._arc(m, r, math.atanh((bx - m) / r), 1.0 if u > m else -1.0)
+
+    def line(self, eta, xi, through):
+        if eta == INF:
+            return self._vertical(xi, 1.0, -1.0)
+        if xi == INF:
+            return self._vertical(eta, 1.0, 1.0)
+        return self._arc((eta + xi) / 2.0, abs(xi - eta) / 2.0, 0.0,
+                         1.0 if xi > eta else -1.0)
+
+    def busemann_closed(self, ray, y):
+        o = ray.point_at(0)
+        xi = ray.plus.rep
+        if xi == INF:
+            return math.log(o.coords[1]) - math.log(y.coords[1])
+
+        def level(z):
+            return math.log(((z[0] - xi) ** 2 + z[1] ** 2) / z[1])
+        return level(y.coords) - level(o.coords)
+
+    def random_point(self, rng, scale):
+        return point(self, (rng.uniform(-scale, scale), math.exp(rng.uniform(-1.5, 1.5))))
+
+    def tag(self):
+        return "hyperbolic-plane"
+
+    def to_json(self):
+        return {"kind": "hyperbolic"}
+
+    def ideal_from_json(self, rep):
+        return boundary_ideal(self, INF if rep == "inf" else float(rep))
+
+
+# ---------------------------------------------------------------------------
+# sphere and real line
 
 @dataclass(frozen=True)
-class SphereIntrinsic:
+class SphereIntrinsic(Space):
     radius: float
     dim: int  # ambient dimension; points are unit vectors in R^dim
 
@@ -230,18 +469,106 @@ class SphereIntrinsic:
         if self.dim < 2:
             raise SpaceError("ambient dimension must be >= 2")
 
+    def validate(self, c):
+        if not (isinstance(c, tuple) and len(c) == self.dim):
+            raise SpaceError(f"expected direction in R^{self.dim}")
+        if abs(enorm(c) - 1.0) > 1e-12:
+            raise SpaceError(f"sphere direction must be unit within 1e-12: {c!r}")
+
+    def distance(self, a, b):
+        c = vdot(a, b)
+        s = enorm(vsub(a, vscale(b, c)))
+        return self.radius * math.atan2(s, c)
+
+    def segment(self, a, b, d):
+        r = self.radius
+        if abs(float(d) / r - math.pi) <= 1e-12:
+            raise AmbiguousError("antipodal sphere points: minimizer not unique")
+        w = vsub(b, vscale(a, vdot(a, b)))
+        w = vscale(w, 1.0 / enorm(w))
+
+        def at(t):
+            ang = float(t) / r
+            return Point(self, vadd(vscale(a, math.cos(ang)), vscale(w, math.sin(ang))))
+        return at
+
+    def random_point(self, rng, scale):
+        v = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
+        while all(abs(x) < 1e-9 for x in v):
+            v = [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
+        return sphere_point(self, v)
+
+    def tag(self):
+        return f"sphere-r{self.radius:g}-d{self.dim}"
+
 
 @dataclass(frozen=True)
-class RealLine:
-    pass
+class RealLine(Space):
+    """The real line; ideal points are +-1.0."""
 
+    def validate(self, c):
+        if isinstance(c, tuple):
+            raise SpaceError("real-line point is a single number")
+
+    def coerce(self, coords):
+        return float(coords)
+
+    def distance(self, a, b):
+        return abs(a - b)
+
+    def _along(self, x0, sgn):
+        def at(t):
+            return Point(self, x0 + sgn * float(t))
+        return at
+
+    def segment(self, a, b, d):
+        return self._along(a, 1.0 if b > a else -1.0)
+
+    def ray(self, base, sgn):
+        return self._along(base, sgn)
+
+    def line(self, eta, xi, through):
+        if eta != -xi:
+            raise SpaceError("flat lines require opposite ideal directions")
+        return self._along(_flat_line_anchor(self, through), xi)
+
+    def direction_ideal(self, v):
+        s = float(v)
+        if s == 0:
+            raise SpaceError("zero direction")
+        return IdealPoint(self, 1.0 if s > 0 else -1.0)
+
+    def busemann_closed(self, ray, y):
+        o = ray.point_at(0)
+        sgn = 1.0 if ray.point_at(1).coords > o.coords else -1.0
+        return -sgn * (y.coords - o.coords)
+
+    def random_point(self, rng, scale):
+        return point(self, rng.uniform(-scale, scale))
+
+    def tag(self):
+        return "real-line"
+
+    def to_json(self):
+        return {"kind": "real-line"}
+
+
+# ---------------------------------------------------------------------------
+# metric trees
 
 @dataclass(frozen=True)
-class MetricTree:
+class MetricTree(Space):
+    """Finite metric tree in exact rational arithmetic. Coordinates are
+    canonical tagged tuples: ('v', vertex), ('e', edge_index, offset) with
+    0 < offset < length, or ('r', end, offset) with offset > 0 on the
+    infinite ray at an end. Ideal points are the ends' anchor vertices."""
+
     desc: TreeDesc
 
     # caches keyed by the (immutable) desc; not part of equality
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    exact = True
 
     def _tables(self):
         if "dist" not in self._cache:
@@ -287,251 +614,114 @@ class MetricTree:
     def total_length(self) -> Fraction:
         return self._tables()["total"]
 
+    def validate(self, c):
+        desc = self.desc
+        if not (isinstance(c, tuple) and c and c[0] in ("v", "e", "r")):
+            raise SpaceError(f"bad tree coords {c!r}")
+        if c[0] == "v":
+            if c[1] not in desc.vertices:
+                raise SpaceError(f"unknown vertex {c[1]!r}")
+        elif c[0] == "e":
+            _, idx, off = c
+            if not (0 <= idx < len(desc.edges)):
+                raise SpaceError(f"edge index {idx} out of range")
+            ln = desc.edges[idx][2]
+            if not isinstance(off, Fraction) or not (0 < off < ln):
+                raise SpaceError(f"edge offset must be a Fraction in (0, {ln}): {off!r}")
+        else:
+            _, end, off = c
+            if end not in desc.ends:
+                raise SpaceError(f"{end!r} is not a declared end")
+            if not isinstance(off, Fraction) or off <= 0:
+                raise SpaceError(f"ray offset must be a positive Fraction: {off!r}")
 
-@dataclass(frozen=True)
-class MaxProduct:
-    left: object
-    right: object
+    def coerce(self, coords):
+        return coords
 
-    def __post_init__(self):
-        def depth(s):
-            if isinstance(s, MaxProduct):
-                return 1 + max(depth(s.left), depth(s.right))
-            return 0
-        if depth(self) > 2:
-            raise SpaceError("MaxProduct nesting depth exceeds 2")
+    def distance(self, a, b) -> Fraction:
+        if a == b:
+            return Fraction(0)
+        if a[0] == "r" and b[0] == "r" and a[1] == b[1]:
+            return abs(a[2] - b[2])
+        if a[0] == "e" and b[0] == "e" and a[1] == b[1]:
+            return abs(a[2] - b[2])
+        dv = self.vdist
+        best = None
+        for (va, ca) in _tree_attachments(self, a):
+            for (vb, cb) in _tree_attachments(self, b):
+                d = ca + dv[va][vb] + cb
+                if best is None or d < best:
+                    best = d
+        return best
 
+    def segment(self, a, b, d):
+        return _tree_evaluator(self, _tree_route(self, a, b))
 
-FLAT_KINDS = (Euclidean, MinkowskiLp, MinkowskiLinf)
+    def ray(self, c, end):
+        if c[0] == "r" and c[1] == end:
+            off = c[2]
 
+            def at(t):
+                return Point(self, ("r", end, off + _as_fraction(t)))
+            return at
+        return _tree_evaluator(self, _tree_route(self, c, ("v", end)), plus_end=end)
 
-# ---------------------------------------------------------------------------
-# points
+    def line(self, end_m, end_p, through):
+        route = _tree_route(self, ("v", end_m), ("v", end_p))
+        return _tree_evaluator(self, route, plus_end=end_p, minus_end=end_m)
 
-@dataclass(frozen=True)
-class Point:
-    """Space-tagged coordinates. Tree coordinates are canonical tagged tuples:
-    ('v', vertex), ('e', edge_index, offset) with 0 < offset < length, or
-    ('r', end, offset) with offset > 0 on the infinite ray at an end."""
+    def ideal_matches(self, a, b, tol):
+        return a == b
 
-    space: object
-    coords: object
+    def busemann_closed(self, ray, y):
+        o = ray.point_at(0)
+        T = distance(self, o, y) + 1
+        far = ray.point_at(T)
+        return distance(self, y, far) - T
 
-    def __post_init__(self):
-        _validate_coords(self.space, self.coords)
+    def closest_param(self, geo, x, window):
+        # exact Gromov-product projection
+        lo, hi = geo.domain()
+        big = self.total_length + self.distance(geo.point_at(0).coords, x.coords) + 1
+        lo = _as_fraction(lo) if lo != -INF else -big
+        hi = _as_fraction(hi) if hi != INF else big
+        p, q = geo.point_at(lo), geo.point_at(hi)
+        dxp = self.distance(x.coords, p.coords)
+        dxq = self.distance(x.coords, q.coords)
+        dpq = self.distance(p.coords, q.coords)
+        resid = (dxp + dxq - dpq) / 2
+        return lo + (dxp - resid), resid
 
+    def random_point(self, rng, scale):
+        desc = self.desc
+        denom = 16
+        choices = len(desc.edges) + len(desc.ends)
+        k = rng.randrange(choices + 1)
+        if k == choices:
+            return tree_vertex(self, rng.choice(desc.vertices))
+        if k < len(desc.edges):
+            ln = desc.edges[k][2]
+            num = rng.randrange(0, denom + 1)
+            return tree_edge_point(self, k, ln * Fraction(num, denom))
+        end = desc.ends[k - len(desc.edges)]
+        return tree_ray_point(self, end, Fraction(rng.randrange(0, 3 * denom), denom))
 
-def _validate_coords(space, c):
-    if isinstance(space, FLAT_KINDS):
-        if not (isinstance(c, tuple) and len(c) == space.dim):
-            raise SpaceError(f"expected {space.dim}-tuple of reals, got {c!r}")
-    elif isinstance(space, HyperbolicPlane):
-        if not (isinstance(c, tuple) and len(c) == 2 and c[1] > 0):
-            raise SpaceError(f"upper half-plane point needs y > 0, got {c!r}")
-    elif isinstance(space, RealLine):
-        if isinstance(c, tuple):
-            raise SpaceError("real-line point is a single number")
-    elif isinstance(space, SphereIntrinsic):
-        if not (isinstance(c, tuple) and len(c) == space.dim):
-            raise SpaceError(f"expected direction in R^{space.dim}")
-        if abs(enorm(c) - 1.0) > 1e-12:
-            raise SpaceError(f"sphere direction must be unit within 1e-12: {c!r}")
-    elif isinstance(space, MetricTree):
-        _validate_tree_coords(space, c)
-    elif isinstance(space, MaxProduct):
-        if not (isinstance(c, tuple) and len(c) == 2):
-            raise SpaceError("max-product point is a pair of component coords")
-        _validate_coords(space.left, c[0])
-        _validate_coords(space.right, c[1])
-    else:
-        raise SpaceError(f"unknown space {space!r}")
+    def tag(self):
+        return f"tree-n{self.desc.denominator_bound}"
 
+    def to_json(self):
+        return {"kind": "tree", "desc": self.desc.to_json()}
 
-def _validate_tree_coords(space, c):
-    desc = space.desc
-    if not (isinstance(c, tuple) and c and c[0] in ("v", "e", "r")):
-        raise SpaceError(f"bad tree coords {c!r}")
-    if c[0] == "v":
-        if c[1] not in desc.vertices:
-            raise SpaceError(f"unknown vertex {c[1]!r}")
-    elif c[0] == "e":
-        _, idx, off = c
-        if not (0 <= idx < len(desc.edges)):
-            raise SpaceError(f"edge index {idx} out of range")
-        ln = desc.edges[idx][2]
-        if not isinstance(off, Fraction) or not (0 < off < ln):
-            raise SpaceError(f"edge offset must be a Fraction in (0, {ln}): {off!r}")
-    else:
-        _, end, off = c
-        if end not in desc.ends:
-            raise SpaceError(f"{end!r} is not a declared end")
-        if not isinstance(off, Fraction) or off <= 0:
-            raise SpaceError(f"ray offset must be a positive Fraction: {off!r}")
+    def coords_from_json(self, v):
+        if v[0] == "v":
+            return ("v", v[1])
+        if v[0] == "e":
+            return ("e", int(v[1]), Fraction(str(v[2])))
+        return ("r", v[1], Fraction(str(v[2])))
 
+    def ideal_from_json(self, rep):
+        return tree_end(self, rep)
 
-def point(space, coords) -> Point:
-    """Convenience constructor; flat/sphere coords given as any iterable."""
-    if isinstance(space, FLAT_KINDS + (SphereIntrinsic, HyperbolicPlane)):
-        coords = tuple(float(x) for x in coords)
-    elif isinstance(space, RealLine):
-        coords = float(coords)
-    return Point(space, coords)
-
-
-def tree_vertex(space: MetricTree, vid) -> Point:
-    return Point(space, ("v", vid))
-
-
-def tree_edge_point(space: MetricTree, edge_index: int, offset: Number) -> Point:
-    """Point on an edge at `offset` from the edge's first vertex; snaps the
-    endpoints to vertices so coordinates stay canonical."""
-    off = _as_fraction(offset)
-    u, v, ln = space.desc.edges[edge_index]
-    if off == 0:
-        return tree_vertex(space, u)
-    if off == ln:
-        return tree_vertex(space, v)
-    return Point(space, ("e", edge_index, off))
-
-
-def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
-    off = _as_fraction(offset)
-    if off == 0:
-        return tree_vertex(space, end)
-    return Point(space, ("r", end, off))
-
-
-def sphere_point(space: SphereIntrinsic, direction) -> Point:
-    n = enorm(direction)
-    if n == 0:
-        raise SpaceError("zero direction")
-    return Point(space, tuple(float(x) / n for x in direction))
-
-
-# ---------------------------------------------------------------------------
-# ideal points
-
-@dataclass(frozen=True)
-class IdealPoint:
-    """Canonical representation of a point of the geodesic ideal boundary.
-
-    flat models: unit direction tuple (unit in the space's own norm);
-    hyperbolic plane: boundary real or math.inf; real line: +-1.0;
-    metric tree: the end's anchor-vertex id.
-    """
-
-    space: object
-    rep: object
-
-    def matches(self, other: "IdealPoint", tol: float = 1e-9) -> bool:
-        if self.space != other.space:
-            return False
-        a, b = self.rep, other.rep
-        if isinstance(self.space, MetricTree):
-            return a == b
-        if isinstance(a, tuple):
-            return all(abs(x - y) <= tol for x, y in zip(a, b))
-        if a == INF or b == INF:
-            return a == b
-        return abs(a - b) <= tol
-
-
-def direction_ideal(space, v) -> IdealPoint:
-    """Ideal point of a flat model (or the real line) from a direction vector."""
-    if isinstance(space, RealLine):
-        s = float(v)
-        if s == 0:
-            raise SpaceError("zero direction")
-        return IdealPoint(space, 1.0 if s > 0 else -1.0)
-    if not isinstance(space, FLAT_KINDS):
-        raise SpaceError(f"direction ideal points undefined for {space!r}")
-    n = space.norm(v)
-    if n == 0:
-        raise SpaceError("zero direction")
-    return IdealPoint(space, tuple(float(x) / n for x in v))
-
-
-def boundary_ideal(space: HyperbolicPlane, x) -> IdealPoint:
-    """Ideal point of H^2: a boundary real or math.inf."""
-    if not isinstance(space, HyperbolicPlane):
-        raise SpaceError("boundary ideal points are for the hyperbolic plane")
-    return IdealPoint(space, float(x))
-
-
-def tree_end(space: MetricTree, end) -> IdealPoint:
-    if end not in space.desc.ends:
-        raise SpaceError(f"{end!r} is not a declared end")
-    return IdealPoint(space, end)
-
-
-# ---------------------------------------------------------------------------
-# geodesics
-
-@dataclass(frozen=True)
-class GeodesicRef:
-    """Unit-speed geodesic with a model-specific closed-form evaluator.
-
-    ``kind`` is "segment", "ray", or "line"; the domain is [0, length],
-    [0, oo), or all of R. ``minus``/``plus`` are the ideal endpoints of the
-    unbounded ends, when defined.
-    """
-
-    space: object
-    kind: str
-    point_at: Callable[[Number], Point]
-    length: Optional[Number] = None   # segments only
-    minus: Optional[IdealPoint] = None
-    plus: Optional[IdealPoint] = None
-
-    def domain(self):
-        if self.kind == "segment":
-            return (0, self.length)
-        if self.kind == "ray":
-            return (0, INF)
-        return (-INF, INF)
-
-
-def _check_member(space, *pts):
-    for p in pts:
-        if not isinstance(p, Point) or p.space != space:
-            raise SpaceError(f"point {p!r} does not belong to {space!r}")
-
-
-# ---------------------------------------------------------------------------
-# distance
-
-def distance(space, x: Point, y: Point):
-    """Distance in the model space; exact Fraction on trees, float elsewhere."""
-    _check_member(space, x, y)
-    a, b = x.coords, y.coords
-    if isinstance(space, Euclidean):
-        return enorm(vsub(a, b))
-    if isinstance(space, MinkowskiLp):
-        return pnorm(vsub(a, b), space.p)
-    if isinstance(space, MinkowskiLinf):
-        return supnorm(vsub(a, b))
-    if isinstance(space, HyperbolicPlane):
-        # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w))
-        rho = math.hypot(a[0] - b[0], a[1] - b[1])
-        return 2.0 * math.asinh(rho / (2.0 * math.sqrt(a[1] * b[1])))
-    if isinstance(space, RealLine):
-        return abs(a - b)
-    if isinstance(space, SphereIntrinsic):
-        c = vdot(a, b)
-        s = enorm(vsub(a, vscale(b, c)))
-        return space.radius * math.atan2(s, c)
-    if isinstance(space, MetricTree):
-        return _tree_dist(space, a, b)
-    if isinstance(space, MaxProduct):
-        dl = distance(space.left, Point(space.left, a[0]), Point(space.left, b[0]))
-        dr = distance(space.right, Point(space.right, a[1]), Point(space.right, b[1]))
-        if isinstance(dl, Fraction) and isinstance(dr, Fraction):
-            return max(dl, dr)
-        return max(float(dl), float(dr))
-    raise SpaceError(f"unknown space {space!r}")
-
-
-# ----- tree internals ------------------------------------------------------
 
 def _tree_attachments(space: MetricTree, c):
     """(vertex, cost) pairs attaching a core point to the vertex skeleton."""
@@ -544,30 +734,13 @@ def _tree_attachments(space: MetricTree, c):
     return [(c[1], c[2])]
 
 
-def _tree_dist(space: MetricTree, a, b) -> Fraction:
-    if a == b:
-        return Fraction(0)
-    if a[0] == "r" and b[0] == "r" and a[1] == b[1]:
-        return abs(a[2] - b[2])
-    if a[0] == "e" and b[0] == "e" and a[1] == b[1]:
-        return abs(a[2] - b[2])
-    dv = space.vdist
-    best = None
-    for (va, ca) in _tree_attachments(space, a):
-        for (vb, cb) in _tree_attachments(space, b):
-            d = ca + dv[va][vb] + cb
-            if best is None or d < best:
-                best = d
-    return best
-
-
 def _tree_route(space: MetricTree, a, b):
     """Waypoints [(cumulative Fraction, coords)] along the geodesic a -> b.
 
     Consecutive waypoints always lie on one edge or one end ray, so linear
     interpolation between them is well defined.
     """
-    total = _tree_dist(space, a, b)
+    total = space.distance(a, b)
     if (a[0] == b[0] and a[0] in ("r", "e") and a[1] == b[1]) or a == b:
         return [(Fraction(0), a), (total, b)]
     dv, nxt = space.vdist, space.vnext
@@ -651,7 +824,175 @@ def _tree_evaluator(space: MetricTree, route, *, plus_end=None, minus_end=None):
 
 
 # ---------------------------------------------------------------------------
-# geodesic constructors
+# maximum products
+
+@dataclass(frozen=True)
+class MaxProduct(Space):
+    """Product with the maximum metric (distance only); points are pairs of
+    component coordinates."""
+
+    left: object
+    right: object
+
+    def __post_init__(self):
+        def depth(s):
+            if isinstance(s, MaxProduct):
+                return 1 + max(depth(s.left), depth(s.right))
+            return 0
+        if depth(self) > 2:
+            raise SpaceError("MaxProduct nesting depth exceeds 2")
+
+    def validate(self, c):
+        if not (isinstance(c, tuple) and len(c) == 2):
+            raise SpaceError("max-product point is a pair of component coords")
+        _check_space(self.left).validate(c[0])
+        _check_space(self.right).validate(c[1])
+
+    def coerce(self, coords):
+        return coords
+
+    def distance(self, a, b):
+        dl = self.left.distance(a[0], b[0])
+        dr = self.right.distance(a[1], b[1])
+        if isinstance(dl, Fraction) and isinstance(dr, Fraction):
+            return max(dl, dr)
+        return max(float(dl), float(dr))
+
+    def random_point(self, rng, scale):
+        l = self.left.random_point(rng, scale)
+        r = self.right.random_point(rng, scale)
+        return Point(self, (l.coords, r.coords))
+
+    def tag(self):
+        return f"maxprod({self.left.tag()},{self.right.tag()})"
+
+
+# ---------------------------------------------------------------------------
+# points
+
+@dataclass(frozen=True)
+class Point:
+    """Space-tagged coordinates, validated by the space on construction."""
+
+    space: object
+    coords: object
+
+    def __post_init__(self):
+        _check_space(self.space).validate(self.coords)
+
+
+def point(space, coords) -> Point:
+    """Convenience constructor; flat/sphere coords given as any iterable."""
+    return Point(space, _check_space(space).coerce(coords))
+
+
+def tree_vertex(space: MetricTree, vid) -> Point:
+    return Point(space, ("v", vid))
+
+
+def tree_edge_point(space: MetricTree, edge_index: int, offset: Number) -> Point:
+    """Point on an edge at `offset` from the edge's first vertex; snaps the
+    endpoints to vertices so coordinates stay canonical."""
+    off = _as_fraction(offset)
+    u, v, ln = space.desc.edges[edge_index]
+    if off == 0:
+        return tree_vertex(space, u)
+    if off == ln:
+        return tree_vertex(space, v)
+    return Point(space, ("e", edge_index, off))
+
+
+def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
+    off = _as_fraction(offset)
+    if off == 0:
+        return tree_vertex(space, end)
+    return Point(space, ("r", end, off))
+
+
+def sphere_point(space: SphereIntrinsic, direction) -> Point:
+    n = enorm(direction)
+    if n == 0:
+        raise SpaceError("zero direction")
+    return Point(space, tuple(float(x) / n for x in direction))
+
+
+# ---------------------------------------------------------------------------
+# ideal points
+
+@dataclass(frozen=True)
+class IdealPoint:
+    """Canonical representation of a point of the geodesic ideal boundary.
+
+    flat models: unit direction tuple (unit in the space's own norm);
+    hyperbolic plane: boundary real or math.inf; real line: +-1.0;
+    metric tree: the end's anchor-vertex id.
+    """
+
+    space: object
+    rep: object
+
+    def matches(self, other: "IdealPoint", tol: float = 1e-9) -> bool:
+        if self.space != other.space:
+            return False
+        return self.space.ideal_matches(self.rep, other.rep, tol)
+
+
+def direction_ideal(space, v) -> IdealPoint:
+    """Ideal point of a flat model (or the real line) from a direction vector."""
+    return _check_space(space).direction_ideal(v)
+
+
+def boundary_ideal(space: HyperbolicPlane, x) -> IdealPoint:
+    """Ideal point of H^2: a boundary real or math.inf."""
+    if not isinstance(space, HyperbolicPlane):
+        raise SpaceError("boundary ideal points are for the hyperbolic plane")
+    return IdealPoint(space, float(x))
+
+
+def tree_end(space: MetricTree, end) -> IdealPoint:
+    if end not in space.desc.ends:
+        raise SpaceError(f"{end!r} is not a declared end")
+    return IdealPoint(space, end)
+
+
+# ---------------------------------------------------------------------------
+# geodesics
+
+@dataclass(frozen=True)
+class GeodesicRef:
+    """Unit-speed geodesic with a model-specific closed-form evaluator.
+
+    ``kind`` is "segment", "ray", or "line"; the domain is [0, length],
+    [0, oo), or all of R. ``minus``/``plus`` are the ideal endpoints of the
+    unbounded ends, when defined.
+    """
+
+    space: object
+    kind: str
+    point_at: Callable[[Number], Point]
+    length: Optional[Number] = None   # segments only
+    minus: Optional[IdealPoint] = None
+    plus: Optional[IdealPoint] = None
+
+    def domain(self):
+        if self.kind == "segment":
+            return (0, self.length)
+        if self.kind == "ray":
+            return (0, INF)
+        return (-INF, INF)
+
+
+def _check_member(space, *pts):
+    for p in pts:
+        if not isinstance(p, Point) or p.space != space:
+            raise SpaceError(f"point {p!r} does not belong to {space!r}")
+
+
+def distance(space, x: Point, y: Point):
+    """Distance in the model space; exact Fraction on trees, float elsewhere."""
+    _check_member(space, x, y)
+    return space.distance(x.coords, y.coords)
+
 
 def geodesic_between(space, x: Point, y: Point) -> GeodesicRef:
     """Unit-speed minimizer with c(0) = x and c(d) = y."""
@@ -659,73 +1000,7 @@ def geodesic_between(space, x: Point, y: Point) -> GeodesicRef:
     d = distance(space, x, y)
     if d == 0:
         raise DegenerateError("geodesic between identical points")
-    if isinstance(space, FLAT_KINDS):
-        u = vscale(vsub(y.coords, x.coords), 1.0 / float(d))
-        x0 = x.coords
-
-        def at(t):
-            return Point(space, vadd(x0, vscale(u, float(t))))
-        return GeodesicRef(space, "segment", at, length=d)
-    if isinstance(space, RealLine):
-        x0, sgn = x.coords, 1.0 if y.coords > x.coords else -1.0
-
-        def at(t):
-            return Point(space, x0 + sgn * float(t))
-        return GeodesicRef(space, "segment", at, length=d)
-    if isinstance(space, HyperbolicPlane):
-        at = _hyp_segment_evaluator(x.coords, y.coords)
-        return GeodesicRef(space, "segment", at, length=d)
-    if isinstance(space, SphereIntrinsic):
-        r = space.radius
-        theta = float(d) / r
-        if abs(theta - math.pi) <= 1e-12:
-            raise AmbiguousError("antipodal sphere points: minimizer not unique")
-        u = x.coords
-        w = vsub(y.coords, vscale(u, vdot(u, y.coords)))
-        wn = enorm(w)
-        w = vscale(w, 1.0 / wn)
-
-        def at(t):
-            ang = float(t) / r
-            return Point(space, vadd(vscale(u, math.cos(ang)), vscale(w, math.sin(ang))))
-        return GeodesicRef(space, "segment", at, length=d)
-    if isinstance(space, MetricTree):
-        route = _tree_route(space, x.coords, y.coords)
-        return GeodesicRef(space, "segment", _tree_evaluator(space, route), length=d)
-    if isinstance(space, MaxProduct):
-        raise SpaceError("max-product geodesics are not supported")
-    raise SpaceError(f"unknown space {space!r}")
-
-
-def _hyp_circle_point(m, r, tau):
-    # unit-speed parameterization of the semicircle |z - m| = r; the clamp
-    # keeps cosh inside double range (points merely pin to the boundary)
-    tau = max(-700.0, min(700.0, tau))
-    return (m + r * math.tanh(tau), r / math.cosh(tau))
-
-
-def _clamp_exp(t):
-    return max(-700.0, min(700.0, t))
-
-
-def _hyp_segment_evaluator(a, b):
-    if abs(a[0] - b[0]) < 1e-14:
-        x0 = a[0]
-        y0 = a[1]
-        sgn = 1.0 if b[1] > a[1] else -1.0
-
-        def at(t):
-            return Point(HyperbolicPlane(), (x0, y0 * math.exp(_clamp_exp(sgn * float(t)))))
-        return at
-    m = (a[0] ** 2 + a[1] ** 2 - b[0] ** 2 - b[1] ** 2) / (2.0 * (a[0] - b[0]))
-    r = math.hypot(a[0] - m, a[1])
-    t1 = math.atanh((a[0] - m) / r)
-    t2 = math.atanh((b[0] - m) / r)
-    sgn = 1.0 if t2 > t1 else -1.0
-
-    def at(t):
-        return Point(HyperbolicPlane(), _hyp_circle_point(m, r, t1 + sgn * float(t)))
-    return at
+    return GeodesicRef(space, "segment", space.segment(x.coords, y.coords, d), length=d)
 
 
 def ray_from(space, base: Point, xi: IdealPoint) -> GeodesicRef:
@@ -733,51 +1008,7 @@ def ray_from(space, base: Point, xi: IdealPoint) -> GeodesicRef:
     _check_member(space, base)
     if xi.space != space:
         raise SpaceError("ideal point belongs to a different space")
-    if isinstance(space, FLAT_KINDS):
-        u, x0 = xi.rep, base.coords
-
-        def at(t):
-            return Point(space, vadd(x0, vscale(u, float(t))))
-        return GeodesicRef(space, "ray", at, plus=xi)
-    if isinstance(space, RealLine):
-        x0, sgn = base.coords, xi.rep
-
-        def at(t):
-            return Point(space, x0 + sgn * float(t))
-        return GeodesicRef(space, "ray", at, plus=xi)
-    if isinstance(space, HyperbolicPlane):
-        bx, by = base.coords
-        if xi.rep == INF:
-            def at(t):
-                return Point(space, (bx, by * math.exp(_clamp_exp(float(t)))))
-            return GeodesicRef(space, "ray", at, plus=xi)
-        u = xi.rep
-        if abs(bx - u) < 1e-14:
-            def at(t):
-                return Point(space, (u, by * math.exp(_clamp_exp(-float(t)))))
-            return GeodesicRef(space, "ray", at, plus=xi)
-        m = (bx * bx + by * by - u * u) / (2.0 * (bx - u))
-        r = abs(u - m)
-        t0 = math.atanh((bx - m) / r)
-        sgn = 1.0 if u > m else -1.0
-
-        def at(t):
-            return Point(space, _hyp_circle_point(m, r, t0 + sgn * float(t)))
-        return GeodesicRef(space, "ray", at, plus=xi)
-    if isinstance(space, MetricTree):
-        end = xi.rep
-        anchor = ("v", end)
-        c = base.coords
-        if c[0] == "r" and c[1] == end:
-            off = c[2]
-
-            def at(t):
-                return Point(space, ("r", end, off + _as_fraction(t)))
-            return GeodesicRef(space, "ray", at, plus=xi)
-        route = _tree_route(space, c, anchor)
-        return GeodesicRef(
-            space, "ray", _tree_evaluator(space, route, plus_end=end), plus=xi)
-    raise SpaceError(f"rays are not supported for {space!r}")
+    return GeodesicRef(space, "ray", space.ray(base.coords, xi.rep), plus=xi)
 
 
 def line_through(space, eta: IdealPoint, xi: IdealPoint, through: Point = None) -> GeodesicRef:
@@ -790,53 +1021,8 @@ def line_through(space, eta: IdealPoint, xi: IdealPoint, through: Point = None) 
         raise SpaceError("ideal point belongs to a different space")
     if eta.matches(xi):
         raise DegenerateError("line requires distinct ideal endpoints")
-    if isinstance(space, FLAT_KINDS) or isinstance(space, RealLine):
-        if isinstance(space, RealLine):
-            opposite = eta.rep == -xi.rep
-        else:
-            opposite = all(abs(a + b) <= 1e-9 for a, b in zip(eta.rep, xi.rep))
-        if not opposite:
-            raise SpaceError("flat lines require opposite ideal directions")
-        if through is None:
-            raise SpaceError("flat lines need an anchor point")
-        _check_member(space, through)
-        x0 = through.coords
-        if isinstance(space, RealLine):
-            sgn = xi.rep
-
-            def at(t):
-                return Point(space, x0 + sgn * float(t))
-        else:
-            u = xi.rep
-
-            def at(t):
-                return Point(space, vadd(x0, vscale(u, float(t))))
-        return GeodesicRef(space, "line", at, minus=eta, plus=xi)
-    if isinstance(space, HyperbolicPlane):
-        if eta.rep == INF:
-            u = xi.rep
-
-            def at(t):
-                return Point(space, (u, math.exp(_clamp_exp(-float(t)))))
-        elif xi.rep == INF:
-            u = eta.rep
-
-            def at(t):
-                return Point(space, (u, math.exp(_clamp_exp(float(t)))))
-        else:
-            m = (eta.rep + xi.rep) / 2.0
-            r = abs(xi.rep - eta.rep) / 2.0
-            sgn = 1.0 if xi.rep > eta.rep else -1.0
-
-            def at(t):
-                return Point(space, _hyp_circle_point(m, r, sgn * float(t)))
-        return GeodesicRef(space, "line", at, minus=eta, plus=xi)
-    if isinstance(space, MetricTree):
-        end_m, end_p = eta.rep, xi.rep
-        route = _tree_route(space, ("v", end_m), ("v", end_p))
-        at = _tree_evaluator(space, route, plus_end=end_p, minus_end=end_m)
-        return GeodesicRef(space, "line", at, minus=eta, plus=xi)
-    raise SpaceError(f"lines are not supported for {space!r}")
+    return GeodesicRef(space, "line", space.line(eta.rep, xi.rep, through),
+                       minus=eta, plus=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -850,8 +1036,6 @@ def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
     or "lower extreme" take the per-coordinate free interval's choice.
     """
     _check_member(space, x, y)
-    if isinstance(space, MaxProduct):
-        raise SpaceError("max-product midpoints are not supported")
     if isinstance(space, MinkowskiLinf) and selector is not None:
         return _linf_extreme_midpoint(space, x, y, selector)
     d = distance(space, x, y)
@@ -891,32 +1075,7 @@ def closest_param(space, geo: GeodesicRef, x: Point, *, window: float = None):
     models, where the distance along a geodesic is convex.
     """
     _check_member(space, x)
-    if isinstance(space, MetricTree):
-        return _tree_closest_param(space, geo, x)
-    d0 = float(distance(space, geo.point_at(0), x))
-    w = window if window is not None else 2.0 * d0 + 2.0
-    lo, hi = geo.domain()
-    lo = max(float(lo), -w) if lo != -INF else -w
-    hi = min(float(hi), w) if hi != INF else w
-
-    def f(t):
-        return float(distance(space, geo.point_at(t), x))
-    t, val = golden_min(f, lo, hi, tol=1e-13 * max(1.0, w))
-    return t, val
-
-
-def _tree_closest_param(space, geo, x):
-    lo, hi = geo.domain()
-    big = space.total_length + _tree_dist(space, geo.point_at(0).coords, x.coords) + 1
-    lo = _as_fraction(lo) if lo != -INF else -big
-    hi = _as_fraction(hi) if hi != INF else big
-    p, q = geo.point_at(lo), geo.point_at(hi)
-    dxp = _tree_dist(space, x.coords, p.coords)
-    dxq = _tree_dist(space, x.coords, q.coords)
-    dpq = _tree_dist(space, p.coords, q.coords)
-    resid = (dxp + dxq - dpq) / 2
-    t = lo + (dxp - resid)
-    return t, resid
+    return space.closest_param(geo, x, window)
 
 
 def on_geodesic(space, geo: GeodesicRef, x: Point, tol: float = 1e-9):

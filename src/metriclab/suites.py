@@ -23,6 +23,7 @@ from .horofn import (
 )
 from .spaces import (
     Euclidean,
+    GeodesicRef,
     HyperbolicPlane,
     MaxProduct,
     MetricTree,
@@ -36,6 +37,7 @@ from .spaces import (
     boundary_ideal,
     direction_ideal,
     distance,
+    geodesic_between,
     line_through,
     point,
     ray_from,
@@ -48,11 +50,11 @@ from .verify import (
     SampleSet,
     VerificationReport,
     check_busemann_midpoints,
+    check_distance_convexity,
     check_metric_axioms,
     is_isometry,
     preserves_unit_distance,
     random_sample,
-    _space_tag,
 )
 
 
@@ -154,7 +156,7 @@ def suite_busemann(seed: int, params: dict) -> list:
     for k, space in enumerate(busemann_catalog()):
         rng = random.Random(seed + k)
         sample = random_sample(space, 40, seed + 500 + k)
-        rep = VerificationReport(f"busemann-inequality[{_space_tag(space)}]", tolerance=tol)
+        rep = VerificationReport(f"busemann-inequality[{space.tag()}]", tolerance=tol)
         for _ in range(triples):
             x, y, z = _distinct_triple(rng, sample.points)
             sub = check_busemann_midpoints(space, x, y, z, tol=tol)
@@ -171,21 +173,18 @@ def suite_busemann(seed: int, params: dict) -> list:
     reports.append(_expect_failure(inner, "busemann-violation[minkowski-linf]"))
 
     # distance convexity grids
-    from .spaces import geodesic_between
     e2 = Euclidean(2)
     g1 = geodesic_between(e2, point(e2, (0.0, 0.0)), point(e2, (4.0, 1.0)))
     g2 = geodesic_between(e2, point(e2, (0.0, 2.0)), point(e2, (3.0, 5.0)))
-    reports.append(_tag(check_distance_convexity_grid(e2, g1, g2),
+    reports.append(_tag(check_distance_convexity(e2, g1, g2),
                         "distance-convexity[euclidean-2]"))
     h2 = HyperbolicPlane()
     gh1 = geodesic_between(h2, point(h2, (-2.0, 1.0)), point(h2, (-1.0, 3.0)))
     gh2 = geodesic_between(h2, point(h2, (1.0, 0.5)), point(h2, (2.0, 2.0)))
-    reports.append(_tag(check_distance_convexity_grid(h2, gh1, gh2),
+    reports.append(_tag(check_distance_convexity(h2, gh1, gh2),
                         "distance-convexity[hyperbolic-plane]"))
     # bent sup-norm geodesics through the extreme midpoints violate midpoint
     # convexity of the cross-distance; the check must flag them
-    from .spaces import GeodesicRef
-
     def bent(sign):
         def at(t):
             t = float(t)
@@ -195,14 +194,9 @@ def suite_busemann(seed: int, params: dict) -> list:
         return at
     gl1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
     gl2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
-    inner = check_distance_convexity_grid(linf, gl1, gl2)
+    inner = check_distance_convexity(linf, gl1, gl2)
     reports.append(_expect_failure(inner, "distance-convexity-violation[minkowski-linf]"))
     return reports
-
-
-def check_distance_convexity_grid(space, g1, g2):
-    from .verify import check_distance_convexity
-    return check_distance_convexity(space, g1, g2, grid=8)
 
 
 def _tag(rep: VerificationReport, name: str) -> VerificationReport:
@@ -767,10 +761,7 @@ RANDOMIZED_SUITES = ("axioms", "busemann", "horofn", "transfers", "grasshopper",
 
 def run_named_suite(name: str, seed: int, params: dict) -> list:
     if name == "all":
-        out = []
-        for sub in SUITES:
-            out.extend(SUITES[sub](seed, params))
-        return out
+        return [rep for sub in SUITES for rep in run_named_suite(sub, seed, params)]
     if name not in SUITES:
         raise SpaceError(f"unknown suite {name!r}")
     reports = SUITES[name](seed, params)

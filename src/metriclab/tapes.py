@@ -14,10 +14,7 @@ from fractions import Fraction
 
 from .numeric import bisect_root, golden_min
 from .spaces import (
-    Euclidean,
     GeodesicRef,
-    MetricTree,
-    MinkowskiLp,
     Point,
     PreconditionError,
     SpaceError,
@@ -82,7 +79,7 @@ def validate_r_sequence(seq: RSequence, tol: float = 1e-9) -> VerificationReport
     if len(zs) < 2:
         raise SpaceError("r-sequence window needs at least two indices")
     rep = VerificationReport("r-sequence", tolerance=tol)
-    exact = isinstance(seq.space, MetricTree)
+    exact = seq.space.exact
     pairs = 0
     for a in range(len(zs)):
         for b in range(a + 1, len(zs)):
@@ -125,7 +122,7 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
     if p < 2:
         raise SpaceError("tape needs p >= 2")
     rep = VerificationReport(f"p-tape[p={p}]", tolerance=tol)
-    exact = isinstance(tape.space, MetricTree)
+    exact = tape.space.exact
     rows_checked = 0
     for i in range(4):
         for j in range(1, p + 1):
@@ -217,14 +214,6 @@ def tape_position(p: int, j: int, z: int) -> Fraction:
     return Fraction((j - 1) * (2 * p - 1), p) + z
 
 
-def _norm_of(space):
-    if isinstance(space, Euclidean) and space.dim == 2:
-        return space.norm
-    if isinstance(space, MinkowskiLp) and space.dim == 2:
-        return space.norm
-    raise SpaceError("tape construction runs in strictly convex planes only")
-
-
 def _chord_roots(norm, u, w, height: float):
     """The two roots alpha of ||alpha u + height w|| = 1 (requires a root)."""
     def phi(al):
@@ -246,7 +235,9 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float,
     the diagonal chord is exactly 2 - 1/p, making all quadruple constraints
     hold and row 1 follow the position law along ``a``.
     """
-    norm = _norm_of(space)
+    if not (getattr(space, "strictly_convex", False) and space.dim == 2):
+        raise SpaceError("tape construction runs in strictly convex planes only")
+    norm = space.norm
     if p < 2:
         raise PreconditionError("need p >= 2")
     cap = min(1.0, strip_width) if strip_width is not None else 1.0

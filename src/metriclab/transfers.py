@@ -10,16 +10,14 @@ from fractions import Fraction
 
 from .numeric import SearchError, bisect_root
 from .spaces import (
-    Euclidean,
     GeodesicRef,
     HyperbolicPlane,
     IdealPoint,
     MetricTree,
-    MinkowskiLp,
     Point,
-    RealLine,
     SpaceError,
     boundary_ideal,
+    closest_param,
     direction_ideal,
     distance,
     line_through,
@@ -28,7 +26,7 @@ from .spaces import (
     tree_end,
 )
 from .horofn import busemann_value, ray_toward
-from .verify import VerificationReport
+from .verify import VerificationReport, _jsonable
 
 
 @dataclass
@@ -58,7 +56,7 @@ def transfer_param(space, frm: GeodesicRef, to: GeodesicRef, xi: IdealPoint,
     sigma = _line_orientation(to, xi)
     beta = _busemann_for(space, frm, xi)
     target = beta(m)
-    if isinstance(space, MetricTree):
+    if space.exact:
         # beta(to(t)) = beta(to(0)) - sigma * t exactly
         b0 = beta(to.point_at(0))
         return (b0 - target - Fraction(target_offset)) * Fraction(int(sigma))
@@ -124,7 +122,7 @@ def double_transfer(space, a: GeodesicRef, b: GeodesicRef, x: Point,
     # beta_a runs at unit rate along a, so the translation length reads off
     # the Busemann scale with closed-form precision
     shift = beta_a(x) - beta_a(x2)
-    if not isinstance(space, MetricTree):
+    if not space.exact:
         shift = float(shift)
     formula = beta_a(b.point_at(0)) + beta_b(a.point_at(0)) + level_shift
     residuals = {
@@ -162,68 +160,25 @@ class ScissorsConfig:
 
         def line_rec(g):
             rec = {"minus": end_rep(g.minus), "plus": end_rep(g.plus)}
-            anchor = g.point_at(0).coords
-            rec["anchor"] = _coords_json(anchor)
+            rec["anchor"] = _jsonable(g.point_at(0).coords)
             return rec
         return {
-            "space": _space_json(self.space),
+            "space": self.space.to_json(),
             "a": line_rec(self.a), "b": line_rec(self.b),
             "c": line_rec(self.c), "d": line_rec(self.d),
-            "x": _coords_json(self.x.coords),
+            "x": _jsonable(self.x.coords),
         }
 
     @staticmethod
     def from_json(space, data: dict) -> "ScissorsConfig":
-        def ideal(rep):
-            if isinstance(space, HyperbolicPlane):
-                return boundary_ideal(space, math.inf if rep == "inf" else float(rep))
-            if isinstance(space, MetricTree):
-                return tree_end(space, rep)
-            return direction_ideal(space, tuple(rep))
+        def pt(v):
+            return Point(space, space.coords_from_json(v))
 
         def line_of(rec):
-            through = None
-            if not isinstance(space, (HyperbolicPlane, MetricTree)):
-                through = point(space, rec["anchor"])
-            return line_through(space, ideal(rec["minus"]), ideal(rec["plus"]), through)
-        x = Point(space, _coords_from_json(space, data["x"]))
+            return line_through(space, space.ideal_from_json(rec["minus"]),
+                                space.ideal_from_json(rec["plus"]), pt(rec["anchor"]))
         return ScissorsConfig(space, line_of(data["a"]), line_of(data["b"]),
-                              line_of(data["c"]), line_of(data["d"]), x)
-
-
-def _coords_json(c):
-    if isinstance(c, tuple) and c and c[0] in ("v", "e", "r"):
-        return [c[0]] + [str(v) if isinstance(v, Fraction) else v for v in c[1:]]
-    if isinstance(c, tuple):
-        return list(c)
-    return c
-
-
-def _coords_from_json(space, v):
-    if isinstance(space, MetricTree):
-        tag = v[0]
-        if tag == "v":
-            return ("v", v[1])
-        if tag == "e":
-            return ("e", int(v[1]), Fraction(str(v[2])))
-        return ("r", v[1], Fraction(str(v[2])))
-    if isinstance(v, list):
-        return tuple(v)
-    return v
-
-
-def _space_json(space):
-    if isinstance(space, HyperbolicPlane):
-        return {"kind": "hyperbolic"}
-    if isinstance(space, Euclidean):
-        return {"kind": "euclidean", "dim": space.dim}
-    if isinstance(space, MinkowskiLp):
-        return {"kind": "minkowski", "p": space.p}
-    if isinstance(space, MetricTree):
-        return {"kind": "tree", "desc": space.desc.to_json()}
-    if isinstance(space, RealLine):
-        return {"kind": "real-line"}
-    return {"kind": type(space).__name__}
+                              line_of(data["c"]), line_of(data["d"]), pt(data["x"]))
 
 
 def validate_scissors(space, cfg: ScissorsConfig, tol: float = 1e-9) -> VerificationReport:
@@ -275,7 +230,7 @@ def scissors_shift(space, cfg: ScissorsConfig, probe_param=0):
     by_composition = beta_minus(m4) - beta_minus(m)
 
     by_formula = scissors_shift_formula(space, cfg)
-    if not isinstance(space, MetricTree):
+    if not space.exact:
         by_composition = float(by_composition)
     return by_composition, by_formula
 
@@ -296,7 +251,7 @@ def scissors_shift_formula(space, cfg: ScissorsConfig, p_param=0, q_param=0):
             val += b_x - b_0
         return val
     total = pair_sum(cfg.a, p_param) + pair_sum(cfg.d, q_param)
-    return total if isinstance(space, MetricTree) else float(total)
+    return total if space.exact else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +320,5 @@ def tree_scissors(space: MetricTree, ends4) -> ScissorsConfig:
 
 def _tree_meet(space, g1, g2):
     probe = g2.point_at(0)
-    t, resid = None, None
-    from .spaces import closest_param
     t, resid = closest_param(space, g1, probe)
     return resid == 0, t, resid

@@ -8,31 +8,19 @@ lines, and the unit-distance / isometry predicates for bijections.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .numeric import bisect_root
 from .spaces import (
-    Euclidean,
     GeodesicRef,
-    HyperbolicPlane,
-    MaxProduct,
-    MetricTree,
-    MinkowskiLinf,
-    MinkowskiLp,
     Point,
-    RealLine,
     SpaceError,
-    SphereIntrinsic,
+    _check_space,
     closest_param,
     distance,
     midpoint,
-    point,
-    sphere_point,
-    tree_edge_point,
-    tree_ray_point,
-    tree_vertex,
 )
 
 MAX_WITNESSES = 32
@@ -112,41 +100,10 @@ class SampleSet:
 
 def random_sample(space, n: int, seed: int, scale: float = 4.0) -> SampleSet:
     """Reproducible random points; tree offsets stay exact rationals."""
+    _check_space(space)
     rng = random.Random(seed)
-    pts = tuple(_random_point(space, rng, scale) for _ in range(n))
+    pts = tuple(space.random_point(rng, scale) for _ in range(n))
     return SampleSet(space, pts, seed=seed, spec=f"random(n={n}, scale={scale})")
-
-
-def _random_point(space, rng, scale):
-    if isinstance(space, (Euclidean, MinkowskiLp, MinkowskiLinf)):
-        return point(space, tuple(rng.uniform(-scale, scale) for _ in range(space.dim)))
-    if isinstance(space, HyperbolicPlane):
-        return point(space, (rng.uniform(-scale, scale), math.exp(rng.uniform(-1.5, 1.5))))
-    if isinstance(space, RealLine):
-        return point(space, rng.uniform(-scale, scale))
-    if isinstance(space, SphereIntrinsic):
-        v = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
-        while all(abs(x) < 1e-9 for x in v):
-            v = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
-        return sphere_point(space, v)
-    if isinstance(space, MetricTree):
-        desc = space.desc
-        denom = 16
-        choices = len(desc.edges) + len(desc.ends)
-        k = rng.randrange(choices + 1)
-        if k == choices:
-            return tree_vertex(space, rng.choice(desc.vertices))
-        if k < len(desc.edges):
-            ln = desc.edges[k][2]
-            num = rng.randrange(0, denom + 1)
-            return tree_edge_point(space, k, ln * Fraction(num, denom))
-        end = desc.ends[k - len(desc.edges)]
-        return tree_ray_point(space, end, Fraction(rng.randrange(0, 3 * denom), denom))
-    if isinstance(space, MaxProduct):
-        l = _random_point(space.left, rng, scale)
-        r = _random_point(space.right, rng, scale)
-        return Point(space, (l.coords, r.coords))
-    raise SpaceError(f"cannot sample {space!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +139,10 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
                         seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Symmetry, identity of indiscernibles, and the triangle inequality on
     random triples from the sample. Tree distances are compared exactly."""
-    rep = VerificationReport(f"metric-axioms[{_space_tag(space)}]", tolerance=tol)
+    rep = VerificationReport(f"metric-axioms[{space.tag()}]", tolerance=tol)
     rng = random.Random(seed)
     pts = sample.points
-    exact = isinstance(space, MetricTree)
+    exact = space.exact
     checked = 0
     for _ in range(triples):
         x, y, z = (pts[rng.randrange(len(pts))] for _ in range(3))
@@ -208,26 +165,6 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
     return rep.finalize()
 
 
-def _space_tag(space) -> str:
-    if isinstance(space, Euclidean):
-        return f"euclidean-{space.dim}"
-    if isinstance(space, MinkowskiLp):
-        return f"minkowski-l{space.p:g}"
-    if isinstance(space, MinkowskiLinf):
-        return "minkowski-linf"
-    if isinstance(space, HyperbolicPlane):
-        return "hyperbolic-plane"
-    if isinstance(space, RealLine):
-        return "real-line"
-    if isinstance(space, SphereIntrinsic):
-        return f"sphere-r{space.radius:g}-d{space.dim}"
-    if isinstance(space, MetricTree):
-        return f"tree-n{space.desc.denominator_bound}"
-    if isinstance(space, MaxProduct):
-        return f"maxprod({_space_tag(space.left)},{_space_tag(space.right)})"
-    return type(space).__name__
-
-
 # ---------------------------------------------------------------------------
 # curvature non-positivity
 
@@ -238,7 +175,7 @@ def check_busemann_midpoints(space, x: Point, y: Point, z: Point, *,
     [x, y] and [x, z]. Selectors matter only for the sup-norm plane."""
     if x.coords == y.coords or x.coords == z.coords or y.coords == z.coords:
         raise SpaceError("midpoint check needs pairwise distinct points")
-    rep = VerificationReport(f"busemann-midpoints[{_space_tag(space)}]", tolerance=tol)
+    rep = VerificationReport(f"busemann-midpoints[{space.tag()}]", tolerance=tol)
     m = midpoint(space, x, y, selector=selector_xy)
     n = midpoint(space, x, z, selector=selector_xz)
     dmn = distance(space, m, n)
@@ -400,7 +337,6 @@ def _align_parallel(space, a, b, span: float) -> float:
     true alignment; the symmetry residual is monotone in t0 and its root is
     far better conditioned than the flat minimum of the profile itself.
     """
-    from .numeric import bisect_root
     t_rough, _ = closest_param(space, b, a.point_at(0))
     t_rough = float(t_rough)
     o = a.point_at(0)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from metriclab import cli
-from metriclab.cli import ConfigError, ScenarioConfig, emit_report, parse_result, run_suite
+from metriclab.cli import ConfigError, ScenarioConfig, emit_report, run_suite
 from metriclab.verify import VerificationReport
 
 
@@ -75,7 +75,7 @@ def test_emit_parse_roundtrip():
     config = ScenarioConfig(suite="scissors", seed=0)
     result = run_suite(config)
     text = emit_report(result, "json")
-    back = parse_result(text)
+    back = json.loads(text)
     assert back == result.payload()
     assert back["summary"]["failed"] == 0
     # stable key order in each report
@@ -117,6 +117,23 @@ def test_scenario_config_validation():
         ScenarioConfig(suite="axioms", seed=1, format="xml")
     cfg = ScenarioConfig(suite="tapes")           # deterministic: seed optional
     assert cfg.seed == 0
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"suite": "axioms", "seed": "abc"}, []),
+    ({"suite": "tapes", "seed": "abc"}, []),
+    ({"suite": "axioms", "seed": True}, []),
+    ({"suite": "axioms", "seed": 7}, ["--tol", "nan"]),
+    ({"suite": "axioms", "seed": 7}, ["--tol", "-1"]),
+    ({"suite": "axioms", "seed": 7, "parameters": {"tol": -1}}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": {"tol": float("inf")}}, []),
+], ids=["seed-str", "seed-str-deterministic-suite", "seed-bool", "cli-tol-nan",
+        "cli-tol-negative", "config-tol-negative", "config-tol-inf"])
+def test_cli_rejects_bad_seed_and_tol(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg)] + flags) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_unwritable_output_is_io_error(tmp_path):

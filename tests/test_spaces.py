@@ -10,6 +10,7 @@ from metriclab.spaces import (
     DegenerateError,
     Euclidean,
     HyperbolicPlane,
+    IdealPoint,
     MaxProduct,
     MinkowskiLinf,
     MinkowskiLp,
@@ -31,6 +32,7 @@ from metriclab.spaces import (
     tree_end,
     tree_vertex,
 )
+from metriclab.verify import random_sample
 
 
 def test_euclid_pythagoras():
@@ -230,6 +232,19 @@ def test_max_product_geodesics_unsupported():
         geodesic_between(mp, x, y)
     with pytest.raises(SpaceError):
         midpoint(mp, x, y)
+
+
+def test_unsupported_operations_raise_space_error():
+    s = SphereIntrinsic(1.0, 3)
+    with pytest.raises(SpaceError):
+        ray_from(s, sphere_point(s, (1, 0, 0)), IdealPoint(s, (0.0, 1.0, 0.0)))
+    with pytest.raises(SpaceError):
+        direction_ideal(s, (1, 0, 0))
+    for call in (lambda: point(object(), (0.0, 0.0)),
+                 lambda: direction_ideal(object(), (1.0, 0.0)),
+                 lambda: random_sample(object(), 3, 0)):
+        with pytest.raises(SpaceError):
+            call()
 
 
 def test_tree_distances_have_bounded_denominator(ended_tree):

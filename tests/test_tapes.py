@@ -4,6 +4,8 @@ import pytest
 
 from metriclab.spaces import (
     Euclidean,
+    HyperbolicPlane,
+    MinkowskiLinf,
     MinkowskiLp,
     PreconditionError,
     SpaceError,
@@ -153,6 +155,13 @@ def test_window_shift_invariance():
     tape = build_p_tape(e2, _base_line(e2), 6, 0.6, window=(-15, 15))
     for s in (-3, 1, 3):
         assert validate_p_tape(shift_window(tape, s)).passed
+
+
+@pytest.mark.parametrize("space", [MinkowskiLinf(), Euclidean(3), HyperbolicPlane()],
+                         ids=["linf", "euclidean-3", "hyperbolic"])
+def test_build_p_tape_needs_strictly_convex_plane(space):
+    with pytest.raises(SpaceError, match="strictly convex planes only"):
+        build_p_tape(space, None, 6, 0.6)
 
 
 def test_tape_missing_point_is_domain_error():
