@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .spaces import MetricTree, SpaceError, TreeDesc
-from .suites import RANDOMIZED_SUITES, SUITES, run_named_suite
+from .suites import COUNT_PARAMETERS, RANDOMIZED_SUITES, SUITES, run_named_suite
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
@@ -45,6 +45,13 @@ class ScenarioConfig:
             self.seed = 0
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.parameters, dict):
+            raise ConfigError(f"parameters must be an object, got {self.parameters!r}")
+        self.parameters = dict(self.parameters)
+        for key in COUNT_PARAMETERS:
+            n = self.parameters.get(key, 1)
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {n!r}")
         tol = self.parameters.get("tol", 0.0)
         if (isinstance(tol, bool) or not isinstance(tol, (int, float))
                 or not math.isfinite(tol) or tol < 0):
@@ -65,19 +72,19 @@ class ScenarioConfig:
         for key, val in (overrides or {}).items():
             if val is not None:
                 merged[key] = val
-        params = dict(merged.get("parameters", {}))
-        if "tree_file" in merged:
-            try:
-                params["tree"] = MetricTree(TreeDesc.from_json(merged["tree_file"]))
-            except (OSError, SpaceError, KeyError, ValueError) as exc:
-                raise ConfigError(f"bad tree file: {exc}") from exc
-        return ScenarioConfig(
+        config = ScenarioConfig(
             suite=merged.get("suite", "all"),
             seed=merged.get("seed"),
-            parameters=params,
+            parameters=merged.get("parameters", {}),
             output=merged.get("output"),
             format=merged.get("format", "json"),
         )
+        if "tree_file" in merged:
+            try:
+                config.parameters["tree"] = MetricTree(TreeDesc.from_json(merged["tree_file"]))
+            except (OSError, SpaceError, KeyError, ValueError) as exc:
+                raise ConfigError(f"bad tree file: {exc}") from exc
+        return config
 
 
 @dataclass

@@ -126,15 +126,31 @@ def horoball_contains(space, ray: GeodesicRef, x0: Point, x: Point,
 
 def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef, *,
                        levels: int = 20, grid: int = 16):
-    """inf over s, t >= 0 of d(c(s), d(t)).
+    """rho(c, d) = inf over s, t >= 0 of d(c(s), d(t)); exact Fraction on trees.
 
-    Exact on trees (merging rays give 0, otherwise the bridge length between
-    the ray images). Continuous models use coarse-to-fine grid refinement on
-    an expanding window; the distance is jointly convex there, so refinement
-    converges. Raises SpaceError for visibly non-asymptotic continuous rays.
+    Uses the model's closed form (``Space.rho_closed``) where it has one: for
+    rays with a common ideal point on the flat models (Euclidean, l_p,
+    sup-norm: the distance between the two parallel lines, a 1-d convex
+    golden-section minimization), on H^2 and the real line (exactly 0), and
+    on trees for every pair of rays (0 for merging rays, otherwise the bridge
+    length between the ray images). Otherwise it falls back to the grid
+    oracle ``_ray_grid``, which raises SpaceError for visibly non-asymptotic
+    rays.
     """
-    if space.exact:
-        return _tree_ray_set_distance(space, c, d)
+    val = space.rho_closed(c, d)
+    if val is not None:
+        return val
+    return _ray_grid(space, c, d, levels=levels, grid=grid)
+
+
+def _ray_grid(space, c, d, *, levels, grid):
+    """Grid oracle for rho(c, d) on continuous models, kept for cross-checks.
+
+    Refines a coarse-to-fine grid of (s, t) on an expanding window. On the
+    flat models the distance is jointly convex and the infimum is attained,
+    so refinement converges; on H^2 the infimum is approached only at
+    infinity and the grid stops above it.
+    """
     dd0 = float(distance(space, c.point_at(0), d.point_at(0)))
     ddT = float(distance(space, c.point_at(64.0), d.point_at(64.0)))
     if ddT > dd0 + 1e-6:
@@ -169,24 +185,6 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef, *,
         t_lo = max(0.0, ts[bj] - 2.0 * ct)
         t_hi = ts[bj] + 2.0 * ct
     return best
-
-
-def _tree_ray_set_distance(space, c, d):
-    if c.plus is None or d.plus is None:
-        raise SpaceError("tree rays need ideal endpoints")
-    if c.plus.rep == d.plus.rep:
-        return Fraction(0)
-    c0, d0 = c.point_at(0), d.point_at(0)
-    L = space.total_length + distance(space, c0, d0) + 1
-    P1, Q1 = c0, c.point_at(L)
-    P2, Q2 = d0, d.point_at(L)
-    d_p2p1 = distance(space, P2, P1)
-    d_p2q1 = distance(space, P2, Q1)
-    d_p1q1 = distance(space, P1, Q1)
-    # distance from P2 to the segment [P1, Q1] and the projection parameter
-    g = (d_p2p1 + d_p2q1 - d_p1q1) / 2
-    m = c.point_at(d_p2p1 - g)
-    return (distance(space, m, P2) + distance(space, m, Q2) - distance(space, P2, Q2)) / 2
 
 
 def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,

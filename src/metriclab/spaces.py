@@ -192,7 +192,8 @@ class Space:
     (coordinates for ``point``), the unit-speed evaluators t -> Point
     ``segment(a, b, d)``, ``ray(base, xi)`` and ``line(eta, xi, through)``
     (ideal points passed by their reps), ``direction_ideal``,
-    ``ideal_matches``, ``busemann_closed`` (None without a closed form),
+    ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
+    value and the asymptotic-ray pseudometric; None without a closed form),
     ``closest_param``, and the JSON codecs ``to_json``, ``coords_from_json``
     and ``ideal_from_json``. ``exact`` is true where distances are exact
     Fractions.
@@ -225,6 +226,9 @@ class Space:
     def busemann_closed(self, ray, y):
         return None
 
+    def rho_closed(self, c, d):
+        return None
+
     def closest_param(self, geo, x, window):
         # the distance along a geodesic is convex: golden-section search
         d0 = float(distance(self, geo.point_at(0), x))
@@ -245,6 +249,11 @@ class Space:
 
     def ideal_from_json(self, rep) -> "IdealPoint":
         return direction_ideal(self, rep)
+
+
+def _asymptotic(c, d) -> bool:
+    """Do the rays c and d have a common ideal endpoint?"""
+    return c.plus is not None and d.plus is not None and c.plus.matches(d.plus)
 
 
 def _check_space(space) -> Space:
@@ -297,6 +306,17 @@ class NormedSpace(Space):
         if n == 0:
             raise SpaceError("zero direction")
         return IdealPoint(self, tuple(float(x) / n for x in v))
+
+    def rho_closed(self, c, d):
+        # the rays are c(0) + s u and d(0) + t u, so rho is the distance
+        # between the parallel lines, min over tau of |off + tau u| (convex);
+        # |off + tau u| >= |tau| - |off| keeps the minimizer in [-w, w]
+        if not _asymptotic(c, d):
+            return None
+        off = vsub(c.point_at(0).coords, d.point_at(0).coords)
+        u = c.plus.rep
+        w = 2.0 * self.norm(off) + 1.0
+        return golden_min(lambda tau: self.norm(vadd(off, vscale(u, tau))), -w, w)[1]
 
     def random_point(self, rng, scale):
         return point(self, tuple(rng.uniform(-scale, scale) for _ in range(self.dim)))
@@ -442,6 +462,10 @@ class HyperbolicPlane(Space):
             return math.log(((z[0] - xi) ** 2 + z[1] ** 2) / z[1])
         return level(y.coords) - level(o.coords)
 
+    def rho_closed(self, c, d):
+        # asymptotic rays come arbitrarily close (Bridson-Haefliger II.8)
+        return 0.0 if _asymptotic(c, d) else None
+
     def random_point(self, rng, scale):
         return point(self, (rng.uniform(-scale, scale), math.exp(rng.uniform(-1.5, 1.5))))
 
@@ -542,6 +566,10 @@ class RealLine(Space):
         o = ray.point_at(0)
         sgn = 1.0 if ray.point_at(1).coords > o.coords else -1.0
         return -sgn * (y.coords - o.coords)
+
+    def rho_closed(self, c, d):
+        # rays in the same direction eventually overlap
+        return 0.0 if _asymptotic(c, d) else None
 
     def random_point(self, rng, scale):
         return point(self, rng.uniform(-scale, scale))
@@ -678,6 +706,25 @@ class MetricTree(Space):
         T = distance(self, o, y) + 1
         far = ray.point_at(T)
         return distance(self, y, far) - T
+
+    def rho_closed(self, c, d):
+        # exact: merging rays give 0; otherwise (rays toward different ends)
+        # the bridge length between the ray images
+        if c.plus is None or d.plus is None:
+            raise SpaceError("tree rays need ideal endpoints")
+        if c.plus.rep == d.plus.rep:
+            return Fraction(0)
+        c0, d0 = c.point_at(0), d.point_at(0)
+        L = self.total_length + distance(self, c0, d0) + 1
+        P1, Q1 = c0, c.point_at(L)
+        P2, Q2 = d0, d.point_at(L)
+        d_p2p1 = distance(self, P2, P1)
+        d_p2q1 = distance(self, P2, Q1)
+        d_p1q1 = distance(self, P1, Q1)
+        # distance from P2 to the segment [P1, Q1] and the projection parameter
+        g = (d_p2p1 + d_p2q1 - d_p1q1) / 2
+        m = c.point_at(d_p2p1 - g)
+        return (distance(self, m, P2) + distance(self, m, Q2) - distance(self, P2, Q2)) / 2
 
     def closest_param(self, geo, x, window):
         # exact Gromov-product projection

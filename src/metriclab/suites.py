@@ -135,7 +135,7 @@ def _distinct_triple(rng, pts):
 # suite: axioms
 
 def suite_axioms(seed: int, params: dict) -> list:
-    triples = int(params.get("triples", 200))
+    triples = params.get("triples", 200)
     tol = float(params.get("tol", 1e-9))
     tree = params.get("tree")
     reports = []
@@ -150,7 +150,7 @@ def suite_axioms(seed: int, params: dict) -> list:
 # suite: busemann convexity
 
 def suite_busemann(seed: int, params: dict) -> list:
-    triples = int(params.get("triples", 50))
+    triples = params.get("triples", 50)
     tol = float(params.get("tol", 1e-9))
     reports = []
     for k, space in enumerate(busemann_catalog()):
@@ -215,7 +215,7 @@ def suite_horofn(seed: int, params: dict) -> list:
     # oracle agreement: truncated limit vs closed form
     e2 = Euclidean(2)
     rep = VerificationReport("busemann-oracle[euclidean-2]", tolerance=tol)
-    pairs = int(params.get("oracle_pairs", 50))
+    pairs = params.get("oracle_pairs", 50)
     for _ in range(pairs):
         base = point(e2, (rng.uniform(-3, 3), rng.uniform(-3, 3)))
         ang = rng.uniform(0, 2 * math.pi)
@@ -260,7 +260,7 @@ def suite_horofn(seed: int, params: dict) -> list:
     # sum bound over asymptotic ray pairs
     rep = VerificationReport("sum-bound", tolerance=tol)
     total = 0
-    n_pairs = int(params.get("ray_pairs", 40))
+    n_pairs = params.get("ray_pairs", 40)
     for _ in range(n_pairs):
         ang = rng.uniform(0, 2 * math.pi)
         xi = direction_ideal(e2, (math.cos(ang), math.sin(ang)))
@@ -336,7 +336,7 @@ def suite_horofn(seed: int, params: dict) -> list:
     rho, eps, delta = 1.0, 0.1, 0.01
     base_shadow = spherical_shadow_sample(e2, y, x0, rho, resolution=720, tol=1e-4)
     dist_yx0 = float(distance(e2, y, x0))
-    n_shadow_pts = int(params.get("shadow_points", 100))
+    n_shadow_pts = params.get("shadow_points", 100)
     checked = 0
     k = 0
     while checked < n_shadow_pts:
@@ -570,7 +570,7 @@ def suite_grasshopper(seed: int, params: dict) -> list:
     reports.append(rep.finalize())
 
     rep = VerificationReport("grasshopper-euclid-agreement", tolerance=1e-9)
-    pairs = int(params.get("pairs", 50))
+    pairs = params.get("pairs", 50)
     for _ in range(pairs):
         x = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
         y = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
@@ -757,6 +757,9 @@ SUITE_SIZES = {
 
 RANDOMIZED_SUITES = ("axioms", "busemann", "horofn", "transfers", "grasshopper",
                      "counterexamples", "all")
+
+# parameters that size a sample; the CLI config accepts only positive ints
+COUNT_PARAMETERS = ("triples", "oracle_pairs", "ray_pairs", "shadow_points", "pairs")
 
 
 def run_named_suite(name: str, seed: int, params: dict) -> list:

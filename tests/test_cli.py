@@ -127,8 +127,15 @@ def test_scenario_config_validation():
     ({"suite": "axioms", "seed": 7}, ["--tol", "-1"]),
     ({"suite": "axioms", "seed": 7, "parameters": {"tol": -1}}, []),
     ({"suite": "axioms", "seed": 7, "parameters": {"tol": float("inf")}}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": 5}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": [["triples", 5]]}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": {"triples": "abc"}}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": {"triples": 0}}, []),
+    ({"suite": "horofn", "seed": 7, "parameters": {"ray_pairs": 2.5}}, []),
+    ({"suite": "grasshopper", "seed": 7, "parameters": {"pairs": True}}, []),
 ], ids=["seed-str", "seed-str-deterministic-suite", "seed-bool", "cli-tol-nan",
-        "cli-tol-negative", "config-tol-negative", "config-tol-inf"])
+        "cli-tol-negative", "config-tol-negative", "config-tol-inf", "parameters-int",
+        "parameters-list", "count-str", "count-zero", "count-float", "count-bool"])
 def test_cli_rejects_bad_seed_and_tol(tmp_path, capsys, config, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

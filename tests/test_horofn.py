@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from metriclab.horofn import (
+    _ray_grid,
     busemann_value,
     check_busemann_sum_bound,
     horoball_contains,
@@ -20,6 +21,7 @@ from metriclab.spaces import (
     HyperbolicPlane,
     MinkowskiLp,
     SpaceError,
+    SphereIntrinsic,
     boundary_ideal,
     direction_ideal,
     distance,
@@ -27,6 +29,7 @@ from metriclab.spaces import (
     line_through,
     point,
     ray_from,
+    sphere_point,
     tree_edge_point,
     tree_end,
     tree_vertex,
@@ -187,16 +190,45 @@ def test_ray_pseudodistance_tree_exact(ended_tree):
     assert ray_pseudodistance(t, c2, d2) == Fraction(1)
 
 
+@pytest.mark.parametrize("a, end_a, b, end_b, expected", [
+    (("e", 4, Fraction(1, 4)), "e1", ("r", "e2", Fraction(3, 2)), "e2", Fraction(2)),
+    (("v", "spur"), "e3", ("v", "spur"), "e4", Fraction(0)),
+    (("r", "e1", Fraction(5, 4)), "e1", ("e", 1, Fraction(1, 8)), "e3", Fraction(7, 4)),
+    (("v", "e2"), "e1", ("r", "e4", Fraction(1, 2)), "e1", Fraction(0)),
+])
+def test_ray_pseudodistance_tree_closed_form(ended_tree, a, end_a, b, end_b, expected):
+    # the values the tree bridge construction gave before it moved onto
+    # MetricTree; rays toward different ends still get the bridge length
+    t = ended_tree
+    c = ray_from(t, point(t, a), tree_end(t, end_a))
+    d = ray_from(t, point(t, b), tree_end(t, end_b))
+    for got in (ray_pseudodistance(t, c, d), t.rho_closed(c, d)):
+        assert isinstance(got, Fraction) and got == expected
+
+
+def test_rho_closed_none_without_common_ideal_point():
+    e2 = Euclidean(2)
+    c = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
+    d = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (0, 1)))
+    assert e2.rho_closed(c, d) is None
+    # the sphere has no rays and keeps the base class's None
+    s2 = SphereIntrinsic(1.0, 3)
+    g = geodesic_between(s2, sphere_point(s2, (1, 0, 0)), sphere_point(s2, (0, 1, 0)))
+    assert s2.rho_closed(g, g) is None
+
+
 def test_ray_pseudodistance_h2_vanishes():
     h = HyperbolicPlane()
     c = ray_from(h, point(h, (0, 1)), boundary_ideal(h, INF))
     d = ray_from(h, point(h, (3, 1)), boundary_ideal(h, INF))
-    assert ray_pseudodistance(h, c, d, levels=20) <= 1e-3
+    assert ray_pseudodistance(h, c, d) == 0.0
+    assert _ray_grid(h, c, d, levels=20, grid=16) <= 1e-3
     # rays toward a finite boundary point converge the same way
     u = boundary_ideal(h, 0.0)
     c2 = ray_from(h, point(h, (-1.0, 1.0)), u)
     d2 = ray_from(h, point(h, (1.5, 0.8)), u)
-    assert ray_pseudodistance(h, c2, d2, levels=20) <= 1e-3
+    assert ray_pseudodistance(h, c2, d2) == 0.0
+    assert _ray_grid(h, c2, d2, levels=20, grid=16) <= 1e-3
 
 
 def test_ray_pseudodistance_rejects_diverging():

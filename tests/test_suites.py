@@ -7,9 +7,7 @@ from metriclab.cli import ScenarioConfig, emit_report, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# horofn is left out: its payload holds only counts, which the acceptance
-# criteria assert, and it dominates the run time of every suite.
-GOLDEN_SUITES = ("axioms", "busemann", "transfers", "scissors", "tapes",
+GOLDEN_SUITES = ("axioms", "busemann", "horofn", "transfers", "scissors", "tapes",
                  "grasshopper", "counterexamples")
 
 
