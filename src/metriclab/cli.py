@@ -82,7 +82,7 @@ class ScenarioConfig:
         if "tree_file" in merged:
             try:
                 config.parameters["tree"] = MetricTree(TreeDesc.from_json(merged["tree_file"]))
-            except (OSError, SpaceError, KeyError, ValueError) as exc:
+            except (OSError, SpaceError, ValueError) as exc:
                 raise ConfigError(f"bad tree file: {exc}") from exc
         return config
 

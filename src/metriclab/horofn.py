@@ -33,11 +33,7 @@ def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
     if geo.plus is not None and geo.plus.matches(xi):
         if geo.kind == "ray":
             return geo
-        base = geo.point_at
-
-        def at(t):
-            return base(t)
-        return GeodesicRef(space, "ray", at, plus=geo.plus)
+        return GeodesicRef(space, "ray", geo.point_at, plus=geo.plus)
     if geo.minus is not None and geo.minus.matches(xi):
         base = geo.point_at
 

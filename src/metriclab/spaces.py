@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -151,17 +152,26 @@ class TreeDesc:
             data = source
         elif hasattr(source, "read"):
             data = json.load(source)
-        else:
+        elif isinstance(source, (str, os.PathLike)):
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        edges = tuple(
-            (u, v, Fraction(str(ln))) for (u, v, ln) in data["edges"]
-        )
+        else:
+            raise SpaceError(f"not a tree description source: {source!r}")
+        if not isinstance(data, dict):
+            raise SpaceError("a tree description is a JSON object")
+        edges = data.get("edges")
+        if not (isinstance(edges, list)
+                and all(isinstance(e, list) and len(e) == 3 for e in edges)):
+            raise SpaceError("edges must be a list of [u, v, length] triples")
+        _check_ids([x for e in edges for x in e[:2]], "edge endpoints")
+        n = data.get("denominator_bound")
+        if not isinstance(n, int):
+            raise SpaceError(f"denominator_bound must be an integer: {n!r}")
         return TreeDesc(
-            vertices=tuple(data["vertices"]),
-            edges=edges,
-            denominator_bound=int(data["denominator_bound"]),
-            ends=tuple(data.get("ends", ())),
+            vertices=_check_ids(data.get("vertices"), "vertices"),
+            edges=tuple((u, v, Fraction(str(ln))) for (u, v, ln) in edges),
+            denominator_bound=n,
+            ends=_check_ids(data.get("ends", []), "ends"),
         )
 
     def to_json(self) -> dict:
@@ -173,6 +183,12 @@ class TreeDesc:
         if self.ends:
             out["ends"] = list(self.ends)
         return out
+
+
+def _check_ids(ids, name) -> tuple:
+    if not (isinstance(ids, list) and all(isinstance(v, (str, int)) for v in ids)):
+        raise SpaceError(f"{name} must be a list of str or int vertex ids")
+    return tuple(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +605,11 @@ class MetricTree(Space):
     """Finite metric tree in exact rational arithmetic. Coordinates are
     canonical tagged tuples: ('v', vertex), ('e', edge_index, offset) with
     0 < offset < length, or ('r', end, offset) with offset > 0 on the
-    infinite ray at an end. Ideal points are the ends' anchor vertices."""
+    infinite ray at an end. Ideal points are the ends' anchor vertices.
+
+    Queries run on parent pointers rooted at the first vertex, built in
+    O(V): a point is anchored at a vertex with its depth, and a distance
+    climbs both anchors to their common ancestor."""
 
     desc: TreeDesc
 
@@ -598,49 +618,117 @@ class MetricTree(Space):
 
     exact = True
 
-    def _tables(self):
-        if "dist" not in self._cache:
+    def _rooted(self):
+        """Parent pointers from one traversal rooted at the first vertex:
+        vertex -> (parent, parent-edge index, depth, level). The root's
+        parent and edge are None."""
+        up = self._cache.get("up")
+        if up is None:
             adj = {v: [] for v in self.desc.vertices}
-            edge_of = {}
             for i, (u, v, ln) in enumerate(self.desc.edges):
-                adj[u].append((v, ln))
-                adj[v].append((u, ln))
-                edge_of[(u, v)] = i
-                edge_of[(v, u)] = i
-            dist = {}
-            nxt = {}
-            for src in self.desc.vertices:
-                dist[src] = {src: Fraction(0)}
-                nxt[src] = {src: src}
-                stack = [src]
-                while stack:
-                    cur = stack.pop()
-                    for (w, ln) in adj[cur]:
-                        if w not in dist[src]:
-                            dist[src][w] = dist[src][cur] + ln
-                            nxt[src][w] = w if cur == src else nxt[src][cur]
-                            stack.append(w)
-            self._cache["dist"] = dist
-            self._cache["nxt"] = nxt
-            self._cache["edge_of"] = edge_of
-            self._cache["total"] = sum(ln for (_, _, ln) in self.desc.edges)
-        return self._cache
-
-    @property
-    def vdist(self):
-        return self._tables()["dist"]
-
-    @property
-    def vnext(self):
-        return self._tables()["nxt"]
-
-    @property
-    def edge_index(self):
-        return self._tables()["edge_of"]
+                adj[u].append((v, i, ln))
+                adj[v].append((u, i, ln))
+            root = self.desc.vertices[0]
+            up = {root: (None, None, Fraction(0), 0)}
+            stack = [root]
+            while stack:
+                cur = stack.pop()
+                _, _, depth, level = up[cur]
+                for (w, i, ln) in adj[cur]:
+                    if w not in up:
+                        up[w] = (cur, i, depth + ln, level + 1)
+                        stack.append(w)
+            self._cache["up"] = up
+        return up
 
     @property
     def total_length(self) -> Fraction:
-        return self._tables()["total"]
+        if "total" not in self._cache:
+            self._cache["total"] = sum(ln for (_, _, ln) in self.desc.edges)
+        return self._cache["total"]
+
+    def _anchor(self, c):
+        """A point as (v, depth): its depth, and the vertex v it sits at, on
+        v's parent edge above v, or on v's end ray below v."""
+        up = self._rooted()
+        if c[0] == "v":
+            return c[1], up[c[1]][2]
+        if c[0] == "r":
+            return c[1], up[c[1]][2] + c[2]
+        _, i, off = c
+        u, v, _ = self.desc.edges[i]
+        if up[v][1] == i:
+            return v, up[u][2] + off
+        return u, up[u][2] - off
+
+    def _coords(self, v, d):
+        """Canonical coordinates of the anchor (v, d)."""
+        up = self._rooted()
+        parent, i, depth, _ = up[v]
+        if d == depth:
+            return ("v", v)
+        if d > depth:
+            return ("r", v, d - depth)
+        u = self.desc.edges[i][0]
+        return ("e", i, depth - d if u == v else d - up[parent][2])
+
+    def _climb(self, v, d, s):
+        """The anchor s above the anchor (v, d)."""
+        up = self._rooted()
+        target = d - s
+        depth = up[v][2]
+        while depth > target:
+            parent = up[v][0]
+            pdepth = up[parent][2]
+            if pdepth < target:
+                break
+            v, depth = parent, pdepth
+        return v, target
+
+    def _span(self, a, b):
+        """Anchors of a and b, the length of [a, b], and the rise from a to
+        the highest point of [a, b]."""
+        up = self._rooted()
+        (va, da), (vb, db) = self._anchor(a), self._anchor(b)
+        if va == vb:
+            top = min(da, db)
+        else:
+            # climb to the common ancestor by level
+            u, v = va, vb
+            lu, lv = up[u][3], up[v][3]
+            while lu > lv:
+                u, lu = up[u][0], lu - 1
+            while lv > lu:
+                v, lv = up[v][0], lv - 1
+            while u != v:
+                u, v = up[u][0], up[v][0]
+            top = up[u][2]
+            if u == va or u == vb:
+                # the endpoint anchored at the common ancestor may sit above it
+                top = min(top, da if u == va else db)
+        rise = da - top
+        return (va, da), (vb, db), rise + (db - top), rise
+
+    def _geodesic(self, a, b, *, minus_end=None, plus_end=None):
+        """Evaluator over [a, b], extended along end rays if asked. The point
+        at t lies t above a up to the highest point of [a, b], and D - t
+        above b beyond it."""
+        (va, da), (vb, db), D, rise = self._span(a, b)
+
+        def at(t):
+            tf = _as_fraction(t)
+            if tf < 0:
+                if minus_end is None:
+                    raise SpaceError(f"parameter {t} below domain")
+                return Point(self, ("r", minus_end, -tf))
+            if tf > D:
+                if plus_end is None:
+                    raise SpaceError(f"parameter {t} beyond domain")
+                return Point(self, ("r", plus_end, tf - D))
+            if tf <= rise:
+                return Point(self, self._coords(*self._climb(va, da, tf)))
+            return Point(self, self._coords(*self._climb(vb, db, D - tf)))
+        return at
 
     def validate(self, c):
         desc = self.desc
@@ -667,23 +755,10 @@ class MetricTree(Space):
         return coords
 
     def distance(self, a, b) -> Fraction:
-        if a == b:
-            return Fraction(0)
-        if a[0] == "r" and b[0] == "r" and a[1] == b[1]:
-            return abs(a[2] - b[2])
-        if a[0] == "e" and b[0] == "e" and a[1] == b[1]:
-            return abs(a[2] - b[2])
-        dv = self.vdist
-        best = None
-        for (va, ca) in _tree_attachments(self, a):
-            for (vb, cb) in _tree_attachments(self, b):
-                d = ca + dv[va][vb] + cb
-                if best is None or d < best:
-                    best = d
-        return best
+        return self._span(a, b)[2]
 
     def segment(self, a, b, d):
-        return _tree_evaluator(self, _tree_route(self, a, b))
+        return self._geodesic(a, b)
 
     def ray(self, c, end):
         if c[0] == "r" and c[1] == end:
@@ -692,20 +767,24 @@ class MetricTree(Space):
             def at(t):
                 return Point(self, ("r", end, off + _as_fraction(t)))
             return at
-        return _tree_evaluator(self, _tree_route(self, c, ("v", end)), plus_end=end)
+        return self._geodesic(c, ("v", end), plus_end=end)
 
     def line(self, end_m, end_p, through):
-        route = _tree_route(self, ("v", end_m), ("v", end_p))
-        return _tree_evaluator(self, route, plus_end=end_p, minus_end=end_m)
+        return self._geodesic(("v", end_m), ("v", end_p), minus_end=end_m, plus_end=end_p)
 
     def ideal_matches(self, a, b, tol):
         return a == b
 
     def busemann_closed(self, ray, y):
-        o = ray.point_at(0)
-        T = distance(self, o, y) + 1
-        far = ray.point_at(T)
-        return distance(self, y, far) - T
+        # h(y) - h(ray(0)), where h is the distance to the end's vertex, and
+        # minus the offset on the end's own ray
+        end = ray.plus.rep
+
+        def h(c):
+            if c[0] == "r" and c[1] == end:
+                return -c[2]
+            return self.distance(c, ("v", end))
+        return h(y.coords) - h(ray.point_at(0).coords)
 
     def rho_closed(self, c, d):
         # exact: merging rays give 0; otherwise (rays toward different ends)
@@ -768,106 +847,6 @@ class MetricTree(Space):
 
     def ideal_from_json(self, rep):
         return tree_end(self, rep)
-
-
-def _tree_attachments(space: MetricTree, c):
-    """(vertex, cost) pairs attaching a core point to the vertex skeleton."""
-    if c[0] == "v":
-        return [(c[1], Fraction(0))]
-    if c[0] == "e":
-        u, v, ln = space.desc.edges[c[1]]
-        return [(u, c[2]), (v, ln - c[2])]
-    # ray points attach through their anchor
-    return [(c[1], c[2])]
-
-
-def _tree_route(space: MetricTree, a, b):
-    """Waypoints [(cumulative Fraction, coords)] along the geodesic a -> b.
-
-    Consecutive waypoints always lie on one edge or one end ray, so linear
-    interpolation between them is well defined.
-    """
-    total = space.distance(a, b)
-    if (a[0] == b[0] and a[0] in ("r", "e") and a[1] == b[1]) or a == b:
-        return [(Fraction(0), a), (total, b)]
-    dv, nxt = space.vdist, space.vnext
-    best = None
-    for (va, ca) in _tree_attachments(space, a):
-        for (vb, cb) in _tree_attachments(space, b):
-            d = ca + dv[va][vb] + cb
-            if best is None or d < best[0]:
-                best = (d, va, vb, ca, cb)
-    _, va, vb, ca, cb = best
-    pts = [(Fraction(0), a)]
-    t = ca
-    if a != ("v", va):
-        pts.append((t, ("v", va)))
-    cur = va
-    while cur != vb:
-        step = nxt[cur][vb]
-        t += dv[cur][step]
-        pts.append((t, ("v", step)))
-        cur = step
-    if b != ("v", vb):
-        pts.append((total, b))
-    return pts
-
-
-def _tree_between(space: MetricTree, p, q, s: Fraction, gap: Fraction):
-    """Point at distance s from p on the edge/ray piece joining p to q."""
-    if s == 0:
-        return p
-    if s == gap:
-        return q
-    if p[0] == "r" or q[0] == "r":
-        # same end ray (anchor counts as offset 0)
-        end = p[1] if p[0] == "r" else q[1]
-        op = p[2] if p[0] == "r" else Fraction(0)
-        oq = q[2] if q[0] == "r" else Fraction(0)
-        return ("r", end, op + (oq - op) * s / gap)
-    # both on one edge; recover the edge index
-    if p[0] == "e":
-        idx = p[1]
-    elif q[0] == "e":
-        idx = q[1]
-    else:
-        idx = space.edge_index[(p[1], q[1])]
-    u, v, ln = space.desc.edges[idx]
-
-    def off_of(c):
-        if c[0] == "e":
-            return c[2]
-        return Fraction(0) if c[1] == u else ln
-    op, oq = off_of(p), off_of(q)
-    off = op + (oq - op) * s / gap
-    if off == 0:
-        return ("v", u)
-    if off == ln:
-        return ("v", v)
-    return ("e", idx, off)
-
-
-def _tree_evaluator(space: MetricTree, route, *, plus_end=None, minus_end=None):
-    """Evaluator over a waypoint route, extended along end rays if asked."""
-    t_hi = route[-1][0]
-
-    def at(t):
-        tf = _as_fraction(t)
-        if tf < 0:
-            if minus_end is None:
-                raise SpaceError(f"parameter {t} below domain")
-            return Point(space, ("r", minus_end, -tf))
-        if tf > t_hi:
-            if plus_end is None:
-                raise SpaceError(f"parameter {t} beyond domain")
-            return Point(space, ("r", plus_end, tf - t_hi))
-        for i in range(len(route) - 1):
-            t0, p0 = route[i]
-            t1, p1 = route[i + 1]
-            if t0 <= tf <= t1:
-                return Point(space, _tree_between(space, p0, p1, tf - t0, t1 - t0))
-        return Point(space, route[-1][1])
-    return at
 
 
 # ---------------------------------------------------------------------------

@@ -176,13 +176,11 @@ def suite_busemann(seed: int, params: dict) -> list:
     e2 = Euclidean(2)
     g1 = geodesic_between(e2, point(e2, (0.0, 0.0)), point(e2, (4.0, 1.0)))
     g2 = geodesic_between(e2, point(e2, (0.0, 2.0)), point(e2, (3.0, 5.0)))
-    reports.append(_tag(check_distance_convexity(e2, g1, g2),
-                        "distance-convexity[euclidean-2]"))
+    reports.append(check_distance_convexity(e2, g1, g2))
     h2 = HyperbolicPlane()
     gh1 = geodesic_between(h2, point(h2, (-2.0, 1.0)), point(h2, (-1.0, 3.0)))
     gh2 = geodesic_between(h2, point(h2, (1.0, 0.5)), point(h2, (2.0, 2.0)))
-    reports.append(_tag(check_distance_convexity(h2, gh1, gh2),
-                        "distance-convexity[hyperbolic-plane]"))
+    reports.append(check_distance_convexity(h2, gh1, gh2))
     # bent sup-norm geodesics through the extreme midpoints violate midpoint
     # convexity of the cross-distance; the check must flag them
     def bent(sign):
@@ -197,11 +195,6 @@ def suite_busemann(seed: int, params: dict) -> list:
     inner = check_distance_convexity(linf, gl1, gl2)
     reports.append(_expect_failure(inner, "distance-convexity-violation[minkowski-linf]"))
     return reports
-
-
-def _tag(rep: VerificationReport, name: str) -> VerificationReport:
-    rep.check = name
-    return rep
 
 
 # ---------------------------------------------------------------------------

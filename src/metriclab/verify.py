@@ -194,7 +194,7 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef,
     two segment domains."""
     if g1.kind != "segment" or g2.kind != "segment":
         raise SpaceError("distance convexity check needs segments")
-    rep = VerificationReport("distance-convexity", tolerance=tol)
+    rep = VerificationReport(f"distance-convexity[{space.tag()}]", tolerance=tol)
     t1 = [float(g1.length) * i / grid for i in range(grid + 1)]
     t2 = [float(g2.length) * j / grid for j in range(grid + 1)]
     D = [[float(distance(space, g1.point_at(a), g2.point_at(b))) for b in t2] for a in t1]

@@ -133,14 +133,41 @@ def test_scenario_config_validation():
     ({"suite": "axioms", "seed": 7, "parameters": {"triples": 0}}, []),
     ({"suite": "horofn", "seed": 7, "parameters": {"ray_pairs": 2.5}}, []),
     ({"suite": "grasshopper", "seed": 7, "parameters": {"pairs": True}}, []),
+    ({"suite": "axioms", "seed": 7, "tree_file": 5}, []),
 ], ids=["seed-str", "seed-str-deterministic-suite", "seed-bool", "cli-tol-nan",
         "cli-tol-negative", "config-tol-negative", "config-tol-inf", "parameters-int",
-        "parameters-list", "count-str", "count-zero", "count-float", "count-bool"])
+        "parameters-list", "count-str", "count-zero", "count-float", "count-bool",
+        "tree-file-int"])
 def test_cli_rejects_bad_seed_and_tol(tmp_path, capsys, config, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["--config", str(cfg)] + flags) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+GOOD_TREE = {"vertices": ["a", "b", "c"],
+             "edges": [["a", "b", "1/2"], ["b", "c", "1/2"]],
+             "denominator_bound": 2}
+
+
+@pytest.mark.parametrize("tree", [
+    dict(GOOD_TREE, ends=5),
+    dict(GOOD_TREE, vertices=[["a"], "b", "c"]),
+    dict(GOOD_TREE, vertices="abc"),
+    dict(GOOD_TREE, edges=[["a", "b"], ["b", "c", "1/2"]]),
+    dict(GOOD_TREE, edges=[[["a"], "b", "1/2"], ["b", "c", "1/2"]]),
+    dict(GOOD_TREE, denominator_bound=[2]),
+    [GOOD_TREE],
+], ids=["ends-int", "vertex-list", "vertices-str", "edge-pair", "endpoint-list",
+        "bound-list", "not-an-object"])
+def test_cli_rejects_malformed_tree_file(tmp_path, capsys, tree):
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(tree))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "axioms", "seed": 5, "tree_file": str(tree_path)}))
+    assert cli.main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad tree file: ") and err.count("\n") == 1
 
 
 def test_unwritable_output_is_io_error(tmp_path):
