@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from .spaces import MetricTree, SpaceError, TreeDesc
 from .suites import COUNT_PARAMETERS, RANDOMIZED_SUITES, SUITES, run_named_suite
+from .verify import _jsonable
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
@@ -106,7 +107,7 @@ class SuiteResult:
         return {
             "suite": self.suite,
             "seed": self.seed,
-            "parameters": params,
+            "parameters": _jsonable(params),
             "reports": [r.to_json() for r in self.reports],
             "summary": {"total": len(self.reports), "failed": self.failed},
         }
@@ -122,7 +123,7 @@ def run_suite(config: ScenarioConfig) -> SuiteResult:
 
 def emit_report(result: SuiteResult, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(result.payload(), indent=2) + "\n"
+        return json.dumps(result.payload(), indent=2, allow_nan=False) + "\n"
     if fmt != "text":
         raise ConfigError(f"unknown format {fmt!r}")
     lines = [f"suite: {result.suite}   seed: {result.seed}   "

@@ -43,14 +43,14 @@ class UnitJumpGraph:
     adjacency: dict = field(default_factory=dict)
 
     @staticmethod
-    def build(space, points, tol: float = 1e-9) -> "UnitJumpGraph":
+    def build(space, points) -> "UnitJumpGraph":
         nodes = tuple(points)
         exact = space.exact
         adj = {i: [] for i in range(len(nodes))}
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 d = distance(space, nodes[i], nodes[j])
-                unit = (d == 1) if exact else abs(float(d) - 1.0) <= tol
+                unit = (d == 1) if exact else abs(float(d) - 1.0) <= 1e-9
                 if unit:
                     adj[i].append(j)
                     adj[j].append(i)
@@ -63,10 +63,8 @@ class UnitJumpGraph:
         raise SpaceError("point is not a graph node")
 
 
-def graph_bfs_distance(graph: UnitJumpGraph, x: Point, y: Point):
-    src, dst = graph.index_of(x), graph.index_of(y)
-    if src == dst:
-        return 0
+def _bfs(graph: UnitJumpGraph, src: int) -> dict:
+    """Jump counts from node src to every node it reaches."""
     seen = {src: 0}
     queue = deque([src])
     while queue:
@@ -74,10 +72,12 @@ def graph_bfs_distance(graph: UnitJumpGraph, x: Point, y: Point):
         for nb in graph.adjacency[cur]:
             if nb not in seen:
                 seen[nb] = seen[cur] + 1
-                if nb == dst:
-                    return seen[nb]
                 queue.append(nb)
-    return INF
+    return seen
+
+
+def graph_bfs_distance(graph: UnitJumpGraph, x: Point, y: Point):
+    return _bfs(graph, graph.index_of(x)).get(graph.index_of(y), INF)
 
 
 def grasshopper_components(graph: UnitJumpGraph):
@@ -85,16 +85,8 @@ def grasshopper_components(graph: UnitJumpGraph):
     remaining = set(range(len(graph.nodes)))
     comps = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = deque([seed])
-        while queue:
-            cur = queue.popleft()
-            for nb in graph.adjacency[cur]:
-                if nb not in comp:
-                    comp.add(nb)
-                    queue.append(nb)
-        remaining -= comp
+        comp = _bfs(graph, min(remaining))
+        remaining -= comp.keys()
         comps.append(tuple(graph.nodes[i] for i in sorted(comp)))
     return comps
 
@@ -103,7 +95,7 @@ def grasshopper_components(graph: UnitJumpGraph):
 # grasshopper distance
 
 def grasshopper_distance(space, x: Point, y: Point, mode: str = "analytic",
-                         graph: UnitJumpGraph = None, tol: float = 1e-9):
+                         graph: UnitJumpGraph = None):
     """Minimal number of exact unit jumps from x to y; math.inf if none.
 
     Graph mode is plain BFS over the supplied unit-jump graph. Analytic mode
@@ -117,6 +109,7 @@ def grasshopper_distance(space, x: Point, y: Point, mode: str = "analytic",
         return graph_bfs_distance(graph, x, y)
     if mode != "analytic":
         raise SpaceError(f"unknown mode {mode!r}")
+    tol = 1e-9
     if isinstance(space, RealLine):
         diff = abs(x.coords - y.coords)
         if diff <= tol:
@@ -202,15 +195,8 @@ def tree_offset_residues(space: MetricTree, x: Point):
     """Residues mod 1/n of the distances from x to the vertices."""
     step = Fraction(1, space.desc.denominator_bound)
     c = x.coords
-    if c[0] == "v":
-        offs = [Fraction(0)]
-    else:
-        offs = [c[2]]
-    res = set()
-    for o in offs:
-        res.add(o % step)
-        res.add((-o) % step)
-    return res, step
+    o = Fraction(0) if c[0] == "v" else c[2]
+    return {o % step, (-o) % step}, step
 
 
 def tree_offset_class_nodes(space: MetricTree, x: Point, y: Point):
@@ -302,8 +288,7 @@ def tree_swap_bijection(tps: TreePointSet) -> BijectionSpec:
             return tree_edge_point(space, c[1], swap[c[2]])
         return p
     return BijectionSpec(
-        name="tree-swap", domain=space, codomain=space, forward=fwd, inverse=fwd,
-        params={"alpha": str(tps.alpha), "beta": str(tps.beta)})
+        name="tree-swap", domain=space, codomain=space, forward=fwd, inverse=fwd)
 
 
 def smooth_tree_bijection(space: MetricTree, n: int) -> BijectionSpec:
@@ -335,7 +320,7 @@ def smooth_tree_bijection(space: MetricTree, n: int) -> BijectionSpec:
         t = bisect_root(lambda t_: warp(t_) - s, 0.0, float(step), tol=1e-15)
         return tree_edge_point(space, c[1], Fraction(t))
     return BijectionSpec(name="tree-smooth", domain=space, codomain=space,
-                         forward=fwd, inverse=inv, params={"n": n})
+                         forward=fwd, inverse=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +362,14 @@ def sphere_flip_bijection(radius: float, dim: int, membership) -> BijectionSpec:
             raise SpaceError("membership set is not centrally symmetric")
         return Point(space, neg) if inside else p
     return BijectionSpec(name="sphere-flip", domain=space, codomain=space,
-                         forward=fwd, inverse=fwd,
-                         params={"radius": radius, "dim": dim})
+                         forward=fwd, inverse=fwd)
 
 
-def band_membership(threshold: float, axis: int = -1):
-    """Centrally symmetric band |x_axis| >= threshold (a proper subset for
-    thresholds in (0, 1))."""
+def band_membership(threshold: float):
+    """Centrally symmetric band |x_n| >= threshold, x_n the last coordinate
+    (a proper subset for thresholds in (0, 1))."""
     def member(coords):
-        return abs(coords[axis]) >= threshold
+        return abs(coords[-1]) >= threshold
     return member
 
 
@@ -404,4 +388,4 @@ def max_product_lift(phi: BijectionSpec, left_space) -> BijectionSpec:
         pre = phi.inverse(Point(Y, cr))
         return Point(space, (cl, pre.coords))
     return BijectionSpec(name=f"max-lift[{phi.name}]", domain=space, codomain=space,
-                         forward=fwd, inverse=inv, params={"inner": phi.name})
+                         forward=fwd, inverse=inv)

@@ -26,6 +26,7 @@ from .spaces import (
 from .verify import SampleSet, VerificationReport
 
 INF = math.inf
+T_CAP = 1e8     # truncation cap of the Busemann and Tits limits
 
 
 def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
@@ -47,7 +48,7 @@ def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
 # Busemann values
 
 def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "auto",
-                   tol: float = 1e-6, t_cap: float = 1e8):
+                   tol: float = 1e-6):
     """beta_ray(y); exact Fraction on trees, float elsewhere.
 
     method: "auto" prefers the model's closed form, "closed" requires one,
@@ -63,10 +64,10 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "auto",
             return val
         if method == "closed":
             raise SpaceError(f"no closed-form Busemann value for {space!r}")
-    return _busemann_limit(space, ray, y, tol=tol, t_cap=t_cap)
+    return _busemann_limit(space, ray, y, tol=tol)
 
 
-def _busemann_limit(space, ray, y, *, tol, t_cap):
+def _busemann_limit(space, ray, y, *, tol):
     o = ray.point_at(0)
     d0 = distance(space, o, y)
     if space.exact:
@@ -94,7 +95,7 @@ def _busemann_limit(space, ray, y, *, tol, t_cap):
     window = [f(T), f(2.0 * T), f(4.0 * T)]
     prev = None
     prev_diff = None
-    while T <= t_cap:
+    while T <= T_CAP:
         accel = aitken(*window)
         if prev is not None:
             diff = abs(accel - prev)
@@ -104,24 +105,22 @@ def _busemann_limit(space, ray, y, *, tol, t_cap):
         prev = accel
         T *= 2.0
         window = [window[1], window[2], f(4.0 * T)]
-    raise ConvergenceError(f"Busemann limit not stable below T = {t_cap}")
+    raise ConvergenceError(f"Busemann limit not stable below T = {T_CAP}")
 
 
-def horoball_contains(space, ray: GeodesicRef, x0: Point, x: Point,
-                      tol: float = 1e-9) -> bool:
-    """Membership of x in the horoball through x0: beta(x) <= beta(x0) + tol."""
+def horoball_contains(space, ray: GeodesicRef, x0: Point, x: Point) -> bool:
+    """Membership of x in the horoball through x0: beta(x) <= beta(x0) + 1e-9."""
     b0 = busemann_value(space, ray, x0)
     bx = busemann_value(space, ray, x)
     if isinstance(b0, Fraction) and isinstance(bx, Fraction):
         return bx <= b0
-    return float(bx) <= float(b0) + tol
+    return float(bx) <= float(b0) + 1e-9
 
 
 # ---------------------------------------------------------------------------
 # asymptotic-ray pseudometric rho_xi
 
-def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef, *,
-                       levels: int = 20, grid: int = 16):
+def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef):
     """rho(c, d) = inf over s, t >= 0 of d(c(s), d(t)); exact Fraction on trees.
 
     Uses the model's closed form (``Space.rho_closed``) where it has one: for
@@ -136,16 +135,16 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef, *,
     val = space.rho_closed(c, d)
     if val is not None:
         return val
-    return _ray_grid(space, c, d, levels=levels, grid=grid)
+    return _ray_grid(space, c, d)
 
 
-def _ray_grid(space, c, d, *, levels, grid):
+def _ray_grid(space, c, d):
     """Grid oracle for rho(c, d) on continuous models, kept for cross-checks.
 
-    Refines a coarse-to-fine grid of (s, t) on an expanding window. On the
-    flat models the distance is jointly convex and the infimum is attained,
-    so refinement converges; on H^2 the infimum is approached only at
-    infinity and the grid stops above it.
+    Refines a coarse-to-fine grid of (s, t), 16 cells a side over 20 levels,
+    on an expanding window. On the flat models the distance is jointly convex
+    and the infimum is attained, so refinement converges; on H^2 the infimum
+    is approached only at infinity and the grid stops above it.
     """
     dd0 = float(distance(space, c.point_at(0), d.point_at(0)))
     ddT = float(distance(space, c.point_at(64.0), d.point_at(64.0)))
@@ -155,7 +154,8 @@ def _ray_grid(space, c, d, *, levels, grid):
     s_hi = t_hi = 8.0
     s_lo = t_lo = 0.0
     best = dd0
-    for _ in range(levels):
+    grid = 16
+    for _ in range(20):
         ss = [s_lo + (s_hi - s_lo) * i / grid for i in range(grid + 1)]
         ts = [t_lo + (t_hi - t_lo) * j / grid for j in range(grid + 1)]
         vals = {}
@@ -202,8 +202,7 @@ def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,
 # ---------------------------------------------------------------------------
 # Tits relation numerics
 
-def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint, *,
-               tol: float = 1e-4, t_cap: float = 1e8) -> float:
+def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
     """lim d(c(t), d(t)) / (2t) for the rays from o toward xi and eta.
 
     The raw limit lies in [0, 1]; the comparison against pi of the Tits
@@ -221,18 +220,18 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint, *,
             return Fraction(dist_t, 2 * t)
         return float(dist_t) / (2.0 * float(t))
     T = Fraction(1) if exact else 1.0
-    while float(T) <= t_cap:
+    while float(T) <= T_CAP:
         v1, v2 = f(T), f(2 * T)
-        if abs(float(v2) - float(v1)) <= tol:
+        if abs(float(v2) - float(v1)) <= 1e-4:
             # the tail is O(1/t); Richardson removes it (exactly on trees)
             return float(2 * v2 - v1)
         T *= 2
-    raise ConvergenceError(f"Tits limit not stable below t = {t_cap}")
+    raise ConvergenceError(f"Tits limit not stable below t = {T_CAP}")
 
 
-def tits_less_than_pi(delta: float, tol: float = 1e-4) -> bool:
-    """The relation "Td < pi" under the raw-limit reading: delta < 1 - tol."""
-    return delta < 1.0 - tol
+def tits_less_than_pi(delta: float) -> bool:
+    """The relation "Td < pi" under the raw-limit reading: delta < 1 - 1e-4."""
+    return delta < 1.0 - 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ class SearchError(RuntimeError):
     """A bracket or minimizer could not be located within the allowed window."""
 
 
-def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 200) -> float:
+def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12) -> float:
     """Root of f on [lo, hi] by bisection. Requires a sign change on the bracket."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -20,7 +20,7 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 
         return hi
     if (flo > 0) == (fhi > 0):
         raise SearchError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0 or (hi - lo) < tol:
@@ -35,13 +35,13 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(f, lo: float, hi: float, *, tol: float = 1e-12, max_iter: int = 200):
+def golden_min(f, lo: float, hi: float, *, tol: float = 1e-12):
     """Minimize a convex (or unimodal) f on [lo, hi]; returns (argmin, min)."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if (b - a) < tol:
             break
         if fc < fd:

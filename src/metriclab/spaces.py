@@ -232,12 +232,12 @@ class Space:
     def direction_ideal(self, v):
         raise SpaceError(f"direction ideal points undefined for {self!r}")
 
-    def ideal_matches(self, a, b, tol):
+    def ideal_matches(self, a, b):
         if isinstance(a, tuple):
-            return all(abs(x - y) <= tol for x, y in zip(a, b))
+            return all(abs(x - y) <= 1e-9 for x, y in zip(a, b))
         if a == INF or b == INF:
             return a == b
-        return abs(a - b) <= tol
+        return abs(a - b) <= 1e-9
 
     def busemann_closed(self, ray, y):
         return None
@@ -245,10 +245,10 @@ class Space:
     def rho_closed(self, c, d):
         return None
 
-    def closest_param(self, geo, x, window):
+    def closest_param(self, geo, x):
         # the distance along a geodesic is convex: golden-section search
         d0 = float(distance(self, geo.point_at(0), x))
-        w = window if window is not None else 2.0 * d0 + 2.0
+        w = 2.0 * d0 + 2.0
         lo, hi = geo.domain()
         lo = max(float(lo), -w) if lo != -INF else -w
         hi = min(float(hi), w) if hi != INF else w
@@ -408,14 +408,8 @@ class MinkowskiLinf(NormedSpace):
 # hyperbolic plane
 
 def _hyp_circle_point(m, r, tau):
-    # unit-speed parameterization of the semicircle |z - m| = r; the clamp
-    # keeps cosh inside double range (points merely pin to the boundary)
-    tau = max(-700.0, min(700.0, tau))
+    # unit-speed parameterization of the semicircle |z - m| = r
     return (m + r * math.tanh(tau), r / math.cosh(tau))
-
-
-def _clamp_exp(t):
-    return max(-700.0, min(700.0, t))
 
 
 @dataclass(frozen=True)
@@ -431,15 +425,19 @@ class HyperbolicPlane(Space):
         rho = math.hypot(a[0] - b[0], a[1] - b[1])
         return 2.0 * math.asinh(rho / (2.0 * math.sqrt(a[1] * b[1])))
 
-    def _vertical(self, x0, y0, sgn):
+    def _evaluator(self, coords):
         def at(t):
-            return Point(self, (x0, y0 * math.exp(_clamp_exp(sgn * float(t)))))
+            try:
+                return Point(self, coords(float(t)))
+            except OverflowError:   # exp or cosh far out: raise, never pin
+                raise SpaceError(f"geodesic parameter {t} leaves double range") from None
         return at
 
+    def _vertical(self, x0, y0, sgn):
+        return self._evaluator(lambda t: (x0, y0 * math.exp(sgn * t)))
+
     def _arc(self, m, r, t0, sgn):
-        def at(t):
-            return Point(self, _hyp_circle_point(m, r, t0 + sgn * float(t)))
-        return at
+        return self._evaluator(lambda t: _hyp_circle_point(m, r, t0 + sgn * t))
 
     def segment(self, a, b, d):
         if abs(a[0] - b[0]) < 1e-14:
@@ -732,14 +730,19 @@ class MetricTree(Space):
 
     def validate(self, c):
         desc = self.desc
-        if not (isinstance(c, tuple) and c and c[0] in ("v", "e", "r")):
+        if not (isinstance(c, tuple) and c and c[0] in ("v", "e", "r")
+                and len(c) == (2 if c[0] == "v" else 3)):
             raise SpaceError(f"bad tree coords {c!r}")
         if c[0] == "v":
-            if c[1] not in desc.vertices:
+            try:
+                known = c[1] in self._rooted()
+            except TypeError:       # an unhashable id, such as a JSON list
+                known = False
+            if not known:
                 raise SpaceError(f"unknown vertex {c[1]!r}")
         elif c[0] == "e":
             _, idx, off = c
-            if not (0 <= idx < len(desc.edges)):
+            if not (isinstance(idx, int) and 0 <= idx < len(desc.edges)):
                 raise SpaceError(f"edge index {idx} out of range")
             ln = desc.edges[idx][2]
             if not isinstance(off, Fraction) or not (0 < off < ln):
@@ -772,7 +775,7 @@ class MetricTree(Space):
     def line(self, end_m, end_p, through):
         return self._geodesic(("v", end_m), ("v", end_p), minus_end=end_m, plus_end=end_p)
 
-    def ideal_matches(self, a, b, tol):
+    def ideal_matches(self, a, b):
         return a == b
 
     def busemann_closed(self, ray, y):
@@ -805,7 +808,7 @@ class MetricTree(Space):
         m = c.point_at(d_p2p1 - g)
         return (distance(self, m, P2) + distance(self, m, Q2) - distance(self, P2, Q2)) / 2
 
-    def closest_param(self, geo, x, window):
+    def closest_param(self, geo, x):
         # exact Gromov-product projection
         lo, hi = geo.domain()
         big = self.total_length + self.distance(geo.point_at(0).coords, x.coords) + 1
@@ -957,10 +960,10 @@ class IdealPoint:
     space: object
     rep: object
 
-    def matches(self, other: "IdealPoint", tol: float = 1e-9) -> bool:
+    def matches(self, other: "IdealPoint") -> bool:
         if self.space != other.space:
             return False
-        return self.space.ideal_matches(self.rep, other.rep, tol)
+        return self.space.ideal_matches(self.rep, other.rep)
 
 
 def direction_ideal(space, v) -> IdealPoint:
@@ -1067,9 +1070,7 @@ def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
     d = distance(space, x, y)
     if d == 0:
         raise DegenerateError("midpoint of identical points")
-    g = geodesic_between(space, x, y)
-    half = d / 2 if isinstance(d, Fraction) else 0.5 * d
-    return g.point_at(half)
+    return geodesic_between(space, x, y).point_at(d / 2)
 
 
 def _linf_extreme_midpoint(space, x, y, selector):
@@ -1094,14 +1095,14 @@ def _linf_extreme_midpoint(space, x, y, selector):
 # ---------------------------------------------------------------------------
 # parameters of points along geodesics
 
-def closest_param(space, geo: GeodesicRef, x: Point, *, window: float = None):
+def closest_param(space, geo: GeodesicRef, x: Point):
     """Parameter minimizing t -> d(geo(t), x) plus the attained distance.
 
     Exact on trees (Gromov-product projection); golden-section on the other
     models, where the distance along a geodesic is convex.
     """
     _check_member(space, x)
-    return space.closest_param(geo, x, window)
+    return space.closest_param(geo, x)
 
 
 def on_geodesic(space, geo: GeodesicRef, x: Point, tol: float = 1e-9):

@@ -370,7 +370,7 @@ def suite_transfers(seed: int, params: dict) -> list:
         b = line_through(e2, eta, xi, point(e2, (rng.uniform(-2, 2), rng.uniform(-2, 2))))
         res = tr.double_transfer(e2, a, b, a.point_at(rng.uniform(-2, 2)))
         cases += 1
-        if abs(res.shift) > 1e-8 or res.shift < -1e-8:
+        if abs(res.shift) > 1e-8:
             rep.fail({"space": "euclidean-2", "shift": res.shift})
     for _ in range(10):
         u = rng.uniform(-3, 3)
@@ -379,7 +379,7 @@ def suite_transfers(seed: int, params: dict) -> list:
         b = line_through(h2, boundary_ideal(h2, v), boundary_ideal(h2, math.inf))
         res = tr.double_transfer(h2, a, b, a.point_at(rng.uniform(-1, 1)))
         cases += 1
-        if abs(res.shift) > 1e-8 or res.shift < -1e-8:
+        if abs(res.shift) > 1e-8:
             rep.fail({"space": "hyperbolic-plane", "shift": res.shift})
     ends = ("e1", "e2", "e3", "e4")
     for _ in range(8):
@@ -654,7 +654,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     vals = [0.0, 0.25]
     vals += [rng.uniform(-3, 3) for _ in range(10)]
     vals += [v + 1.0 for v in vals[:6]]
-    sample = SampleSet(rl, tuple(point(rl, v) for v in vals), seed=seed, spec="line")
+    sample = SampleSet(rl, tuple(point(rl, v) for v in vals), spec="line")
     reports.append(_counterexample_report("line-sine", (rl, rl), ls, sample, 1e-9, 1e-9))
 
     # 2. sphere-flip at both radii (non-vacuous and vacuous unit classes)
@@ -674,7 +674,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
         pts.append(sphere_point(sph, (0.0, 0.0, 1.0)))
         pts.append(sphere_point(sph, (0.0, 0.0, -1.0)))
         pts.append(sphere_point(sph, (1.0, 0.0, 0.3)))
-        sample = SampleSet(sph, tuple(pts), seed=seed, spec="sphere")
+        sample = SampleSet(sph, tuple(pts), spec="sphere")
         flip_reports.append(_counterexample_report(
             f"sphere-flip[r={radius:.6f}]", (sph, sph), flip, sample, 1e-9, 1e-9))
     combined = VerificationReport("counterexample[sphere-flip]", tolerance=1e-9)
@@ -698,7 +698,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     phi = gh.tree_swap_bijection(tps)
     nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
     vertices = [tree_vertex(tree, v) for v in tree.desc.vertices]
-    sample = SampleSet(tree, tuple(nodes) + tuple(vertices), seed=seed, spec="tree-classes")
+    sample = SampleSet(tree, tuple(nodes) + tuple(vertices), spec="tree-classes")
     reports.append(_counterexample_report("tree-swap", (tree, tree), phi, sample, 0.0, 0.0))
 
     # 4. tree-smooth
@@ -707,7 +707,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     for i in range(len(tree.desc.edges)):
         for num in (1, 3, 5, 7):
             pts.append(tree_edge_point(tree, i, Fraction(num, 16)))
-    sample = SampleSet(tree, tuple(pts), seed=seed, spec="tree-lattice")
+    sample = SampleSet(tree, tuple(pts), spec="tree-lattice")
     reports.append(_counterexample_report("tree-smooth", (tree, tree), smooth,
                                           sample, 1e-9, 1e-9))
 
@@ -720,7 +720,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     for i in range(-2, 3):
         for j in range(-2, 3):
             grid.append(Point(mp, ((float(i) * 0.5,), float(j) * 0.25)))
-    sample = SampleSet(mp, tuple(grid), seed=seed, spec="product-grid")
+    sample = SampleSet(mp, tuple(grid), spec="product-grid")
     reports.append(_counterexample_report("max-lift", (mp, mp), lift, sample, 1e-9, 1e-9))
     return reports
 

@@ -33,10 +33,6 @@ class RSequence:
     space: object
     points: dict            # z (int) -> Point
 
-    def window(self):
-        zs = sorted(self.points)
-        return zs[0], zs[-1]
-
 
 @dataclass
 class PTape:
@@ -156,7 +152,7 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # third-division configuration check
 
-def check_third_division(space, pts: dict, tol: float = 1e-9) -> VerificationReport:
+def check_third_division(space, pts: dict) -> VerificationReport:
     """Verify the 2p third-division relations on 4p labeled points and, when
     they all hold, the forced coincidence of the middle rows.
 
@@ -169,6 +165,7 @@ def check_third_division(space, pts: dict, tol: float = 1e-9) -> VerificationRep
     p = max(js) if js else 0
     if rows != {0, 1, 2, 3} or js != set(range(1, p + 1)) or len(pts) != 4 * p or p < 2:
         raise SpaceError("third-division check needs points (i, j), i in 0..3, j in 1..p")
+    tol = 1e-9
     rep = VerificationReport(f"third-division[p={p}]", tolerance=tol)
 
     def rel_indices():
@@ -225,8 +222,7 @@ def _chord_roots(norm, u, w, height: float):
     return lo, hi
 
 
-def build_p_tape(space, a: GeodesicRef, p: int, drift: float,
-                 strip_width: float = None, window=None) -> PTape:
+def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PTape:
     """Construct a p-tape inside the strip about the base line ``a``.
 
     ``drift`` is the distance from the base line of the probe unit point q:
@@ -240,9 +236,8 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float,
     norm = space.norm
     if p < 2:
         raise PreconditionError("need p >= 2")
-    cap = min(1.0, strip_width) if strip_width is not None else 1.0
-    if not 0.0 < drift < cap:
-        raise PreconditionError(f"drift must lie in (0, {cap})")
+    if not 0.0 < drift < 1.0:
+        raise PreconditionError("drift must lie in (0, 1.0)")
     if a.kind != "line":
         raise SpaceError("tape construction needs a base line")
     u = vsub(a.point_at(1.0).coords, a.point_at(0.0).coords)   # unit direction

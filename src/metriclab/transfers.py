@@ -122,8 +122,6 @@ def double_transfer(space, a: GeodesicRef, b: GeodesicRef, x: Point,
     # beta_a runs at unit rate along a, so the translation length reads off
     # the Busemann scale with closed-form precision
     shift = beta_a(x) - beta_a(x2)
-    if not space.exact:
-        shift = float(shift)
     formula = beta_a(b.point_at(0)) + beta_b(a.point_at(0)) + level_shift
     residuals = {
         "horosphere_out": abs(float(beta_a(y)) - float(beta_a(x))),
@@ -229,10 +227,7 @@ def scissors_shift(space, cfg: ScissorsConfig, probe_param=0):
     beta_minus = _busemann_for(space, cfg.a, cfg.a.minus)
     by_composition = beta_minus(m4) - beta_minus(m)
 
-    by_formula = scissors_shift_formula(space, cfg)
-    if not space.exact:
-        by_composition = float(by_composition)
-    return by_composition, by_formula
+    return by_composition, scissors_shift_formula(space, cfg)
 
 
 def scissors_shift_formula(space, cfg: ScissorsConfig, p_param=0, q_param=0):
@@ -250,8 +245,7 @@ def scissors_shift_formula(space, cfg: ScissorsConfig, p_param=0, q_param=0):
             b_0 = busemann_value(space, ray, base)
             val += b_x - b_0
         return val
-    total = pair_sum(cfg.a, p_param) + pair_sum(cfg.d, q_param)
-    return total if space.exact else float(total)
+    return pair_sum(cfg.a, p_param) + pair_sum(cfg.d, q_param)
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +276,28 @@ def _circle_intersection(m1, r1, m2, r2):
     return (x, math.sqrt(y2))
 
 
-def degenerate_flat_scissors(space, direction=(1.0, 0.0), anchor=(0.0, 0.0)) -> ScissorsConfig:
-    """Fully degenerate flat scissors: all four lines coincide, x on them.
-    In a flat plane the two opposite Busemann functions sum to zero
-    everywhere, so any flat scissors has shift 0; this one is also
-    degenerate in the strict sense (x on a and on d)."""
-    xi = direction_ideal(space, direction)
-    eta = direction_ideal(space, tuple(-v for v in direction))
-    base = point(space, anchor)
+def degenerate_flat_scissors(space) -> ScissorsConfig:
+    """Fully degenerate flat scissors: all four lines coincide with the
+    horizontal axis, x at the origin on them. In a flat plane the two
+    opposite Busemann functions sum to zero everywhere, so any flat scissors
+    has shift 0; this one is also degenerate in the strict sense (x on a and
+    on d)."""
+    xi = direction_ideal(space, (1.0, 0.0))
+    eta = direction_ideal(space, (-1.0, 0.0))
+    base = point(space, (0.0, 0.0))
     line = line_through(space, eta, xi, base)
     return ScissorsConfig(space, line, line, line, line, base)
 
 
-def flat_translate_scissors(space, offset=(0.0, 1.0)) -> ScissorsConfig:
-    """Flat scissors with b = c = d = a translate; valid, shift 0, and
-    nondegenerate under the strict flag (x is off the base line)."""
+def flat_translate_scissors(space) -> ScissorsConfig:
+    """Flat scissors with b = c = d = the translate of a by (0, 1); valid,
+    shift 0, and nondegenerate under the strict flag (x is off a)."""
     xi = direction_ideal(space, (1.0, 0.0))
     eta = direction_ideal(space, (-1.0, 0.0))
     a = line_through(space, eta, xi, point(space, (0.0, 0.0)))
-    moved = line_through(space, eta, xi, point(space, offset))
-    return ScissorsConfig(space, a, moved, moved, moved, point(space, offset))
+    x = point(space, (0.0, 1.0))
+    moved = line_through(space, eta, xi, x)
+    return ScissorsConfig(space, a, moved, moved, moved, x)
 
 
 def tree_scissors(space: MetricTree, ends4) -> ScissorsConfig:
@@ -313,12 +309,5 @@ def tree_scissors(space: MetricTree, ends4) -> ScissorsConfig:
     b = line_through(space, tree_end(space, e_am), tree_end(space, e_dp))
     c = line_through(space, tree_end(space, e_dm), tree_end(space, e_ap))
     # center: the meeting point of b and c (junction of the four branches)
-    _, t_on_b, _ = _tree_meet(space, b, c)
-    x = b.point_at(t_on_b)
-    return ScissorsConfig(space, a, b, c, d, x)
-
-
-def _tree_meet(space, g1, g2):
-    probe = g2.point_at(0)
-    t, resid = closest_param(space, g1, probe)
-    return resid == 0, t, resid
+    t_on_b, _ = closest_param(space, b, c.point_at(0))
+    return ScissorsConfig(space, a, b, c, d, b.point_at(t_on_b))

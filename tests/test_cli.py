@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -81,6 +82,22 @@ def test_emit_parse_roundtrip():
     # stable key order in each report
     first = back["reports"][0]
     assert list(first)[:5] == ["check", "status", "counts", "witnesses", "tolerance"]
+
+
+def test_emit_is_strict_json():
+    # a grasshopper distance of inf reaches a witness; JSON has no Infinity
+    rep = VerificationReport("grasshopper-euclid-agreement", tolerance=1e-9)
+    rep.fail({"analytic": 3, "graph": math.inf})
+    rep.counts = {"low": -math.inf, "undefined": math.nan, "pairs": 1}
+    result = cli.SuiteResult(suite="grasshopper", seed=0, parameters={"x": math.inf},
+                             reports=[rep.finalize()], duration=0.0)
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+    back = json.loads(emit_report(result), parse_constant=reject)
+    assert back["reports"][0]["witnesses"] == [{"analytic": 3, "graph": "inf"}]
+    assert back["reports"][0]["counts"] == {"low": "-inf", "undefined": "nan", "pairs": 1}
+    assert back["parameters"] == {"x": "inf"}
 
 
 def test_emit_text_format():

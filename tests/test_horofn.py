@@ -222,13 +222,13 @@ def test_ray_pseudodistance_h2_vanishes():
     c = ray_from(h, point(h, (0, 1)), boundary_ideal(h, INF))
     d = ray_from(h, point(h, (3, 1)), boundary_ideal(h, INF))
     assert ray_pseudodistance(h, c, d) == 0.0
-    assert _ray_grid(h, c, d, levels=20, grid=16) <= 1e-3
+    assert _ray_grid(h, c, d) <= 1e-3
     # rays toward a finite boundary point converge the same way
     u = boundary_ideal(h, 0.0)
     c2 = ray_from(h, point(h, (-1.0, 1.0)), u)
     d2 = ray_from(h, point(h, (1.5, 0.8)), u)
     assert ray_pseudodistance(h, c2, d2) == 0.0
-    assert _ray_grid(h, c2, d2, levels=20, grid=16) <= 1e-3
+    assert _ray_grid(h, c2, d2) <= 1e-3
 
 
 def test_ray_pseudodistance_rejects_diverging():

@@ -51,7 +51,7 @@ def test_rho_closed_agrees_with_grid_oracle(space, seed):
     closed = space.rho_closed(c, d)
     assert closed is not None
     try:
-        grid = _ray_grid(space, c, d, levels=20, grid=16)
+        grid = _ray_grid(space, c, d)
     except SpaceError:
         # the grid's divergence guard misfires only on H^2 rays toward a
         # finite boundary point, whose far points lose precision

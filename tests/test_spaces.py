@@ -29,6 +29,7 @@ from metriclab.spaces import (
     point,
     ray_from,
     sphere_point,
+    tree_edge_point,
     tree_end,
     tree_vertex,
 )
@@ -179,6 +180,16 @@ def test_hyperbolic_vertical_ray_down():
     assert abs(distance(h, r.point_at(0.3), r.point_at(2.1)) - 1.8) <= 1e-9
 
 
+def test_hyperbolic_far_points_raise_instead_of_pinning():
+    h = HyperbolicPlane()
+    o = point(h, (0.0, 1.0))
+    for xi in (math.inf, 2.0, 0.0):   # up, along an arc, straight down
+        r = ray_from(h, o, boundary_ideal(h, xi))
+        assert r.point_at(700).coords[1] > 0
+        with pytest.raises(SpaceError):
+            r.point_at(720 if xi != 0.0 else 800)
+
+
 def test_midpoint_defining_equalities():
     cases = []
     e2 = Euclidean(2)
@@ -282,6 +293,25 @@ def test_tree_desc_validation():
     with pytest.raises(SpaceError):
         TreeDesc(vertices=("a", "b"),
                  edges=(("a", "b", Fraction(1, 3)),), denominator_bound=2)
+
+
+def test_tree_coordinate_validation(ended_tree):
+    for coords in (("v", "nowhere"),
+                   ("v", ["x0"]),                     # unhashable, as from JSON
+                   ("e", 5, Fraction(1, 4)),
+                   ("e", -1, Fraction(1, 4)),
+                   ("e", 0, Fraction(0)),
+                   ("e", 0, Fraction(1, 2)),
+                   ("e", 0, 0.25),
+                   ("r", "spur", Fraction(1)),
+                   ("r", "e1", Fraction(0)),
+                   ("v",), ("v", "x0", "extra"), ("e", 0), ("e", "0", Fraction(1, 4)),
+                   ("r", "e1")):
+        with pytest.raises(SpaceError):
+            Point(ended_tree, coords)
+    with pytest.raises(SpaceError):
+        Point(ended_tree, ended_tree.coords_from_json(["v", ["x0"]]))
+    assert tree_edge_point(ended_tree, 0, Fraction(1, 4)).coords == ("e", 0, Fraction(1, 4))
 
 
 def test_sphere_point_validation():

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,17 @@ GOLDEN_SUITES = ("axioms", "busemann", "horofn", "transfers", "scissors", "tapes
 def test_suite_output_matches_golden(suite):
     text = emit_report(run_suite(ScenarioConfig(suite=suite, seed=7)))
     assert text.encode("utf-8") == (GOLDEN / f"{suite}_seed7.json").read_bytes()
+
+
+# sha256 of the whole `all` report for two more seeds (seed 7 is pinned
+# suite by suite above)
+@pytest.mark.parametrize("seed, digest", [
+    (11, "e1d024c86316541227e1963560317c745ba8b5e4c1c091484d19ef63da113394"),
+    (23, "fb7a18ff050ab2e46c437797624dd90d9d8533bb18049845e95bec80bbb7a0a6"),
+])
+def test_all_output_digest(seed, digest):
+    text = emit_report(run_suite(ScenarioConfig(suite="all", seed=seed)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_all_enforces_declared_suite_sizes(monkeypatch):
