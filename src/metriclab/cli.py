@@ -38,6 +38,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string, got {self.output!r}")
         if self.format not in ("json", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.seed is None:
@@ -49,6 +51,9 @@ class ScenarioConfig:
         if not isinstance(self.parameters, dict):
             raise ConfigError(f"parameters must be an object, got {self.parameters!r}")
         self.parameters = dict(self.parameters)
+        if "tree" in self.parameters and not isinstance(self.parameters["tree"], MetricTree):
+            raise ConfigError("parameters.tree must be a MetricTree (give a tree_file), "
+                              f"got {self.parameters['tree']!r}")
         for key in COUNT_PARAMETERS:
             n = self.parameters.get(key, 1)
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -69,6 +74,8 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict, overrides: dict = None) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         merged = dict(raw)
         for key, val in (overrides or {}).items():
             if val is not None:

@@ -94,21 +94,14 @@ def grasshopper_components(graph: UnitJumpGraph):
 # ---------------------------------------------------------------------------
 # grasshopper distance
 
-def grasshopper_distance(space, x: Point, y: Point, mode: str = "analytic",
-                         graph: UnitJumpGraph = None):
+def grasshopper_distance(space, x: Point, y: Point):
     """Minimal number of exact unit jumps from x to y; math.inf if none.
 
-    Graph mode is plain BFS over the supplied unit-jump graph. Analytic mode
-    covers the real line (reachable set x + Z), Euclidean dim >= 2 (ceil of
-    the distance, with two jumps for short hops), and metric trees (exact
-    BFS over the finite closed set of reachable offset classes).
+    Closed forms for the real line (reachable set x + Z), Euclidean
+    dim >= 2 (ceil of the distance, with two jumps for short hops), and
+    metric trees (exact BFS over the finite closed set of reachable offset
+    classes). ``graph_bfs_distance`` is the oracle on a finite node set.
     """
-    if mode == "graph":
-        if graph is None:
-            raise SpaceError("graph mode needs a UnitJumpGraph")
-        return graph_bfs_distance(graph, x, y)
-    if mode != "analytic":
-        raise SpaceError(f"unknown mode {mode!r}")
     tol = 1e-9
     if isinstance(space, RealLine):
         diff = abs(x.coords - y.coords)
@@ -134,7 +127,7 @@ def grasshopper_distance(space, x: Point, y: Point, mode: str = "analytic",
         return int(math.ceil(d))
     if isinstance(space, MetricTree):
         return _tree_grasshopper(space, x, y)
-    raise SpaceError(f"no analytic grasshopper formula for {space!r}; use graph mode")
+    raise SpaceError(f"no analytic grasshopper formula for {space!r}")
 
 
 def euclid_jump_chain(space: Euclidean, x: Point, y: Point):

@@ -123,64 +123,18 @@ def horoball_contains(space, ray: GeodesicRef, x0: Point, x: Point) -> bool:
 def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef):
     """rho(c, d) = inf over s, t >= 0 of d(c(s), d(t)); exact Fraction on trees.
 
-    Uses the model's closed form (``Space.rho_closed``) where it has one: for
-    rays with a common ideal point on the flat models (Euclidean, l_p,
-    sup-norm: the distance between the two parallel lines, a 1-d convex
-    golden-section minimization), on H^2 and the real line (exactly 0), and
-    on trees for every pair of rays (0 for merging rays, otherwise the bridge
-    length between the ray images). Otherwise it falls back to the grid
-    oracle ``_ray_grid``, which raises SpaceError for visibly non-asymptotic
-    rays.
+    The model's closed form ``Space.rho_closed``: for rays with a common
+    ideal point on the flat models (Euclidean, l_p, sup-norm: the distance
+    between the two parallel lines, a 1-d convex golden-section
+    minimization), on H^2 and the real line (exactly 0), and on trees for
+    every pair of rays (0 for merging rays, otherwise the bridge length
+    between the ray images). Raises SpaceError where the model has none,
+    which on the continuous models means the rays are not asymptotic.
     """
     val = space.rho_closed(c, d)
-    if val is not None:
-        return val
-    return _ray_grid(space, c, d)
-
-
-def _ray_grid(space, c, d):
-    """Grid oracle for rho(c, d) on continuous models, kept for cross-checks.
-
-    Refines a coarse-to-fine grid of (s, t), 16 cells a side over 20 levels,
-    on an expanding window. On the flat models the distance is jointly convex
-    and the infimum is attained, so refinement converges; on H^2 the infimum
-    is approached only at infinity and the grid stops above it.
-    """
-    dd0 = float(distance(space, c.point_at(0), d.point_at(0)))
-    ddT = float(distance(space, c.point_at(64.0), d.point_at(64.0)))
-    if ddT > dd0 + 1e-6:
-        raise SpaceError("rays are not asymptotic: same-parameter distance grows")
-
-    s_hi = t_hi = 8.0
-    s_lo = t_lo = 0.0
-    best = dd0
-    grid = 16
-    for _ in range(20):
-        ss = [s_lo + (s_hi - s_lo) * i / grid for i in range(grid + 1)]
-        ts = [t_lo + (t_hi - t_lo) * j / grid for j in range(grid + 1)]
-        vals = {}
-        for i, s in enumerate(ss):
-            for j, t in enumerate(ts):
-                vals[(i, j)] = float(distance(space, c.point_at(s), d.point_at(t)))
-        (bi, bj) = min(vals, key=vals.get)
-        best = min(best, vals[(bi, bj)])
-        if best <= 1e-12:
-            break
-        if (bi == grid or bj == grid) and max(s_hi, t_hi) < 300.0:
-            # infimum may sit farther out: grow the window (capped so
-            # hyperbolic coordinates stay inside double range)
-            if bi == grid:
-                s_hi *= 2.0
-            if bj == grid:
-                t_hi *= 2.0
-            continue
-        cs = (s_hi - s_lo) / grid
-        ct = (t_hi - t_lo) / grid
-        s_lo = max(0.0, ss[bi] - 2.0 * cs)
-        s_hi = ss[bi] + 2.0 * cs
-        t_lo = max(0.0, ts[bj] - 2.0 * ct)
-        t_hi = ts[bj] + 2.0 * ct
-    return best
+    if val is None:
+        raise SpaceError("rays are not asymptotic")
+    return val
 
 
 def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,
@@ -212,15 +166,12 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
         raise SpaceError("tits_delta needs distinct ideal points")
     c = ray_from(space, o, xi)
     d = ray_from(space, o, eta)
-    exact = space.exact
 
     def f(t):
-        dist_t = distance(space, c.point_at(t), d.point_at(t))
-        if exact:
-            return Fraction(dist_t, 2 * t)
-        return float(dist_t) / (2.0 * float(t))
-    T = Fraction(1) if exact else 1.0
-    while float(T) <= T_CAP:
+        # an int t keeps tree values exact Fractions
+        return distance(space, c.point_at(t), d.point_at(t)) / (2 * t)
+    T = 1
+    while T <= T_CAP:
         v1, v2 = f(T), f(2 * T)
         if abs(float(v2) - float(v1)) <= 1e-4:
             # the tail is O(1/t); Richardson removes it (exactly on trees)

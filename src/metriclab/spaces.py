@@ -400,6 +400,13 @@ class MinkowskiLinf(NormedSpace):
     def norm(self, v):
         return supnorm(v)
 
+    def busemann_closed(self, ray, y):
+        # |y - o - t u|_oo - t: a coordinate with |u_i| < 1 falls behind by
+        # (1 - |u_i|) t, so only those with |u_i| = 1 survive the limit
+        o = ray.point_at(0).coords
+        return max(-ui * (yi - oi) for ui, yi, oi in zip(ray.plus.rep, y.coords, o)
+                   if abs(ui) == 1.0)
+
     def tag(self):
         return "minkowski-linf"
 

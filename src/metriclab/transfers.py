@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .numeric import SearchError, bisect_root
+from .numeric import SearchError
 from .spaces import (
     GeodesicRef,
     HyperbolicPlane,
@@ -19,7 +18,6 @@ from .spaces import (
     boundary_ideal,
     closest_param,
     direction_ideal,
-    distance,
     line_through,
     on_geodesic,
     point,
@@ -36,12 +34,12 @@ class TransferResult:
     residuals: dict = field(default_factory=dict)
 
 
-def _line_orientation(geo: GeodesicRef, xi: IdealPoint) -> float:
+def _line_orientation(geo: GeodesicRef, xi: IdealPoint) -> int:
     """+1 if xi sits at the +oo end of geo, -1 at the -oo end."""
     if geo.plus is not None and geo.plus.matches(xi):
-        return 1.0
+        return 1
     if geo.minus is not None and geo.minus.matches(xi):
-        return -1.0
+        return -1
     raise SpaceError("line is not asymptotic to the given ideal point")
 
 
@@ -49,31 +47,14 @@ def transfer_param(space, frm: GeodesicRef, to: GeodesicRef, xi: IdealPoint,
                    m: Point, *, target_offset=0) -> object:
     """Parameter t* on `to` with beta_xi(to(t*)) = beta_xi(m) + target_offset.
 
-    beta_xi moves at unit rate along `to`, strictly decreasing toward xi, so
-    the root is found by bisection (exactly on trees).
+    Along a line toward xi, beta_xi(to(t)) = beta_xi(to(0)) - sigma t with
+    sigma = +1 if xi is the +oo end of `to` and -1 otherwise, so t* is a
+    closed form (an exact Fraction on trees).
     """
     _line_orientation(frm, xi)  # validates m's line is asymptotic to xi
     sigma = _line_orientation(to, xi)
     beta = _busemann_for(space, frm, xi)
-    target = beta(m)
-    if space.exact:
-        # beta(to(t)) = beta(to(0)) - sigma * t exactly
-        b0 = beta(to.point_at(0))
-        return (b0 - target - Fraction(target_offset)) * Fraction(int(sigma))
-
-    def g(t):
-        return float(beta(to.point_at(t))) - float(target) - float(target_offset)
-    width = 4.0 * (1.0 + float(distance(space, m, to.point_at(0))))
-    lo = hi = None
-    w = width
-    for _ in range(21):
-        if (g(-w) > 0) != (g(w) > 0):
-            lo, hi = -w, w
-            break
-        w *= 2.0
-    if lo is None:
-        raise SearchError("no Busemann level crossing within the search window")
-    return bisect_root(g, lo, hi, tol=1e-12)
+    return (beta(to.point_at(0)) - beta(m) - target_offset) * sigma
 
 
 def _busemann_for(space, line: GeodesicRef, xi: IdealPoint):

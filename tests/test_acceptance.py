@@ -15,6 +15,7 @@ from metriclab.grasshopper import (
     TreePointSet,
     UnitJumpGraph,
     euclid_jump_chain,
+    graph_bfs_distance,
     grasshopper_distance,
     tree_offset_class_nodes,
     tree_swap_bijection,
@@ -261,7 +262,7 @@ def test_criterion_08_grasshopper():
         y = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
         analytic = grasshopper_distance(e2, x, y)
         graph = UnitJumpGraph.build(e2, euclid_jump_chain(e2, x, y))
-        assert grasshopper_distance(e2, x, y, mode="graph", graph=graph) == analytic
+        assert graph_bfs_distance(graph, x, y) == analytic
 
     tree = swap_tree()
     tps = TreePointSet(tree, Fraction(1, 10), Fraction(1, 5))

@@ -70,6 +70,31 @@ def test_cli_tree_file_config(tmp_path):
                                "tree_file": str(tree_path)}))
     r = _run(["--config", str(cfg), "--out", str(tmp_path / "o.json")])
     assert r.returncode == 0
+    # --tol rebuilds the config, and the tree from tree_file passes again
+    r = _run(["--config", str(cfg), "--tol", "1e-9", "--out", str(tmp_path / "o.json")])
+    assert r.returncode == 0
+
+
+def test_cli_horofn_tol_zero_reports_limit_failures():
+    # at tol 0 the float Busemann limits cannot converge (E^2) or walk out
+    # of double range (H^2): failed reports with witnesses, not a traceback
+    r = _run(["--suite", "horofn", "--seed", "7", "--tol", "0"])
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+    reports = json.loads(r.stdout, parse_constant=reject)["reports"]
+    euclid, hyper, tree = reports[:3]
+    assert euclid["check"] == "busemann-oracle[euclidean-2]"
+    assert euclid["status"] == "fail" and euclid["counts"]["violations"] == 50
+    assert hyper["check"] == "busemann-oracle[hyperbolic-plane]"
+    assert hyper["status"] == "fail"
+    errors = [w["error"] for w in euclid["witnesses"] + hyper["witnesses"] if "error" in w]
+    assert any("not stable" in e for e in errors)
+    assert any("leaves double range" in e for e in errors)
+    assert all(w["stage"] == "limit" for w in hyper["witnesses"] if "error" in w)
+    assert tree["check"] == "busemann-oracle[tree]" and tree["status"] == "pass"
 
 
 def test_emit_parse_roundtrip():
@@ -151,10 +176,18 @@ def test_scenario_config_validation():
     ({"suite": "horofn", "seed": 7, "parameters": {"ray_pairs": 2.5}}, []),
     ({"suite": "grasshopper", "seed": 7, "parameters": {"pairs": True}}, []),
     ({"suite": "axioms", "seed": 7, "tree_file": 5}, []),
+    (5, ["--suite", "axioms", "--seed", "7"]),
+    ([1], ["--suite", "axioms", "--seed", "7"]),
+    ("abc", ["--suite", "axioms", "--seed", "7"]),
+    ({"suite": "axioms", "seed": 7, "output": 1.5}, []),
+    ({"suite": "axioms", "seed": 7, "output": ["x.json"]}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": {"tree": 5}}, []),
+    ({"suite": "axioms", "seed": 7, "parameters": {"tree": 5}}, ["--tol", "0.1"]),
 ], ids=["seed-str", "seed-str-deterministic-suite", "seed-bool", "cli-tol-nan",
         "cli-tol-negative", "config-tol-negative", "config-tol-inf", "parameters-int",
         "parameters-list", "count-str", "count-zero", "count-float", "count-bool",
-        "tree-file-int"])
+        "tree-file-int", "config-int", "config-list", "config-str", "output-float",
+        "output-list", "tree-param-int", "tree-param-int-with-tol"])
 def test_cli_rejects_bad_seed_and_tol(tmp_path, capsys, config, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -9,6 +9,7 @@ from metriclab.grasshopper import (
     UnitJumpGraph,
     band_membership,
     euclid_jump_chain,
+    graph_bfs_distance,
     grasshopper_components,
     grasshopper_distance,
     line_counterexample,
@@ -79,7 +80,7 @@ def test_grasshopper_euclid_agrees_with_graph_bfs():
         chain = euclid_jump_chain(e2, x, y)
         assert len(chain) == analytic + 1
         graph = UnitJumpGraph.build(e2, chain)
-        assert grasshopper_distance(e2, x, y, mode="graph", graph=graph) == analytic
+        assert graph_bfs_distance(graph, x, y) == analytic
 
 
 def test_grasshopper_components_partition():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from metriclab.horofn import (
-    _ray_grid,
     busemann_value,
     check_busemann_sum_bound,
     horoball_contains,
@@ -19,6 +18,7 @@ from metriclab.horofn import (
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
+    MinkowskiLinf,
     MinkowskiLp,
     SpaceError,
     SphereIntrinsic,
@@ -34,6 +34,7 @@ from metriclab.spaces import (
     tree_end,
     tree_vertex,
 )
+from oracles import _ray_grid
 
 INF = math.inf
 
@@ -94,6 +95,21 @@ def test_busemann_minkowski_subquadratic_axis_direction():
     y2 = point(l15, (1.5, 2.5))
     assert abs(busemann_value(l15, r2, y2, method="closed")
                - busemann_value(l15, r2, y2, method="limit")) <= 1e-6
+
+
+def test_busemann_supnorm_closed_form():
+    # d(y, c(t)) - t stays at 2.0 up to the kink at t ~ 300 and is -1.0
+    # beyond it; the limit oracle accepts the early stretch's intercept
+    linf = MinkowskiLinf()
+    r = ray_from(linf, point(linf, (0, 0)), direction_ideal(linf, (1, 0.99)))
+    y = point(linf, (1, -2))
+    assert busemann_value(linf, r, y) == -1.0
+    assert distance(linf, y, r.point_at(1e6)) - 1e6 == -1.0
+    # a tie between the coordinates keeps both in the maximum
+    r2 = ray_from(linf, point(linf, (0, 0)), direction_ideal(linf, (1, -1)))
+    y2 = point(linf, (1, 2))
+    assert busemann_value(linf, r2, y2) == 2.0
+    assert distance(linf, y2, r2.point_at(1e6)) - 1e6 == 2.0
 
 
 def test_busemann_tree_base_ray_invariance(ended_tree):
@@ -236,6 +252,16 @@ def test_ray_pseudodistance_rejects_diverging():
     c = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
     d = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (0, 1)))
     with pytest.raises(SpaceError):
+        ray_pseudodistance(e2, c, d)
+
+
+def test_ray_pseudodistance_rejects_non_asymptotic():
+    # opposite rays that first approach each other: the same-parameter
+    # distance shrinks up to t = 100, yet the rays have no common end
+    e2 = Euclidean(2)
+    c = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
+    d = ray_from(e2, point(e2, (200, 1)), direction_ideal(e2, (-1, 0)))
+    with pytest.raises(SpaceError, match="not asymptotic"):
         ray_pseudodistance(e2, c, d)
 
 

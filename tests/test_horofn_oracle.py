@@ -1,5 +1,5 @@
 """The closed-form asymptotic-ray pseudometric (``Space.rho_closed``)
-against the grid oracle ``horofn._ray_grid`` on seeded asymptotic rays."""
+against the grid oracle ``oracles._ray_grid`` on seeded asymptotic rays."""
 
 import math
 import random
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.horofn import _ray_grid, ray_pseudodistance
+from metriclab.horofn import ray_pseudodistance
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
@@ -22,6 +22,7 @@ from metriclab.spaces import (
     point,
     ray_from,
 )
+from oracles import _ray_grid
 
 INF = math.inf
 
