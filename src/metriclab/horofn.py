@@ -212,15 +212,55 @@ def shadow_contains(space, y, x0: Point, z: Point, tol: float = 1e-9) -> bool:
     return float(dyx) + float(dxz) <= float(dyz) + tol
 
 
+def _arc_indices(resolution: int, w, sin2: float):
+    """Ascending indices k of the directions 2 pi k / resolution within the
+    arc of half-angle h around the direction w, sin^2(h/2) = sin2, widened
+    by two directions on each side against rounding."""
+    if not sin2 < 1.0:
+        return range(resolution)
+    step = 2.0 * math.pi / resolution
+    half = 2.0 * math.asin(math.sqrt(max(0.0, sin2))) / step
+    mid = math.atan2(w[1], w[0]) / step
+    lo, hi = math.floor(mid - half) - 2, math.ceil(mid + half) + 2
+    if hi - lo + 1 >= resolution:
+        return range(resolution)
+    return sorted(k % resolution for k in range(lo, hi + 1))
+
+
 def spherical_shadow_sample(space, y, x0: Point, rho: float,
                             resolution: int = 360, tol: float = 1e-6) -> SampleSet:
     """Points of the sphere S(x0, rho) lying in the shadow of x0 relative
-    to y, sampled at `resolution` directions. Euclidean plane only."""
+    to y, sampled at `resolution` directions. Euclidean plane only.
+
+    On E^2 the shadow meets the circle in the arc around the direction w
+    from y through x0 (for ideal y, against the ray from x0 toward y) with
+    half-angle h. For finite y, with D = d(y, x0), the law of cosines turns
+    d(y, z) >= D + rho - tol into 1 - cos h = tol (2 (D + rho) - tol) /
+    (2 D rho) (free of the cancellation in (D + rho - tol)^2 - D^2 - rho^2),
+    the whole circle once D + rho <= tol; for ideal y the Busemann level
+    beta(z) = rho gives 1 - cos h = tol / rho. Only the directions in that
+    window are built, and `shadow_contains` decides each of them.
+    """
     if not (isinstance(space, Euclidean) and space.dim == 2):
         raise SpaceError("spherical shadow sampling is implemented for Euclidean(2)")
+    if (isinstance(rho, bool) or not isinstance(rho, (int, float))
+            or not math.isfinite(rho) or rho <= 0):
+        raise SpaceError(f"shadow sphere radius must be finite and > 0, got {rho!r}")
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise SpaceError(f"shadow resolution must be an integer >= 1, got {resolution!r}")
     cx, cy = x0.coords
+    if isinstance(y, IdealPoint):
+        vx, vy = ray_from(space, x0, y).point_at(1).coords
+        w = (cx - vx, cy - vy)
+        sin2 = tol / (2.0 * rho)
+    else:
+        if y.coords == x0.coords:
+            raise SpaceError("shadow base y must differ from x0")
+        d = distance(space, y, x0)
+        w = (cx - y.coords[0], cy - y.coords[1])
+        sin2 = INF if d + rho - tol <= 0 else tol * (2.0 * (d + rho) - tol) / (4.0 * d * rho)
     hits = []
-    for k in range(resolution):
+    for k in _arc_indices(resolution, w, sin2):
         ang = 2.0 * math.pi * k / resolution
         z = point(space, (cx + rho * math.cos(ang), cy + rho * math.sin(ang)))
         if shadow_contains(space, y, x0, z, tol=tol):

@@ -1020,7 +1020,7 @@ class GeodesicRef:
 
 def _check_member(space, *pts):
     for p in pts:
-        if not isinstance(p, Point) or p.space != space:
+        if not isinstance(p, Point) or (p.space is not space and p.space != space):
             raise SpaceError(f"point {p!r} does not belong to {space!r}")
 
 

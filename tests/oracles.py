@@ -2,7 +2,11 @@
 compare the closed forms in ``metriclab`` against. Nothing in ``src/`` calls
 them."""
 
-from metriclab.spaces import SpaceError, distance
+import math
+
+from metriclab.horofn import shadow_contains
+from metriclab.spaces import SpaceError, distance, point
+from metriclab.verify import SampleSet
 
 
 def _ray_grid(space, c, d):
@@ -48,3 +52,18 @@ def _ray_grid(space, c, d):
         t_lo = max(0.0, ts[bj] - 2.0 * ct)
         t_hi = ts[bj] + 2.0 * ct
     return best
+
+
+def _shadow_sweep(space, y, x0, rho, resolution, tol):
+    """Sweep oracle for ``spherical_shadow_sample``: tests every one of the
+    `resolution` directions of the sphere S(x0, rho) with ``shadow_contains``."""
+    cx, cy = x0.coords
+    hits = []
+    for k in range(resolution):
+        ang = 2.0 * math.pi * k / resolution
+        z = point(space, (cx + rho * math.cos(ang), cy + rho * math.sin(ang)))
+        if shadow_contains(space, y, x0, z, tol=tol):
+            hits.append(z)
+    if not hits:
+        raise SpaceError("no shadow points at this resolution; widen tol")
+    return SampleSet(space, tuple(hits), spec=f"shadow(rho={rho}, res={resolution})")

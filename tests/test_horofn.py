@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from metriclab import horofn
 from metriclab.horofn import (
     busemann_value,
     check_busemann_sum_bound,
@@ -336,6 +337,50 @@ def test_spherical_shadow_sample():
                                      1.0, resolution=720, tol=1e-4)
     for z in sample.points:
         assert z.coords[0] > 0.99
+
+
+def test_spherical_shadow_sample_tests_only_the_window(monkeypatch):
+    # the suite's input: the full sweep made 720 shadow_contains calls
+    calls = []
+    inner = horofn.shadow_contains
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(horofn, "shadow_contains", counting)
+    e2 = Euclidean(2)
+    sample = spherical_shadow_sample(e2, point(e2, (-2.0, 0.0)), point(e2, (0.0, 0.0)),
+                                     1.0, resolution=720, tol=1e-4)
+    assert sample.points
+    assert len(calls) < 20
+
+
+def test_spherical_shadow_sample_ideal_base():
+    e2 = Euclidean(2)
+    sample = spherical_shadow_sample(e2, direction_ideal(e2, (1, 0)), point(e2, (0, 0)),
+                                     1.0, resolution=720, tol=1e-4)
+    assert sample.points
+    for z in sample.points:
+        assert z.coords[0] <= -0.99
+
+
+@pytest.mark.parametrize("rho, resolution", [
+    (math.inf, 720), (math.nan, 720), (0.0, 720), (-1.0, 720), ("1", 720), (True, 720),
+    (1.0, 0), (1.0, -3), (1.0, 7.0), (1.0, True), (1.0, None)])
+def test_spherical_shadow_sample_rejects_degenerate_spheres(rho, resolution):
+    e2 = Euclidean(2)
+    with pytest.raises(SpaceError):
+        spherical_shadow_sample(e2, point(e2, (-1, 0)), point(e2, (0, 0)), rho,
+                                resolution=resolution, tol=1e-4)
+
+
+def test_spherical_shadow_sample_rejects_bad_bases():
+    e2, e3 = Euclidean(2), Euclidean(3)
+    x0 = point(e2, (0, 0))
+    for y in (x0, point(e3, (1, 0, 0)), direction_ideal(e3, (1, 0, 0))):
+        with pytest.raises(SpaceError):
+            spherical_shadow_sample(e2, y, x0, 1.0, resolution=720, tol=1e-4)
 
 
 def test_shadow_semicontinuity_spot_check():

@@ -1,14 +1,16 @@
 """The closed-form asymptotic-ray pseudometric (``Space.rho_closed``)
-against the grid oracle ``oracles._ray_grid`` on seeded asymptotic rays."""
+against the grid oracle ``oracles._ray_grid`` on seeded asymptotic rays, and
+the closed-form shadow window of ``spherical_shadow_sample`` against the
+full sweep ``oracles._shadow_sweep``."""
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metriclab.horofn import ray_pseudodistance
+from metriclab.horofn import ray_pseudodistance, spherical_shadow_sample
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
@@ -22,7 +24,7 @@ from metriclab.spaces import (
     point,
     ray_from,
 )
-from oracles import _ray_grid
+from oracles import _ray_grid, _shadow_sweep
 
 INF = math.inf
 
@@ -83,3 +85,47 @@ def test_rho_closed_euclid_is_perpendicular_offset(a, b, ang):
     c, d = ray_from(e2, point(e2, a), xi), ray_from(e2, point(e2, b), xi)
     offset = abs(u[0] * (b[1] - a[1]) - u[1] * (b[0] - a[0]))
     assert abs(ray_pseudodistance(e2, c, d) - offset) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ideal=st.booleans(),
+       x0=st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+       ang=st.floats(-2 * math.pi, 2 * math.pi),
+       dist=st.floats(1e-3, 30),
+       rho=st.floats(1e-3, 30),
+       tol=st.floats(1e-9, 3),
+       resolution=st.sampled_from((1, 7, 360, 720, 1000)))
+# the suite's case: the window wraps through the direction k = 0
+@example(ideal=False, x0=(0.0, 0.0), ang=0.0, dist=2.0, rho=1.0, tol=1e-4, resolution=720)
+@example(ideal=True, x0=(0.0, 0.0), ang=0.0, dist=1.0, rho=1.0, tol=1e-4, resolution=720)
+# the whole circle: D + rho <= tol, and tol / rho >= 2 for ideal y
+@example(ideal=False, x0=(1.0, -2.0), ang=1.0, dist=0.5, rho=0.5, tol=2.0, resolution=360)
+@example(ideal=True, x0=(1.0, -2.0), ang=1.0, dist=1.0, rho=0.5, tol=1.5, resolution=360)
+def test_shadow_window_agrees_with_sweep(ideal, x0, ang, dist, rho, tol, resolution):
+    e2 = Euclidean(2)
+    # u is the direction from y through x0, so the shadow sits around x0 + rho u
+    u = (math.cos(ang), math.sin(ang))
+    if ideal:
+        y = direction_ideal(e2, (-u[0], -u[1]))
+    else:
+        y = point(e2, (x0[0] - dist * u[0], x0[1] - dist * u[1]))
+    x0 = point(e2, x0)
+    try:
+        want = _shadow_sweep(e2, y, x0, rho, resolution, tol)
+    except SpaceError:
+        with pytest.raises(SpaceError):
+            spherical_shadow_sample(e2, y, x0, rho, resolution=resolution, tol=tol)
+        return
+    got = spherical_shadow_sample(e2, y, x0, rho, resolution=resolution, tol=tol)
+    assert got.points == want.points
+    assert got.spec == want.spec
+
+
+def test_shadow_window_and_sweep_raise_on_empty_shadow():
+    # no direction 2 pi k / 7 lies within 1e-4 rad of the arc's centre pi / 2
+    e2 = Euclidean(2)
+    y, x0 = point(e2, (0.0, -1.0)), point(e2, (0.0, 0.0))
+    with pytest.raises(SpaceError, match="no shadow points"):
+        _shadow_sweep(e2, y, x0, 1.0, 7, 1e-9)
+    with pytest.raises(SpaceError, match="no shadow points"):
+        spherical_shadow_sample(e2, y, x0, 1.0, resolution=7, tol=1e-9)
