@@ -30,6 +30,7 @@ from .spaces import (
     boundary_ideal,
     direction_ideal,
     distance,
+    distance_rows,
     geodesic_between,
     line_through,
     midpoint,

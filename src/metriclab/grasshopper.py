@@ -20,6 +20,7 @@ from .spaces import (
     SpaceError,
     SphereIntrinsic,
     distance,
+    distance_rows,
     point,
     tree_edge_point,
     tree_ray_point,
@@ -45,13 +46,12 @@ class UnitJumpGraph:
     @staticmethod
     def build(space, points) -> "UnitJumpGraph":
         nodes = tuple(points)
+        rows = distance_rows(space, nodes)
         exact = space.exact
         adj = {i: [] for i in range(len(nodes))}
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                d = distance(space, nodes[i], nodes[j])
-                unit = (d == 1) if exact else abs(float(d) - 1.0) <= 1e-9
-                if unit:
+        for i, row in enumerate(rows):
+            for j, d in enumerate(row, i + 1):
+                if (d == 1) if exact else abs(float(d) - 1.0) <= 1e-9:
                     adj[i].append(j)
                     adj[j].append(i)
         return UnitJumpGraph(space, nodes, adj)

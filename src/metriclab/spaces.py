@@ -15,8 +15,10 @@ Each space in the catalog carries exact or closed-form distance, geodesics
 
 Each model subclasses ``Space`` and owns its geometry behind that protocol;
 the module-level functions (``distance``, ``geodesic_between``, ``ray_from``,
-...) check membership and call the model. Tree points and distances are
-exact ``Fraction`` values; every other model works in 64-bit floats.
+...) check membership and call the model. ``distance_rows`` checks a whole
+point set once and then streams its pair distances on raw coordinates, for
+the O(n^2) pair checks. Tree points and distances are exact ``Fraction``
+values; every other model works in 64-bit floats.
 """
 
 from __future__ import annotations
@@ -290,16 +292,15 @@ def _flat_line_anchor(space, through):
 
 class NormedSpace(Space):
     """R^dim with a norm: distance, geodesics and ideal points are affine.
-    Subclasses give ``norm`` and a ``dim`` field."""
+    Subclasses give ``norm``, a ``dim`` field and ``distance``, which is
+    ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
+    same float operations in the same order."""
 
     strictly_convex = True
 
     def validate(self, c):
         if not (isinstance(c, tuple) and len(c) == self.dim):
             raise SpaceError(f"expected {self.dim}-tuple of reals, got {c!r}")
-
-    def distance(self, a, b):
-        return self.norm(vsub(a, b))
 
     def _along(self, x0, u):
         def at(t):
@@ -349,6 +350,9 @@ class Euclidean(NormedSpace):
     def norm(self, v):
         return enorm(v)
 
+    def distance(self, a, b):
+        return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
+
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
@@ -375,6 +379,9 @@ class MinkowskiLp(NormedSpace):
     def norm(self, v):
         return pnorm(v, self.p)
 
+    def distance(self, a, b):
+        return sum(abs(x - y) ** self.p for x, y in zip(a, b)) ** (1.0 / self.p)
+
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
@@ -399,6 +406,9 @@ class MinkowskiLinf(NormedSpace):
 
     def norm(self, v):
         return supnorm(v)
+
+    def distance(self, a, b):
+        return max(abs(x - y) for x, y in zip(a, b))
 
     def busemann_closed(self, ray, y):
         # |y - o - t u|_oo - t: a coordinate with |u_i| < 1 falls behind by
@@ -521,8 +531,9 @@ class SphereIntrinsic(Space):
             raise SpaceError(f"sphere direction must be unit within 1e-12: {c!r}")
 
     def distance(self, a, b):
+        # r atan2(|a - (a.b) b|, a.b)
         c = vdot(a, b)
-        s = enorm(vsub(a, vscale(b, c)))
+        s = math.sqrt(sum((x - y * c) * (x - y * c) for x, y in zip(a, b)))
         return self.radius * math.atan2(s, c)
 
     def segment(self, a, b, d):
@@ -870,6 +881,10 @@ class MaxProduct(Space):
     left: object
     right: object
 
+    @property
+    def exact(self):
+        return self.left.exact and self.right.exact
+
     def __post_init__(self):
         def depth(s):
             if isinstance(s, MaxProduct):
@@ -1018,9 +1033,14 @@ class GeodesicRef:
         return (-INF, INF)
 
 
+def _same_space(a, b) -> bool:
+    # identity first: dataclass equality compares every field
+    return a is b or a == b
+
+
 def _check_member(space, *pts):
     for p in pts:
-        if not isinstance(p, Point) or (p.space is not space and p.space != space):
+        if not isinstance(p, Point) or not _same_space(p.space, space):
             raise SpaceError(f"point {p!r} does not belong to {space!r}")
 
 
@@ -1028,6 +1048,19 @@ def distance(space, x: Point, y: Point):
     """Distance in the model space; exact Fraction on trees, float elsewhere."""
     _check_member(space, x, y)
     return space.distance(x.coords, y.coords)
+
+
+def distance_rows(space, points):
+    """The pair distances of `points`, row by row: row i lists
+    d(points[i], points[j]) for j > i, in order.
+
+    Membership is checked once, here, for every point; the rows are then
+    computed on raw coordinates as they are consumed, so the n x n table
+    never exists."""
+    _check_member(space, *points)
+    dist = space.distance
+    coords = [p.coords for p in points]
+    return ([dist(a, b) for b in coords[i + 1:]] for i, a in enumerate(coords))
 
 
 def geodesic_between(space, x: Point, y: Point) -> GeodesicRef:

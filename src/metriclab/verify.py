@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,9 +19,12 @@ from .spaces import (
     GeodesicRef,
     Point,
     SpaceError,
+    _check_member,
     _check_space,
+    _same_space,
     closest_param,
     distance,
+    distance_rows,
     midpoint,
 )
 
@@ -93,7 +97,7 @@ class SampleSet:
 
     def __post_init__(self):
         for p in self.points:
-            if p.space != self.space:
+            if not _same_space(p.space, self.space):
                 raise SpaceError("sample point from a different space")
         if not self.points:
             raise SpaceError("empty sample")
@@ -131,18 +135,20 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
     rep = VerificationReport(f"metric-axioms[{space.tag()}]", tolerance=tol)
     rng = random.Random(seed)
     pts = sample.points
+    _check_member(space, *pts)
+    dist = space.distance
     exact = space.exact
     checked = 0
     for _ in range(triples):
         x, y, z = (pts[rng.randrange(len(pts))] for _ in range(3))
-        dxy, dyx = distance(space, x, y), distance(space, y, x)
+        dxy, dyx = dist(x.coords, y.coords), dist(y.coords, x.coords)
         if (dxy != dyx) if exact else abs(float(dxy) - float(dyx)) > tol:
             rep.fail({"axiom": "symmetry", "x": x, "y": y, "dxy": dxy, "dyx": dyx})
         zero = (dxy == 0) if exact else float(dxy) <= tol
         if zero != (x.coords == y.coords):
             rep.fail({"axiom": "identity", "x": x, "y": y, "d": dxy})
-        dxz = distance(space, x, z)
-        dyz = distance(space, y, z)
+        dxz = dist(x.coords, z.coords)
+        dyz = dist(y.coords, z.coords)
         slack = float(dxy) + float(dyz) - float(dxz)
         if exact:
             if dxz > dxy + dyz:
@@ -209,16 +215,20 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef,
 
 def hausdorff_distance(space, A: SampleSet, B: SampleSet) -> float:
     """Two-sided Hausdorff distance between finite samples."""
-    if A.space != space or B.space != space:
+    if not (_same_space(A.space, space) and _same_space(B.space, space)):
         raise SpaceError("samples from a different space")
+    # a SampleSet checks its points against its space when it is built
+    dist = space.distance
+    a_coords = [p.coords for p in A.points]
+    b_coords = [q.coords for q in B.points]
 
     def directed(src, dst):
         worst = 0.0
-        for p in src.points:
-            best = min(float(distance(space, p, q)) for q in dst.points)
+        for a in src:
+            best = min(float(dist(a, b)) for b in dst)
             worst = max(worst, best)
         return worst
-    return max(directed(A, B), directed(B, A))
+    return max(directed(a_coords, b_coords), directed(b_coords, a_coords))
 
 
 # ---------------------------------------------------------------------------
@@ -368,37 +378,31 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
     pts = sample.points
     images = [f.forward(p) for p in pts]
+    rows = zip(distance_rows(X, pts), distance_rows(Y, images))
+    exact = tol == 0 and X.exact and Y.exact
     pairs = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx = distance(X, pts[i], pts[j])
-            dy = distance(Y, images[i], images[j])
-            pairs += 1
-            if tol == 0 and isinstance(dx, Fraction) and isinstance(dy, Fraction):
-                ok = dx == dy
-            else:
-                ok = abs(float(dx) - float(dy)) <= tol
-            if not ok:
+    for i, (row_x, row_y) in enumerate(rows):
+        pairs += len(row_x)
+        for j, (dx, dy) in enumerate(zip(row_x, row_y), i + 1):
+            if not ((dx == dy) if exact else abs(float(dx) - float(dy)) <= tol):
                 rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
     rep.counts = {"pairs": pairs, "violations": len(rep.witnesses)}
     return rep.finalize()
 
 
-def _unit_class(d, mode: str, tol: float):
-    """Snap |d - 1| <= tol to exactly 1, then compare per mode."""
-    if isinstance(d, Fraction) and tol == 0:
-        val = d
-    else:
-        val = float(d)
-        if abs(val - 1.0) <= tol:
-            val = 1.0
-    if mode == "eq":
-        return val == 1
-    if mode == "le":
-        return val <= 1
-    if mode == "lt":
-        return val < 1
-    raise SpaceError(f"unknown mode {mode!r}")
+_UNIT_MODES = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}
+
+
+def _unit_class(mode: str, tol: float, exact: bool):
+    """The classifier of a row of distances of one space: each d compared
+    with 1 per mode. Exact distances compare as they are when tol == 0;
+    otherwise |d - 1| <= tol snaps to exactly 1 first."""
+    cmp = _UNIT_MODES.get(mode)
+    if cmp is None:
+        raise SpaceError(f"unknown mode {mode!r}")
+    if exact and tol == 0:
+        return lambda row: [cmp(d, 1) for d in row]
+    return lambda row: [cmp(1.0 if abs(v - 1.0) <= tol else v, 1) for v in map(float, row)]
 
 
 def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
@@ -413,16 +417,16 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
     pts = list(sample.points)
     images = [f.forward(p) for p in pts]
     preimages = [f.inverse(q) for q in images]
+    rows = zip(distance_rows(X, pts), distance_rows(Y, images), distance_rows(X, preimages))
+    unit_x, unit_y = _unit_class(mode, tol, X.exact), _unit_class(mode, tol, Y.exact)
     pairs = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            before = _unit_class(distance(X, pts[i], pts[j]), mode, tol)
-            after = _unit_class(distance(Y, images[i], images[j]), mode, tol)
-            pairs += 1
+    for i, (row_x, row_y, row_back) in enumerate(rows):
+        pairs += len(row_x)
+        classes = zip(unit_x(row_x), unit_y(row_y), unit_x(row_back))
+        for j, (before, after, back) in enumerate(classes, i + 1):
             if before != after:
                 rep.fail({"direction": "forward", "x": pts[i], "y": pts[j],
                           "before": before, "after": after})
-            back = _unit_class(distance(X, preimages[i], preimages[j]), mode, tol)
             if after != back:
                 rep.fail({"direction": "inverse", "x": images[i], "y": images[j],
                           "image_class": after, "preimage_class": back})

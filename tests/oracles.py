@@ -5,8 +5,21 @@ them."""
 import math
 
 from metriclab.horofn import shadow_contains
-from metriclab.spaces import SpaceError, distance, point
+from metriclab.spaces import SpaceError, distance, enorm, point, vdot, vscale, vsub
 from metriclab.verify import SampleSet
+
+
+def _normed_distance(space, a, b):
+    """The flat models' distance as the norm of the difference tuple,
+    ``norm(vsub(a, b))``: the formula the fused kernels must reproduce."""
+    return space.norm(vsub(a, b))
+
+
+def _sphere_distance(space, a, b):
+    """The sphere's angular distance through the tuple helpers:
+    r atan2(|a - (a.b) b|, a.b)."""
+    c = vdot(a, b)
+    return space.radius * math.atan2(enorm(vsub(a, vscale(b, c))), c)
 
 
 def _ray_grid(space, c, d):

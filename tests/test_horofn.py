@@ -375,6 +375,26 @@ def test_spherical_shadow_sample_rejects_degenerate_spheres(rho, resolution):
                                 resolution=resolution, tol=1e-4)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, "1e-4", None, True])
+def test_shadows_reject_bad_tol(tol):
+    # inf made every direction a shadow point; nan and -1 asked to widen tol
+    e2 = Euclidean(2)
+    y, x0 = point(e2, (-2, 0)), point(e2, (0, 0))
+    with pytest.raises(SpaceError, match="shadow tolerance"):
+        shadow_contains(e2, y, x0, point(e2, (0, 5)), tol=tol)
+    with pytest.raises(SpaceError, match="shadow tolerance"):
+        spherical_shadow_sample(e2, y, x0, 1.0, resolution=720, tol=tol)
+
+
+def test_shadows_accept_zero_tol():
+    e2 = Euclidean(2)
+    y, x0 = point(e2, (-1, 0)), point(e2, (0, 0))
+    assert shadow_contains(e2, y, x0, point(e2, (2, 0)), tol=0)
+    assert shadow_contains(e2, y, x0, point(e2, (2, 0)), tol=0.0)
+    sample = spherical_shadow_sample(e2, y, x0, 1.0, resolution=720, tol=0)
+    assert [z.coords for z in sample.points] == [(1.0, 0.0)]
+
+
 def test_spherical_shadow_sample_rejects_bad_bases():
     e2, e3 = Euclidean(2), Euclidean(3)
     x0 = point(e2, (0, 0))

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metriclab.grasshopper import UnitJumpGraph
 from metriclab.spaces import (
     AmbiguousError,
     DegenerateError,
@@ -12,6 +15,7 @@ from metriclab.spaces import (
     HyperbolicPlane,
     IdealPoint,
     MaxProduct,
+    MetricTree,
     MinkowskiLinf,
     MinkowskiLp,
     Point,
@@ -22,6 +26,7 @@ from metriclab.spaces import (
     boundary_ideal,
     direction_ideal,
     distance,
+    distance_rows,
     geodesic_between,
     line_through,
     midpoint,
@@ -33,7 +38,14 @@ from metriclab.spaces import (
     tree_end,
     tree_vertex,
 )
-from metriclab.verify import random_sample
+from metriclab.verify import (
+    BijectionSpec,
+    SampleSet,
+    is_isometry,
+    preserves_unit_distance,
+    random_sample,
+)
+from oracles import _normed_distance, _sphere_distance
 
 
 def test_euclid_pythagoras():
@@ -328,3 +340,102 @@ def test_on_geodesic_parameters(ended_tree):
     off = tree_vertex(ended_tree, "e3")
     ok, _, resid = on_geodesic(ended_tree, line, off, tol=0)
     assert not ok and resid == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# pair-distance rows and the fused distance kernels
+
+def _row_cases():
+    from metriclab.suites import catalog, ended_tree, swap_tree
+    return catalog() + [MaxProduct(ended_tree(), swap_tree())]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9))
+def test_distance_rows_equal_pair_distances(seed, n):
+    # every catalog model, plus a tree x tree product: rows carry the very
+    # values of per-pair `distance` (same floats, same exact Fractions)
+    for space in _row_cases():
+        pts = random_sample(space, n, seed).points if n else ()
+        rows = list(distance_rows(space, pts))
+        assert [len(row) for row in rows] == list(range(n - 1, -1, -1))
+        for i, row in enumerate(rows):
+            for j, d in enumerate(row, i + 1):
+                want = distance(space, pts[i], pts[j])
+                assert type(d) is type(want) and d == want, (space, i, j)
+                if space.exact:
+                    assert isinstance(d, Fraction)
+
+
+def _coords(dim):
+    return st.tuples(*[st.floats(-1e6, 1e6) for _ in range(dim)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=_coords(3), b=_coords(3), scale=st.sampled_from((1e-9, 1e-3, 1.0, 1e3)))
+def test_fused_kernels_match_tuple_formulas_bitwise(a, b, scale):
+    scaled = tuple(x * scale for x in a)
+    for space in (Euclidean(2), Euclidean(3), MinkowskiLp(1.5), MinkowskiLp(3.0),
+                  MinkowskiLinf()):
+        u, v = scaled[:space.dim], b[:space.dim]
+        assert space.distance(u, v).hex() == _normed_distance(space, u, v).hex()
+    for space in (SphereIntrinsic(1.0 / math.pi, 3), SphereIntrinsic(2.5, 2)):
+        if min(math.hypot(*a[:space.dim]), math.hypot(*b[:space.dim])) < 1e-3:
+            continue    # too short to normalize onto the sphere within 1e-12
+        u = sphere_point(space, a[:space.dim]).coords
+        v = sphere_point(space, b[:space.dim]).coords
+        assert space.distance(u, v).hex() == _sphere_distance(space, u, v).hex()
+        assert space.distance(u, u).hex() == _sphere_distance(space, u, u).hex()
+
+
+def test_distance_rows_reject_foreign_point_before_any_row():
+    e2, e3 = Euclidean(2), Euclidean(3)
+    calls = []
+
+    class Counting(Euclidean):
+        def distance(self, a, b):
+            calls.append((a, b))
+            return super().distance(a, b)
+
+    space = Counting(2)
+    pts = [point(space, (float(i), 0.0)) for i in range(5)] + [point(e3, (0, 0, 0))]
+    with pytest.raises(SpaceError):
+        distance_rows(space, pts)
+    assert calls == []
+    with pytest.raises(SpaceError):
+        distance_rows(e2, [point(e2, (0, 0)), (0.0, 1.0)])
+    assert list(distance_rows(e2, [point(e2, (0, 0))])) == [[]]
+
+
+def test_tree_product_is_exact():
+    # edges of length 1 and 1 + 2^-60: the two differ as Fractions but not
+    # as floats, so only an exact comparison tells the unit pair apart
+    eps = Fraction(1, 2 ** 60)
+    t = MetricTree(TreeDesc(("a", "b", "c"), (("a", "b", Fraction(1)), ("b", "c", 1 + eps)),
+                            2 ** 60))
+    prod = MaxProduct(t, t)
+    assert prod.exact
+    assert not MaxProduct(t, RealLine()).exact
+
+    def pt(u, w="a"):
+        return Point(prod, (("v", u), ("v", w)))
+    pts = (pt("a"), pt("b"), pt("c"))
+    assert distance(prod, pts[1], pts[2]) == 1 + eps
+    assert UnitJumpGraph.build(prod, pts).adjacency == {0: [1], 1: [0], 2: []}
+
+    # the reflection a <-> c of the first factor moves the unit pair (a, b)
+    # to the pair (c, b) at distance 1 + 2^-60
+    swap = {"a": "c", "b": "b", "c": "a"}
+
+    def reflect(p):
+        return pt(swap[p.coords[0][1]], p.coords[1][1])
+    f = BijectionSpec("reflect", prod, prod, reflect, reflect)
+    sample = SampleSet(prod, pts)
+    exact = preserves_unit_distance((prod, prod), f, sample, tol=0)
+    assert not exact.passed
+    assert preserves_unit_distance((prod, prod), f, sample, tol=1e-9).passed
+    iso = is_isometry((prod, prod), f, sample, tol=0)
+    assert iso.witnesses == [{"x": [["v", "b"], ["v", "a"]], "y": [["v", "c"], ["v", "a"]],
+                              "d_before": str(1 + eps), "d_after": "1"},
+                             {"x": [["v", "a"], ["v", "a"]], "y": [["v", "b"], ["v", "a"]],
+                              "d_before": "1", "d_after": str(1 + eps)}]

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from metriclab.verify import (
     BijectionSpec,
     SampleSet,
     VerificationReport,
+    _unit_class,
     check_busemann_midpoints,
     check_distance_convexity,
     check_metric_axioms,
@@ -119,6 +121,17 @@ def test_hausdorff_examples():
     assert hausdorff_distance(e2, A, A) == 0.0
     with pytest.raises(SpaceError):
         SampleSet(e2, ())
+
+
+def test_sample_checks_reject_foreign_samples():
+    e2, e3 = Euclidean(2), Euclidean(3)
+    s2, s3 = random_sample(e2, 4, seed=1), random_sample(e3, 4, seed=1)
+    with pytest.raises(SpaceError):
+        check_metric_axioms(e2, s3)
+    with pytest.raises(SpaceError, match="samples from a different space"):
+        hausdorff_distance(e2, s2, s3)
+    with pytest.raises(SpaceError, match="sample point from a different space"):
+        SampleSet(e2, s2.points + s3.points[:1])
 
 
 def test_normed_strip_euclid():
@@ -224,6 +237,26 @@ def test_preserves_unit_distance_modes():
     for mode in ("eq", "le", "lt"):
         rep = preserves_unit_distance((rl, rl), spec, sample, mode=mode)
         assert rep.passed, (mode, rep.witnesses)
+
+
+def test_unit_class_modes_snap_and_exactness():
+    floats = [0.5, 1.0, 1.0 + 1e-12, 1.5]
+    exact = [Fraction(1, 2), Fraction(1), 1 + Fraction(1, 2 ** 60), Fraction(3, 2)]
+    want = {  # (mode, exact row?, tol) -> classes
+        ("eq", False, 1e-9): [False, True, True, False],
+        ("le", False, 1e-9): [True, True, True, False],
+        ("lt", False, 1e-9): [True, False, False, False],
+        ("eq", False, 0.0): [False, True, False, False],
+        ("eq", True, 0): [False, True, False, False],
+        ("le", True, 0): [True, True, False, False],
+        ("lt", True, 0): [True, False, False, False],
+        ("eq", True, 1e-9): [False, True, True, False],     # tol > 0: floats
+    }
+    for (mode, is_exact, tol), classes in want.items():
+        row = exact if is_exact else floats
+        assert _unit_class(mode, tol, is_exact)(row) == classes, (mode, is_exact, tol)
+    with pytest.raises(SpaceError, match="unknown mode"):
+        _unit_class("ge", 1e-9, False)
 
 
 def test_isometry_implies_unit_preservation():
