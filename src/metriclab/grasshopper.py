@@ -139,11 +139,6 @@ def euclid_jump_chain(space: Euclidean, x: Point, y: Point):
     if g == 1:
         return [x, y]
     perp = _unit_perp(space, x, y)
-    if g == 2 and d < 1.0:
-        apex_mid = vscale(tuple(a + b for a, b in zip(x.coords, y.coords)), 0.5)
-        h = math.sqrt(max(0.0, 1.0 - (d / 2.0) ** 2))
-        apex = tuple(m + h * p for m, p in zip(apex_mid, perp))
-        return [x, point(space, apex), y]
     chain = [x]
     u = vscale(tuple(b - a for a, b in zip(x.coords, y.coords)), 1.0 / d)
     straight = g - 2
@@ -198,7 +193,7 @@ def tree_offset_class_nodes(space: MetricTree, x: Point, y: Point):
     res_x, step = tree_offset_residues(space, x)
     res_y, _ = tree_offset_residues(space, y)
     res = res_x | res_y
-    cap = distance(space, x, y) + space.total_length + 3
+    cap = distance(space, x, y) + space.desc.total_length + 3
     nodes = []
     if Fraction(0) in res:
         for v in space.desc.vertices:
@@ -284,6 +279,16 @@ def tree_swap_bijection(tps: TreePointSet) -> BijectionSpec:
         name="tree-swap", domain=space, codomain=space, forward=fwd, inverse=fwd)
 
 
+def _sine_warp(n: int):
+    """t -> t + sin(2 pi n t) / (2 pi n), the warp of the sine
+    counterexamples: strictly increasing, fixing every multiple of 1/(2n)."""
+    two_pi_n = 2.0 * math.pi * n
+
+    def warp(t: float) -> float:
+        return t + math.sin(two_pi_n * t) / two_pi_n
+    return warp
+
+
 def smooth_tree_bijection(space: MetricTree, n: int) -> BijectionSpec:
     """Edgewise t -> t + sin(2 pi n t) / (2 pi n) on a tree whose edges all
     have length 1/n; fixes vertices, continuous, unit-distance preserving,
@@ -294,10 +299,7 @@ def smooth_tree_bijection(space: MetricTree, n: int) -> BijectionSpec:
             raise SpaceError("smooth tree bijection needs all edge lengths 1/n")
     if space.desc.ends:
         raise SpaceError("smooth tree bijection is defined on trees without ends")
-    two_pi_n = 2.0 * math.pi * n
-
-    def warp(t: float) -> float:
-        return t + math.sin(two_pi_n * t) / two_pi_n
+    warp = _sine_warp(n)
 
     def fwd(p: Point) -> Point:
         c = p.coords
@@ -323,10 +325,7 @@ def line_counterexample() -> BijectionSpec:
     """f(x) = x + sin(2 pi x) / (2 pi) on the real line, with its exact
     monotone inverse; preserves the classes d = 1, d <= 1, d < 1."""
     space = RealLine()
-    two_pi = 2.0 * math.pi
-
-    def f(x: float) -> float:
-        return x + math.sin(two_pi * x) / two_pi
+    f = _sine_warp(1)
 
     def fwd(p: Point) -> Point:
         return point(space, f(p.coords))

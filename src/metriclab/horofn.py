@@ -10,7 +10,6 @@ exact: the limit stabilizes at a finite rational truncation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .spaces import (
     ConvergenceError,
@@ -29,42 +28,48 @@ INF = math.inf
 T_CAP = 1e8     # truncation cap of the Busemann and Tits limits
 
 
+def _line_orientation(geo: GeodesicRef, xi: IdealPoint) -> int:
+    """+1 if xi sits at the +oo end of geo, -1 at the -oo end."""
+    if geo.plus is not None and geo.plus.matches(xi):
+        return 1
+    if geo.minus is not None and geo.minus.matches(xi):
+        return -1
+    raise SpaceError("geodesic has no end at the requested ideal point")
+
+
 def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
     """Restrict/reverse a line so it becomes the unit ray toward xi."""
-    if geo.plus is not None and geo.plus.matches(xi):
+    if _line_orientation(geo, xi) == 1:
         if geo.kind == "ray":
             return geo
         return GeodesicRef(space, "ray", geo.point_at, plus=geo.plus)
-    if geo.minus is not None and geo.minus.matches(xi):
-        base = geo.point_at
+    base = geo.point_at
 
-        def at(t):
-            return base(-t)
-        return GeodesicRef(space, "ray", at, plus=geo.minus)
-    raise SpaceError("geodesic has no end at the requested ideal point")
+    def at(t):
+        return base(-t)
+    return GeodesicRef(space, "ray", at, plus=geo.minus)
 
 
 # ---------------------------------------------------------------------------
 # Busemann values
 
-def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "auto",
+def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "closed",
                    tol: float = 1e-6):
     """beta_ray(y); exact Fraction on trees, float elsewhere.
 
-    method: "auto" prefers the model's closed form, "closed" requires one,
-    "limit" forces the truncated doubling limit.
+    method: "closed" takes the model's closed form (every model with rays
+    has one), "limit" forces the truncated doubling limit, the oracle.
     """
     if ray.plus is None:
         raise SpaceError("Busemann function needs a ray with an ideal endpoint")
-    if method not in ("auto", "closed", "limit"):
+    if method == "limit":
+        return _busemann_limit(space, ray, y, tol=tol)
+    if method != "closed":
         raise SpaceError(f"unknown method {method!r}")
-    if method != "limit":
-        val = space.busemann_closed(ray, y)
-        if val is not None:
-            return val
-        if method == "closed":
-            raise SpaceError(f"no closed-form Busemann value for {space!r}")
-    return _busemann_limit(space, ray, y, tol=tol)
+    val = space.busemann_closed(ray, y)
+    if val is None:
+        raise SpaceError(f"no closed-form Busemann value for {space!r}")
+    return val
 
 
 def _busemann_limit(space, ray, y, *, tol):
@@ -112,7 +117,7 @@ def horoball_contains(space, ray: GeodesicRef, x0: Point, x: Point) -> bool:
     """Membership of x in the horoball through x0: beta(x) <= beta(x0) + 1e-9."""
     b0 = busemann_value(space, ray, x0)
     bx = busemann_value(space, ray, x)
-    if isinstance(b0, Fraction) and isinstance(bx, Fraction):
+    if space.exact:
         return bx <= b0
     return float(bx) <= float(b0) + 1e-9
 
@@ -206,7 +211,7 @@ def shadow_contains(space, y, x0: Point, z: Point, tol: float = 1e-9) -> bool:
         r = ray_from(space, x0, y)
         beta_z = busemann_value(space, r, z)
         dz = distance(space, x0, z)
-        if isinstance(beta_z, Fraction) and isinstance(dz, Fraction) and tol == 0:
+        if space.exact and tol == 0:
             return beta_z == dz
         return abs(float(beta_z) - float(dz)) <= tol
     if y.coords == x0.coords:
@@ -214,7 +219,7 @@ def shadow_contains(space, y, x0: Point, z: Point, tol: float = 1e-9) -> bool:
     dyx = distance(space, y, x0)
     dxz = distance(space, x0, z)
     dyz = distance(space, y, z)
-    if isinstance(dyx, Fraction) and tol == 0:
+    if space.exact and tol == 0:
         return dyx + dxz == dyz
     return float(dyx) + float(dxz) <= float(dyz) + tol
 

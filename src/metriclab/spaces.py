@@ -103,12 +103,20 @@ def _as_fraction(t: Number) -> Fraction:
 class TreeDesc:
     """Finite metric tree: vertex ids, weighted edges, a common denominator
     bound for edge lengths, and optional vertices carrying an infinite ray
-    (the tree's ends, used for ideal points)."""
+    (the tree's ends, used for ideal points).
+
+    The traversal that checks connectivity roots the tree at the first
+    vertex and keeps what it visits: ``up`` maps each vertex to (parent,
+    parent-edge index, depth, level), the root's parent and edge being
+    None, and ``total_length`` is the sum of the edge lengths. Neither
+    takes part in equality."""
 
     vertices: tuple
     edges: tuple            # (u, v, Fraction length)
     denominator_bound: int
     ends: tuple = ()
+    up: dict = field(init=False, compare=False, repr=False)
+    total_length: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -120,40 +128,44 @@ class TreeDesc:
         if n < 1:
             raise SpaceError("denominator bound must be positive")
         adj = {v: [] for v in self.vertices}
-        for (u, v, ln) in self.edges:
+        for i, (u, v, ln) in enumerate(self.edges):
             if u not in vs or v not in vs:
                 raise SpaceError(f"edge endpoint not a vertex: {(u, v)}")
             if not isinstance(ln, Fraction) or ln <= 0:
                 raise SpaceError(f"edge length must be a positive Fraction: {ln}")
             if n % ln.denominator != 0:
                 raise SpaceError(f"edge length {ln} has denominator not dividing {n}")
-            adj[u].append(v)
-            adj[v].append(u)
-        # connectivity (acyclicity follows from the edge count)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+            adj[u].append((v, i, ln))
+            adj[v].append((u, i, ln))
+        # connectivity: every vertex is reached (acyclicity follows from the
+        # edge count), so the parent table is the tree's unique one
+        root = self.vertices[0]
+        up = {root: (None, None, Fraction(0), 0)}
+        stack = [root]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            cur = stack.pop()
+            _, _, depth, level = up[cur]
+            for (w, i, ln) in adj[cur]:
+                if w not in up:
+                    up[w] = (cur, i, depth + ln, level + 1)
                     stack.append(w)
-        if seen != vs:
+        if len(up) != len(vs):
             raise SpaceError("edge set is not connected")
         for e in self.ends:
             if e not in vs:
                 raise SpaceError(f"end anchor {e} is not a vertex")
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "total_length", sum(ln for (_, _, ln) in self.edges))
 
     @staticmethod
     def from_json(source) -> "TreeDesc":
-        """Load from a JSON file path, file object, or already-parsed dict.
+        """Load from a JSON file path or an already-parsed dict.
 
         Schema: {"vertices": [...], "edges": [[u, v, "num/den"], ...],
         "denominator_bound": n} plus an optional "ends": [vertex, ...].
         """
         if isinstance(source, dict):
             data = source
-        elif hasattr(source, "read"):
-            data = json.load(source)
         elif isinstance(source, (str, os.PathLike)):
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -623,50 +635,18 @@ class MetricTree(Space):
     0 < offset < length, or ('r', end, offset) with offset > 0 on the
     infinite ray at an end. Ideal points are the ends' anchor vertices.
 
-    Queries run on parent pointers rooted at the first vertex, built in
-    O(V): a point is anchored at a vertex with its depth, and a distance
-    climbs both anchors to their common ancestor."""
+    Queries run on the parent table ``desc.up`` that the ``TreeDesc``
+    builds while it validates: a point is anchored at a vertex with its
+    depth, and a distance climbs both anchors to their common ancestor."""
 
     desc: TreeDesc
 
-    # caches keyed by the (immutable) desc; not part of equality
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
     exact = True
-
-    def _rooted(self):
-        """Parent pointers from one traversal rooted at the first vertex:
-        vertex -> (parent, parent-edge index, depth, level). The root's
-        parent and edge are None."""
-        up = self._cache.get("up")
-        if up is None:
-            adj = {v: [] for v in self.desc.vertices}
-            for i, (u, v, ln) in enumerate(self.desc.edges):
-                adj[u].append((v, i, ln))
-                adj[v].append((u, i, ln))
-            root = self.desc.vertices[0]
-            up = {root: (None, None, Fraction(0), 0)}
-            stack = [root]
-            while stack:
-                cur = stack.pop()
-                _, _, depth, level = up[cur]
-                for (w, i, ln) in adj[cur]:
-                    if w not in up:
-                        up[w] = (cur, i, depth + ln, level + 1)
-                        stack.append(w)
-            self._cache["up"] = up
-        return up
-
-    @property
-    def total_length(self) -> Fraction:
-        if "total" not in self._cache:
-            self._cache["total"] = sum(ln for (_, _, ln) in self.desc.edges)
-        return self._cache["total"]
 
     def _anchor(self, c):
         """A point as (v, depth): its depth, and the vertex v it sits at, on
         v's parent edge above v, or on v's end ray below v."""
-        up = self._rooted()
+        up = self.desc.up
         if c[0] == "v":
             return c[1], up[c[1]][2]
         if c[0] == "r":
@@ -679,7 +659,7 @@ class MetricTree(Space):
 
     def _coords(self, v, d):
         """Canonical coordinates of the anchor (v, d)."""
-        up = self._rooted()
+        up = self.desc.up
         parent, i, depth, _ = up[v]
         if d == depth:
             return ("v", v)
@@ -690,7 +670,7 @@ class MetricTree(Space):
 
     def _climb(self, v, d, s):
         """The anchor s above the anchor (v, d)."""
-        up = self._rooted()
+        up = self.desc.up
         target = d - s
         depth = up[v][2]
         while depth > target:
@@ -704,7 +684,7 @@ class MetricTree(Space):
     def _span(self, a, b):
         """Anchors of a and b, the length of [a, b], and the rise from a to
         the highest point of [a, b]."""
-        up = self._rooted()
+        up = self.desc.up
         (va, da), (vb, db) = self._anchor(a), self._anchor(b)
         if va == vb:
             top = min(da, db)
@@ -753,7 +733,7 @@ class MetricTree(Space):
             raise SpaceError(f"bad tree coords {c!r}")
         if c[0] == "v":
             try:
-                known = c[1] in self._rooted()
+                known = c[1] in self.desc.up
             except TypeError:       # an unhashable id, such as a JSON list
                 known = False
             if not known:
@@ -809,27 +789,19 @@ class MetricTree(Space):
 
     def rho_closed(self, c, d):
         # exact: merging rays give 0; otherwise (rays toward different ends)
-        # the bridge length between the ray images
+        # the bridge length between the ray images: project d(0) onto c,
+        # then that projection onto d
         if c.plus is None or d.plus is None:
             raise SpaceError("tree rays need ideal endpoints")
         if c.plus.rep == d.plus.rep:
             return Fraction(0)
-        c0, d0 = c.point_at(0), d.point_at(0)
-        L = self.total_length + distance(self, c0, d0) + 1
-        P1, Q1 = c0, c.point_at(L)
-        P2, Q2 = d0, d.point_at(L)
-        d_p2p1 = distance(self, P2, P1)
-        d_p2q1 = distance(self, P2, Q1)
-        d_p1q1 = distance(self, P1, Q1)
-        # distance from P2 to the segment [P1, Q1] and the projection parameter
-        g = (d_p2p1 + d_p2q1 - d_p1q1) / 2
-        m = c.point_at(d_p2p1 - g)
-        return (distance(self, m, P2) + distance(self, m, Q2) - distance(self, P2, Q2)) / 2
+        t, _ = self.closest_param(c, d.point_at(0))
+        return self.closest_param(d, c.point_at(t))[1]
 
     def closest_param(self, geo, x):
         # exact Gromov-product projection
         lo, hi = geo.domain()
-        big = self.total_length + self.distance(geo.point_at(0).coords, x.coords) + 1
+        big = self.desc.total_length + self.distance(geo.point_at(0).coords, x.coords) + 1
         lo = _as_fraction(lo) if lo != -INF else -big
         hi = _as_fraction(hi) if hi != INF else big
         p, q = geo.point_at(lo), geo.point_at(hi)
@@ -905,7 +877,7 @@ class MaxProduct(Space):
     def distance(self, a, b):
         dl = self.left.distance(a[0], b[0])
         dr = self.right.distance(a[1], b[1])
-        if isinstance(dl, Fraction) and isinstance(dr, Fraction):
+        if self.exact:
             return max(dl, dr)
         return max(float(dl), float(dr))
 
@@ -983,7 +955,7 @@ class IdealPoint:
     rep: object
 
     def matches(self, other: "IdealPoint") -> bool:
-        if self.space != other.space:
+        if not _same_space(self.space, other.space):
             return False
         return self.space.ideal_matches(self.rep, other.rep)
 
@@ -1075,7 +1047,7 @@ def geodesic_between(space, x: Point, y: Point) -> GeodesicRef:
 def ray_from(space, base: Point, xi: IdealPoint) -> GeodesicRef:
     """Unit-speed ray with c(0) = base and ideal endpoint xi."""
     _check_member(space, base)
-    if xi.space != space:
+    if not _same_space(xi.space, space):
         raise SpaceError("ideal point belongs to a different space")
     return GeodesicRef(space, "ray", space.ray(base.coords, xi.rep), plus=xi)
 
@@ -1086,7 +1058,7 @@ def line_through(space, eta: IdealPoint, xi: IdealPoint, through: Point = None) 
     Flat models and the real line need an anchor point `through` = c(0)
     because the ideal pair only determines a parallel family there.
     """
-    if eta.space != space or xi.space != space:
+    if not (_same_space(eta.space, space) and _same_space(xi.space, space)):
         raise SpaceError("ideal point belongs to a different space")
     if eta.matches(xi):
         raise DegenerateError("line requires distinct ideal endpoints")

@@ -19,6 +19,7 @@ from .spaces import (
     PreconditionError,
     SpaceError,
     distance,
+    distance_rows,
     vadd,
     vscale,
     vsub,
@@ -76,16 +77,13 @@ def validate_r_sequence(seq: RSequence, tol: float = 1e-9) -> VerificationReport
         raise SpaceError("r-sequence window needs at least two indices")
     rep = VerificationReport("r-sequence", tolerance=tol)
     exact = seq.space.exact
-    pairs = 0
-    for a in range(len(zs)):
-        for b in range(a + 1, len(zs)):
-            z1, z2 = zs[a], zs[b]
-            d = distance(seq.space, seq.points[z1], seq.points[z2])
-            pairs += 1
+    rows = distance_rows(seq.space, [seq.points[z] for z in zs])
+    for a, (z1, row) in enumerate(zip(zs, rows)):
+        for z2, d in zip(zs[a + 1:], row):
             bad = (d != z2 - z1) if exact else abs(float(d) - (z2 - z1)) > tol
             if bad:
                 rep.fail({"z1": z1, "z2": z2, "d": d, "expected": z2 - z1})
-    rep.counts = {"pairs": pairs, "violations": len(rep.witnesses)}
+    rep.counts = {"pairs": len(zs) * (len(zs) - 1) // 2, "violations": len(rep.witnesses)}
     return rep.finalize()
 
 

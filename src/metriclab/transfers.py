@@ -23,7 +23,7 @@ from .spaces import (
     point,
     tree_end,
 )
-from .horofn import busemann_value, ray_toward
+from .horofn import _line_orientation, busemann_value, ray_toward
 from .verify import VerificationReport, _jsonable
 
 
@@ -32,15 +32,6 @@ class TransferResult:
     image: Point
     shift: object                 # measured t' - t (Fraction on trees)
     residuals: dict = field(default_factory=dict)
-
-
-def _line_orientation(geo: GeodesicRef, xi: IdealPoint) -> int:
-    """+1 if xi sits at the +oo end of geo, -1 at the -oo end."""
-    if geo.plus is not None and geo.plus.matches(xi):
-        return 1
-    if geo.minus is not None and geo.minus.matches(xi):
-        return -1
-    raise SpaceError("line is not asymptotic to the given ideal point")
 
 
 def transfer_param(space, frm: GeodesicRef, to: GeodesicRef, xi: IdealPoint,

@@ -271,14 +271,12 @@ def detect_normed_strip(space, a: GeodesicRef, b: GeodesicRef) -> VerificationRe
     taus = [i * step for i in range(-grid, grid + 1)]
     prof = {i: float(distance(space, a.point_at(0), b.point_at(t0 + i * step)))
             for i in range(-grid, grid + 1)}
-    bad = 0
     # translation invariance of cross-distances
     for s_i in range(-grid // 2, grid // 2 + 1):
         for i in range(-grid // 2, grid // 2 + 1):
             s = s_i * step
             got = float(distance(space, a.point_at(s), b.point_at(t0 + s + i * step)))
             if abs(got - prof[i]) > tol:
-                bad += 1
                 rep.fail({"kind": "translation", "s": s, "tau": i * step,
                           "got": got, "expect": prof[i]})
     # norm axioms on the table: positivity and convexity (the triangle

@@ -45,6 +45,8 @@ def test_busemann_euclid_closed_form():
     r = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
     assert busemann_value(e2, r, point(e2, (3, 4))) == -3.0
     assert busemann_value(e2, r, r.point_at(0)) == 0.0
+    with pytest.raises(SpaceError, match="unknown method 'auto'"):
+        busemann_value(e2, r, r.point_at(0), method="auto")
 
 
 def test_busemann_limit_matches_closed_form_euclid():

@@ -299,12 +299,26 @@ def test_tree_json_roundtrip(tmp_path, ended_tree):
 
 
 def test_tree_desc_validation():
-    with pytest.raises(SpaceError):
-        TreeDesc(vertices=("a", "b", "c"),
-                 edges=(("a", "b", Fraction(1, 2)),), denominator_bound=2)
-    with pytest.raises(SpaceError):
-        TreeDesc(vertices=("a", "b"),
-                 edges=(("a", "b", Fraction(1, 3)),), denominator_bound=2)
+    half = Fraction(1, 2)
+    # one case per raise of TreeDesc; the rooting traversal is the
+    # connectivity check, so the disconnected case guards it
+    cases = [
+        (("a", "a"), (("a", "a", half),), 2, (), "duplicate vertex ids"),
+        (("a", "b", "c"), (("a", "b", half),), 2, (), "edge count"),
+        (("a", "b"), (("a", "b", half),), 0, (), "denominator bound must be positive"),
+        (("a", "b"), (("a", "z", half),), 2, (), "edge endpoint not a vertex"),
+        (("a", "b"), (("a", "b", Fraction(0)),), 2, (), "positive Fraction"),
+        (("a", "b"), (("a", "b", Fraction(1, 3)),), 2, (), "not dividing 2"),
+        (("a", "b", "c", "d"), (("a", "b", half), ("a", "b", half), ("c", "d", half)), 2, (),
+         "not connected"),
+        (("a", "b"), (("a", "b", half),), 2, ("z",), "end anchor z is not a vertex"),
+    ]
+    for vertices, edges, n, ends, message in cases:
+        with pytest.raises(SpaceError, match=message):
+            TreeDesc(vertices, edges, n, ends)
+    desc = TreeDesc(("a", "b", "c"), (("b", "a", half), ("c", "b", Fraction(3, 2))), 2)
+    assert desc.up == {"a": (None, None, 0, 0), "b": ("a", 0, half, 1), "c": ("b", 1, 2, 2)}
+    assert desc.total_length == 2
 
 
 def test_tree_coordinate_validation(ended_tree):
