@@ -224,8 +224,11 @@ class Space:
     (ideal points passed by their reps), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
     value and the asymptotic-ray pseudometric; None without a closed form),
-    ``closest_param``, and the JSON codecs ``to_json``, ``coords_from_json``
-    and ``ideal_from_json``. ``exact`` is true where distances are exact
+    ``closest_param``, ``rows(coords)`` (the pair distances of a list of
+    coordinates, row i holding d(coords[i], coords[j]) for j > i, as
+    ``distance`` gives them; the default calls ``distance`` per pair), and
+    the JSON codecs ``to_json``, ``coords_from_json`` and
+    ``ideal_from_json``. ``exact`` is true where distances are exact
     Fractions.
     """
 
@@ -233,6 +236,10 @@ class Space:
 
     def coerce(self, coords):
         return tuple(float(x) for x in coords)
+
+    def rows(self, coords):
+        dist = self.distance
+        return ([dist(a, b) for b in coords[i + 1:]] for i, a in enumerate(coords))
 
     def segment(self, a, b, d):
         raise SpaceError(f"geodesics are not supported for {self!r}")
@@ -637,7 +644,10 @@ class MetricTree(Space):
 
     Queries run on the parent table ``desc.up`` that the ``TreeDesc``
     builds while it validates: a point is anchored at a vertex with its
-    depth, and a distance climbs both anchors to their common ancestor."""
+    depth, and a distance climbs both anchors to their common ancestor.
+    The climb works on integer depths over a common denominator L (the
+    denominator bound and the anchors' denominators), and a distance is
+    one ``Fraction`` built at the end."""
 
     desc: TreeDesc
 
@@ -681,29 +691,44 @@ class MetricTree(Space):
             v, depth = parent, pdepth
         return v, target
 
+    def _scaled(self, anchors):
+        """L and the anchors with depths as integers over L, the lcm of the
+        denominator bound (so every vertex depth is an integer over L too)
+        and the anchors' own denominators."""
+        L = math.lcm(self.desc.denominator_bound, *(d.denominator for _, d in anchors))
+        return L, [(v, d.numerator * (L // d.denominator)) for v, d in anchors]
+
+    def _top(self, va, da, vb, db, L):
+        """Depth over L of the highest point of [a, b], for the anchors
+        (va, da) and (vb, db) with integer depths over L."""
+        if va == vb:
+            return min(da, db)
+        up = self.desc.up
+        # climb to the common ancestor by level
+        u, v = va, vb
+        lu, lv = up[u][3], up[v][3]
+        while lu > lv:
+            u, lu = up[u][0], lu - 1
+        while lv > lu:
+            v, lv = up[v][0], lv - 1
+        while u != v:
+            u, v = up[u][0], up[v][0]
+        depth = up[u][2]
+        top = depth.numerator * (L // depth.denominator)
+        # the endpoint anchored at the common ancestor may sit above it
+        if u == va:
+            return min(top, da)
+        if u == vb:
+            return min(top, db)
+        return top
+
     def _span(self, a, b):
         """Anchors of a and b, the length of [a, b], and the rise from a to
         the highest point of [a, b]."""
-        up = self.desc.up
-        (va, da), (vb, db) = self._anchor(a), self._anchor(b)
-        if va == vb:
-            top = min(da, db)
-        else:
-            # climb to the common ancestor by level
-            u, v = va, vb
-            lu, lv = up[u][3], up[v][3]
-            while lu > lv:
-                u, lu = up[u][0], lu - 1
-            while lv > lu:
-                v, lv = up[v][0], lv - 1
-            while u != v:
-                u, v = up[u][0], up[v][0]
-            top = up[u][2]
-            if u == va or u == vb:
-                # the endpoint anchored at the common ancestor may sit above it
-                top = min(top, da if u == va else db)
-        rise = da - top
-        return (va, da), (vb, db), rise + (db - top), rise
+        anchors = self._anchor(a), self._anchor(b)
+        L, ((va, da), (vb, db)) = self._scaled(anchors)
+        top = self._top(va, da, vb, db, L)
+        return anchors[0], anchors[1], Fraction(da + db - 2 * top, L), Fraction(da - top, L)
 
     def _geodesic(self, a, b, *, minus_end=None, plus_end=None):
         """Evaluator over [a, b], extended along end rays if asked. The point
@@ -756,7 +781,24 @@ class MetricTree(Space):
         return coords
 
     def distance(self, a, b) -> Fraction:
-        return self._span(a, b)[2]
+        L, ((va, da), (vb, db)) = self._scaled((self._anchor(a), self._anchor(b)))
+        return Fraction(da + db - 2 * self._top(va, da, vb, db, L), L)
+
+    def rows(self, coords):
+        # each point is anchored once; a pair is then one integer climb, and
+        # equal lengths share one Fraction
+        L, anchors = self._scaled([self._anchor(c) for c in coords])
+        top = self._top
+        memo = {}
+        for i, (va, da) in enumerate(anchors):
+            row = []
+            for vb, db in anchors[i + 1:]:
+                D = da + db - 2 * top(va, da, vb, db, L)
+                d = memo.get(D)
+                if d is None:
+                    d = memo[D] = Fraction(D, L)
+                row.append(d)
+            yield row
 
     def segment(self, a, b, d):
         return self._geodesic(a, b)
@@ -880,6 +922,13 @@ class MaxProduct(Space):
         if self.exact:
             return max(dl, dr)
         return max(float(dl), float(dr))
+
+    def rows(self, coords):
+        pairs = zip(self.left.rows([c[0] for c in coords]),
+                    self.right.rows([c[1] for c in coords]))
+        if self.exact:
+            return ([max(dl, dr) for dl, dr in zip(rl, rr)] for rl, rr in pairs)
+        return ([max(float(dl), float(dr)) for dl, dr in zip(rl, rr)] for rl, rr in pairs)
 
     def random_point(self, rng, scale):
         l = self.left.random_point(rng, scale)
@@ -1026,13 +1075,11 @@ def distance_rows(space, points):
     """The pair distances of `points`, row by row: row i lists
     d(points[i], points[j]) for j > i, in order.
 
-    Membership is checked once, here, for every point; the rows are then
-    computed on raw coordinates as they are consumed, so the n x n table
-    never exists."""
+    Membership is checked once, here, for every point; the space's ``rows``
+    then computes them on raw coordinates as they are consumed, so the
+    n x n table never exists."""
     _check_member(space, *points)
-    dist = space.distance
-    coords = [p.coords for p in points]
-    return ([dist(a, b) for b in coords[i + 1:]] for i, a in enumerate(coords))
+    return space.rows([p.coords for p in points])
 
 
 def geodesic_between(space, x: Point, y: Point) -> GeodesicRef:

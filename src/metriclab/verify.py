@@ -47,13 +47,14 @@ class VerificationReport:
         return self.status == "pass"
 
     def fail(self, witness: dict):
+        # kept as given; finalize converts only the witnesses it keeps
         self.status = "fail"
-        self.witnesses.append(_jsonable(witness))
+        self.witnesses.append(witness)
 
     def finalize(self):
         """Canonical witness order and cap; a failed report keeps >= 1 witness."""
-        self.witnesses = sorted(self.witnesses, key=lambda w: json.dumps(w, sort_keys=True))
-        self.witnesses = self.witnesses[:MAX_WITNESSES]
+        kept = sorted(self.witnesses, key=_witness_key)[:MAX_WITNESSES]
+        self.witnesses = [_jsonable(w) for w in kept]
         if self.status == "fail" and not self.witnesses:
             raise AssertionError("failed report without witnesses")
         return self
@@ -84,6 +85,48 @@ def _jsonable(v):
         # strict JSON has no Infinity or NaN
         return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
     return v
+
+
+def _encode_default(v):
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, Point):
+        return v.coords
+    raise TypeError(f"not JSON serializable: {v!r}")
+
+
+_encode_key = json.JSONEncoder(sort_keys=True, default=_encode_default,
+                               allow_nan=False).encode
+
+
+_STR = frozenset((str,))
+_LEAVES = frozenset((str, int, float, bool, type(None), Fraction))
+
+
+def _str_keyed(v) -> bool:
+    """Is every dict key in v, at any depth, a str?"""
+    if isinstance(v, Point):
+        v = v.coords
+    if isinstance(v, dict):
+        if not _STR.issuperset(map(type, v)):
+            return False
+        v = v.values()
+    elif not isinstance(v, (list, tuple)):
+        return True
+    return _LEAVES.issuperset(map(type, v)) or all(map(_str_keyed, v))
+
+
+def _witness_key(w) -> str:
+    """json.dumps(_jsonable(w), sort_keys=True), from one pass of the C
+    encoder where that gives the same string: it cannot when w holds a
+    non-finite float (the encoder raises) or a non-str dict key (the
+    encoder sorts ints as numbers and spells True and None its own way)."""
+    if _str_keyed(w):
+        try:
+            return _encode_key(w)
+        except ValueError:
+            pass
+    return json.dumps(_jsonable(w), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

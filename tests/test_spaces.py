@@ -421,6 +421,34 @@ def test_distance_rows_reject_foreign_point_before_any_row():
     assert list(distance_rows(e2, [point(e2, (0, 0))])) == [[]]
 
 
+def test_tree_rows_anchor_each_point_once(monkeypatch):
+    # a timing-free guard: n points cost n anchors, not one per pair end,
+    # and a tree x tree product anchors each factor's points once
+    from metriclab.suites import ended_tree, swap_tree
+    calls = []
+    anchor = MetricTree._anchor
+
+    def counting(self, c):
+        calls.append(c)
+        return anchor(self, c)
+    monkeypatch.setattr(MetricTree, "_anchor", counting)
+    tree = swap_tree()
+    pts = random_sample(tree, 12, 5).points
+    calls.clear()
+    list(distance_rows(tree, pts))
+    assert len(calls) == len(pts)
+
+    prod = MaxProduct(ended_tree(), swap_tree())
+    pts = random_sample(prod, 12, 6).points
+    calls.clear()
+    rows = list(distance_rows(prod, pts))
+    assert len(calls) == 2 * len(pts)
+    for i, row in enumerate(rows):
+        for j, d in enumerate(row, i + 1):
+            want = distance(prod, pts[i], pts[j])
+            assert type(d) is type(want) is Fraction and d == want
+
+
 def test_tree_product_is_exact():
     # edges of length 1 and 1 + 2^-60: the two differ as Fractions but not
     # as floats, so only an exact comparison tells the unit pair apart

@@ -13,6 +13,7 @@ from metriclab.spaces import (
     MetricTree,
     TreeDesc,
     distance,
+    distance_rows,
     geodesic_between,
     line_through,
     ray_from,
@@ -95,14 +96,17 @@ class Oracle:
 
 
 def _random_point(rng, tree):
+    # offsets over 7 and 16 as well as N: the integer depths of a distance
+    # share a denominator that the anchors, not only N, decide
     desc = tree.desc
     kind = rng.randrange(3 if desc.ends else 2)
     if kind == 0:
         return tree_vertex(tree, rng.choice(desc.vertices))
+    den = rng.choice((7, 16, N))
     if kind == 1:
         i = rng.randrange(len(desc.edges))
-        return tree_edge_point(tree, i, desc.edges[i][2] * Fraction(rng.randint(1, 15), 16))
-    return tree_ray_point(tree, rng.choice(desc.ends), Fraction(rng.randint(1, 3 * N), N))
+        return tree_edge_point(tree, i, desc.edges[i][2] * Fraction(rng.randint(1, den - 1), den))
+    return tree_ray_point(tree, rng.choice(desc.ends), Fraction(rng.randint(1, 3 * den), den))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -118,6 +122,9 @@ def test_tree_matches_bfs_oracle(seed, shape, V, n_ends):
     for a in pts:
         for b in pts:
             assert distance(tree, a, b) == oracle.dist(a.coords, b.coords)
+    for i, row in enumerate(distance_rows(tree, pts)):
+        for j, d in enumerate(row, i + 1):
+            assert d == oracle.dist(pts[i].coords, pts[j].coords)
 
     for a, b in zip(pts, pts[1:]):
         D = oracle.dist(a.coords, b.coords)
@@ -155,3 +162,18 @@ def test_tree_matches_bfs_oracle(seed, shape, V, n_ends):
         for s, p in zip(params, along):
             for t, q in zip(params, along):
                 assert oracle.dist(p, q) == abs(s - t)
+
+
+def test_common_denominator_includes_the_bound():
+    # b and c sit at depth 1, an integer, but their common ancestor a sits
+    # at 1/3: over the anchors' denominators alone (L = 1) the climb would
+    # read a's depth as 0 and return 2
+    third = Fraction(1, 3)
+    tree = MetricTree(TreeDesc(("r", "a", "b", "c"),
+                               (("r", "a", third), ("a", "b", 2 * third),
+                                ("a", "c", 2 * third)), 3))
+    b, c = tree_vertex(tree, "b"), tree_vertex(tree, "c")
+    assert distance(tree, b, c) == Fraction(4, 3)
+    assert list(distance_rows(tree, [b, c])) == [[Fraction(4, 3)], []]
+    geo = geodesic_between(tree, b, c)
+    assert geo.point_at(Fraction(2, 3)).coords == ("v", "a")

@@ -3,25 +3,31 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
     MinkowskiLinf,
     MinkowskiLp,
+    Point,
     RealLine,
     SpaceError,
     direction_ideal,
     geodesic_between,
     line_through,
     point,
+    tree_edge_point,
     tree_vertex,
 )
 from metriclab.verify import (
     BijectionSpec,
     SampleSet,
     VerificationReport,
+    _jsonable,
     _unit_class,
+    _witness_key,
     check_busemann_midpoints,
     check_distance_convexity,
     check_metric_axioms,
@@ -281,6 +287,60 @@ def test_report_json_stable_order_and_witness_cap():
     out = rep.to_json()
     assert list(out.keys()) == ["check", "status", "counts", "witnesses", "tolerance"]
     json.dumps(out)  # serializable
+
+
+def _reference_key(w):
+    # convert the witness first, then encode it
+    return json.dumps(_jsonable(w), sort_keys=True)
+
+
+def _witness_leaves():
+    from metriclab.suites import ended_tree
+    e2, rl, tree = Euclidean(2), RealLine(), ended_tree()
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), floats,
+        st.text(max_size=4),
+        st.fractions(max_denominator=10 ** 6),
+        st.tuples(floats, floats).map(lambda c: Point(e2, c)),
+        floats.map(lambda x: Point(rl, x)),
+        st.sampled_from(tree.desc.vertices).map(lambda v: tree_vertex(tree, v)),
+        st.integers(1, 15).map(lambda k: tree_edge_point(tree, k % 5, Fraction(k, 32))))
+
+
+_witnesses = st.recursive(
+    _witness_leaves(),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans(),
+                                  st.none(), st.floats(-2, 2)), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(w=_witnesses)
+@example(w={"d": math.nan, "x": Point(Euclidean(2), (math.inf, -math.inf))})
+@example(w={"row": {2: "a", 10: "b"}, "flags": {True: 1, None: 2}})
+@example(w={"x": Point(RealLine(), {2: Fraction(1, 3), 10: 0})})
+def test_witness_key_equals_the_jsonable_key(w):
+    # over Fractions, Points, tuples, nested dicts, int/bool/None/float
+    # keys, nan and inf; the last example is a RealLine point whose
+    # coordinates are a dict, which RealLine.validate lets through
+    assert _witness_key(w) == _reference_key(w)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ws=st.lists(st.dictionaries(st.sampled_from("xyz"), _witnesses, min_size=1),
+                   min_size=1, max_size=40))
+def test_finalize_keeps_the_jsonable_order_and_cap(ws):
+    rep = VerificationReport("demo")
+    for w in ws:
+        rep.fail(w)
+    assert len(rep.witnesses) == len(ws)
+    rep.finalize()
+    assert rep.witnesses == [_jsonable(w) for w in sorted(ws, key=_reference_key)][:32]
 
 
 def test_failed_report_requires_witness():
