@@ -100,13 +100,13 @@ _encode_key = json.JSONEncoder(sort_keys=True, default=_encode_default,
 
 
 _STR = frozenset((str,))
-_LEAVES = frozenset((str, int, float, bool, type(None), Fraction))
+# a Point validates its coordinates as numbers, tags and vertex ids, so
+# it holds no dict
+_LEAVES = frozenset((str, int, float, bool, type(None), Fraction, Point))
 
 
 def _str_keyed(v) -> bool:
     """Is every dict key in v, at any depth, a str?"""
-    if isinstance(v, Point):
-        v = v.coords
     if isinstance(v, dict):
         if not _STR.issuperset(map(type, v)):
             return False

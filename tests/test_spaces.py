@@ -240,6 +240,20 @@ def test_degenerate_and_antipodal_errors():
         line_through(h, boundary_ideal(h, 1.0), boundary_ideal(h, 1.0))
 
 
+def test_point_coords_must_be_real_numbers():
+    # a flat, hyperbolic, sphere or line point holds numbers, not strings or dicts
+    e2, h, s, rl = Euclidean(2), HyperbolicPlane(), SphereIntrinsic(1.0, 2), RealLine()
+    for space, c in ((rl, "abc"), (rl, {1: 2}), (rl, (1.0,)), (rl, None),
+                     (e2, ({1: 2}, 3.0)), (e2, ("0", 0.0)), (h, ("0", 1.0)),
+                     (h, ({}, 1.0)), (s, ("1", "0")), (s, ({1: 2}, 0.0)),
+                     (MaxProduct(e2, rl), ((0.0, 0.0), "1"))):
+        with pytest.raises(SpaceError):
+            Point(space, c)
+    for space, c in ((rl, 1), (rl, Fraction(1, 3)), (e2, (0, Fraction(1, 2))),
+                     (h, (0, 1)), (s, (1, 0))):
+        Point(space, c)
+
+
 def test_max_product_nesting_capped():
     mp1 = MaxProduct(Euclidean(2), RealLine())
     mp2 = MaxProduct(mp1, RealLine())
@@ -447,6 +461,31 @@ def test_tree_rows_anchor_each_point_once(monkeypatch):
         for j, d in enumerate(row, i + 1):
             want = distance(prod, pts[i], pts[j])
             assert type(d) is type(want) is Fraction and d == want
+
+
+def test_tree_rows_memo_is_bounded(monkeypatch):
+    # rows builds one Fraction per distinct length while the memo has room,
+    # and one per pair once it is full; the lengths are the same either way
+    import metriclab.spaces as sp
+    from metriclab.suites import swap_tree
+    tree = swap_tree()
+    pts = random_sample(tree, 20, 7).points
+    coords = [p.coords for p in pts]
+    want = [[distance(tree, a, b) for b in pts[i + 1:]] for i, a in enumerate(pts)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(sp, "Fraction", counting)
+    pairs = len(pts) * (len(pts) - 1) // 2
+    lengths = len({d for row in want for d in row})
+    for bound, lo, hi in ((sp._ROW_MEMO, lengths, lengths), (0, pairs, pairs),
+                          (2, lengths + 1, pairs - 1)):
+        monkeypatch.setattr(sp, "_ROW_MEMO", bound)
+        built.clear()
+        assert list(tree.rows(coords)) == want
+        assert lo <= len(built) <= hi
 
 
 def test_tree_product_is_exact():
