@@ -230,6 +230,13 @@ class Space:
     the JSON codecs ``to_json``, ``coords_from_json`` and
     ``ideal_from_json``. ``exact`` is true where distances are exact
     Fractions.
+
+    A strictly convex plane that carries tapes also gives
+    ``half_chord(u, beta)``: the alpha >= 0 with |alpha u + beta w| = 1 for
+    a unit u, w = (-u[1], u[0]) and |beta| <= 1, or None where it has no
+    closed form for u. Its unit circle in (alpha, beta) is symmetric under
+    the swap, so ``half_chord(u, h)`` is also the height of half-chord h.
+    Models without it build no tapes.
     """
 
     exact = False
@@ -326,8 +333,6 @@ class NormedSpace(Space):
     ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
     same float operations in the same order."""
 
-    strictly_convex = True
-
     def validate(self, c):
         if not _reals(c, self.dim):
             raise SpaceError(f"expected {self.dim}-tuple of reals, got {c!r}")
@@ -388,6 +393,10 @@ class Euclidean(NormedSpace):
         u = vsub(ray.point_at(1).coords, o.coords)
         return -vdot(vsub(y.coords, o.coords), u)
 
+    def half_chord(self, u, beta):
+        # rotation invariance: every unit u sees the same circle
+        return math.sqrt(1.0 - beta * beta)
+
     def tag(self):
         return f"euclidean-{self.dim}"
 
@@ -418,6 +427,12 @@ class MinkowskiLp(NormedSpace):
         grad = tuple(math.copysign(abs(c) ** (self.p - 1.0), c) for c in u)
         return -vdot(vsub(y.coords, o.coords), grad)
 
+    def half_chord(self, u, beta):
+        # alpha u and beta w sit in separate coordinates only on an axis
+        if 0.0 not in u:
+            return None
+        return (1.0 - abs(beta) ** self.p) ** (1.0 / self.p)
+
     def tag(self):
         return f"minkowski-l{self.p:g}"
 
@@ -431,8 +446,6 @@ class MinkowskiLinf(NormedSpace):
     convexity-violation witnesses and excluded from Busemann suites."""
 
     dim: int = 2
-
-    strictly_convex = False
 
     def norm(self, v):
         return supnorm(v)

@@ -482,12 +482,16 @@ def suite_tapes(seed: int, params: dict) -> list:
     e2 = Euclidean(2)
     l3 = MinkowskiLp(3.0)
 
+    axis = {}
+    for space in (e2, l3):
+        xi = direction_ideal(space, (1.0, 0.0))
+        eta = direction_ideal(space, (-1.0, 0.0))
+        axis[space] = line_through(space, eta, xi, point(space, (0.0, 0.0)))
+
     rep = VerificationReport("tape-build", tolerance=1e-9)
     built = {}
     for name, space, drift in (("euclidean-2", e2, 0.6), ("minkowski-l3", l3, 0.8)):
-        xi = direction_ideal(space, (1.0, 0.0))
-        eta = direction_ideal(space, (-1.0, 0.0))
-        a = line_through(space, eta, xi, point(space, (0.0, 0.0)))
+        a = axis[space]
         tape = tp.build_p_tape(space, a, 6, drift)
         built[name] = (space, a, tape)
         sub = tp.validate_p_tape(tape)
@@ -506,12 +510,9 @@ def suite_tapes(seed: int, params: dict) -> list:
     rep = VerificationReport("tape-gate", tolerance=0.0)
     gates = 0
     for space, a_name, drift in ((e2, "euclidean-2", 0.2), (l3, "minkowski-l3", 0.6)):
-        xi = direction_ideal(space, (1.0, 0.0))
-        eta = direction_ideal(space, (-1.0, 0.0))
-        a = line_through(space, eta, xi, point(space, (0.0, 0.0)))
         gates += 1
         try:
-            tp.build_p_tape(space, a, 6, drift)
+            tp.build_p_tape(space, axis[space], 6, drift)
             rep.fail({"case": a_name, "reason": "gate accepted an undersized p"})
         except tp.PreconditionError:
             pass

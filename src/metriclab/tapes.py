@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numeric import bisect_root, golden_min
 from .spaces import (
     GeodesicRef,
     Point,
@@ -209,29 +208,19 @@ def tape_position(p: int, j: int, z: int) -> Fraction:
     return Fraction((j - 1) * (2 * p - 1), p) + z
 
 
-def _chord_roots(norm, u, w, height: float):
-    """The two roots alpha of ||alpha u + height w|| = 1 (requires a root)."""
-    def phi(al):
-        return norm(vadd(vscale(u, al), vscale(w, height))) - 1.0
-    if phi(0.0) >= 0.0:
-        raise PreconditionError("transverse height leaves no unit point")
-    hi = bisect_root(phi, 0.0, 2.0, tol=1e-14)
-    lo = bisect_root(phi, -2.0, 0.0, tol=1e-14)
-    return lo, hi
-
-
 def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PTape:
     """Construct a p-tape inside the strip about the base line ``a``.
 
     ``drift`` is the distance from the base line of the probe unit point q:
-    the second unit root t at that height gates the construction (requires
-    2/p < 2 - |t|). The tape's own transverse step is then solved so that
-    the diagonal chord is exactly 2 - 1/p, making all quadruple constraints
-    hold and row 1 follow the position law along ``a``.
+    the chord t of the unit circle at that height gates the construction
+    (requires 2/p < 2 - |t|). The tape's own transverse step is the height
+    where that chord is exactly 2 - 1/p, making all quadruple constraints
+    hold and row 1 follow the position law along ``a``. Chords are the
+    model's closed ``half_chord``; w = (-u2, u1) is at normed distance 1
+    from the base direction u wherever it has one.
     """
-    if not (getattr(space, "strictly_convex", False) and space.dim == 2):
+    if not (getattr(space, "half_chord", None) and space.dim == 2):
         raise SpaceError("tape construction runs in strictly convex planes only")
-    norm = space.norm
     if p < 2:
         raise PreconditionError("need p >= 2")
     if not 0.0 < drift < 1.0:
@@ -241,25 +230,16 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
     u = vsub(a.point_at(1.0).coords, a.point_at(0.0).coords)   # unit direction
     w = (-u[1], u[0])                                          # Euclidean perp
 
-    # normed distance from w to the base direction, so `drift` is a true
-    # point-line distance
-    _, d_w = golden_min(lambda t: norm(vsub(w, vscale(u, t))), -4.0, 4.0, tol=1e-14)
-    beta_gate = drift / d_w
-    lo, hi = _chord_roots(norm, u, w, beta_gate)
-    t_chord = hi - lo
-    if not 2.0 / p < 2.0 - abs(t_chord):
-        raise PreconditionError(
-            f"p = {p} too small for drift {drift}: need 2/p < {2.0 - abs(t_chord):.6f}")
+    half = space.half_chord(u, drift)
+    if half is None:
+        raise SpaceError(f"no closed unit chord in {space.tag()} along direction {u}")
+    room = 2.0 - 2.0 * half
+    if not 2.0 / p < room:
+        raise PreconditionError(f"p = {p} too small for drift {drift}: need 2/p < {room:.6f}")
 
     D = 2.0 - 1.0 / p
-
-    def chord_gap(beta):
-        lo_b, hi_b = _chord_roots(norm, u, w, beta)
-        return (hi_b - lo_b) - D
-    # chord shrinks from 2 at height 0; the gate guarantees a crossing below
-    beta_tape = bisect_root(chord_gap, 1e-9, beta_gate, tol=1e-14)
-    alpha_lo, alpha_hi = _chord_roots(norm, u, w, beta_tape)
-    step_up = vadd(vscale(u, alpha_hi), vscale(w, beta_tape))
+    beta_tape = space.half_chord(u, D / 2.0)
+    step_up = vadd(vscale(u, D / 2.0), vscale(w, beta_tape))
 
     if window is None:
         window = (-2 * p, 2 * p)

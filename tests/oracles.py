@@ -5,7 +5,18 @@ them."""
 import math
 
 from metriclab.horofn import shadow_contains
-from metriclab.spaces import SpaceError, distance, enorm, point, vdot, vscale, vsub
+from metriclab.numeric import bisect_root, golden_min
+from metriclab.spaces import (
+    PreconditionError,
+    SpaceError,
+    distance,
+    enorm,
+    point,
+    vadd,
+    vdot,
+    vscale,
+    vsub,
+)
 from metriclab.verify import SampleSet
 
 
@@ -80,3 +91,42 @@ def _shadow_sweep(space, y, x0, rho, resolution, tol):
     if not hits:
         raise SpaceError("no shadow points at this resolution; widen tol")
     return SampleSet(space, tuple(hits), spec=f"shadow(rho={rho}, res={resolution})")
+
+
+def _chord_roots(norm, u, w, height: float):
+    """The two roots alpha of ||alpha u + height w|| = 1 (requires a root),
+    by bisection: the search oracle for ``half_chord``."""
+    def phi(al):
+        return norm(vadd(vscale(u, al), vscale(w, height))) - 1.0
+    if phi(0.0) >= 0.0:
+        raise PreconditionError("transverse height leaves no unit point")
+    hi = bisect_root(phi, 0.0, 2.0, tol=1e-14)
+    lo = bisect_root(phi, -2.0, 0.0, tol=1e-14)
+    return lo, hi
+
+
+def _tape_chords(space, u, drift: float, p: int):
+    """Search oracle for the chords of ``build_p_tape`` on the base direction u.
+
+    Finds the normed distance d_w from w = (-u2, u1) to the line of u by
+    golden section, the gate chord t at height drift / d_w from
+    ``_chord_roots``, and, when the gate 2/p < 2 - |t| admits p, the tape
+    height where the chord is 2 - 1/p by a bisection whose every step runs
+    ``_chord_roots``. Returns (d_w, t, admitted, beta_tape or None).
+    """
+    norm = space.norm
+    w = (-u[1], u[0])
+    _, d_w = golden_min(lambda t: norm(vsub(w, vscale(u, t))), -4.0, 4.0, tol=1e-14)
+    beta_gate = drift / d_w
+    lo, hi = _chord_roots(norm, u, w, beta_gate)
+    t_chord = hi - lo
+    if not 2.0 / p < 2.0 - abs(t_chord):
+        return d_w, t_chord, False, None
+
+    D = 2.0 - 1.0 / p
+
+    def chord_gap(beta):
+        lo_b, hi_b = _chord_roots(norm, u, w, beta)
+        return (hi_b - lo_b) - D
+    # chord shrinks from 2 at height 0; the gate guarantees a crossing below
+    return d_w, t_chord, True, bisect_root(chord_gap, 1e-9, beta_gate, tol=1e-14)

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from metriclab import numeric, spaces, tapes
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
@@ -27,9 +29,10 @@ from metriclab.tapes import (
 )
 
 
-def _base_line(space):
-    xi = direction_ideal(space, (1, 0))
-    eta = direction_ideal(space, (-1, 0))
+def _base_line(space, theta=0.0):
+    v = (math.cos(theta), math.sin(theta))
+    xi = direction_ideal(space, v)
+    eta = direction_ideal(space, (-v[0], -v[1]))
     return line_through(space, eta, xi, point(space, (0.0, 0.0)))
 
 
@@ -162,6 +165,37 @@ def test_window_shift_invariance():
 def test_build_p_tape_needs_strictly_convex_plane(space):
     with pytest.raises(SpaceError, match="strictly convex planes only"):
         build_p_tape(space, None, 6, 0.6)
+
+
+def test_build_p_tape_on_rotated_euclidean_line():
+    e2 = Euclidean(2)
+    a = _base_line(e2, 0.3)
+    tape = build_p_tape(e2, a, 6, 0.6)
+    assert validate_p_tape(tape).passed
+    for j in range(1, 7):
+        want = a.point_at(float(tape_position(6, j, 0)))
+        assert float(distance(e2, tape.points[(1, j, 0)], want)) <= 1e-9
+
+
+@pytest.mark.parametrize("q", [3.0, 1.5])
+def test_build_p_tape_rotated_lq_line_has_no_closed_chord(q):
+    space = MinkowskiLp(q)
+    with pytest.raises(SpaceError, match="no closed unit chord"):
+        build_p_tape(space, _base_line(space, 0.3), 6, 0.6)
+
+
+def test_build_p_tape_runs_no_search(monkeypatch):
+    # the chords are closed forms: with every bisection and golden-section
+    # search replaced by a stub that raises, the tapes still build
+    def stub(*args, **kwargs):
+        raise AssertionError("build_p_tape ran a numerical search")
+    searches = (numeric.bisect_root, numeric.golden_min)
+    for mod in (numeric, spaces, tapes):
+        for name, obj in list(vars(mod).items()):
+            if obj in searches:
+                monkeypatch.setattr(mod, name, stub)
+    for space, drift in ((Euclidean(2), 0.6), (MinkowskiLp(3.0), 0.8), (MinkowskiLp(1.5), 0.6)):
+        assert validate_p_tape(build_p_tape(space, _base_line(space), 6, drift)).passed
 
 
 def test_tape_missing_point_is_domain_error():
