@@ -23,8 +23,6 @@ from .spaces import (
     distance_rows,
     point,
     tree_edge_point,
-    tree_ray_point,
-    tree_vertex,
     vscale,
 )
 from .verify import BijectionSpec, SampleSet
@@ -99,8 +97,9 @@ def grasshopper_distance(space, x: Point, y: Point):
 
     Closed forms for the real line (reachable set x + Z), Euclidean
     dim >= 2 (ceil of the distance, with two jumps for short hops), and
-    metric trees (exact BFS over the finite closed set of reachable offset
-    classes). ``graph_bfs_distance`` is the oracle on a finite node set.
+    metric trees (``MetricTree.grasshopper``: an integer BFS over the
+    anchors of the finite closed set of reachable offset classes).
+    ``graph_bfs_distance`` on a graph of Points is the oracle.
     """
     tol = 1e-9
     if isinstance(space, RealLine):
@@ -126,7 +125,7 @@ def grasshopper_distance(space, x: Point, y: Point):
             return int(k)
         return int(math.ceil(d))
     if isinstance(space, MetricTree):
-        return _tree_grasshopper(space, x, y)
+        return space.grasshopper(x.coords, y.coords)
     raise SpaceError(f"no analytic grasshopper formula for {space!r}")
 
 
@@ -168,52 +167,10 @@ def _unit_perp(space, x, y):
     return tuple(v / n for v in perp)
 
 
-def _tree_grasshopper(space: MetricTree, x: Point, y: Point):
-    if x.coords == y.coords:
-        return 0
-    nodes = tree_offset_class_nodes(space, x, y)
-    coords = {p.coords for p in nodes}
-    if y.coords not in coords:
-        return INF
-    graph = UnitJumpGraph.build(space, nodes)
-    return graph_bfs_distance(graph, x, y)
-
-
-def tree_offset_residues(space: MetricTree, x: Point):
-    """Residues mod 1/n of the distances from x to the vertices."""
-    step = Fraction(1, space.desc.denominator_bound)
-    c = x.coords
-    o = Fraction(0) if c[0] == "v" else c[2]
-    return {o % step, (-o) % step}, step
-
-
 def tree_offset_class_nodes(space: MetricTree, x: Point, y: Point):
     """The finite closed node set: every point whose vertex distances share
-    x's residues, with end rays truncated past any useful chain."""
-    res_x, step = tree_offset_residues(space, x)
-    res_y, _ = tree_offset_residues(space, y)
-    res = res_x | res_y
-    cap = distance(space, x, y) + space.desc.total_length + 3
-    nodes = []
-    if Fraction(0) in res:
-        for v in space.desc.vertices:
-            nodes.append(tree_vertex(space, v))
-    for i, (_, _, ln) in enumerate(space.desc.edges):
-        offsets = set()
-        for r in res:
-            o = r if r > 0 else step
-            while o < ln:
-                offsets.add(o)
-                o += step
-        for o in sorted(offsets):
-            nodes.append(tree_edge_point(space, i, o))
-    for end in space.desc.ends:
-        for r in res:
-            o = r if r > 0 else step
-            while o <= cap:
-                nodes.append(tree_ray_point(space, end, o))
-                o += step
-    return nodes
+    x's or y's residues, with end rays truncated past any useful chain."""
+    return [Point(space, c) for c in space.offset_class(x.coords, y.coords)]
 
 
 # ---------------------------------------------------------------------------

@@ -832,6 +832,84 @@ class MetricTree(Space):
                 row.append(d)
             yield row
 
+    def _jump_setup(self, a, b):
+        """L, the anchors of a and b with integer depths over L, the residue
+        pair {o, -o} mod s = L/n of each (o its offset from its anchor
+        vertex, so every vertex distance is +-o mod s), and the ray cap over
+        L. A point more than 1 out on a ray has its only unit neighbours 1
+        further in and 1 further out on the same ray, so a shortest chain
+        moves monotonically there and never goes further out than a or b:
+        max(their ray offsets, 1) bounds every useful ray node."""
+        up = self.desc.up
+        L, anchors = self._scaled([self._anchor(a), self._anchor(b)])
+        s = L // self.desc.denominator_bound
+        res, cap = [], L
+        for v, d in anchors:
+            depth = up[v][2]
+            o = d - depth.numerator * (L // depth.denominator)
+            res.append({o % s, -o % s})
+            cap = max(cap, o)
+        return L, anchors, res, cap
+
+    def _class_anchors(self, L, res, cap):
+        """Anchors, depths over L, of the points whose vertex distances are
+        congruent mod s = L/n to a residue in ``res``: the vertices (residue
+        0), then each edge's offsets in increasing order, then each end
+        ray's offsets up to ``cap``."""
+        desc, up = self.desc, self.desc.up
+        s = L // desc.denominator_bound
+
+        def depth(v):
+            d = up[v][2]
+            return d.numerator * (L // d.denominator)
+
+        def offsets(stop):
+            return sorted({o for r in res for o in range(r or s, stop, s)})
+        nodes = [(v, depth(v)) for v in desc.vertices] if 0 in res else []
+        for i, (u, v, ln) in enumerate(desc.edges):
+            du, stop = depth(u), ln.numerator * (L // ln.denominator)
+            # anchored at the lower endpoint, as in _anchor
+            if up[v][1] == i:
+                nodes += [(v, du + o) for o in offsets(stop)]
+            else:
+                nodes += [(u, du - o) for o in offsets(stop)]
+        for e in desc.ends:
+            de = depth(e)
+            nodes += [(e, de + o) for o in offsets(cap + 1)]
+        return nodes
+
+    def offset_class(self, a, b):
+        """Coordinates of the finite closed node set of the unit-jump graph
+        through a and b: both offset classes, end rays cut at the cap."""
+        L, _, (ra, rb), cap = self._jump_setup(a, b)
+        return [self._coords(v, Fraction(d, L)) for v, d in self._class_anchors(L, ra | rb, cap)]
+
+    def grasshopper(self, a, b):
+        """Minimal number of exact unit jumps from a to b, math.inf if none:
+        a breadth-first search over the anchors of a's offset class, where
+        two anchors are adjacent iff their integer distance over L is L."""
+        if a == b:
+            return 0
+        L, (pa, pb), (ra, rb), cap = self._jump_setup(a, b)
+        if ra != rb:            # a unit jump keeps the residue pair
+            return INF
+        top = self._top
+        frontier = [pa]
+        rest = [n for n in self._class_anchors(L, ra, cap) if n != pa]
+        jumps = 0
+        while frontier:
+            jumps += 1
+            reached, left = [], []
+            for vb, db in rest:
+                if any(da + db - 2 * top(va, da, vb, db, L) == L for va, da in frontier):
+                    if (vb, db) == pb:
+                        return jumps
+                    reached.append((vb, db))
+                else:
+                    left.append((vb, db))
+            frontier, rest = reached, left
+        return INF
+
     def segment(self, a, b, d):
         return self._geodesic(a, b)
 

@@ -40,10 +40,6 @@ class PTape:
     p: int
     points: dict            # (i, j, z) -> Point
 
-    def row(self, i: int, j: int) -> RSequence:
-        pts = {z: pt for (ii, jj, z), pt in self.points.items() if ii == i and jj == j}
-        return RSequence(self.space, pts)
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -116,13 +112,15 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
         raise SpaceError("tape needs p >= 2")
     rep = VerificationReport(f"p-tape[p={p}]", tolerance=tol)
     exact = tape.space.exact
+    rows = {}
+    for (i, j, z), pt in tape.points.items():
+        rows.setdefault((i, j), {})[z] = pt
     rows_checked = 0
     for i in range(4):
         for j in range(1, p + 1):
-            row = tape.row(i, j)
-            if not row.points:
+            if (i, j) not in rows:
                 raise SpaceError(f"missing row ({i}, {j})")
-            sub = validate_r_sequence(row, tol=tol)
+            sub = validate_r_sequence(RSequence(tape.space, rows[(i, j)]), tol=tol)
             rows_checked += 1
             if not sub.passed:
                 rep.fail({"row": (i, j), "violations": sub.counts["violations"]})

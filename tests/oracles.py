@@ -3,7 +3,9 @@ compare the closed forms in ``metriclab`` against. Nothing in ``src/`` calls
 them."""
 
 import math
+from fractions import Fraction
 
+from metriclab.grasshopper import UnitJumpGraph
 from metriclab.horofn import shadow_contains
 from metriclab.numeric import bisect_root, golden_min
 from metriclab.spaces import (
@@ -12,6 +14,9 @@ from metriclab.spaces import (
     distance,
     enorm,
     point,
+    tree_edge_point,
+    tree_ray_point,
+    tree_vertex,
     vadd,
     vdot,
     vscale,
@@ -130,3 +135,26 @@ def _tape_chords(space, u, drift: float, p: int):
         return (hi_b - lo_b) - D
     # chord shrinks from 2 at height 0; the gate guarantees a crossing below
     return d_w, t_chord, True, bisect_root(chord_gap, 1e-9, beta_gate, tol=1e-14)
+
+
+def _lattice_jump_graph(space, pts):
+    """Lattice oracle for the tree grasshopper distance between any two of
+    ``pts``: the ``UnitJumpGraph`` of every point of the 1/L grid of the tree,
+    L the lcm of the denominator bound and the points' own denominators, with
+    each end ray running out to the farthest ray offset among ``pts`` plus
+    their diameter, the total edge length and 3, past the production cap.
+    A unit jump keeps every vertex distance on the 1/L grid, so every chain
+    between grid points stays on it; no residue class is enumerated, and
+    ``graph_bfs_distance`` on the graph is the oracle."""
+    desc = space.desc
+    coords = [p.coords for p in pts]
+    L = math.lcm(desc.denominator_bound, *(c[2].denominator for c in coords if c[0] != "v"))
+    reach = (max([c[2] for c in coords if c[0] == "r"], default=0)
+             + max(distance(space, a, b) for a in pts for b in pts)
+             + desc.total_length + 3)
+    grid = [tree_vertex(space, v) for v in desc.vertices]
+    for i, (_, _, ln) in enumerate(desc.edges):
+        grid += [tree_edge_point(space, i, Fraction(k, L)) for k in range(1, int(ln * L))]
+    for e in desc.ends:
+        grid += [tree_ray_point(space, e, Fraction(k, L)) for k in range(1, int(reach * L) + 1)]
+    return UnitJumpGraph.build(space, grid)

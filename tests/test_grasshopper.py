@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from metriclab import grasshopper as gh
+from metriclab import spaces
 from metriclab.grasshopper import (
     TreePointSet,
     UnitJumpGraph,
@@ -31,6 +33,7 @@ from metriclab.spaces import (
     point,
     sphere_point,
     tree_edge_point,
+    tree_ray_point,
     tree_vertex,
 )
 from metriclab.verify import (
@@ -152,6 +155,46 @@ def test_a_alpha_is_grasshopper_invariant(path_tree):
                 jumps += 1
                 assert q.coords in alpha_coords
     assert jumps > 0
+
+
+def test_swap_tree_offset_class_nodes_pinned(path_tree):
+    # the counterexample[tree-swap] sample is built from this list, in order
+    tps = TreePointSet(path_tree, Fraction(1, 10), Fraction(1, 5))
+    nodes = tree_offset_class_nodes(path_tree, tps.a_alpha[0], tps.a_beta[0])
+    assert [p.coords for p in nodes] == [("e", i, Fraction(k, 10))
+                                         for i in range(3) for k in (1, 2, 3, 4)]
+
+
+def test_tree_grasshopper_builds_no_point_graph(monkeypatch, path_tree):
+    # the tree formula is an integer BFS on anchors: with the Point graph,
+    # the Point node list, and Point and Fraction in both modules replaced
+    # by stubs that raise, the tree-swap sweep of suite_grasshopper gives
+    # the same values
+    tps = TreePointSet(path_tree, Fraction(1, 10), Fraction(1, 5))
+    phi = tree_swap_bijection(tps)
+    A = tps.union_sample().points
+    pairs = [(A[i], A[j]) for i in range(len(A)) for j in range(i + 1, len(A))]
+    pairs += [(phi.forward(p), phi.forward(q)) for p, q in pairs]
+    want = [grasshopper_distance(path_tree, p, q) for p, q in pairs]
+
+    def stub(*args, **kwargs):
+        raise AssertionError("the tree grasshopper built a Point graph")
+    monkeypatch.setattr(gh.UnitJumpGraph, "build", stub)
+    monkeypatch.setattr(gh, "tree_offset_class_nodes", stub)
+    for mod in (gh, spaces):
+        monkeypatch.setattr(mod, "Point", stub)
+        monkeypatch.setattr(mod, "Fraction", stub)
+    assert [grasshopper_distance(path_tree, p, q) for p, q in pairs] == want
+    assert any(g not in (0, INF) for g in want)
+
+
+@pytest.mark.parametrize("a, b, jumps", [(10, 11, 1), (10, 12, 2), (30, 10, 20)])
+def test_tree_grasshopper_far_out_on_a_ray(ended_tree, a, b, jumps):
+    # the ray cap is measured from the farther point, not the ray's vertex
+    x = tree_ray_point(ended_tree, "e1", Fraction(a))
+    y = tree_ray_point(ended_tree, "e1", Fraction(b))
+    assert grasshopper_distance(ended_tree, x, y) == jumps
+    assert grasshopper_distance(ended_tree, y, x) == jumps
 
 
 def test_tree_swap_unit_preservation_and_witness(path_tree):

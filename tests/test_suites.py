@@ -18,11 +18,12 @@ def test_suite_output_matches_golden(suite):
     assert text.encode("utf-8") == (GOLDEN / f"{suite}_seed7.json").read_bytes()
 
 
-# sha256 of the whole `all` report for two more seeds (seed 7 is pinned
+# sha256 of the whole `all` report for three more seeds (seed 7 is pinned
 # suite by suite above)
 @pytest.mark.parametrize("seed, digest", [
     (11, "e1d024c86316541227e1963560317c745ba8b5e4c1c091484d19ef63da113394"),
     (23, "fb7a18ff050ab2e46c437797624dd90d9d8533bb18049845e95bec80bbb7a0a6"),
+    (29, "1e0287ce1556e3e2d5c9ebc265d855fac53d4b74f34779f9de53396d17ed6191"),
 ])
 def test_all_output_digest(seed, digest):
     text = emit_report(run_suite(ScenarioConfig(suite="all", seed=seed)))
