@@ -179,11 +179,11 @@ class TreeDesc:
             raise SpaceError("edges must be a list of [u, v, length] triples")
         _check_ids([x for e in edges for x in e[:2]], "edge endpoints")
         n = data.get("denominator_bound")
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise SpaceError(f"denominator_bound must be an integer: {n!r}")
         return TreeDesc(
             vertices=_check_ids(data.get("vertices"), "vertices"),
-            edges=tuple((u, v, Fraction(str(ln))) for (u, v, ln) in edges),
+            edges=tuple((u, v, _edge_length(ln)) for (u, v, ln) in edges),
             denominator_bound=n,
             ends=_check_ids(data.get("ends", []), "ends"),
         )
@@ -197,6 +197,13 @@ class TreeDesc:
         if self.ends:
             out["ends"] = list(self.ends)
         return out
+
+
+def _edge_length(ln) -> Fraction:
+    try:
+        return Fraction(str(ln))
+    except ZeroDivisionError:
+        raise SpaceError(f"edge length {ln!r} has a zero denominator") from None
 
 
 def _check_ids(ids, name) -> tuple:
@@ -230,6 +237,15 @@ class Space:
     the JSON codecs ``to_json``, ``coords_from_json`` and
     ``ideal_from_json``. ``exact`` is true where distances are exact
     Fractions.
+
+    The float models override ``rows`` with a kernel for one dimension: the
+    plane for ``Euclidean``, ``MinkowskiLp`` and ``MinkowskiLinf``, R^3 for
+    ``SphereIntrinsic``, and ``HyperbolicPlane`` and ``RealLine``. A kernel
+    computes each row in one comprehension over unpacked coordinates, with
+    the float operations of ``distance`` in the same order, so its values
+    are bit-identical to ``distance``'s; every other dimension keeps the
+    default. Where a kernel spells out a sum of three terms, ``distance``
+    spells it out too.
 
     A strictly convex plane that carries tapes also gives
     ``half_chord(u, beta)``: the alpha >= 0 with |alpha u + beta w| = 1 for
@@ -388,6 +404,14 @@ class Euclidean(NormedSpace):
     def distance(self, a, b):
         return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
+    def rows(self, coords):
+        if self.dim != 2:
+            return super().rows(coords)
+        sqrt = math.sqrt
+        return ([sqrt(dx * dx + dy * dy)
+                 for bx, by in coords[i + 1:] for dx, dy in ((ax - bx, ay - by),)]
+                for i, (ax, ay) in enumerate(coords))
+
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
@@ -421,6 +445,13 @@ class MinkowskiLp(NormedSpace):
     def distance(self, a, b):
         return sum(abs(x - y) ** self.p for x, y in zip(a, b)) ** (1.0 / self.p)
 
+    def rows(self, coords):
+        if self.dim != 2:
+            return super().rows(coords)
+        p, q = self.p, 1.0 / self.p
+        return ([(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in coords[i + 1:]]
+                for i, (ax, ay) in enumerate(coords))
+
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
@@ -453,6 +484,12 @@ class MinkowskiLinf(NormedSpace):
     def distance(self, a, b):
         return max(abs(x - y) for x, y in zip(a, b))
 
+    def rows(self, coords):
+        if self.dim != 2:
+            return super().rows(coords)
+        return ([max(abs(ax - bx), abs(ay - by)) for bx, by in coords[i + 1:]]
+                for i, (ax, ay) in enumerate(coords))
+
     def busemann_closed(self, ray, y):
         # |y - o - t u|_oo - t: a coordinate with |u_i| < 1 falls behind by
         # (1 - |u_i|) t, so only those with |u_i| = 1 survive the limit
@@ -484,6 +521,12 @@ class HyperbolicPlane(Space):
         # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w))
         rho = math.hypot(a[0] - b[0], a[1] - b[1])
         return 2.0 * math.asinh(rho / (2.0 * math.sqrt(a[1] * b[1])))
+
+    def rows(self, coords):
+        hypot, asinh, sqrt = math.hypot, math.asinh, math.sqrt
+        return ([2.0 * asinh(hypot(ax - bx, ay - by) / (2.0 * sqrt(ay * by)))
+                 for bx, by in coords[i + 1:]]
+                for i, (ax, ay) in enumerate(coords))
 
     def _evaluator(self, coords):
         def at(t):
@@ -574,10 +617,27 @@ class SphereIntrinsic(Space):
             raise SpaceError(f"sphere direction must be unit within 1e-12: {c!r}")
 
     def distance(self, a, b):
-        # r atan2(|a - (a.b) b|, a.b)
+        # r atan2(|a - (a.b) b|, a.b); in R^3 both sums are spelled out left
+        # to right, as ``rows`` spells them (Python 3.12's float ``sum``
+        # compensates, so it could round three terms differently)
+        if self.dim == 3:
+            (ax, ay, az), (bx, by, bz) = a, b
+            c = ax * bx + ay * by + az * bz
+            rx, ry, rz = ax - bx * c, ay - by * c, az - bz * c
+            return self.radius * math.atan2(math.sqrt(rx * rx + ry * ry + rz * rz), c)
         c = vdot(a, b)
         s = math.sqrt(sum((x - y * c) * (x - y * c) for x, y in zip(a, b)))
         return self.radius * math.atan2(s, c)
+
+    def rows(self, coords):
+        if self.dim != 3:
+            return super().rows(coords)
+        r, sqrt, atan2 = self.radius, math.sqrt, math.atan2
+        return ([r * atan2(sqrt(rx * rx + ry * ry + rz * rz), c)
+                 for bx, by, bz in coords[i + 1:]
+                 for c in (ax * bx + ay * by + az * bz,)
+                 for rx, ry, rz in ((ax - bx * c, ay - by * c, az - bz * c),)]
+                for i, (ax, ay, az) in enumerate(coords))
 
     def segment(self, a, b, d):
         r = self.radius
@@ -614,6 +674,9 @@ class RealLine(Space):
 
     def distance(self, a, b):
         return abs(a - b)
+
+    def rows(self, coords):
+        return ([abs(a - b) for b in coords[i + 1:]] for i, a in enumerate(coords))
 
     def _along(self, x0, sgn):
         def at(t):

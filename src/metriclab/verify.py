@@ -192,12 +192,16 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
             rep.fail({"axiom": "identity", "x": x, "y": y, "d": dxy})
         dxz = dist(x.coords, z.coords)
         dyz = dist(y.coords, z.coords)
-        slack = float(dxy) + float(dyz) - float(dxz)
+        # exact distances may lie beyond float range, so their slack stays
+        # exact and is built only for a witness
         if exact:
             if dxz > dxy + dyz:
+                rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z,
+                          "slack": dxy + dyz - dxz})
+        else:
+            slack = float(dxy) + float(dyz) - float(dxz)
+            if slack < -tol:
                 rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z, "slack": slack})
-        elif slack < -tol:
-            rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z, "slack": slack})
         checked += 1
     rep.counts = {"triples": checked, "violations": len(rep.witnesses)}
     return rep.finalize()

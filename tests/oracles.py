@@ -3,7 +3,9 @@ compare the closed forms in ``metriclab`` against. Nothing in ``src/`` calls
 them."""
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from metriclab.grasshopper import UnitJumpGraph
 from metriclab.horofn import shadow_contains
@@ -12,13 +14,11 @@ from metriclab.spaces import (
     PreconditionError,
     SpaceError,
     distance,
-    enorm,
     point,
     tree_edge_point,
     tree_ray_point,
     tree_vertex,
     vadd,
-    vdot,
     vscale,
     vsub,
 )
@@ -33,9 +33,12 @@ def _normed_distance(space, a, b):
 
 def _sphere_distance(space, a, b):
     """The sphere's angular distance through the tuple helpers:
-    r atan2(|a - (a.b) b|, a.b)."""
-    c = vdot(a, b)
-    return space.radius * math.atan2(enorm(vsub(a, vscale(b, c))), c)
+    r atan2(|a - (a.b) b|, a.b). Both sums add left to right, as the float
+    ``sum`` of Python 3.11 does; from 3.12 on ``sum`` compensates, and the
+    model's 3-d ``distance`` spells its sums out instead."""
+    c = reduce(operator.add, (x * y for x, y in zip(a, b)))
+    resid = vsub(a, vscale(b, c))
+    return space.radius * math.atan2(math.sqrt(reduce(operator.add, (x * x for x in resid))), c)
 
 
 def _ray_grid(space, c, d):

@@ -207,9 +207,11 @@ GOOD_TREE = {"vertices": ["a", "b", "c"],
     dict(GOOD_TREE, edges=[["a", "b"], ["b", "c", "1/2"]]),
     dict(GOOD_TREE, edges=[[["a"], "b", "1/2"], ["b", "c", "1/2"]]),
     dict(GOOD_TREE, denominator_bound=[2]),
+    dict(GOOD_TREE, edges=[["a", "b", "1"], ["b", "c", "2"]], denominator_bound=True),
+    dict(GOOD_TREE, edges=[["a", "b", "1/0"], ["b", "c", "1/2"]]),
     [GOOD_TREE],
 ], ids=["ends-int", "vertex-list", "vertices-str", "edge-pair", "endpoint-list",
-        "bound-list", "not-an-object"])
+        "bound-list", "bound-bool", "zero-denominator", "not-an-object"])
 def test_cli_rejects_malformed_tree_file(tmp_path, capsys, tree):
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(json.dumps(tree))
@@ -218,6 +220,18 @@ def test_cli_rejects_malformed_tree_file(tmp_path, capsys, tree):
     assert cli.main(["--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: bad tree file: ") and err.count("\n") == 1
+
+
+def test_cli_runs_axioms_on_a_tree_beyond_float_range(tmp_path):
+    # "1e400" is a valid exact edge length; the axiom checks compare it exactly
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(dict(GOOD_TREE, edges=[["a", "b", "1e400"],
+                                                           ["b", "c", "1/2"]])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "axioms", "seed": 5, "tree_file": str(tree_path)}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
+    reports = json.loads((tmp_path / "out.json").read_text())["reports"]
+    assert all(r["status"] == "pass" for r in reports)
 
 
 def test_unwritable_output_is_io_error(tmp_path):

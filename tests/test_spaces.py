@@ -374,15 +374,19 @@ def test_on_geodesic_parameters(ended_tree):
 # pair-distance rows and the fused distance kernels
 
 def _row_cases():
+    # the catalog's float models run their row kernels; the dimensions
+    # without a kernel run the per-pair ``Space.rows`` default
     from metriclab.suites import catalog, ended_tree, swap_tree
-    return catalog() + [MaxProduct(ended_tree(), swap_tree())]
+    return catalog() + [MaxProduct(ended_tree(), swap_tree()), MinkowskiLp(1.5, dim=3),
+                        Euclidean(1), Euclidean(3), SphereIntrinsic(2.5, 2)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 9))
 def test_distance_rows_equal_pair_distances(seed, n):
-    # every catalog model, plus a tree x tree product: rows carry the very
-    # values of per-pair `distance` (same floats, same exact Fractions)
+    # every catalog model, a tree x tree product and the dimensions without
+    # a kernel: rows carry the very values of per-pair `distance` (the same
+    # float bits, the same exact Fractions)
     for space in _row_cases():
         pts = random_sample(space, n, seed).points if n else ()
         rows = list(distance_rows(space, pts))
@@ -390,7 +394,11 @@ def test_distance_rows_equal_pair_distances(seed, n):
         for i, row in enumerate(rows):
             for j, d in enumerate(row, i + 1):
                 want = distance(space, pts[i], pts[j])
-                assert type(d) is type(want) and d == want, (space, i, j)
+                assert type(d) is type(want), (space, i, j)
+                if isinstance(d, float):
+                    assert d.hex() == want.hex(), (space, i, j)
+                else:
+                    assert d == want, (space, i, j)
                 if space.exact:
                     assert isinstance(d, Fraction)
 
@@ -414,6 +422,36 @@ def test_fused_kernels_match_tuple_formulas_bitwise(a, b, scale):
         v = sphere_point(space, b[:space.dim]).coords
         assert space.distance(u, v).hex() == _sphere_distance(space, u, v).hex()
         assert space.distance(u, u).hex() == _sphere_distance(space, u, u).hex()
+
+
+def test_float_pair_checks_use_the_row_kernels(monkeypatch):
+    # with `distance` stubbed to raise on every float model that has a row
+    # kernel, is_isometry and preserves_unit_distance give the reports they
+    # gave before: the pair checks reach no per-pair `distance`
+    spaces = [Euclidean(2), MinkowskiLp(3.0), MinkowskiLinf(), HyperbolicPlane(),
+              SphereIntrinsic(1.0 / math.pi, 3), RealLine()]
+
+    def reports(space, seed):
+        sample = random_sample(space, 30, seed)
+        pts = sample.points
+        perm = dict(zip(pts, random.Random(seed).sample(pts, len(pts))))
+        back = {q: p for p, q in perm.items()}
+        maps = (BijectionSpec("identity", space, space, lambda p: p, lambda p: p),
+                BijectionSpec("shuffle", space, space, perm.__getitem__, back.__getitem__))
+        out = []
+        for f in maps:
+            out.append(is_isometry((space, space), f, sample).to_json())
+            for mode in ("eq", "le"):
+                out.append(preserves_unit_distance((space, space), f, sample, mode=mode).to_json())
+        return out
+    want = [reports(space, k) for k, space in enumerate(spaces)]
+    assert any(r["status"] == "fail" for rs in want for r in rs)
+
+    def raising(self, a, b):
+        raise AssertionError(f"{type(self).__name__}.distance called")
+    for space in spaces:
+        monkeypatch.setattr(type(space), "distance", raising)
+    assert [reports(space, k) for k, space in enumerate(spaces)] == want
 
 
 def test_distance_rows_reject_foreign_point_before_any_row():

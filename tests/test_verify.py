@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
+    MetricTree,
     MinkowskiLinf,
     MinkowskiLp,
     Point,
     RealLine,
     SpaceError,
+    TreeDesc,
     direction_ideal,
     geodesic_between,
     line_through,
@@ -49,6 +51,26 @@ def test_metric_axioms_catalog_samples(star_tree):
         sample = random_sample(space, 30, seed=11)
         rep = check_metric_axioms(space, sample, triples=200, seed=3)
         assert rep.passed, rep.witnesses
+
+
+def test_metric_axioms_stay_exact_beyond_float_range():
+    # edges of 10^400 are exact tree lengths that no float holds: the
+    # triangle test compares them exactly, and a failing triangle's slack is
+    # the exact dxy + dyz - dxz
+    big = Fraction(10) ** 400
+    desc = TreeDesc(("a", "b", "c"), (("a", "b", big), ("b", "c", big)), 1)
+    tree = MetricTree(desc)
+    assert check_metric_axioms(tree, random_sample(tree, 20, seed=1), seed=2).passed
+
+    class Stretched(MetricTree):
+        def distance(self, a, b):       # d(a, c) tripled: 6 * 10^400
+            d = super().distance(a, b)
+            return 3 * d if {a[1], b[1]} == {"a", "c"} else d
+    bad = Stretched(desc)
+    sample = SampleSet(bad, tuple(tree_vertex(bad, v) for v in desc.vertices))
+    rep = check_metric_axioms(bad, sample, seed=2)
+    assert not rep.passed
+    assert {(w["axiom"], w["slack"]) for w in rep.witnesses} == {("triangle", str(-4 * big))}
 
 
 def test_busemann_midpoints_euclid_equality():
