@@ -12,13 +12,13 @@ from fractions import Fraction
 
 from .numeric import bisect_root
 from .spaces import (
-    Euclidean,
     MaxProduct,
     MetricTree,
     Point,
     RealLine,
     SpaceError,
     SphereIntrinsic,
+    _check_member,
     distance,
     distance_rows,
     point,
@@ -95,41 +95,20 @@ def grasshopper_components(graph: UnitJumpGraph):
 def grasshopper_distance(space, x: Point, y: Point):
     """Minimal number of exact unit jumps from x to y; math.inf if none.
 
-    Closed forms for the real line (reachable set x + Z), Euclidean
-    dim >= 2 (ceil of the distance, with two jumps for short hops), and
-    metric trees (``MetricTree.grasshopper``: an integer BFS over the
-    anchors of the finite closed set of reachable offset classes).
+    The model's ``grasshopper`` closed form, on the real line (reachable
+    set x + Z), Euclidean dim >= 2 (ceil of the distance, two jumps for
+    short hops) and metric trees (an integer BFS over the anchors of the
+    reachable offset classes); SpaceError on every other model.
     ``graph_bfs_distance`` on a graph of Points is the oracle.
     """
-    tol = 1e-9
-    if isinstance(space, RealLine):
-        diff = abs(x.coords - y.coords)
-        if diff <= tol:
-            return 0
-        k = round(diff)
-        if abs(diff - k) <= tol:
-            return int(k)
-        return INF
-    if isinstance(space, Euclidean):
-        if space.dim < 2:
-            raise SpaceError("analytic Euclidean formula needs dim >= 2; use the real line")
-        d = float(distance(space, x, y))
-        if d <= tol:
-            return 0
-        if abs(d - 1.0) <= tol:
-            return 1
-        if d < 1.0:
-            return 2
-        k = round(d)
-        if abs(d - k) <= tol:
-            return int(k)
-        return int(math.ceil(d))
-    if isinstance(space, MetricTree):
-        return space.grasshopper(x.coords, y.coords)
-    raise SpaceError(f"no analytic grasshopper formula for {space!r}")
+    _check_member(space, x, y)
+    g = space.grasshopper(x.coords, y.coords)
+    if g is None:
+        raise SpaceError(f"no analytic grasshopper formula for {space!r}")
+    return g
 
 
-def euclid_jump_chain(space: Euclidean, x: Point, y: Point):
+def euclid_jump_chain(space, x: Point, y: Point):
     """Witness chain of unit jumps realizing the analytic Euclidean count."""
     d = float(distance(space, x, y))
     g = grasshopper_distance(space, x, y)

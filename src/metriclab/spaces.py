@@ -233,8 +233,11 @@ class Space:
     value and the asymptotic-ray pseudometric; None without a closed form),
     ``closest_param``, ``rows(coords)`` (the pair distances of a list of
     coordinates, row i holding d(coords[i], coords[j]) for j > i, as
-    ``distance`` gives them; the default calls ``distance`` per pair), and
-    the JSON codecs ``to_json``, ``coords_from_json`` and
+    ``distance`` gives them; the default calls ``distance`` per pair),
+    ``grasshopper(a, b)`` (the fewest exact unit jumps, math.inf if none;
+    None without a closed form), ``extreme_midpoint(a, b, selector)``
+    (refused where midpoints are unique), and the JSON codecs ``to_json``,
+    ``coords_from_json``, ``ideal_to_json`` and its inverse
     ``ideal_from_json``. ``exact`` is true where distances are exact
     Fractions.
 
@@ -277,17 +280,20 @@ class Space:
         raise SpaceError(f"direction ideal points undefined for {self!r}")
 
     def ideal_matches(self, a, b):
-        if isinstance(a, tuple):
-            return all(abs(x - y) <= 1e-9 for x, y in zip(a, b))
-        if a == INF or b == INF:
-            return a == b
-        return abs(a - b) <= 1e-9
+        # a == b first: inf - inf is nan, and inf matches only itself
+        return a == b or abs(a - b) <= 1e-9
 
     def busemann_closed(self, ray, y):
         return None
 
     def rho_closed(self, c, d):
         return None
+
+    def grasshopper(self, a, b):
+        return None
+
+    def extreme_midpoint(self, a, b, selector):
+        raise SpaceError(f"midpoint selectors are not supported for {self!r}")
 
     def closest_param(self, geo, x):
         # the distance along a geodesic is convex: golden-section search
@@ -306,6 +312,9 @@ class Space:
 
     def coords_from_json(self, v):
         return self.coerce(v)
+
+    def ideal_to_json(self, rep):
+        return rep
 
     def ideal_from_json(self, rep) -> "IdealPoint":
         return direction_ideal(self, rep)
@@ -375,6 +384,12 @@ class NormedSpace(Space):
             raise SpaceError("zero direction")
         return IdealPoint(self, tuple(float(x) / n for x in v))
 
+    def ideal_matches(self, a, b):
+        return all(abs(x - y) <= 1e-9 for x, y in zip(a, b))
+
+    def ideal_to_json(self, rep):
+        return list(rep)
+
     def rho_closed(self, c, d):
         # the rays are c(0) + s u and d(0) + t u, so rho is the distance
         # between the parallel lines, min over tau of |off + tau u| (convex);
@@ -416,6 +431,16 @@ class Euclidean(NormedSpace):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
         return -vdot(vsub(y.coords, o.coords), u)
+
+    def grasshopper(self, a, b):
+        # k >= 2 unit jumps reach the closed k-ball, one jump the unit sphere
+        if self.dim < 2:
+            raise SpaceError("analytic Euclidean formula needs dim >= 2; use the real line")
+        d = self.distance(a, b)
+        k = round(d)
+        if abs(d - k) <= 1e-9:
+            return int(k)
+        return 2 if d < 1.0 else int(math.ceil(d))
 
     def half_chord(self, u, beta):
         # rotation invariance: every unit u sees the same circle
@@ -496,6 +521,18 @@ class MinkowskiLinf(NormedSpace):
         o = ray.point_at(0).coords
         return max(-ui * (yi - oi) for ui, yi, oi in zip(ray.plus.rep, y.coords, o)
                    if abs(ui) == 1.0)
+
+    def extreme_midpoint(self, a, b, selector):
+        # a midpoint's coordinate j lies in [max(a_j, b_j) - d/2, min(a_j, b_j) + d/2]
+        if selector not in ("upper extreme", "lower extreme"):
+            raise SpaceError(f"unknown midpoint selector {selector!r}")
+        dd = self.distance(a, b)
+        if dd == 0:
+            raise DegenerateError("midpoint of identical points")
+        half = dd / 2.0
+        if selector == "upper extreme":
+            return Point(self, tuple(min(aj, bj) + half for aj, bj in zip(a, b)))
+        return Point(self, tuple(max(aj, bj) - half for aj, bj in zip(a, b)))
 
     def tag(self):
         return "minkowski-linf"
@@ -591,6 +628,9 @@ class HyperbolicPlane(Space):
 
     def to_json(self):
         return {"kind": "hyperbolic"}
+
+    def ideal_to_json(self, rep):
+        return "inf" if rep == INF else rep
 
     def ideal_from_json(self, rep):
         return boundary_ideal(self, INF if rep == "inf" else float(rep))
@@ -708,6 +748,12 @@ class RealLine(Space):
     def rho_closed(self, c, d):
         # rays in the same direction eventually overlap
         return 0.0 if _asymptotic(c, d) else None
+
+    def grasshopper(self, a, b):
+        # the unit jumps from a reach exactly a + Z
+        diff = abs(a - b)
+        k = round(diff)
+        return int(k) if abs(diff - k) <= 1e-9 else INF
 
     def random_point(self, rng, scale):
         return point(self, rng.uniform(-scale, scale))
@@ -1133,6 +1179,13 @@ def point(space, coords) -> Point:
     return Point(space, _check_space(space).coerce(coords))
 
 
+def _of_model(space, model):
+    """space itself, if it is a `model`; SpaceError otherwise."""
+    if not isinstance(space, model):
+        raise SpaceError(f"expected a {model.__name__} space, got {space!r}")
+    return space
+
+
 def tree_vertex(space: MetricTree, vid) -> Point:
     return Point(space, ("v", vid))
 
@@ -1141,7 +1194,7 @@ def tree_edge_point(space: MetricTree, edge_index: int, offset: Number) -> Point
     """Point on an edge at `offset` from the edge's first vertex; snaps the
     endpoints to vertices so coordinates stay canonical."""
     off = _as_fraction(offset)
-    u, v, ln = space.desc.edges[edge_index]
+    u, v, ln = _of_model(space, MetricTree).desc.edges[edge_index]
     if off == 0:
         return tree_vertex(space, u)
     if off == ln:
@@ -1157,6 +1210,7 @@ def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
 
 
 def sphere_point(space: SphereIntrinsic, direction) -> Point:
+    _of_model(space, SphereIntrinsic)
     n = enorm(direction)
     if n == 0:
         raise SpaceError("zero direction")
@@ -1191,13 +1245,11 @@ def direction_ideal(space, v) -> IdealPoint:
 
 def boundary_ideal(space: HyperbolicPlane, x) -> IdealPoint:
     """Ideal point of H^2: a boundary real or math.inf."""
-    if not isinstance(space, HyperbolicPlane):
-        raise SpaceError("boundary ideal points are for the hyperbolic plane")
-    return IdealPoint(space, float(x))
+    return IdealPoint(_of_model(space, HyperbolicPlane), float(x))
 
 
 def tree_end(space: MetricTree, end) -> IdealPoint:
-    if end not in space.desc.ends:
+    if end not in _of_model(space, MetricTree).desc.ends:
         raise SpaceError(f"{end!r} is not a declared end")
     return IdealPoint(space, end)
 
@@ -1294,36 +1346,17 @@ def line_through(space, eta: IdealPoint, xi: IdealPoint, through: Point = None) 
 def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
     """Point m with d(x,m) = d(m,y) = d(x,y)/2.
 
-    Unique in every strictly convex catalog model; for MinkowskiLinf a
-    selector picks among the midpoint box: None (affine), "upper extreme",
-    or "lower extreme" take the per-coordinate free interval's choice.
+    Unique in every strictly convex catalog model, where the selector must
+    be None; on MinkowskiLinf "upper extreme" and "lower extreme" pick a
+    corner of the midpoint box (``MinkowskiLinf.extreme_midpoint``).
     """
     _check_member(space, x, y)
-    if isinstance(space, MinkowskiLinf) and selector is not None:
-        return _linf_extreme_midpoint(space, x, y, selector)
+    if selector is not None:
+        return space.extreme_midpoint(x.coords, y.coords, selector)
     d = distance(space, x, y)
     if d == 0:
         raise DegenerateError("midpoint of identical points")
     return geodesic_between(space, x, y).point_at(d / 2)
-
-
-def _linf_extreme_midpoint(space, x, y, selector):
-    if selector not in ("upper extreme", "lower extreme"):
-        raise SpaceError(f"unknown midpoint selector {selector!r}")
-    a, b = x.coords, y.coords
-    dd = supnorm(vsub(a, b))
-    if dd == 0:
-        raise DegenerateError("midpoint of identical points")
-    half = dd / 2.0
-    out = []
-    for aj, bj in zip(a, b):
-        lo = max(aj, bj) - half
-        hi = min(aj, bj) + half
-        if selector == "upper extreme":
-            out.append(hi)
-        else:
-            out.append(lo)
-    return Point(space, tuple(out))
 
 
 # ---------------------------------------------------------------------------

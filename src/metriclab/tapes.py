@@ -52,7 +52,7 @@ class PTape:
         pts = {}
         for key, coords in data["points"].items():
             i, j, z = (int(v) for v in key.split(","))
-            pts[(i, j, z)] = Point(space, tuple(coords))
+            pts[(i, j, z)] = Point(space, space.coords_from_json(coords))
         return PTape(space, int(data["p"]), pts)
 
 

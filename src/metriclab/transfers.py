@@ -120,18 +120,11 @@ class ScissorsConfig:
 
     def to_json(self) -> dict:
         def end_rep(ip):
-            if ip is None:
-                return None
-            if isinstance(ip.rep, tuple):
-                return list(ip.rep)
-            if isinstance(ip.rep, float) and math.isinf(ip.rep):
-                return "inf"
-            return ip.rep if isinstance(ip.rep, str) else float(ip.rep)
+            return None if ip is None else self.space.ideal_to_json(ip.rep)
 
         def line_rec(g):
-            rec = {"minus": end_rep(g.minus), "plus": end_rep(g.plus)}
-            rec["anchor"] = _jsonable(g.point_at(0).coords)
-            return rec
+            return {"minus": end_rep(g.minus), "plus": end_rep(g.plus),
+                    "anchor": _jsonable(g.point_at(0).coords)}
         return {
             "space": self.space.to_json(),
             "a": line_rec(self.a), "b": line_rec(self.b),

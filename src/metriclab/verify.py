@@ -214,7 +214,7 @@ def check_busemann_midpoints(space, x: Point, y: Point, z: Point, *,
                              selector_xy: str = None, selector_xz: str = None,
                              tol: float = 1e-9) -> VerificationReport:
     """Midpoint inequality d(m, n) <= d(y, z)/2 for m, n the midpoints of
-    [x, y] and [x, z]. Selectors matter only for the sup-norm plane."""
+    [x, y] and [x, z]. Selectors are for the sup-norm plane only."""
     if x.coords == y.coords or x.coords == z.coords or y.coords == z.coords:
         raise SpaceError("midpoint check needs pairwise distinct points")
     rep = VerificationReport(f"busemann-midpoints[{space.tag()}]", tolerance=tol)

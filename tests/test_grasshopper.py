@@ -23,7 +23,9 @@ from metriclab.grasshopper import (
 )
 from metriclab.spaces import (
     Euclidean,
+    HyperbolicPlane,
     MetricTree,
+    MinkowskiLinf,
     Point,
     RealLine,
     SpaceError,
@@ -52,6 +54,29 @@ def test_grasshopper_real_line_values():
     assert grasshopper_distance(rl, point(rl, 0.0), point(rl, 2.5)) == INF
     assert grasshopper_distance(rl, point(rl, 0.0), point(rl, 1.0)) == 1
     assert grasshopper_distance(rl, point(rl, 0.7), point(rl, 0.7)) == 0
+
+
+@pytest.mark.parametrize("model", ["line", "plane", "tree"])
+def test_grasshopper_refuses_foreign_points(model, path_tree, ended_tree):
+    pts = {"line": point(RealLine(), 0.5), "plane": point(Euclidean(2), (0.0, 0.5)),
+           "tree": tree_vertex(path_tree, "v0"), "other tree": tree_vertex(ended_tree, "x0")}
+    own = pts.pop(model)
+    for p in (*pts.values(), "not a point"):
+        with pytest.raises(SpaceError):
+            grasshopper_distance(own.space, own, p)
+        with pytest.raises(SpaceError):
+            grasshopper_distance(own.space, p, own)
+
+
+def test_grasshopper_without_a_formula_still_refused():
+    h = HyperbolicPlane()
+    sph = SphereIntrinsic(1.0, 3)
+    linf = MinkowskiLinf()
+    for space, x, y in [(h, point(h, (0.0, 1.0)), point(h, (1.0, 1.0))),
+                        (sph, sphere_point(sph, (1, 0, 0)), sphere_point(sph, (0, 1, 0))),
+                        (linf, point(linf, (0.0, 0.0)), point(linf, (1.0, 0.0)))]:
+        with pytest.raises(SpaceError, match="no analytic grasshopper formula"):
+            grasshopper_distance(space, x, y)
 
 
 def test_grasshopper_line_unreachable_by_brute_force():
@@ -179,10 +204,19 @@ def test_tree_grasshopper_builds_no_point_graph(monkeypatch, path_tree):
 
     def stub(*args, **kwargs):
         raise AssertionError("the tree grasshopper built a Point graph")
+
+    class NoPointMeta(type):
+        # the membership check still recognizes the existing Points
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Point)
+
+    class NoPoint(metaclass=NoPointMeta):
+        def __new__(cls, *args, **kwargs):
+            stub()
     monkeypatch.setattr(gh.UnitJumpGraph, "build", stub)
     monkeypatch.setattr(gh, "tree_offset_class_nodes", stub)
     for mod in (gh, spaces):
-        monkeypatch.setattr(mod, "Point", stub)
+        monkeypatch.setattr(mod, "Point", NoPoint)
         monkeypatch.setattr(mod, "Fraction", stub)
     assert [grasshopper_distance(path_tree, p, q) for p, q in pairs] == want
     assert any(g not in (0, INF) for g in want)

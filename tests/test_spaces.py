@@ -228,6 +228,38 @@ def test_linf_extreme_midpoints():
         midpoint(linf, x, y, selector="sideways")
 
 
+@pytest.mark.parametrize("selector", ["upper extreme", "lower extreme", "sideways"])
+def test_midpoint_selectors_refused_off_the_sup_norm_plane(selector, star_tree):
+    e2, h, l15 = Euclidean(2), HyperbolicPlane(), MinkowskiLp(1.5)
+    for space, x, y in ((e2, point(e2, (0, 0)), point(e2, (2, 0))),
+                        (h, point(h, (0, 1)), point(h, (2, 1))),
+                        (l15, point(l15, (0, 0)), point(l15, (2, 0))),
+                        (star_tree, tree_vertex(star_tree, "l1"), tree_vertex(star_tree, "l2"))):
+        with pytest.raises(SpaceError):
+            midpoint(space, x, y, selector=selector)
+
+
+def test_tree_end_refuses_a_non_tree(ended_tree):
+    for space in (Euclidean(2), RealLine(), HyperbolicPlane()):
+        with pytest.raises(SpaceError):
+            tree_end(space, "e1")
+    assert tree_end(ended_tree, "e1").rep == "e1"
+
+
+def test_tree_edge_point_refuses_a_non_tree(ended_tree):
+    for space in (Euclidean(2), RealLine(), SphereIntrinsic(1.0, 3)):
+        with pytest.raises(SpaceError):
+            tree_edge_point(space, 0, Fraction(1, 4))
+    assert tree_edge_point(ended_tree, 0, Fraction(1, 4)).coords == ("e", 0, Fraction(1, 4))
+
+
+def test_sphere_point_refuses_a_non_sphere():
+    for space in (Euclidean(3), MinkowskiLp(1.5, 3), RealLine()):
+        with pytest.raises(SpaceError):
+            sphere_point(space, (3, 4, 0))
+    assert sphere_point(SphereIntrinsic(1.0, 3), (3, 4, 0)).coords == (0.6, 0.8, 0.0)
+
+
 def test_degenerate_and_antipodal_errors():
     e2 = Euclidean(2)
     with pytest.raises(DegenerateError):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
+    MetricTree,
     SpaceError,
+    TreeDesc,
     boundary_ideal,
     direction_ideal,
     distance,
@@ -206,3 +209,20 @@ def test_scissors_json_roundtrip(ended_tree):
     fcfg = flat_translate_scissors(e2)
     fback = ScissorsConfig.from_json(e2, fcfg.to_json())
     assert validate_scissors(e2, fback).passed
+
+
+def test_scissors_json_keeps_integer_vertex_ids():
+    # a star whose center and four ends have int ids: the ends' reps and
+    # the lines' points come back as ints, and the JSON is a fixed point
+    t = MetricTree(TreeDesc(vertices=(0, 1, 2, 3, 4),
+                            edges=tuple((0, e, Fraction(1, 2)) for e in (1, 2, 3, 4)),
+                            denominator_bound=2, ends=(1, 2, 3, 4)))
+    cfg = tree_scissors(t, (1, 2, 3, 4))
+    data = cfg.to_json()
+    assert data["a"]["minus"] == 1 and type(data["a"]["minus"]) is int
+    back = ScissorsConfig.from_json(t, json.loads(json.dumps(data)))
+    assert back.to_json() == data
+    for line in (back.a, back.b, back.c, back.d):
+        assert all(type(ip.rep) is int for ip in (line.minus, line.plus))
+        assert all(type(line.point_at(u).coords[1]) is int for u in (-1, 0))
+    assert validate_scissors(t, back, tol=0).passed
