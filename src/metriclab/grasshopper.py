@@ -166,14 +166,9 @@ class TreePointSet:
 
     def __post_init__(self):
         n = self.space.desc.denominator_bound
-        step = Fraction(1, n)
         if not (0 < self.alpha < self.beta < Fraction(1, 2 * n)):
             raise SpaceError("offsets must satisfy 0 < alpha < beta < 1/(2n)")
-        for (_, _, ln) in self.space.desc.edges:
-            if ln != step:
-                raise SpaceError("tree swap needs all edge lengths equal to 1/n")
-        if self.space.desc.ends:
-            raise SpaceError("tree swap is defined on trees without ends")
+        _unit_step(self.space, n, "tree swap")
 
     def class_points(self, offset: Fraction):
         step = Fraction(1, self.space.desc.denominator_bound)
@@ -215,43 +210,48 @@ def tree_swap_bijection(tps: TreePointSet) -> BijectionSpec:
         name="tree-swap", domain=space, codomain=space, forward=fwd, inverse=fwd)
 
 
+def _unit_step(space: MetricTree, n: int, who: str) -> Fraction:
+    """1/n, after checking that every edge of the tree has length 1/n and
+    that the tree has no ends; SpaceError naming ``who`` otherwise."""
+    step = Fraction(1, n)
+    if any(ln != step for (_, _, ln) in space.desc.edges):
+        raise SpaceError(f"{who} needs all edge lengths equal to 1/n")
+    if space.desc.ends:
+        raise SpaceError(f"{who} is defined on trees without ends")
+    return step
+
+
 def _sine_warp(n: int):
-    """t -> t + sin(2 pi n t) / (2 pi n), the warp of the sine
-    counterexamples: strictly increasing, fixing every multiple of 1/(2n)."""
+    """(warp, unwarp) for t -> t + sin(2 pi n t) / (2 pi n), the sine warp:
+    strictly increasing, fixing every multiple of 1/(2n). ``unwarp(s, lo,
+    hi)`` is the one inverse, a bisection for s on the bracket [lo, hi]."""
     two_pi_n = 2.0 * math.pi * n
 
     def warp(t: float) -> float:
         return t + math.sin(two_pi_n * t) / two_pi_n
-    return warp
+
+    def unwarp(s: float, lo: float, hi: float) -> float:
+        return bisect_root(lambda t: warp(t) - s, lo, hi, tol=1e-15)
+    return warp, unwarp
 
 
 def smooth_tree_bijection(space: MetricTree, n: int) -> BijectionSpec:
     """Edgewise t -> t + sin(2 pi n t) / (2 pi n) on a tree whose edges all
     have length 1/n; fixes vertices, continuous, unit-distance preserving,
     and not an isometry."""
-    step = Fraction(1, n)
-    for (_, _, ln) in space.desc.edges:
-        if ln != step:
-            raise SpaceError("smooth tree bijection needs all edge lengths 1/n")
-    if space.desc.ends:
-        raise SpaceError("smooth tree bijection is defined on trees without ends")
-    warp = _sine_warp(n)
+    edge = float(_unit_step(space, n, "smooth tree bijection"))
+    warp, unwarp = _sine_warp(n)
 
-    def fwd(p: Point) -> Point:
-        c = p.coords
-        if c[0] != "e":
-            return p
-        return tree_edge_point(space, c[1], Fraction(warp(float(c[2]))))
-
-    def inv(p: Point) -> Point:
-        c = p.coords
-        if c[0] != "e":
-            return p
-        s = float(c[2])
-        t = bisect_root(lambda t_: warp(t_) - s, 0.0, float(step), tol=1e-15)
-        return tree_edge_point(space, c[1], Fraction(t))
+    def lift(g):
+        def on_edges(p: Point) -> Point:
+            c = p.coords
+            if c[0] != "e":
+                return p
+            return tree_edge_point(space, c[1], Fraction(g(float(c[2]))))
+        return on_edges
     return BijectionSpec(name="tree-smooth", domain=space, codomain=space,
-                         forward=fwd, inverse=inv)
+                         forward=lift(warp),
+                         inverse=lift(lambda s: unwarp(s, 0.0, edge)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +261,14 @@ def line_counterexample() -> BijectionSpec:
     """f(x) = x + sin(2 pi x) / (2 pi) on the real line, with its exact
     monotone inverse; preserves the classes d = 1, d <= 1, d < 1."""
     space = RealLine()
-    f = _sine_warp(1)
+    warp, unwarp = _sine_warp(1)
 
     def fwd(p: Point) -> Point:
-        return point(space, f(p.coords))
+        return point(space, warp(p.coords))
 
     def inv(p: Point) -> Point:
-        ycoord = p.coords
-        t = bisect_root(lambda t_: f(t_) - ycoord, ycoord - 0.5, ycoord + 0.5, tol=1e-15)
-        return point(space, t)
+        y = p.coords
+        return point(space, unwarp(y, y - 0.5, y + 0.5))
     return BijectionSpec(name="line-sine", domain=space, codomain=space,
                          forward=fwd, inverse=inv)
 
@@ -306,14 +305,10 @@ def max_product_lift(phi: BijectionSpec, left_space) -> BijectionSpec:
     Y = phi.domain
     space = MaxProduct(left_space, Y)
 
-    def fwd(p: Point) -> Point:
-        cl, cr = p.coords
-        img = phi.forward(Point(Y, cr))
-        return Point(space, (cl, img.coords))
-
-    def inv(p: Point) -> Point:
-        cl, cr = p.coords
-        pre = phi.inverse(Point(Y, cr))
-        return Point(space, (cl, pre.coords))
+    def lift(g):
+        def on_right(p: Point) -> Point:
+            cl, cr = p.coords
+            return Point(space, (cl, g(Point(Y, cr)).coords))
+        return on_right
     return BijectionSpec(name=f"max-lift[{phi.name}]", domain=space, codomain=space,
-                         forward=fwd, inverse=inv)
+                         forward=lift(phi.forward), inverse=lift(phi.inverse))

@@ -39,15 +39,11 @@ def _line_orientation(geo: GeodesicRef, xi: IdealPoint) -> int:
 
 def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
     """Restrict/reverse a line so it becomes the unit ray toward xi."""
-    if _line_orientation(geo, xi) == 1:
-        if geo.kind == "ray":
-            return geo
-        return GeodesicRef(space, "ray", geo.point_at, plus=geo.plus)
-    base = geo.point_at
-
-    def at(t):
-        return base(-t)
-    return GeodesicRef(space, "ray", at, plus=geo.minus)
+    if _line_orientation(geo, xi) == -1:
+        geo = geo.reversed()
+    elif geo.kind == "ray":
+        return geo
+    return GeodesicRef(space, "ray", geo.point_at, plus=geo.plus)
 
 
 # ---------------------------------------------------------------------------

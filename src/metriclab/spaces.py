@@ -903,9 +903,7 @@ class MetricTree(Space):
                 raise SpaceError(f"unknown vertex {c[1]!r}")
         elif c[0] == "e":
             _, idx, off = c
-            if not (isinstance(idx, int) and 0 <= idx < len(desc.edges)):
-                raise SpaceError(f"edge index {idx} out of range")
-            ln = desc.edges[idx][2]
+            ln = self._edge(idx)[2]
             if not isinstance(off, Fraction) or not (0 < off < ln):
                 raise SpaceError(f"edge offset must be a Fraction in (0, {ln}): {off!r}")
         else:
@@ -914,6 +912,13 @@ class MetricTree(Space):
                 raise SpaceError(f"{end!r} is not a declared end")
             if not isinstance(off, Fraction) or off <= 0:
                 raise SpaceError(f"ray offset must be a positive Fraction: {off!r}")
+
+    def _edge(self, idx):
+        """Edge (u, v, length) number idx; SpaceError unless idx is an in-range int."""
+        edges = self.desc.edges
+        if not (type(idx) is int and 0 <= idx < len(edges)):
+            raise SpaceError(f"edge index {idx!r} out of range")
+        return edges[idx]
 
     def coerce(self, coords):
         return coords
@@ -1135,21 +1140,14 @@ class MaxProduct(Space):
     def coerce(self, coords):
         return coords
 
-    def _join(self, rl, rr):
-        """Pairwise max of the left and right distances: exact when both
-        factors are, otherwise in floats."""
-        if self.exact:
-            return [max(dl, dr) for dl, dr in zip(rl, rr)]
-        return [max(float(dl), float(dr)) for dl, dr in zip(rl, rr)]
-
+    # max compares a Fraction with a float exactly and returns the larger as is
     def distance(self, a, b):
-        return self._join([self.left.distance(a[0], b[0])],
-                          [self.right.distance(a[1], b[1])])[0]
+        return max(self.left.distance(a[0], b[0]), self.right.distance(a[1], b[1]))
 
     def rows(self, coords):
         pairs = zip(self.left.rows([c[0] for c in coords]),
                     self.right.rows([c[1] for c in coords]))
-        return (self._join(rl, rr) for rl, rr in pairs)
+        return (list(map(max, rl, rr)) for rl, rr in pairs)
 
     def random_point(self, rng, scale):
         l = self.left.random_point(rng, scale)
@@ -1194,7 +1192,7 @@ def tree_edge_point(space: MetricTree, edge_index: int, offset: Number) -> Point
     """Point on an edge at `offset` from the edge's first vertex; snaps the
     endpoints to vertices so coordinates stay canonical."""
     off = _as_fraction(offset)
-    u, v, ln = _of_model(space, MetricTree).desc.edges[edge_index]
+    u, v, ln = _of_model(space, MetricTree)._edge(edge_index)
     if off == 0:
         return tree_vertex(space, u)
     if off == ln:
@@ -1245,7 +1243,10 @@ def direction_ideal(space, v) -> IdealPoint:
 
 def boundary_ideal(space: HyperbolicPlane, x) -> IdealPoint:
     """Ideal point of H^2: a boundary real or math.inf."""
-    return IdealPoint(_of_model(space, HyperbolicPlane), float(x))
+    x = float(x)
+    if math.isnan(x) or x == -INF:
+        raise SpaceError(f"an H^2 ideal point is a boundary real or +inf, not {x!r}")
+    return IdealPoint(_of_model(space, HyperbolicPlane), x)
 
 
 def tree_end(space: MetricTree, end) -> IdealPoint:
@@ -1263,7 +1264,7 @@ class GeodesicRef:
 
     ``kind`` is "segment", "ray", or "line"; the domain is [0, length],
     [0, oo), or all of R. ``minus``/``plus`` are the ideal endpoints of the
-    unbounded ends, when defined.
+    unbounded ends, when defined. ``reversed()`` runs a line backwards.
     """
 
     space: object
@@ -1279,6 +1280,16 @@ class GeodesicRef:
         if self.kind == "ray":
             return (0, INF)
         return (-INF, INF)
+
+    def reversed(self) -> "GeodesicRef":
+        """The same line run backwards: t -> c(-t), with the ends swapped."""
+        if self.kind != "line":
+            raise SpaceError(f"only a line can be reversed, not a {self.kind}")
+        base = self.point_at
+
+        def at(t):
+            return base(-t)
+        return GeodesicRef(self.space, "line", at, minus=self.plus, plus=self.minus)
 
 
 def _same_space(a, b) -> bool:

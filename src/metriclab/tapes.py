@@ -163,19 +163,13 @@ def check_third_division(space, pts: dict) -> VerificationReport:
     tol = 1e-9
     rep = VerificationReport(f"third-division[p={p}]", tolerance=tol)
 
-    def rel_indices():
-        for j in range(1, p + 1):
-            yield [(0, j), (1, j), (2, j), (3, j)]
-        for k in range(1, p + 1):
-            yield [(i, ((k - i) % p) + 1) for i in range(4)]
-
-    relations = 0
-    for rel in rel_indices():
-        quad = [pts[idx] for idx in rel]
-        dtot = float(distance(space, quad[0], quad[3]))
+    quads = tape_quadruples(p)
+    for quad in quads:
+        rel = [(i, j) for i, j, _ in quad]
+        ys = [pts[idx] for idx in rel]
+        dtot = float(distance(space, ys[0], ys[3]))
         third = dtot / 3.0
-        segs = [float(distance(space, quad[a], quad[a + 1])) for a in range(3)]
-        relations += 1
+        segs = [float(distance(space, ys[a], ys[a + 1])) for a in range(3)]
         for a, seg in enumerate(segs):
             if abs(seg - third) > tol:
                 rep.fail({"relation": rel, "segment": a, "d": seg, "expected": third})
@@ -192,7 +186,7 @@ def check_third_division(space, pts: dict) -> VerificationReport:
             rep.data[f"row{i}_spread"] = spread
             if spread > tol:
                 rep.fail({"row": i, "spread": spread})
-    rep.counts = {"relations": relations, "violations": len(rep.witnesses)}
+    rep.counts = {"relations": len(quads), "violations": len(rep.witnesses)}
     return rep.finalize()
 
 

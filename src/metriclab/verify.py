@@ -305,11 +305,9 @@ def detect_normed_strip(space, a: GeodesicRef, b: GeodesicRef) -> VerificationRe
     rep.data["sup_inf_near"] = sup1
     rep.data["sup_inf_far"] = sup2
     if sup2 > sup1 + 1e-3:
-        rep.status = "fail"
-        rep.witnesses.append(_jsonable({"reason": "not-a-strip",
-                                        "sup_near": sup1, "sup_far": sup2}))
+        rep.fail({"reason": "not-a-strip", "sup_near": sup1, "sup_far": sup2})
         rep.counts = {"is_strip": 0}
-        return rep
+        return rep.finalize()
     b, reversed_b = _orient_like(space, a, b, span)
     rep.data["orientation"] = "reversed" if reversed_b else "aligned"
     t0 = _align_parallel(space, a, b, span)
@@ -366,12 +364,7 @@ def _orient_like(space, a, b, span: float):
                    - gap)
     if same <= opposite:
         return b, False
-    base = b.point_at
-
-    def at(t):
-        return base(-t)
-    flipped = GeodesicRef(space, "line", at, minus=b.plus, plus=b.minus)
-    return flipped, True
+    return b.reversed(), True
 
 
 def _align_parallel(space, a, b, span: float) -> float:

@@ -257,13 +257,22 @@ def test_smooth_tree_bijection(path_tree):
     assert abs(float(img.coords[2]) - (0.125 + 1.0 / (4.0 * math.pi))) < 1e-12
     back = phi.inverse(img)
     assert abs(float(back.coords[2]) - 0.125) < 1e-12
-    # mixed edge lengths rejected
+
+
+@pytest.mark.parametrize("who, make", [
+    ("tree swap", lambda t: TreePointSet(t, Fraction(1, 40), Fraction(1, 20))),
+    ("smooth tree bijection", lambda t: smooth_tree_bijection(t, 2)),
+])
+def test_unit_step_maps_refuse_mixed_lengths_and_ends(who, make, path_tree, ended_tree):
     uneven = MetricTree(TreeDesc(
         vertices=("a", "b", "c"),
         edges=(("a", "b", Fraction(1, 2)), ("b", "c", Fraction(1, 4))),
         denominator_bound=4))
-    with pytest.raises(SpaceError):
-        smooth_tree_bijection(uneven, 2)
+    with pytest.raises(SpaceError, match=f"{who} needs all edge lengths equal to 1/n"):
+        make(uneven)
+    with pytest.raises(SpaceError, match=f"{who} is defined on trees without ends"):
+        make(ended_tree)
+    make(path_tree)
 
 
 def test_smooth_tree_preserves_unit_distance(path_tree):

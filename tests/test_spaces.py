@@ -590,3 +590,90 @@ def test_tree_product_is_exact():
                               "d_before": str(1 + eps), "d_after": "1"},
                              {"x": [["v", "a"], ["v", "a"]], "y": [["v", "b"], ["v", "a"]],
                               "d_before": "1", "d_after": str(1 + eps)}]
+
+
+def test_tree_edge_point_refuses_bad_edge_indices():
+    # a negative index once wrapped to the last edge, an index past the end
+    # raised IndexError and a bool passed for an int
+    from metriclab.suites import swap_tree
+    t = swap_tree()
+    for idx, off in ((-1, 0), (-1, Fraction(1, 4)), (3, 0), (5, Fraction(1, 4)),
+                     (True, Fraction(1, 4)), (False, 0), (0.0, Fraction(1, 4))):
+        with pytest.raises(SpaceError, match="edge index"):
+            tree_edge_point(t, idx, off)
+    with pytest.raises(SpaceError, match="edge index"):
+        Point(t, ("e", True, Fraction(1, 4)))
+    assert tree_edge_point(t, 2, 0).coords == ("v", "v2")
+    assert tree_edge_point(t, 2, Fraction(1, 2)).coords == ("v", "v3")
+    assert tree_edge_point(t, 1, Fraction(1, 4)).coords == ("e", 1, Fraction(1, 4))
+
+
+def test_boundary_ideal_refuses_minus_inf_and_nan():
+    # H^2 has one point at infinity, +inf
+    h = HyperbolicPlane()
+    for x in (-math.inf, math.nan, "-inf", "nan"):
+        with pytest.raises(SpaceError):
+            boundary_ideal(h, x)
+    for rep in ("-inf", "-Infinity", "nan"):
+        with pytest.raises(SpaceError):
+            h.ideal_from_json(rep)
+    assert boundary_ideal(h, math.inf).rep == math.inf
+    assert h.ideal_from_json("inf").rep == math.inf
+    assert boundary_ideal(h, 2).rep == 2.0
+
+
+def test_max_product_keeps_exact_factor_distances_beyond_float_range():
+    # edges of 10^400 cannot become floats: the product's max keeps the
+    # exact factor's Fraction, and a float factor that wins keeps its bits
+    big = Fraction(10 ** 400)
+    t = MetricTree(TreeDesc(("a", "b", "c"), (("a", "b", big), ("b", "c", big)), 1))
+    prod = MaxProduct(t, RealLine())
+    pts = [Point(prod, (("v", u), x)) for u, x in (("a", 0.0), ("b", 1.5), ("c", -2.0))]
+    d = distance(prod, pts[0], pts[2])
+    assert type(d) is Fraction and d == 2 * big
+    rows = list(distance_rows(prod, pts))
+    assert rows == [[big, 2 * big], [big], []]
+    assert all(type(d) is Fraction for row in rows for d in row)
+    short = MetricTree(TreeDesc(("a", "b"), (("a", "b", Fraction(1, 2)),), 2))
+    prod = MaxProduct(short, RealLine())
+    x, y = Point(prod, (("v", "a"), 0.1)), Point(prod, (("v", "b"), 0.8))
+    d = distance(prod, x, y)
+    assert type(d) is float and d.hex() == (0.8 - 0.1).hex()
+    assert list(distance_rows(prod, [x, y])) == [[d], []]
+
+
+def _reversible_lines():
+    from metriclab.suites import ended_tree
+    e2, h2, tree = Euclidean(2), HyperbolicPlane(), ended_tree()
+    return [
+        (line_through(e2, direction_ideal(e2, (-0.6, -0.8)), direction_ideal(e2, (0.6, 0.8)),
+                      point(e2, (1.0, -2.0))), (-2.5, -1.0, 0.0, 0.75, 3.0)),
+        (line_through(h2, boundary_ideal(h2, -1.0), boundary_ideal(h2, 2.0)),
+         (-2.5, -1.0, 0.0, 0.75, 3.0)),
+        (line_through(h2, boundary_ideal(h2, 0.5), boundary_ideal(h2, math.inf)),
+         (-2.5, 0.0, 3.0)),
+        (line_through(tree, tree_end(tree, "e1"), tree_end(tree, "e3")),
+         tuple(Fraction(k, 4) for k in (-9, -2, 0, 1, 3, 11))),
+    ]
+
+
+@pytest.mark.parametrize("line, ts", _reversible_lines(),
+                         ids=["euclidean-2", "hyperbolic", "hyperbolic-inf", "tree"])
+def test_reversed_line_runs_backwards_with_ends_swapped(line, ts):
+    rev = line.reversed()
+    assert rev.kind == "line" and rev.space is line.space
+    assert rev.minus is line.plus and rev.plus is line.minus
+    twice = rev.reversed()
+    assert twice.minus is line.minus and twice.plus is line.plus
+    for t in ts:
+        assert rev.point_at(t).coords == line.point_at(-t).coords
+        assert twice.point_at(t).coords == line.point_at(t).coords
+
+
+def test_reversed_refuses_rays_and_segments():
+    e2 = Euclidean(2)
+    o = point(e2, (0.0, 0.0))
+    for geo in (ray_from(e2, o, direction_ideal(e2, (1.0, 0.0))),
+                geodesic_between(e2, o, point(e2, (1.0, 1.0)))):
+        with pytest.raises(SpaceError, match="only a line"):
+            geo.reversed()

@@ -211,7 +211,12 @@ def test_normed_strip_hyperbolic_diverges():
     b = line_through(h, boundary_ideal(h, -3.0), boundary_ideal(h, 3.0))
     rep = detect_normed_strip(h, a, b)
     assert not rep.passed
-    assert rep.witnesses[0]["reason"] == "not-a-strip"
+    out = rep.to_json()
+    assert out["status"] == "fail" and out["counts"] == {"is_strip": 0}
+    (witness,) = out["witnesses"]
+    assert witness == {"reason": "not-a-strip", "sup_near": rep.data["sup_inf_near"],
+                       "sup_far": rep.data["sup_inf_far"]}
+    assert witness["sup_far"] > witness["sup_near"] + 1e-3
 
 
 def test_is_isometry_identity_and_rotation():
