@@ -19,6 +19,7 @@ from .spaces import (
     SpaceError,
     SphereIntrinsic,
     _check_member,
+    _of_model,
     distance,
     distance_rows,
     point,
@@ -165,10 +166,9 @@ class TreePointSet:
     beta: Fraction
 
     def __post_init__(self):
-        n = self.space.desc.denominator_bound
-        if not (0 < self.alpha < self.beta < Fraction(1, 2 * n)):
+        step = _unit_step(self.space, "tree swap")
+        if not (0 < self.alpha < self.beta < step / 2):
             raise SpaceError("offsets must satisfy 0 < alpha < beta < 1/(2n)")
-        _unit_step(self.space, n, "tree swap")
 
     def class_points(self, offset: Fraction):
         step = Fraction(1, self.space.desc.denominator_bound)
@@ -210,13 +210,15 @@ def tree_swap_bijection(tps: TreePointSet) -> BijectionSpec:
         name="tree-swap", domain=space, codomain=space, forward=fwd, inverse=fwd)
 
 
-def _unit_step(space: MetricTree, n: int, who: str) -> Fraction:
-    """1/n, after checking that every edge of the tree has length 1/n and
-    that the tree has no ends; SpaceError naming ``who`` otherwise."""
-    step = Fraction(1, n)
-    if any(ln != step for (_, _, ln) in space.desc.edges):
+def _unit_step(space: MetricTree, who: str, n: int = None) -> Fraction:
+    """1/n, after checking that space is a tree, that every edge has length
+    1/n (n the tree's denominator bound unless given) and that the tree has
+    no ends; SpaceError naming ``who`` otherwise."""
+    desc = _of_model(space, MetricTree).desc
+    step = Fraction(1, desc.denominator_bound if n is None else n)
+    if any(ln != step for (_, _, ln) in desc.edges):
         raise SpaceError(f"{who} needs all edge lengths equal to 1/n")
-    if space.desc.ends:
+    if desc.ends:
         raise SpaceError(f"{who} is defined on trees without ends")
     return step
 
@@ -239,7 +241,7 @@ def smooth_tree_bijection(space: MetricTree, n: int) -> BijectionSpec:
     """Edgewise t -> t + sin(2 pi n t) / (2 pi n) on a tree whose edges all
     have length 1/n; fixes vertices, continuous, unit-distance preserving,
     and not an isometry."""
-    edge = float(_unit_step(space, n, "smooth tree bijection"))
+    edge = float(_unit_step(space, "smooth tree bijection", n))
     warp, unwarp = _sine_warp(n)
 
     def lift(g):

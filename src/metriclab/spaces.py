@@ -90,10 +90,14 @@ def supnorm(a):
 
 def _as_fraction(t: Number) -> Fraction:
     # Fraction(float) is the exact binary value of the float, so tree
-    # arithmetic stays exact whatever the caller passes.
+    # arithmetic stays exact whatever the caller passes; NaN, an infinity
+    # or a non-number is a SpaceError.
     if isinstance(t, Fraction):
         return t
-    return Fraction(t)
+    try:
+        return Fraction(t)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+        raise SpaceError(f"a tree parameter is a finite number, not {t!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +112,9 @@ class TreeDesc:
     The traversal that checks connectivity roots the tree at the first
     vertex and keeps what it visits: ``up`` maps each vertex to (parent,
     parent-edge index, depth, level), the root's parent and edge being
-    None, and ``total_length`` is the sum of the edge lengths. Neither
-    takes part in equality."""
+    None and the depth an integer over the denominator bound n (depth * n),
+    and ``total_length`` is the sum of the edge lengths. Neither takes part
+    in equality."""
 
     vertices: tuple
     edges: tuple            # (u, v, Fraction length)
@@ -140,14 +145,14 @@ class TreeDesc:
         # connectivity: every vertex is reached (acyclicity follows from the
         # edge count), so the parent table is the tree's unique one
         root = self.vertices[0]
-        up = {root: (None, None, Fraction(0), 0)}
+        up = {root: (None, None, 0, 0)}
         stack = [root]
         while stack:
             cur = stack.pop()
             _, _, depth, level = up[cur]
             for (w, i, ln) in adj[cur]:
                 if w not in up:
-                    up[w] = (cur, i, depth + ln, level + 1)
+                    up[w] = (cur, i, depth + ln.numerator * (n // ln.denominator), level + 1)
                     stack.append(w)
         if len(up) != len(vs):
             raise SpaceError("edge set is not connected")
@@ -779,61 +784,60 @@ class MetricTree(Space):
     0 < offset < length, or ('r', end, offset) with offset > 0 on the
     infinite ray at an end. Ideal points are the ends' anchor vertices.
 
-    Queries run on the parent table ``desc.up`` that the ``TreeDesc``
-    builds while it validates: a point is anchored at a vertex with its
-    depth, and a distance climbs both anchors to their common ancestor.
-    The climb works on integer depths over a common denominator L (the
-    denominator bound and the anchors' denominators), and a distance is
-    one ``Fraction`` built at the end."""
+    Queries run on the parent table ``desc.up`` of the ``TreeDesc``, whose
+    depths are integers over the denominator bound n. A point is anchored
+    at a vertex with an integer depth over lcm(n, its offset's denominator);
+    a distance climbs two anchors, over their common denominator L, to their
+    common ancestor, and a geodesic point climbs from an endpoint over
+    lcm(L, the parameter's denominator). All of it is integer arithmetic,
+    with one ``Fraction`` per returned distance or offset."""
 
     desc: TreeDesc
 
     exact = True
 
     def _anchor(self, c):
-        """A point as (v, depth): its depth, and the vertex v it sits at, on
-        v's parent edge above v, or on v's end ray below v."""
-        up = self.desc.up
+        """A point as (v, p, q): its depth p/q, q = lcm(n, the offset's
+        denominator), and the vertex v it sits at, on v's parent edge above
+        v, or on v's end ray below v."""
+        up, n = self.desc.up, self.desc.denominator_bound
         if c[0] == "v":
-            return c[1], up[c[1]][2]
-        if c[0] == "r":
-            return c[1], up[c[1]][2] + c[2]
-        _, i, off = c
+            return c[1], up[c[1]][2], n
+        kind, i, off = c
+        q = math.lcm(n, off.denominator)
+        o = off.numerator * (q // off.denominator)
+        if kind == "r":
+            return i, up[i][2] * (q // n) + o, q
         u, v, _ = self.desc.edges[i]
+        du = up[u][2] * (q // n)
         if up[v][1] == i:
-            return v, up[u][2] + off
-        return u, up[u][2] - off
+            return v, du + o, q
+        return u, du - o, q
 
-    def _coords(self, v, d):
-        """Canonical coordinates of the anchor (v, d)."""
-        up = self.desc.up
+    def _pair(self, a, b):
+        """The common denominator L of the anchors of a and b, and both
+        anchors as (v, depth) with integer depths over L."""
+        va, pa, qa = self._anchor(a)
+        vb, pb, qb = self._anchor(b)
+        L = math.lcm(qa, qb)
+        return L, (va, pa * (L // qa)), (vb, pb * (L // qb))
+
+    def _coords(self, v, d, M):
+        """Canonical coordinates of the point at integer depth d over M (a
+        multiple of n) on the way up from v, or on v's end ray below v."""
+        up, k = self.desc.up, M // self.desc.denominator_bound
         parent, i, depth, _ = up[v]
+        # climb while the parent is at least as high as d
+        while depth * k > d and up[parent][2] * k >= d:
+            v = parent
+            parent, i, depth, _ = up[v]
+        depth *= k
         if d == depth:
             return ("v", v)
         if d > depth:
-            return ("r", v, d - depth)
+            return ("r", v, Fraction(d - depth, M))
         u = self.desc.edges[i][0]
-        return ("e", i, depth - d if u == v else d - up[parent][2])
-
-    def _climb(self, v, d, s):
-        """The anchor s above the anchor (v, d)."""
-        up = self.desc.up
-        target = d - s
-        depth = up[v][2]
-        while depth > target:
-            parent = up[v][0]
-            pdepth = up[parent][2]
-            if pdepth < target:
-                break
-            v, depth = parent, pdepth
-        return v, target
-
-    def _scaled(self, anchors):
-        """L and the anchors with depths as integers over L, the lcm of the
-        denominator bound (so every vertex depth is an integer over L too)
-        and the anchors' own denominators."""
-        L = math.lcm(self.desc.denominator_bound, *(d.denominator for _, d in anchors))
-        return L, [(v, d.numerator * (L // d.denominator)) for v, d in anchors]
+        return ("e", i, Fraction(depth - d if u == v else d - up[parent][2] * k, M))
 
     def _top(self, va, da, vb, db, L):
         """Depth over L of the highest point of [a, b], for the anchors
@@ -850,8 +854,7 @@ class MetricTree(Space):
             v, lv = up[v][0], lv - 1
         while u != v:
             u, v = up[u][0], up[v][0]
-        depth = up[u][2]
-        top = depth.numerator * (L // depth.denominator)
+        top = up[u][2] * (L // self.desc.denominator_bound)
         # the endpoint anchored at the common ancestor may sit above it
         if u == va:
             return min(top, da)
@@ -859,34 +862,31 @@ class MetricTree(Space):
             return min(top, db)
         return top
 
-    def _span(self, a, b):
-        """Anchors of a and b, their common denominator L = lcm(bound, own
-        denominators), and the depths over L of a, b and the highest point
-        of [a, b]."""
-        anchors = self._anchor(a), self._anchor(b)
-        L, ((va, da), (vb, db)) = self._scaled(anchors)
-        return anchors, L, da, db, self._top(va, da, vb, db, L)
-
     def _geodesic(self, a, b, *, minus_end=None, plus_end=None):
         """Evaluator over [a, b], extended along end rays if asked. The point
         at t lies t above a up to the highest point of [a, b], and D - t
-        above b beyond it."""
-        ((va, da), (vb, db)), L, ia, ib, top = self._span(a, b)
-        D, rise = Fraction(ia + ib - 2 * top, L), Fraction(ia - top, L)
+        above b beyond it; D and that rise are integers over L."""
+        L, (va, da), (vb, db) = self._pair(a, b)
+        top = self._top(va, da, vb, db, L)
+        D, rise = da + db - 2 * top, da - top
 
         def at(t):
             tf = _as_fraction(t)
-            if tf < 0:
+            num, den = tf.numerator, tf.denominator
+            tL = num * L            # t * den over L, like D and rise
+            if num < 0:
                 if minus_end is None:
                     raise SpaceError(f"parameter {t} below domain")
                 return Point(self, ("r", minus_end, -tf))
-            if tf > D:
+            if tL > D * den:
                 if plus_end is None:
                     raise SpaceError(f"parameter {t} beyond domain")
-                return Point(self, ("r", plus_end, tf - D))
-            if tf <= rise:
-                return Point(self, self._coords(*self._climb(va, da, tf)))
-            return Point(self, self._coords(*self._climb(vb, db, D - tf)))
+                return Point(self, ("r", plus_end, Fraction(tL - D * den, den * L)))
+            M = math.lcm(L, den)
+            s, m = num * (M // den), M // L
+            if tL <= rise * den:
+                return Point(self, self._coords(va, da * m - s, M))
+            return Point(self, self._coords(vb, (db - D) * m + s, M))
         return at
 
     def validate(self, c):
@@ -924,14 +924,17 @@ class MetricTree(Space):
         return coords
 
     def distance(self, a, b) -> Fraction:
-        _, L, da, db, top = self._span(a, b)
-        return Fraction(da + db - 2 * top, L)
+        L, (va, da), (vb, db) = self._pair(a, b)
+        return Fraction(da + db - 2 * self._top(va, da, vb, db, L), L)
 
     def rows(self, coords):
-        # each point is anchored once; a pair is then one integer climb, and
-        # equal lengths share one Fraction (a memo of at most _ROW_MEMO
-        # lengths: on the benchmark pools 77-98% of the pairs hit it)
-        L, anchors = self._scaled([self._anchor(c) for c in coords])
+        # each point is anchored once over one common L; a pair is then one
+        # integer climb, and equal lengths share one Fraction (a memo of at
+        # most _ROW_MEMO lengths: on the benchmark pools 77-98% of the pairs
+        # hit it)
+        anchors = [self._anchor(c) for c in coords]
+        L = math.lcm(*(q for _, _, q in anchors))
+        anchors = [(v, p * (L // q)) for v, p, q in anchors]
         top = self._top
         memo = {}
         for i, (va, da) in enumerate(anchors):
@@ -955,12 +958,11 @@ class MetricTree(Space):
         moves monotonically there and never goes further out than a or b:
         max(their ray offsets, 1) bounds every useful ray node."""
         up = self.desc.up
-        L, anchors = self._scaled([self._anchor(a), self._anchor(b)])
+        L, *anchors = self._pair(a, b)
         s = L // self.desc.denominator_bound
         res, cap = [], L
         for v, d in anchors:
-            depth = up[v][2]
-            o = d - depth.numerator * (L // depth.denominator)
+            o = d - up[v][2] * s
             res.append({o % s, -o % s})
             cap = max(cap, o)
         return L, anchors, res, cap
@@ -973,22 +975,18 @@ class MetricTree(Space):
         desc, up = self.desc, self.desc.up
         s = L // desc.denominator_bound
 
-        def depth(v):
-            d = up[v][2]
-            return d.numerator * (L // d.denominator)
-
         def offsets(stop):
             return sorted({o for r in res for o in range(r or s, stop, s)})
-        nodes = [(v, depth(v)) for v in desc.vertices] if 0 in res else []
+        nodes = [(v, up[v][2] * s) for v in desc.vertices] if 0 in res else []
         for i, (u, v, ln) in enumerate(desc.edges):
-            du, stop = depth(u), ln.numerator * (L // ln.denominator)
+            du, stop = up[u][2] * s, ln.numerator * (L // ln.denominator)
             # anchored at the lower endpoint, as in _anchor
             if up[v][1] == i:
                 nodes += [(v, du + o) for o in offsets(stop)]
             else:
                 nodes += [(u, du - o) for o in offsets(stop)]
         for e in desc.ends:
-            de = depth(e)
+            de = up[e][2] * s
             nodes += [(e, de + o) for o in offsets(cap + 1)]
         return nodes
 
@@ -996,7 +994,7 @@ class MetricTree(Space):
         """Coordinates of the finite closed node set of the unit-jump graph
         through a and b: both offset classes, end rays cut at the cap."""
         L, _, (ra, rb), cap = self._jump_setup(a, b)
-        return [self._coords(v, Fraction(d, L)) for v, d in self._class_anchors(L, ra | rb, cap)]
+        return [self._coords(v, d, L) for v, d in self._class_anchors(L, ra | rb, cap)]
 
     def grasshopper(self, a, b):
         """Minimal number of exact unit jumps from a to b, math.inf if none:

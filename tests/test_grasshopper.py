@@ -275,6 +275,17 @@ def test_unit_step_maps_refuse_mixed_lengths_and_ends(who, make, path_tree, ende
     make(path_tree)
 
 
+@pytest.mark.parametrize("make", [
+    lambda s: TreePointSet(s, Fraction(1, 40), Fraction(1, 20)),
+    lambda s: smooth_tree_bijection(s, 2),
+])
+def test_unit_step_maps_refuse_a_non_tree(make):
+    # the tree check comes before anything reads the tree description
+    for space in (Euclidean(2), RealLine()):
+        with pytest.raises(SpaceError, match="expected a MetricTree space"):
+            make(space)
+
+
 def test_smooth_tree_preserves_unit_distance(path_tree):
     phi = smooth_tree_bijection(path_tree, 2)
     pts = [tree_vertex(path_tree, v) for v in path_tree.desc.vertices]

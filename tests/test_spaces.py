@@ -36,6 +36,7 @@ from metriclab.spaces import (
     sphere_point,
     tree_edge_point,
     tree_end,
+    tree_ray_point,
     tree_vertex,
 )
 from metriclab.verify import (
@@ -333,6 +334,23 @@ def test_tree_ray_and_line_evaluation(ended_tree):
     assert r.point_at(Fraction(5, 2)).coords == ("r", "e1", Fraction(3, 2))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, None, object(), "1/0"])
+def test_tree_parameters_refuse_non_finite_numbers(t, ended_tree):
+    # Fraction() raises ValueError, OverflowError, TypeError or
+    # ZeroDivisionError on these
+    e1, e2 = tree_end(ended_tree, "e1"), tree_end(ended_tree, "e2")
+    x0, spur = tree_vertex(ended_tree, "x0"), tree_vertex(ended_tree, "spur")
+    on_e1 = tree_ray_point(ended_tree, "e1", Fraction(1, 3))
+    for geo in (geodesic_between(ended_tree, x0, spur), ray_from(ended_tree, spur, e1),
+                ray_from(ended_tree, on_e1, e1), line_through(ended_tree, e1, e2)):
+        with pytest.raises(SpaceError, match="finite number"):
+            geo.point_at(t)
+    with pytest.raises(SpaceError, match="finite number"):
+        tree_edge_point(ended_tree, 0, t)
+    # a finite float is still its exact binary value
+    assert tree_edge_point(ended_tree, 0, 0.375).coords == ("e", 0, Fraction(3, 8))
+
+
 def test_tree_json_roundtrip(tmp_path, ended_tree):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(ended_tree.desc.to_json()))
@@ -363,7 +381,8 @@ def test_tree_desc_validation():
         with pytest.raises(SpaceError, match=message):
             TreeDesc(vertices, edges, n, ends)
     desc = TreeDesc(("a", "b", "c"), (("b", "a", half), ("c", "b", Fraction(3, 2))), 2)
-    assert desc.up == {"a": (None, None, 0, 0), "b": ("a", 0, half, 1), "c": ("b", 1, 2, 2)}
+    # depths are integers over the denominator bound: 1/2 and 2 times 2
+    assert desc.up == {"a": (None, None, 0, 0), "b": ("a", 0, 1, 1), "c": ("b", 1, 4, 2)}
     assert desc.total_length == 2
 
 

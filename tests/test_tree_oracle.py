@@ -114,7 +114,23 @@ def _random_point(rng, tree):
        V=st.integers(2, 60), n_ends=st.integers(0, 2))
 def test_tree_matches_bfs_oracle(seed, shape, V, n_ends):
     rng = random.Random(seed)
-    desc = _random_desc(rng, shape, V, n_ends)
+    _check_against_oracle(rng, _random_desc(rng, shape, V, n_ends))
+
+
+def test_deep_caterpillar_matches_bfs_oracle():
+    # about 200 levels: every climb passes many vertices
+    rng = random.Random(400)
+    _check_against_oracle(rng, _random_desc(rng, "caterpillar", 400, 2))
+
+
+def _params(D):
+    """Parameters in [0, D]: eighths, sevenths and ninths (denominators
+    that need not divide the climb's L), and exact-binary floats."""
+    params = [D * k / 8 for k in range(9)] + [D * k / 7 for k in range(1, 7)]
+    return params + [D * k / 9 for k in range(1, 9)] + [float(D) * 0.37, float(D) * 0.5]
+
+
+def _check_against_oracle(rng, desc):
     tree = MetricTree(desc)
     oracle = Oracle(desc)
     pts = [_random_point(rng, tree) for _ in range(8)]
@@ -123,7 +139,9 @@ def test_tree_matches_bfs_oracle(seed, shape, V, n_ends):
         for b in pts:
             assert distance(tree, a, b) == oracle.dist(a.coords, b.coords)
     for i, row in enumerate(distance_rows(tree, pts)):
+        assert len(row) == len(pts) - 1 - i
         for j, d in enumerate(row, i + 1):
+            assert d == distance(tree, pts[i], pts[j])
             assert d == oracle.dist(pts[i].coords, pts[j].coords)
 
     for a, b in zip(pts, pts[1:]):
@@ -132,11 +150,10 @@ def test_tree_matches_bfs_oracle(seed, shape, V, n_ends):
             continue
         geo = geodesic_between(tree, a, b)
         assert geo.point_at(0) == a and geo.point_at(D) == b
-        for k in range(9):
-            t = D * k / 8
+        for t in _params(D):
             p = geo.point_at(t).coords
-            assert oracle.dist(a.coords, p) == t
-            assert oracle.dist(p, b.coords) == D - t
+            assert oracle.dist(a.coords, p) == Fraction(t)
+            assert oracle.dist(p, b.coords) == D - Fraction(t)
 
     for end in desc.ends:
         xi = tree_end(tree, end)
@@ -157,11 +174,14 @@ def test_tree_matches_bfs_oracle(seed, shape, V, n_ends):
     if len(desc.ends) == 2:
         line = line_through(tree, tree_end(tree, desc.ends[0]), tree_end(tree, desc.ends[1]))
         span = oracle.dist(("v", desc.ends[0]), ("v", desc.ends[1]))
-        params = [(span + 4) * Fraction(k, 8) - 2 for k in range(9)]
+        params = [p - 2 for p in _params(span + 4)]
         along = [line.point_at(t).coords for t in params]
-        for s, p in zip(params, along):
-            for t, q in zip(params, along):
-                assert oracle.dist(p, q) == abs(s - t)
+        back = [line.reversed().point_at(t).coords for t in params]
+        for s, p, p_back in zip(params, along, back):
+            for t, q, q_back in zip(params, along, back):
+                assert oracle.dist(p, q) == abs(Fraction(s) - Fraction(t))
+                assert oracle.dist(p_back, q_back) == abs(Fraction(s) - Fraction(t))
+                assert oracle.dist(p, q_back) == abs(Fraction(s) + Fraction(t))
 
 
 def test_common_denominator_includes_the_bound():
