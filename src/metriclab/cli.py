@@ -21,6 +21,8 @@ from .suites import COUNT_PARAMETERS, RANDOMIZED_SUITES, SUITES, run_named_suite
 from .verify import _jsonable
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
+CONFIG_KEYS = ("suite", "seed", "parameters", "output", "format", "tree_file")
+PARAMETER_KEYS = COUNT_PARAMETERS + ("tol", "tree")
 
 
 class ConfigError(ValueError):
@@ -51,6 +53,9 @@ class ScenarioConfig:
         if not isinstance(self.parameters, dict):
             raise ConfigError(f"parameters must be an object, got {self.parameters!r}")
         self.parameters = dict(self.parameters)
+        for key in self.parameters:
+            if key not in PARAMETER_KEYS:
+                raise ConfigError(f"unknown parameter {key!r}; choose from {PARAMETER_KEYS}")
         if "tree" in self.parameters and not isinstance(self.parameters["tree"], MetricTree):
             raise ConfigError("parameters.tree must be a MetricTree (give a tree_file), "
                               f"got {self.parameters['tree']!r}")
@@ -76,6 +81,9 @@ class ScenarioConfig:
     def from_dict(raw: dict, overrides: dict = None) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        for key in raw:
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}; choose from {CONFIG_KEYS}")
         merged = dict(raw)
         for key, val in (overrides or {}).items():
             if val is not None:

@@ -1030,7 +1030,10 @@ class MetricTree(Space):
             off = c[2]
 
             def at(t):
-                return Point(self, ("r", end, off + _as_fraction(t)))
+                tf = _as_fraction(t)
+                if tf < 0:
+                    raise SpaceError(f"parameter {t} below domain")
+                return Point(self, ("r", end, off + tf))
             return at
         return self._geodesic(c, ("v", end), plus_end=end)
 

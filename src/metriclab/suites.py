@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import grasshopper as gh
@@ -114,6 +115,18 @@ def busemann_catalog():
     ]
 
 
+class _Reports(list):
+    """A suite's reports in order. A check opened with ``check`` is
+    finalized with its counts and appended when its block exits; a report
+    a check function returns whole is appended as it is."""
+
+    @contextmanager
+    def check(self, name: str, tolerance: float):
+        rep = VerificationReport(name, tolerance=tolerance)
+        yield rep
+        self.append(rep.finalize(**rep.counts))
+
+
 def _expect_failure(inner: VerificationReport, label: str) -> VerificationReport:
     """Wrap a check whose FAILURE is the desired outcome."""
     rep = VerificationReport(label, tolerance=inner.tolerance)
@@ -139,12 +152,12 @@ def suite_axioms(seed: int, params: dict) -> list:
     triples = params.get("triples", 200)
     tol = float(params.get("tol", 1e-9))
     tree = params.get("tree")
-    reports = []
+    out = _Reports()
     for k, space in enumerate(catalog(tree)):
         sample = random_sample(space, 40, seed + k)
-        reports.append(check_metric_axioms(space, sample, triples=triples,
-                                           seed=seed + 1000 + k, tol=tol))
-    return reports
+        out.append(check_metric_axioms(space, sample, triples=triples,
+                                       seed=seed + 1000 + k, tol=tol))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +166,34 @@ def suite_axioms(seed: int, params: dict) -> list:
 def suite_busemann(seed: int, params: dict) -> list:
     triples = params.get("triples", 50)
     tol = float(params.get("tol", 1e-9))
-    reports = []
+    out = _Reports()
     for k, space in enumerate(busemann_catalog()):
         rng = random.Random(seed + k)
         sample = random_sample(space, 40, seed + 500 + k)
-        rep = VerificationReport(f"busemann-inequality[{space.tag()}]", tolerance=tol)
-        for _ in range(triples):
-            x, y, z = _distinct_triple(rng, sample.points)
-            sub = check_busemann_midpoints(space, x, y, z, tol=tol)
-            if not sub.passed:
-                rep.fail({"x": x, "y": y, "z": z})
-        rep.counts = {"triples": triples, "violations": len(rep.witnesses)}
-        reports.append(rep.finalize())
+        with out.check(f"busemann-inequality[{space.tag()}]", tol) as rep:
+            for _ in range(triples):
+                x, y, z = _distinct_triple(rng, sample.points)
+                sub = check_busemann_midpoints(space, x, y, z, tol=tol)
+                if not sub.passed:
+                    rep.fail({"x": x, "y": y, "z": z})
+            rep.counts = {"triples": triples}
 
     # the constructed sup-norm witness must violate the inequality
     linf = MinkowskiLinf()
     inner = check_busemann_midpoints(
         linf, point(linf, (0.0, 0.0)), point(linf, (2.0, 0.0)), point(linf, (2.0, 2.0)),
         selector_xy="lower extreme", selector_xz="upper extreme", tol=tol)
-    reports.append(_expect_failure(inner, "busemann-violation[minkowski-linf]"))
+    out.append(_expect_failure(inner, "busemann-violation[minkowski-linf]"))
 
     # distance convexity grids
     e2 = Euclidean(2)
     g1 = geodesic_between(e2, point(e2, (0.0, 0.0)), point(e2, (4.0, 1.0)))
     g2 = geodesic_between(e2, point(e2, (0.0, 2.0)), point(e2, (3.0, 5.0)))
-    reports.append(check_distance_convexity(e2, g1, g2))
+    out.append(check_distance_convexity(e2, g1, g2))
     h2 = HyperbolicPlane()
     gh1 = geodesic_between(h2, point(h2, (-2.0, 1.0)), point(h2, (-1.0, 3.0)))
     gh2 = geodesic_between(h2, point(h2, (1.0, 0.5)), point(h2, (2.0, 2.0)))
-    reports.append(check_distance_convexity(h2, gh1, gh2))
+    out.append(check_distance_convexity(h2, gh1, gh2))
     # bent sup-norm geodesics through the extreme midpoints violate midpoint
     # convexity of the cross-distance; the check must flag them
     def bent(sign):
@@ -194,8 +206,8 @@ def suite_busemann(seed: int, params: dict) -> list:
     gl1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
     gl2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
     inner = check_distance_convexity(linf, gl1, gl2)
-    reports.append(_expect_failure(inner, "distance-convexity-violation[minkowski-linf]"))
-    return reports
+    out.append(_expect_failure(inner, "distance-convexity-violation[minkowski-linf]"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +215,7 @@ def suite_busemann(seed: int, params: dict) -> list:
 
 def suite_horofn(seed: int, params: dict) -> list:
     tol = float(params.get("tol", 1e-6))
-    reports = []
+    out = _Reports()
     rng = random.Random(seed)
     e2, h2, tree = Euclidean(2), HyperbolicPlane(), ended_tree()
 
@@ -225,34 +237,32 @@ def suite_horofn(seed: int, params: dict) -> list:
             ("euclidean-2", e2, lambda: (ray_from(e2, e2.random_point(rng, 3), e2_xi()),
                                          e2.random_point(rng, 5))),
             ("hyperbolic-plane", h2, lambda: (h2_ray(), h2_point()))):
-        rep = VerificationReport(f"busemann-oracle[{label}]", tolerance=tol)
-        for _ in range(pairs):
-            r, y = case()
-            closed = busemann_value(space, r, y, method="closed")
-            try:
-                lim = busemann_value(space, r, y, method="limit", tol=tol)
-            except (ConvergenceError, SpaceError) as exc:
-                rep.fail({"y": y, "closed": closed, "stage": "limit", "error": str(exc)})
-                continue
-            if abs(closed - lim) > tol:
-                rep.fail({"y": y, "closed": closed, "limit": lim})
-        rep.counts = {"pairs": pairs, "violations": len(rep.witnesses)}
-        reports.append(rep.finalize())
-
-    rep = VerificationReport("busemann-oracle[tree]", tolerance=0.0)
-    tree_pts = random_sample(tree, 20, seed + 7).points
-    count = 0
-    for endname in ("e1", "e3"):
-        for p in tree_pts[:10]:
-            r = ray_from(tree, p, tree_end(tree, endname))
-            for y in tree_pts[10:16]:
-                closed = busemann_value(tree, r, y, method="closed")
-                lim = busemann_value(tree, r, y, method="limit")
-                count += 1
-                if closed != lim:
+        with out.check(f"busemann-oracle[{label}]", tol) as rep:
+            for _ in range(pairs):
+                r, y = case()
+                closed = busemann_value(space, r, y, method="closed")
+                try:
+                    lim = busemann_value(space, r, y, method="limit", tol=tol)
+                except (ConvergenceError, SpaceError) as exc:
+                    rep.fail({"y": y, "closed": closed, "stage": "limit", "error": str(exc)})
+                    continue
+                if abs(closed - lim) > tol:
                     rep.fail({"y": y, "closed": closed, "limit": lim})
-    rep.counts = {"pairs": count, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+            rep.counts = {"pairs": pairs}
+
+    tree_pts = random_sample(tree, 20, seed + 7).points
+    with out.check("busemann-oracle[tree]", 0.0) as rep:
+        count = 0
+        for endname in ("e1", "e3"):
+            for p in tree_pts[:10]:
+                r = ray_from(tree, p, tree_end(tree, endname))
+                for y in tree_pts[10:16]:
+                    closed = busemann_value(tree, r, y, method="closed")
+                    lim = busemann_value(tree, r, y, method="limit")
+                    count += 1
+                    if closed != lim:
+                        rep.fail({"y": y, "closed": closed, "limit": lim})
+        rep.counts = {"pairs": count}
 
     # sum bound over asymptotic ray pairs
     def e2_rays():
@@ -263,92 +273,88 @@ def suite_horofn(seed: int, params: dict) -> list:
         xi = tree_end(tree, ("e1", "e2", "e3", "e4")[rng.randrange(4)])
         return [ray_from(tree, tree_pts[rng.randrange(len(tree_pts))], xi) for _ in range(2)]
 
-    rep = VerificationReport("sum-bound", tolerance=tol)
-    n_pairs = params.get("ray_pairs", 40)
-    models = (("euclidean-2", e2, e2_rays),
-              ("hyperbolic-plane", h2, lambda: (h2_ray(), h2_ray())),
-              ("tree", tree, tree_rays))
-    for label, space, case in models:
-        for _ in range(n_pairs):
-            sub = check_busemann_sum_bound(space, *case(), tol=tol)
-            if not sub.passed:
-                rep.fail({"space": label, "witness": sub.witnesses})
-    rep.counts = {"pairs": len(models) * n_pairs, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("sum-bound", tol) as rep:
+        n_pairs = params.get("ray_pairs", 40)
+        models = (("euclidean-2", e2, e2_rays),
+                  ("hyperbolic-plane", h2, lambda: (h2_ray(), h2_ray())),
+                  ("tree", tree, tree_rays))
+        for label, space, case in models:
+            for _ in range(n_pairs):
+                sub = check_busemann_sum_bound(space, *case(), tol=tol)
+                if not sub.passed:
+                    rep.fail({"space": label, "witness": sub.witnesses})
+        rep.counts = {"pairs": len(models) * n_pairs}
 
     # pseudometric axioms of rho_xi on asymptotic triples
-    rep = VerificationReport("rho-pseudometric", tolerance=tol)
-    xi = direction_ideal(e2, (1.0, 0.0))
-    rays = [ray_from(e2, point(e2, (rng.uniform(-2, 2), rng.uniform(-2, 2))), xi)
-            for _ in range(5)]
-    rho = {}
-    for i in range(len(rays)):
-        for j in range(len(rays)):
-            if i != j:
-                rho[(i, j)] = ray_pseudodistance(e2, rays[i], rays[j])
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            if abs(rho[(i, j)] - rho[(j, i)]) > tol:
-                rep.fail({"axiom": "symmetry", "i": i, "j": j})
-            for k in range(len(rays)):
-                if k in (i, j):
-                    continue
-                if rho[(i, j)] > rho[(i, k)] + rho[(k, j)] + tol:
-                    rep.fail({"axiom": "triangle", "i": i, "j": j, "k": k})
-    rep.counts = {"rays": len(rays), "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("rho-pseudometric", tol) as rep:
+        xi = direction_ideal(e2, (1.0, 0.0))
+        rays = [ray_from(e2, point(e2, (rng.uniform(-2, 2), rng.uniform(-2, 2))), xi)
+                for _ in range(5)]
+        rho = {}
+        for i in range(len(rays)):
+            for j in range(len(rays)):
+                if i != j:
+                    rho[(i, j)] = ray_pseudodistance(e2, rays[i], rays[j])
+        for i in range(len(rays)):
+            for j in range(i + 1, len(rays)):
+                if abs(rho[(i, j)] - rho[(j, i)]) > tol:
+                    rep.fail({"axiom": "symmetry", "i": i, "j": j})
+                for k in range(len(rays)):
+                    if k in (i, j):
+                        continue
+                    if rho[(i, j)] > rho[(i, k)] + rho[(k, j)] + tol:
+                        rep.fail({"axiom": "triangle", "i": i, "j": j, "k": k})
+        rep.counts = {"rays": len(rays)}
 
     # Tits deltas
-    rep = VerificationReport("tits-delta", tolerance=1e-4)
-    o = point(e2, (0.0, 0.0))
-    for theta in (0.01, math.pi / 2, math.pi):
-        xi = direction_ideal(e2, (1.0, 0.0))
-        eta = direction_ideal(e2, (math.cos(theta), math.sin(theta)))
-        got = tits_delta(e2, o, xi, eta)
-        want = math.sin(theta / 2.0)
-        if abs(got - want) > 1e-4:
-            rep.fail({"theta": theta, "got": got, "want": want})
-    got = tits_delta(tree, tree_vertex(tree, "x0"),
-                     tree_end(tree, "e1"), tree_end(tree, "e2"))
-    if got != 1.0:
-        rep.fail({"space": "tree", "got": got, "want": 1.0})
-    rep.counts = {"cases": 4, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("tits-delta", 1e-4) as rep:
+        o = point(e2, (0.0, 0.0))
+        for theta in (0.01, math.pi / 2, math.pi):
+            xi = direction_ideal(e2, (1.0, 0.0))
+            eta = direction_ideal(e2, (math.cos(theta), math.sin(theta)))
+            got = tits_delta(e2, o, xi, eta)
+            want = math.sin(theta / 2.0)
+            if abs(got - want) > 1e-4:
+                rep.fail({"theta": theta, "got": got, "want": want})
+        got = tits_delta(tree, tree_vertex(tree, "x0"),
+                         tree_end(tree, "e1"), tree_end(tree, "e2"))
+        if got != 1.0:
+            rep.fail({"space": "tree", "got": got, "want": 1.0})
+        rep.counts = {"cases": 4}
 
     # shadows: membership plus the semicontinuity spot check
-    rep = VerificationReport("shadow-semicontinuity", tolerance=0.1)
-    y = point(e2, (-2.0, 0.0))
-    x0 = point(e2, (0.0, 0.0))
-    rho, eps, delta = 1.0, 0.1, 0.01
-    base_shadow = spherical_shadow_sample(e2, y, x0, rho, resolution=720, tol=1e-4)
-    dist_yx0 = float(distance(e2, y, x0))
-    n_shadow_pts = params.get("shadow_points", 100)
-    checked = 0
-    k = 0
-    while checked < n_shadow_pts:
-        # perturb x0 along the sphere S(y, |y x0|) by at most delta
-        phi = (k / max(1, n_shadow_pts - 1) - 0.5) * (delta / dist_yx0)
-        k += 1
-        x1 = point(e2, (y.coords[0] + dist_yx0 * math.cos(phi),
-                        y.coords[1] + dist_yx0 * math.sin(phi)))
-        shadow1 = spherical_shadow_sample(e2, y, x1, rho, resolution=720, tol=1e-4)
-        for z in shadow1.points:
-            if checked >= n_shadow_pts:
-                break
-            checked += 1
-            nearest = min(float(distance(e2, z, w)) for w in base_shadow.points)
-            if nearest > eps:
-                rep.fail({"z": z, "nearest": nearest})
-    rep.counts = {"points": checked, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
-    return reports
+    with out.check("shadow-semicontinuity", 0.1) as rep:
+        y = point(e2, (-2.0, 0.0))
+        x0 = point(e2, (0.0, 0.0))
+        rho, eps, delta = 1.0, 0.1, 0.01
+        base_shadow = spherical_shadow_sample(e2, y, x0, rho, resolution=720, tol=1e-4)
+        dist_yx0 = float(distance(e2, y, x0))
+        n_shadow_pts = params.get("shadow_points", 100)
+        checked = 0
+        k = 0
+        while checked < n_shadow_pts:
+            # perturb x0 along the sphere S(y, |y x0|) by at most delta
+            phi = (k / max(1, n_shadow_pts - 1) - 0.5) * (delta / dist_yx0)
+            k += 1
+            x1 = point(e2, (y.coords[0] + dist_yx0 * math.cos(phi),
+                            y.coords[1] + dist_yx0 * math.sin(phi)))
+            shadow1 = spherical_shadow_sample(e2, y, x1, rho, resolution=720, tol=1e-4)
+            for z in shadow1.points:
+                if checked >= n_shadow_pts:
+                    break
+                checked += 1
+                nearest = min(float(distance(e2, z, w)) for w in base_shadow.points)
+                if nearest > eps:
+                    rep.fail({"z": z, "nearest": nearest})
+        rep.counts = {"points": checked}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # suite: transfers
 
 def suite_transfers(seed: int, params: dict) -> list:
-    reports = []
+    out = _Reports()
     rng = random.Random(seed)
     e2 = Euclidean(2)
     h2 = HyperbolicPlane()
@@ -373,95 +379,89 @@ def suite_transfers(seed: int, params: dict) -> list:
         a = line_through(tree, pick[0], pick[2])
         return a, line_through(tree, pick[1], pick[2]), a.point_at(Fraction(1, 4))
 
-    rep = VerificationReport("double-transfer-identity", tolerance=1e-8)
-    models = (("euclidean-2", e2, 10, e2_case), ("hyperbolic-plane", h2, 10, h2_case),
-              ("tree", tree, 8, tree_case))
-    for label, space, n, case in models:
-        for _ in range(n):
-            res = tr.double_transfer(space, *case())
-            if abs(res.shift) > (0 if space.exact else 1e-8):
-                rep.fail({"space": label, "shift": res.shift})
-    rep.counts = {"cases": sum(n for _, _, n, _ in models), "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("double-transfer-identity", 1e-8) as rep:
+        models = (("euclidean-2", e2, 10, e2_case), ("hyperbolic-plane", h2, 10, h2_case),
+                  ("tree", tree, 8, tree_case))
+        for label, space, n, case in models:
+            for _ in range(n):
+                res = tr.double_transfer(space, *case())
+                if abs(res.shift) > (0 if space.exact else 1e-8):
+                    rep.fail({"space": label, "shift": res.shift})
+        rep.counts = {"cases": sum(n for _, _, n, _ in models)}
 
     # n-fold synthetic composition lands on a(t + 1)
-    rep = VerificationReport("n-fold-composition", tolerance=1e-6)
-    a = line_through(h2, boundary_ideal(h2, 0.0), boundary_ideal(h2, math.inf))
-    b = line_through(h2, boundary_ideal(h2, 3.0), boundary_ideal(h2, math.inf))
-    for n in (4, 8):
-        x = a.point_at(0.0)
-        for _ in range(n):
-            x = tr.double_transfer(h2, a, b, x, level_shift=1.0 / n).image
-        err = float(distance(h2, x, a.point_at(1.0)))
-        if err > 1e-6:
-            rep.fail({"n": n, "err": err})
-    rep.counts = {"cases": 2, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
-    return reports
+    with out.check("n-fold-composition", 1e-6) as rep:
+        a = line_through(h2, boundary_ideal(h2, 0.0), boundary_ideal(h2, math.inf))
+        b = line_through(h2, boundary_ideal(h2, 3.0), boundary_ideal(h2, math.inf))
+        for n in (4, 8):
+            x = a.point_at(0.0)
+            for _ in range(n):
+                x = tr.double_transfer(h2, a, b, x, level_shift=1.0 / n).image
+            err = float(distance(h2, x, a.point_at(1.0)))
+            if err > 1e-6:
+                rep.fail({"n": n, "err": err})
+        rep.counts = {"cases": 2}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # suite: scissors
 
 def suite_scissors(seed: int, params: dict) -> list:
-    reports = []
+    out = _Reports()
     e2 = Euclidean(2)
     tree = ended_tree()
 
-    rep = VerificationReport("scissors-shift-agreement", tolerance=1e-6)
-    cfg_e = tr.degenerate_flat_scissors(e2)
-    comp, form = tr.scissors_shift(e2, cfg_e)
-    if abs(comp) > 1e-6 or abs(form) > 1e-6:
-        rep.fail({"case": "euclidean-degenerate", "comp": comp, "form": form})
-    cfg_t = tr.tree_scissors(tree, ("e1", "e2", "e3", "e4"))
-    comp_t, form_t = tr.scissors_shift(tree, cfg_t)
-    if comp_t != 0 or form_t != 0:
-        rep.fail({"case": "tree", "comp": comp_t, "form": form_t})
-    cfg_h = tr.hyperbolic_scissors()
-    comp_h, form_h = tr.scissors_shift(HyperbolicPlane(), cfg_h)
-    if abs(comp_h - form_h) > 1e-6 or comp_h <= 0.01:
-        rep.fail({"case": "hyperbolic", "comp": comp_h, "form": form_h})
-    rep.counts = {"cases": 3, "violations": len(rep.witnesses),
-                  "hyperbolic_delta": float(form_h)}
-    reports.append(rep.finalize())
+    with out.check("scissors-shift-agreement", 1e-6) as rep:
+        cfg_e = tr.degenerate_flat_scissors(e2)
+        comp, form = tr.scissors_shift(e2, cfg_e)
+        if abs(comp) > 1e-6 or abs(form) > 1e-6:
+            rep.fail({"case": "euclidean-degenerate", "comp": comp, "form": form})
+        cfg_t = tr.tree_scissors(tree, ("e1", "e2", "e3", "e4"))
+        comp_t, form_t = tr.scissors_shift(tree, cfg_t)
+        if comp_t != 0 or form_t != 0:
+            rep.fail({"case": "tree", "comp": comp_t, "form": form_t})
+        cfg_h = tr.hyperbolic_scissors()
+        comp_h, form_h = tr.scissors_shift(HyperbolicPlane(), cfg_h)
+        if abs(comp_h - form_h) > 1e-6 or comp_h <= 0.01:
+            rep.fail({"case": "hyperbolic", "comp": comp_h, "form": form_h})
+        rep.counts = {"cases": 3, "violations": len(rep.witnesses),
+                      "hyperbolic_delta": float(form_h)}
 
-    rep = VerificationReport("scissors-validation", tolerance=1e-9)
-    for name, space, cfg, want_degenerate in (
-            ("euclidean-degenerate", e2, cfg_e, True),
-            ("tree", tree, cfg_t, True),
-            ("hyperbolic", HyperbolicPlane(), cfg_h, False)):
-        sub = tr.validate_scissors(space, cfg)
-        if not sub.passed or sub.data["degenerate"] != want_degenerate:
-            rep.fail({"case": name, "status": sub.status,
-                      "degenerate": sub.data["degenerate"]})
-    rep.counts = {"cases": 3, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("scissors-validation", 1e-9) as rep:
+        for name, space, cfg, want_degenerate in (
+                ("euclidean-degenerate", e2, cfg_e, True),
+                ("tree", tree, cfg_t, True),
+                ("hyperbolic", HyperbolicPlane(), cfg_h, False)):
+            sub = tr.validate_scissors(space, cfg)
+            if not sub.passed or sub.data["degenerate"] != want_degenerate:
+                rep.fail({"case": name, "status": sub.status,
+                          "degenerate": sub.data["degenerate"]})
+        rep.counts = {"cases": 3}
 
-    rep = VerificationReport("scissors-normalization-invariance", tolerance=1e-8)
-    f0 = tr.scissors_shift_formula(HyperbolicPlane(), cfg_h)
-    f1 = tr.scissors_shift_formula(HyperbolicPlane(), cfg_h, p_param=1.3, q_param=-0.7)
-    if abs(f0 - f1) > 1e-8:
-        rep.fail({"f0": f0, "f1": f1})
-    rep.counts = {"cases": 1, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("scissors-normalization-invariance", 1e-8) as rep:
+        f0 = tr.scissors_shift_formula(HyperbolicPlane(), cfg_h)
+        f1 = tr.scissors_shift_formula(HyperbolicPlane(), cfg_h, p_param=1.3, q_param=-0.7)
+        if abs(f0 - f1) > 1e-8:
+            rep.fail({"f0": f0, "f1": f1})
+        rep.counts = {"cases": 1}
 
-    rep = VerificationReport("scissors-shift-continuity", tolerance=0.1)
-    cfg_p = tr.hyperbolic_scissors(a_ends=(-1.0 + 1e-3, 1.0 - 1e-3),
-                                   d_ends=(-2.0 - 1e-3, 2.0 + 1e-3))
-    _, form_p = tr.scissors_shift(HyperbolicPlane(), cfg_p)
-    if abs(form_p - form_h) > 0.1:
-        rep.fail({"base": form_h, "perturbed": form_p})
-    rep.counts = {"cases": 1, "violations": len(rep.witnesses),
-                  "delta_change": abs(float(form_p) - float(form_h))}
-    reports.append(rep.finalize())
-    return reports
+    with out.check("scissors-shift-continuity", 0.1) as rep:
+        cfg_p = tr.hyperbolic_scissors(a_ends=(-1.0 + 1e-3, 1.0 - 1e-3),
+                                       d_ends=(-2.0 - 1e-3, 2.0 + 1e-3))
+        _, form_p = tr.scissors_shift(HyperbolicPlane(), cfg_p)
+        if abs(form_p - form_h) > 0.1:
+            rep.fail({"base": form_h, "perturbed": form_p})
+        rep.counts = {"cases": 1, "violations": len(rep.witnesses),
+                      "delta_change": abs(float(form_p) - float(form_h))}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # suite: tapes
 
 def suite_tapes(seed: int, params: dict) -> list:
-    reports = []
+    out = _Reports()
     e2 = Euclidean(2)
     l3 = MinkowskiLp(3.0)
 
@@ -471,142 +471,132 @@ def suite_tapes(seed: int, params: dict) -> list:
         eta = direction_ideal(space, (-1.0, 0.0))
         axis[space] = line_through(space, eta, xi, point(space, (0.0, 0.0)))
 
-    rep = VerificationReport("tape-build", tolerance=1e-9)
-    built = {}
-    for name, space, drift in (("euclidean-2", e2, 0.6), ("minkowski-l3", l3, 0.8)):
-        a = axis[space]
-        tape = tp.build_p_tape(space, a, 6, drift)
-        built[name] = (space, a, tape)
-        sub = tp.validate_p_tape(tape)
-        if not sub.passed:
-            rep.fail({"case": name, "violations": sub.counts["violations"]})
-        worst = 0.0
-        for j in range(1, 7):
-            for z in (-3, 0, 3):
-                want = a.point_at(float(tp.tape_position(6, j, z)))
-                worst = max(worst, float(distance(space, tape.points[(1, j, z)], want)))
-        if worst > 1e-9:
-            rep.fail({"case": name, "position_law_error": worst})
-    rep.counts = {"cases": 2, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("tape-build", 1e-9) as rep:
+        built = {}
+        for name, space, drift in (("euclidean-2", e2, 0.6), ("minkowski-l3", l3, 0.8)):
+            a = axis[space]
+            tape = tp.build_p_tape(space, a, 6, drift)
+            built[name] = (space, a, tape)
+            sub = tp.validate_p_tape(tape)
+            if not sub.passed:
+                rep.fail({"case": name, "violations": sub.counts["violations"]})
+            worst = 0.0
+            for j in range(1, 7):
+                for z in (-3, 0, 3):
+                    want = a.point_at(float(tp.tape_position(6, j, z)))
+                    worst = max(worst, float(distance(space, tape.points[(1, j, z)], want)))
+            if worst > 1e-9:
+                rep.fail({"case": name, "position_law_error": worst})
+        rep.counts = {"cases": 2}
 
-    rep = VerificationReport("tape-gate", tolerance=0.0)
-    gates = 0
-    for space, a_name, drift in ((e2, "euclidean-2", 0.2), (l3, "minkowski-l3", 0.6)):
-        gates += 1
-        try:
-            tp.build_p_tape(space, axis[space], 6, drift)
-            rep.fail({"case": a_name, "reason": "gate accepted an undersized p"})
-        except tp.PreconditionError:
-            pass
-    rep.counts = {"cases": gates, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("tape-gate", 0.0) as rep:
+        gates = 0
+        for space, a_name, drift in ((e2, "euclidean-2", 0.2), (l3, "minkowski-l3", 0.6)):
+            gates += 1
+            try:
+                tp.build_p_tape(space, axis[space], 6, drift)
+                rep.fail({"case": a_name, "reason": "gate accepted an undersized p"})
+            except tp.PreconditionError:
+                pass
+        rep.counts = {"cases": gates}
 
     space, a, tape = built["euclidean-2"]
     bad = tp.PTape(space, tape.p, dict(tape.points))
     c = bad.points[(1, 3, 0)].coords
     bad.points[(1, 3, 0)] = point(space, (c[0] + 0.05, c[1]))
-    inner = tp.validate_p_tape(bad)
-    wrapped = _expect_failure(inner, "tape-perturbation-rejected")
-    reports.append(wrapped)
+    out.append(_expect_failure(tp.validate_p_tape(bad), "tape-perturbation-rejected"))
 
-    rep = VerificationReport("third-division", tolerance=1e-9)
-    pts = {}
-    for j in range(1, 4):
-        pts[(0, j)] = point(e2, (0.0, 0.0))
-        pts[(1, j)] = point(e2, (1.0, 0.0))
-        pts[(2, j)] = point(e2, (2.0, 0.0))
-        pts[(3, j)] = point(e2, (3.0, 0.0))
-    sub = tp.check_third_division(e2, pts)
-    if not sub.passed or not sub.data.get("relations_hold"):
-        rep.fail({"case": "forced", "status": sub.status})
-    bad_pts = dict(pts)
-    bad_pts[(1, 1)] = point(e2, (1.05, 0.0))
-    sub_bad = tp.check_third_division(e2, bad_pts)
-    if sub_bad.passed:
-        rep.fail({"case": "perturbed", "reason": "accepted a broken configuration"})
-    rep.counts = {"cases": 2, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
-    return reports
+    with out.check("third-division", 1e-9) as rep:
+        pts = {}
+        for j in range(1, 4):
+            pts[(0, j)] = point(e2, (0.0, 0.0))
+            pts[(1, j)] = point(e2, (1.0, 0.0))
+            pts[(2, j)] = point(e2, (2.0, 0.0))
+            pts[(3, j)] = point(e2, (3.0, 0.0))
+        sub = tp.check_third_division(e2, pts)
+        if not sub.passed or not sub.data.get("relations_hold"):
+            rep.fail({"case": "forced", "status": sub.status})
+        bad_pts = dict(pts)
+        bad_pts[(1, 1)] = point(e2, (1.05, 0.0))
+        sub_bad = tp.check_third_division(e2, bad_pts)
+        if sub_bad.passed:
+            rep.fail({"case": "perturbed", "reason": "accepted a broken configuration"})
+        rep.counts = {"cases": 2}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # suite: grasshopper
 
 def suite_grasshopper(seed: int, params: dict) -> list:
-    reports = []
+    out = _Reports()
     rng = random.Random(seed)
     rl = RealLine()
     e2 = Euclidean(2)
     tree = swap_tree()
 
-    rep = VerificationReport("grasshopper-line", tolerance=1e-9)
-    if gh.grasshopper_distance(rl, point(rl, 0.0), point(rl, 3.0)) != 3:
-        rep.fail({"case": "G(0,3)"})
-    if gh.grasshopper_distance(rl, point(rl, 0.0), point(rl, 2.5)) != math.inf:
-        rep.fail({"case": "G(0,2.5)"})
-    # brute force: lattice reachable from 0 by <= 5 jumps misses 2.5
-    reachable = {0.0}
-    for _ in range(5):
-        reachable |= {v + 1.0 for v in reachable} | {v - 1.0 for v in reachable}
-    if 2.5 in reachable:
-        rep.fail({"case": "brute-force lattice"})
-    rep.counts = {"cases": 3, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("grasshopper-line", 1e-9) as rep:
+        if gh.grasshopper_distance(rl, point(rl, 0.0), point(rl, 3.0)) != 3:
+            rep.fail({"case": "G(0,3)"})
+        if gh.grasshopper_distance(rl, point(rl, 0.0), point(rl, 2.5)) != math.inf:
+            rep.fail({"case": "G(0,2.5)"})
+        # brute force: lattice reachable from 0 by <= 5 jumps misses 2.5
+        reachable = {0.0}
+        for _ in range(5):
+            reachable |= {v + 1.0 for v in reachable} | {v - 1.0 for v in reachable}
+        if 2.5 in reachable:
+            rep.fail({"case": "brute-force lattice"})
+        rep.counts = {"cases": 3}
 
-    rep = VerificationReport("grasshopper-euclid-agreement", tolerance=1e-9)
-    pairs = params.get("pairs", 50)
-    for _ in range(pairs):
-        x = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
-        y = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
-        g_an = gh.grasshopper_distance(e2, x, y)
-        chain = gh.euclid_jump_chain(e2, x, y)
-        graph = gh.UnitJumpGraph.build(e2, chain)
-        g_gr = gh.graph_bfs_distance(graph, x, y)
-        if g_an != g_gr:
-            rep.fail({"x": x, "y": y, "analytic": g_an, "graph": g_gr})
-    rep.counts = {"pairs": pairs, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("grasshopper-euclid-agreement", 1e-9) as rep:
+        pairs = params.get("pairs", 50)
+        for _ in range(pairs):
+            x = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
+            y = point(e2, (rng.uniform(-4, 4), rng.uniform(-4, 4)))
+            g_an = gh.grasshopper_distance(e2, x, y)
+            chain = gh.euclid_jump_chain(e2, x, y)
+            graph = gh.UnitJumpGraph.build(e2, chain)
+            g_gr = gh.graph_bfs_distance(graph, x, y)
+            if g_an != g_gr:
+                rep.fail({"x": x, "y": y, "analytic": g_an, "graph": g_gr})
+        rep.counts = {"pairs": pairs}
 
     tps = gh.TreePointSet(tree, Fraction(1, 10), Fraction(1, 5))
     phi = gh.tree_swap_bijection(tps)
     A = tps.union_sample()
-    rep = VerificationReport("tree-swap-grasshopper-isometry", tolerance=0.0)
-    pairs_checked = 0
-    for i in range(len(A.points)):
-        for j in range(i + 1, len(A.points)):
-            g1 = gh.grasshopper_distance(tree, A.points[i], A.points[j])
-            g2 = gh.grasshopper_distance(tree, phi.forward(A.points[i]),
-                                         phi.forward(A.points[j]))
-            pairs_checked += 1
-            if g1 != g2:
-                rep.fail({"p": A.points[i], "q": A.points[j], "before": g1, "after": g2})
-    rep.counts = {"pairs": pairs_checked, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("tree-swap-grasshopper-isometry", 0.0) as rep:
+        pairs_checked = 0
+        for i in range(len(A.points)):
+            for j in range(i + 1, len(A.points)):
+                g1 = gh.grasshopper_distance(tree, A.points[i], A.points[j])
+                g2 = gh.grasshopper_distance(tree, phi.forward(A.points[i]),
+                                             phi.forward(A.points[j]))
+                pairs_checked += 1
+                if g1 != g2:
+                    rep.fail({"p": A.points[i], "q": A.points[j], "before": g1, "after": g2})
+        rep.counts = {"pairs": pairs_checked}
 
-    rep = VerificationReport("grasshopper-invariance-a-alpha", tolerance=0.0)
-    nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
-    alpha_coords = {p.coords for p in tps.a_alpha}
-    jumps = 0
-    for p in tps.a_alpha:
-        for q in nodes:
-            if distance(tree, p, q) == 1:
-                jumps += 1
-                if q.coords not in alpha_coords:
-                    rep.fail({"from": p, "to": q})
-    rep.counts = {"jumps": jumps, "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
+    with out.check("grasshopper-invariance-a-alpha", 0.0) as rep:
+        nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
+        alpha_coords = {p.coords for p in tps.a_alpha}
+        jumps = 0
+        for p in tps.a_alpha:
+            for q in nodes:
+                if distance(tree, p, q) == 1:
+                    jumps += 1
+                    if q.coords not in alpha_coords:
+                        rep.fail({"from": p, "to": q})
+        rep.counts = {"jumps": jumps}
 
-    rep = VerificationReport("grasshopper-components", tolerance=0.0)
-    pts = [point(rl, v) for v in (0.0, 1.0, 2.0, 0.5, 1.5)]
-    graph = gh.UnitJumpGraph.build(rl, pts)
-    comps = gh.grasshopper_components(graph)
-    got = sorted(sorted(p.coords for p in comp) for comp in comps)
-    if got != [[0.0, 1.0, 2.0], [0.5, 1.5]]:
-        rep.fail({"got": got})
-    rep.counts = {"components": len(comps), "violations": len(rep.witnesses)}
-    reports.append(rep.finalize())
-    return reports
+    with out.check("grasshopper-components", 0.0) as rep:
+        pts = [point(rl, v) for v in (0.0, 1.0, 2.0, 0.5, 1.5)]
+        graph = gh.UnitJumpGraph.build(rl, pts)
+        comps = gh.grasshopper_components(graph)
+        got = sorted(sorted(p.coords for p in comp) for comp in comps)
+        if got != [[0.0, 1.0, 2.0], [0.5, 1.5]]:
+            rep.fail({"got": got})
+        rep.counts = {"components": len(comps)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +628,7 @@ def _counterexample_report(name: str, spaces, bijection, sample: SampleSet,
 
 def suite_counterexamples(seed: int, params: dict) -> list:
     rng = random.Random(seed)
-    reports = []
+    out = _Reports()
 
     # 1. line-sine
     rl = RealLine()
@@ -647,7 +637,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     vals += [rng.uniform(-3, 3) for _ in range(10)]
     vals += [v + 1.0 for v in vals[:6]]
     sample = SampleSet(rl, tuple(point(rl, v) for v in vals), spec="line")
-    reports.append(_counterexample_report("line-sine", (rl, rl), ls, sample, 1e-9, 1e-9))
+    out.append(_counterexample_report("line-sine", (rl, rl), ls, sample, 1e-9, 1e-9))
 
     # 2. sphere-flip at both radii (non-vacuous and vacuous unit classes)
     flip_reports = []
@@ -682,7 +672,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
         combined.counts[sub.check] = sub.status
         if not sub.passed:
             combined.fail({"inner": sub.check, "witnesses": sub.witnesses[:2]})
-    reports.append(combined.finalize())
+    out.append(combined.finalize())
 
     # 3. tree-swap (exact)
     tree = swap_tree()
@@ -691,7 +681,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
     vertices = [tree_vertex(tree, v) for v in tree.desc.vertices]
     sample = SampleSet(tree, tuple(nodes) + tuple(vertices), spec="tree-classes")
-    reports.append(_counterexample_report("tree-swap", (tree, tree), phi, sample, 0.0, 0.0))
+    out.append(_counterexample_report("tree-swap", (tree, tree), phi, sample, 0.0, 0.0))
 
     # 4. tree-smooth
     smooth = gh.smooth_tree_bijection(tree, 2)
@@ -700,8 +690,8 @@ def suite_counterexamples(seed: int, params: dict) -> list:
         for num in (1, 3, 5, 7):
             pts.append(tree_edge_point(tree, i, Fraction(num, 16)))
     sample = SampleSet(tree, tuple(pts), spec="tree-lattice")
-    reports.append(_counterexample_report("tree-smooth", (tree, tree), smooth,
-                                          sample, 1e-9, 1e-9))
+    out.append(_counterexample_report("tree-smooth", (tree, tree), smooth,
+                                      sample, 1e-9, 1e-9))
 
     # 5. max-lift of the line counterexample over Euclidean(1); the y grid
     # step avoids the sine map's fixed points at half-integers
@@ -713,8 +703,8 @@ def suite_counterexamples(seed: int, params: dict) -> list:
         for j in range(-2, 3):
             grid.append(Point(mp, ((float(i) * 0.5,), float(j) * 0.25)))
     sample = SampleSet(mp, tuple(grid), spec="product-grid")
-    reports.append(_counterexample_report("max-lift", (mp, mp), lift, sample, 1e-9, 1e-9))
-    return reports
+    out.append(_counterexample_report("max-lift", (mp, mp), lift, sample, 1e-9, 1e-9))
+    return out
 
 
 SUITES = {

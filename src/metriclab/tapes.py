@@ -78,8 +78,7 @@ def validate_r_sequence(seq: RSequence, tol: float = 1e-9) -> VerificationReport
             bad = (d != z2 - z1) if exact else abs(float(d) - (z2 - z1)) > tol
             if bad:
                 rep.fail({"z1": z1, "z2": z2, "d": d, "expected": z2 - z1})
-    rep.counts = {"pairs": len(zs) * (len(zs) - 1) // 2, "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(pairs=len(zs) * (len(zs) - 1) // 2)
 
 
 def tape_quadruples(p: int):
@@ -139,9 +138,7 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
         bad = (d03 != 3) if exact else abs(float(d03) - 3.0) > tol
         if bad:
             rep.fail({"quad": quad, "step": "ends", "d": d03, "expected": 3})
-    rep.counts = {"rows": rows_checked, "quadruples": len(quads),
-                  "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(rows=rows_checked, quadruples=len(quads))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,7 @@ def check_third_division(space, pts: dict) -> VerificationReport:
             rep.data[f"row{i}_spread"] = spread
             if spread > tol:
                 rep.fail({"row": i, "spread": spread})
-    rep.counts = {"relations": len(quads), "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(relations=len(quads))
 
 
 # ---------------------------------------------------------------------------

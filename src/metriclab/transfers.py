@@ -171,8 +171,7 @@ def validate_scissors(space, cfg: ScissorsConfig, tol: float = 1e-9) -> Verifica
     residuals["x_on_d"] = float(res_d)
     rep.data["degenerate"] = bool(on_a and on_d)
     rep.data["residuals"] = residuals
-    rep.counts = {"incidences": 5, "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(incidences=5)
 
 
 def scissors_shift(space, cfg: ScissorsConfig, probe_param=0):

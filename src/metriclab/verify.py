@@ -51,8 +51,14 @@ class VerificationReport:
         self.status = "fail"
         self.witnesses.append(witness)
 
-    def finalize(self):
-        """Canonical witness order and cap; a failed report keeps >= 1 witness."""
+    def finalize(self, **counts):
+        """Canonical witness order and cap; a failed report keeps >= 1 witness.
+
+        Given counts become the report's counts, followed by "violations",
+        the number of witnesses before the cap; a given "violations" keeps
+        its place and takes that number."""
+        if counts:
+            self.counts = {**counts, "violations": len(self.witnesses)}
         kept = sorted(self.witnesses, key=_witness_key)[:MAX_WITNESSES]
         self.witnesses = [_jsonable(w) for w in kept]
         if self.status == "fail" and not self.witnesses:
@@ -203,8 +209,7 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
             if slack < -tol:
                 rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z, "slack": slack})
         checked += 1
-    rep.counts = {"triples": checked, "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(triples=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +258,7 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef,
                     if mid > avg + 1e-9:
                         rep.fail({"a": (t1[i1], t2[j1]), "b": (t1[i2], t2[j2]),
                                   "mid": mid, "avg": avg})
-    rep.counts = {"pairs": checked, "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(pairs=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +348,9 @@ def detect_normed_strip(space, a: GeodesicRef, b: GeodesicRef) -> VerificationRe
             if abs(got - want) > tol:
                 rep.fail({"kind": "homogeneity", "s": s_i * step, "t": i * step,
                           "got": got, "expect": want})
-    rep.counts = {"is_strip": 1, "violations": len(rep.witnesses)}
     rep.data["norm_table"] = {"tau": taus, "value": [prof[i] for i in range(-grid, grid + 1)],
                               "width": prof[0], "alignment": t0}
-    return rep.finalize()
+    return rep.finalize(is_strip=1)
 
 
 def _orient_like(space, a, b, span: float):
@@ -424,8 +427,7 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
         for j, (dx, dy) in enumerate(zip(row_x, row_y), i + 1):
             if not ((dx == dy) if exact else abs(float(dx) - float(dy)) <= tol):
                 rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
-    rep.counts = {"pairs": pairs, "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(pairs=pairs)
 
 
 _UNIT_MODES = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}
@@ -468,5 +470,4 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
             if after != back:
                 rep.fail({"direction": "inverse", "x": images[i], "y": images[j],
                           "image_class": after, "preimage_class": back})
-    rep.counts = {"pairs": pairs, "violations": len(rep.witnesses)}
-    return rep.finalize()
+    return rep.finalize(pairs=pairs)

@@ -183,16 +183,23 @@ def test_scenario_config_validation():
     ({"suite": "axioms", "seed": 7, "output": ["x.json"]}, []),
     ({"suite": "axioms", "seed": 7, "parameters": {"tree": 5}}, []),
     ({"suite": "axioms", "seed": 7, "parameters": {"tree": 5}}, ["--tol", "0.1"]),
+    ({"suite": "tapes", "fromat": "text"}, []),
+    ({"suite": "tapes", "parameters": {"oracle_pair": 3}}, []),
 ], ids=["seed-str", "seed-str-deterministic-suite", "seed-bool", "cli-tol-nan",
         "cli-tol-negative", "config-tol-negative", "config-tol-inf", "parameters-int",
         "parameters-list", "count-str", "count-zero", "count-float", "count-bool",
         "tree-file-int", "config-int", "config-list", "config-str", "output-float",
-        "output-list", "tree-param-int", "tree-param-int-with-tol"])
+        "output-list", "tree-param-int", "tree-param-int-with-tol", "unknown-key",
+        "unknown-parameter"])
 def test_cli_rejects_bad_seed_and_tol(tmp_path, capsys, config, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(["--config", str(cfg)] + flags) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    # an unknown key is named in the message
+    for key in ("fromat", "oracle_pair"):
+        assert (key in err) == (key in json.dumps(config))
 
 
 GOOD_TREE = {"vertices": ["a", "b", "c"],

@@ -334,6 +334,21 @@ def test_tree_ray_and_line_evaluation(ended_tree):
     assert r.point_at(Fraction(5, 2)).coords == ("r", "e1", Fraction(3, 2))
 
 
+@pytest.mark.parametrize("t", [Fraction(-1, 4), Fraction(-1), -0.5])
+def test_tree_ray_refuses_negative_parameters(t, ended_tree):
+    # a base on the end's own ray climbs by t; any other base walks the
+    # geodesic to the end first; both start at t = 0
+    on_e1 = tree_ray_point(ended_tree, "e1", Fraction(1, 2))
+    spur = tree_vertex(ended_tree, "spur")
+    for base in (on_e1, spur):
+        r = ray_from(ended_tree, base, tree_end(ended_tree, "e1"))
+        assert r.point_at(0) == base
+        with pytest.raises(SpaceError, match="below domain"):
+            r.point_at(t)
+    r = ray_from(ended_tree, on_e1, tree_end(ended_tree, "e1"))
+    assert r.point_at(Fraction(1, 4)).coords == ("r", "e1", Fraction(3, 4))
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, None, object(), "1/0"])
 def test_tree_parameters_refuse_non_finite_numbers(t, ended_tree):
     # Fraction() raises ValueError, OverflowError, TypeError or

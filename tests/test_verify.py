@@ -316,6 +316,25 @@ def test_report_json_stable_order_and_witness_cap():
     json.dumps(out)  # serializable
 
 
+def test_finalize_counts_violations_before_the_cap():
+    rep = VerificationReport("demo")
+    for k in range(40):
+        rep.fail({"k": k})
+    rep.finalize(pairs=50, rows=3)
+    assert len(rep.witnesses) == 32
+    assert list(rep.counts.items()) == [("pairs", 50), ("rows", 3), ("violations", 40)]
+    # a given "violations" keeps its place and takes the witness count
+    rep = VerificationReport("demo")
+    rep.fail({"k": 0})
+    rep.finalize(cases=3, violations=None, delta=0.5)
+    assert list(rep.counts.items()) == [("cases", 3), ("violations", 1), ("delta", 0.5)]
+    # without counts, the report's own counts stand, with no violations
+    rep = VerificationReport("demo")
+    rep.counts = {"lhs": 1.0}
+    rep.finalize()
+    assert rep.counts == {"lhs": 1.0}
+
+
 def _reference_key(w):
     # convert the witness first, then encode it
     return json.dumps(_jsonable(w), sort_keys=True)
