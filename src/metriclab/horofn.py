@@ -126,11 +126,13 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef):
 
     The model's closed form ``Space.rho_closed``: for rays with a common
     ideal point on the flat models (Euclidean, l_p, sup-norm: the distance
-    between the two parallel lines, a 1-d convex golden-section
-    minimization), on H^2 and the real line (exactly 0), and on trees for
-    every pair of rays (0 for merging rays, otherwise the bridge length
-    between the ray images). Raises SpaceError where the model has none,
-    which on the continuous models means the rays are not asymptotic.
+    between the two parallel lines, |omega(off)| / |omega|* in the plane
+    for the functional omega that vanishes on the common direction, a 1-d
+    convex golden-section minimization in other dimensions), on H^2 and
+    the real line (exactly 0), and on trees for every pair of rays (0 for
+    merging rays, otherwise the bridge length between the ray images).
+    Raises SpaceError where the model has none, which on the continuous
+    models means the rays are not asymptotic.
     """
     val = space.rho_closed(c, d)
     if val is None:

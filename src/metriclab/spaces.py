@@ -236,9 +236,11 @@ class Space:
     (ideal points passed by their reps), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
     value and the asymptotic-ray pseudometric; None without a closed form),
-    ``closest_param``, ``rows(coords)`` (the pair distances of a list of
-    coordinates, row i holding d(coords[i], coords[j]) for j > i, as
-    ``distance`` gives them; the default calls ``distance`` per pair),
+    ``closest_param`` (a golden-section search by default; closed forms on
+    ``Euclidean``, ``HyperbolicPlane`` and ``MetricTree``), ``rows(coords)``
+    (the pair distances of a list of coordinates, row i holding
+    d(coords[i], coords[j]) for j > i, as ``distance`` gives them; the
+    default calls ``distance`` per pair),
     ``grasshopper(a, b)`` (the fewest exact unit jumps, math.inf if none;
     None without a closed form), ``extreme_midpoint(a, b, selector)``
     (refused where midpoints are unique), and the JSON codecs ``to_json``,
@@ -325,6 +327,12 @@ class Space:
         return direction_ideal(self, rep)
 
 
+def _clip(geo, t) -> float:
+    """t clipped to the domain of geo, as a float."""
+    lo, hi = geo.domain()
+    return float(min(max(t, lo), hi))
+
+
 def _asymptotic(c, d) -> bool:
     """Do the rays c and d have a common ideal endpoint?"""
     return c.plus is not None and d.plus is not None and c.plus.matches(d.plus)
@@ -359,9 +367,11 @@ def _flat_line_anchor(space, through):
 
 class NormedSpace(Space):
     """R^dim with a norm: distance, geodesics and ideal points are affine.
-    Subclasses give ``norm``, a ``dim`` field and ``distance``, which is
+    Subclasses give ``norm``, ``dual_norm`` (the norm of a linear functional
+    given by its coefficients), a ``dim`` field and ``distance``, which is
     ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
-    same float operations in the same order."""
+    same float operations in the same order. ``rho_closed`` is a closed
+    form in the plane and a golden-section search in other dimensions."""
 
     def validate(self, c):
         if not _reals(c, self.dim):
@@ -397,12 +407,17 @@ class NormedSpace(Space):
 
     def rho_closed(self, c, d):
         # the rays are c(0) + s u and d(0) + t u, so rho is the distance
-        # between the parallel lines, min over tau of |off + tau u| (convex);
-        # |off + tau u| >= |tau| - |off| keeps the minimizer in [-w, w]
+        # between the parallel lines, min over tau of |off + tau u|
         if not _asymptotic(c, d):
             return None
         off = vsub(c.point_at(0).coords, d.point_at(0).coords)
         u = c.plus.rep
+        if self.dim == 2:
+            # Hahn-Banach: |omega(off)| / |omega|* for omega = (-u2, u1),
+            # the functional that vanishes on u
+            return abs(u[0] * off[1] - u[1] * off[0]) / self.dual_norm((-u[1], u[0]))
+        # elsewhere a convex search; |off + tau u| >= |tau| - |off| keeps
+        # the minimizer in [-w, w]
         w = 2.0 * self.norm(off) + 1.0
         return golden_min(lambda tau: self.norm(vadd(off, vscale(u, tau))), -w, w)[1]
 
@@ -421,6 +436,9 @@ class Euclidean(NormedSpace):
     def norm(self, v):
         return enorm(v)
 
+    def dual_norm(self, v):
+        return enorm(v)
+
     def distance(self, a, b):
         return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
 
@@ -436,6 +454,13 @@ class Euclidean(NormedSpace):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
         return -vdot(vsub(y.coords, o.coords), u)
+
+    def closest_param(self, geo, x):
+        # orthogonal projection onto the carrier, clipped to the domain
+        o = geo.point_at(0).coords
+        u = vsub(geo.point_at(1).coords, o)
+        t = _clip(geo, vdot(vsub(x.coords, o), u) / vdot(u, u))
+        return t, self.distance(geo.point_at(t).coords, x.coords)
 
     def grasshopper(self, a, b):
         # k >= 2 unit jumps reach the closed k-ball, one jump the unit sphere
@@ -471,6 +496,9 @@ class MinkowskiLp(NormedSpace):
 
     def norm(self, v):
         return pnorm(v, self.p)
+
+    def dual_norm(self, v):
+        return pnorm(v, self.p / (self.p - 1.0))
 
     def distance(self, a, b):
         return sum(abs(x - y) ** self.p for x, y in zip(a, b)) ** (1.0 / self.p)
@@ -510,6 +538,9 @@ class MinkowskiLinf(NormedSpace):
 
     def norm(self, v):
         return supnorm(v)
+
+    def dual_norm(self, v):
+        return sum(abs(float(x)) for x in v)
 
     def distance(self, a, b):
         return max(abs(x - y) for x, y in zip(a, b))
@@ -551,6 +582,15 @@ def _hyp_circle_point(m, r, tau):
     return (m + r * math.tanh(tau), r / math.cosh(tau))
 
 
+def _hyp_carrier(a, b):
+    """The geodesic of H^2 through a and b: None if it is vertical, else
+    the centre m and radius r of its semicircle."""
+    if abs(a[0] - b[0]) < 1e-14:
+        return None
+    m = (a[0] ** 2 + a[1] ** 2 - b[0] ** 2 - b[1] ** 2) / (2.0 * (a[0] - b[0]))
+    return m, math.hypot(a[0] - m, a[1])
+
+
 @dataclass(frozen=True)
 class HyperbolicPlane(Space):
     """Upper half-plane model of H^2; ideal points are boundary reals or oo."""
@@ -585,10 +625,10 @@ class HyperbolicPlane(Space):
         return self._evaluator(lambda t: _hyp_circle_point(m, r, t0 + sgn * t))
 
     def segment(self, a, b, d):
-        if abs(a[0] - b[0]) < 1e-14:
+        carrier = _hyp_carrier(a, b)
+        if carrier is None:
             return self._vertical(a[0], a[1], 1.0 if b[1] > a[1] else -1.0)
-        m = (a[0] ** 2 + a[1] ** 2 - b[0] ** 2 - b[1] ** 2) / (2.0 * (a[0] - b[0]))
-        r = math.hypot(a[0] - m, a[1])
+        m, r = carrier
         t1 = math.atanh((a[0] - m) / r)
         t2 = math.atanh((b[0] - m) / r)
         return self._arc(m, r, t1, 1.0 if t2 > t1 else -1.0)
@@ -624,6 +664,27 @@ class HyperbolicPlane(Space):
     def rho_closed(self, c, d):
         # asymptotic rays come arbitrarily close (Bridson-Haefliger II.8)
         return 0.0 if _asymptotic(c, d) else None
+
+    def closest_param(self, geo, x):
+        # the foot of the perpendicular from z to a vertical line at a has
+        # height |z - a|; a semicircle over [p, q] is first moved onto the
+        # imaginary axis by the isometry T(z) = (z - p) / (q - z), which
+        # keeps heights |T(z)| (Beardon 1983, ch. 7)
+        o, one = geo.point_at(0).coords, geo.point_at(1).coords
+        carrier = _hyp_carrier(o, one)
+        if carrier is None:
+            def height(z):
+                return math.hypot(z[0] - o[0], z[1])
+        else:
+            m, r = carrier
+            p, q = m - r, m + r
+
+            def height(z):
+                return math.hypot(z[0] - p, z[1]) / math.hypot(q - z[0], z[1])
+        h0 = height(o)
+        step = math.log(height(x.coords) / h0)
+        t = _clip(geo, step if height(one) > h0 else -step)
+        return t, self.distance(geo.point_at(t).coords, x.coords)
 
     def random_point(self, rng, scale):
         return point(self, (rng.uniform(-scale, scale), math.exp(rng.uniform(-1.5, 1.5))))
@@ -1377,10 +1438,15 @@ def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
 def closest_param(space, geo: GeodesicRef, x: Point):
     """Parameter minimizing t -> d(geo(t), x) plus the attained distance.
 
-    Exact on trees (Gromov-product projection); golden-section on the other
-    models, where the distance along a geodesic is convex.
+    Closed forms on Euclidean space (orthogonal projection), H^2 (the foot
+    of the perpendicular, after a Moebius map onto the imaginary axis) and
+    trees (exact Gromov-product projection); golden-section search on the
+    other models, where the distance along a geodesic is convex. The
+    geodesic must belong to `space`.
     """
     _check_member(space, x)
+    if not _same_space(geo.space, space):
+        raise SpaceError("geodesic belongs to a different space")
     return space.closest_param(geo, x)
 
 

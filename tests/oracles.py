@@ -86,6 +86,17 @@ def _ray_grid(space, c, d):
     return best
 
 
+def _parallel_gap(space, c, d):
+    """Search oracle for rho(c, d) on the flat models: the distance between
+    the parallel lines through c(0) and d(0) along the common direction u,
+    min over tau of |off + tau u| by golden-section search (convex;
+    |off + tau u| >= |tau| - |off| keeps the minimizer in [-w, w])."""
+    off = vsub(c.point_at(0).coords, d.point_at(0).coords)
+    u = c.plus.rep
+    w = 2.0 * space.norm(off) + 1.0
+    return golden_min(lambda tau: space.norm(vadd(off, vscale(u, tau))), -w, w)[1]
+
+
 def _shadow_sweep(space, y, x0, rho, resolution, tol):
     """Sweep oracle for ``spherical_shadow_sample``: tests every one of the
     `resolution` directions of the sphere S(x0, rho) with ``shadow_contains``."""

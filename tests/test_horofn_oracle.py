@@ -1,7 +1,8 @@
 """The closed-form asymptotic-ray pseudometric (``Space.rho_closed``)
-against the grid oracle ``oracles._ray_grid`` on seeded asymptotic rays, and
-the closed-form shadow window of ``spherical_shadow_sample`` against the
-full sweep ``oracles._shadow_sweep``."""
+against the grid oracle ``oracles._ray_grid`` on seeded asymptotic rays and,
+on the normed planes, against the golden-section search
+``oracles._parallel_gap``; and the closed-form shadow window of
+``spherical_shadow_sample`` against the full sweep ``oracles._shadow_sweep``."""
 
 import math
 import random
@@ -24,7 +25,7 @@ from metriclab.spaces import (
     point,
     ray_from,
 )
-from oracles import _ray_grid, _shadow_sweep
+from oracles import _parallel_gap, _ray_grid, _shadow_sweep
 
 INF = math.inf
 
@@ -72,6 +73,18 @@ def test_rho_closed_agrees_with_grid_oracle(space, seed):
         assert min(closest_param(space, d, c.point_at(s))[1] for s in (15.0, 20.0)) <= 1e-5
     elif grid is not None:
         assert abs(closed - grid) <= 1e-3
+
+
+PLANES = (Euclidean(2), MinkowskiLp(1.5), MinkowskiLp(2.0), MinkowskiLp(3.0), MinkowskiLinf())
+
+
+@pytest.mark.parametrize("space", PLANES, ids=lambda s: s.tag())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_planar_rho_closed_agrees_with_search(space, seed):
+    # the dual-norm closed form against the golden-section search it replaced
+    c, d = _asymptotic_rays(space, seed)
+    assert abs(ray_pseudodistance(space, c, d) - _parallel_gap(space, c, d)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

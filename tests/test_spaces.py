@@ -24,6 +24,7 @@ from metriclab.spaces import (
     SphereIntrinsic,
     TreeDesc,
     boundary_ideal,
+    closest_param,
     direction_ideal,
     distance,
     distance_rows,
@@ -259,6 +260,22 @@ def test_sphere_point_refuses_a_non_sphere():
         with pytest.raises(SpaceError):
             sphere_point(space, (3, 4, 0))
     assert sphere_point(SphereIntrinsic(1.0, 3), (3, 4, 0)).coords == (0.6, 0.8, 0.0)
+
+
+def test_closest_param_refuses_a_geodesic_of_another_space():
+    # the closed forms read the geodesic's coordinates directly, so a
+    # geodesic of another model must be refused before they run
+    e2, h2 = Euclidean(2), HyperbolicPlane()
+    e2_line = line_through(e2, direction_ideal(e2, (-1.0, 0.0)),
+                           direction_ideal(e2, (1.0, 0.0)), point(e2, (0.0, 1.0)))
+    h2_line = line_through(h2, boundary_ideal(h2, -1.0), boundary_ideal(h2, 1.0))
+    for space, geo in ((e2, h2_line), (h2, e2_line)):
+        x = point(space, (0.5, 2.0))
+        for check in (closest_param, on_geodesic):
+            with pytest.raises(SpaceError, match="geodesic belongs to a different space"):
+                check(space, geo, x)
+    assert closest_param(e2, e2_line, point(e2, (0.5, 2.0))) == (0.5, 1.0)
+    assert on_geodesic(h2, h2_line, point(h2, (0.0, 1.0)))[0]
 
 
 def test_degenerate_and_antipodal_errors():

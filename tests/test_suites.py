@@ -1,9 +1,10 @@
 import hashlib
+import sys
 from pathlib import Path
 
 import pytest
 
-from metriclab import suites
+from metriclab import numeric, suites
 from metriclab.cli import ScenarioConfig, emit_report, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -14,6 +15,23 @@ GOLDEN_SUITES = ("axioms", "busemann", "horofn", "transfers", "scissors", "tapes
 
 @pytest.mark.parametrize("suite", GOLDEN_SUITES)
 def test_suite_output_matches_golden(suite):
+    text = emit_report(run_suite(ScenarioConfig(suite=suite, seed=7)))
+    assert text.encode("utf-8") == (GOLDEN / f"{suite}_seed7.json").read_bytes()
+
+
+@pytest.mark.parametrize("suite", ("horofn", "transfers", "scissors"))
+def test_suites_run_no_golden_section_search(suite, monkeypatch):
+    # rho on the normed planes and closest points on E^n and H^2 are closed
+    # forms: with every golden-section search in the package replaced by a
+    # stub that raises, these suites still reproduce their goldens
+    def stub(*args, **kwargs):
+        raise AssertionError(f"suite {suite} ran a golden-section search")
+    search = numeric.golden_min
+    for modname, mod in list(sys.modules.items()):
+        if modname == "metriclab" or modname.startswith("metriclab."):
+            for name, obj in list(vars(mod).items()):
+                if obj is search:
+                    monkeypatch.setattr(mod, name, stub)
     text = emit_report(run_suite(ScenarioConfig(suite=suite, seed=7)))
     assert text.encode("utf-8") == (GOLDEN / f"{suite}_seed7.json").read_bytes()
 
