@@ -2,7 +2,7 @@
 
 Closed-form model spaces (Euclidean and Minkowski planes, the hyperbolic
 plane, exact-rational metric trees, round spheres, maximum products) with
-geodesics and ideal boundary points; Busemann functions, horoballs, and
+geodesics and ideal boundary points; Busemann functions and
 horospherical transfers; scissors translations and their shift; tape
 constructions in normed strips; the grasshopper metric; and the catalog of
 unit-distance-preserving non-isometries, each packaged with verification
@@ -49,8 +49,6 @@ from .verify import (
     check_busemann_midpoints,
     check_distance_convexity,
     check_metric_axioms,
-    detect_normed_strip,
-    hausdorff_distance,
     is_isometry,
     preserves_unit_distance,
     random_sample,
@@ -58,19 +56,16 @@ from .verify import (
 from .horofn import (
     busemann_value,
     check_busemann_sum_bound,
-    horoball_contains,
     ray_pseudodistance,
     ray_toward,
     shadow_contains,
     spherical_shadow_sample,
     tits_delta,
-    tits_less_than_pi,
 )
 from .transfers import (
     ScissorsConfig,
     TransferResult,
     double_transfer,
-    horospherical_transfer,
     scissors_shift,
     validate_scissors,
 )

@@ -1,5 +1,5 @@
-"""Busemann functions, horoballs, the asymptotic-ray pseudometric, Tits
-relation numerics, and shadows.
+"""Busemann functions, the asymptotic-ray pseudometric, Tits relation
+numerics, and shadows.
 
 Busemann values beta_c(y) = lim_{t->oo} (d(y, c(t)) - t) are computed from
 closed forms where the model provides one (flat models, H^2, trees) and by a
@@ -109,15 +109,6 @@ def _busemann_limit(space, ray, y, *, tol):
     raise ConvergenceError(f"Busemann limit not stable below T = {T_CAP}")
 
 
-def horoball_contains(space, ray: GeodesicRef, x0: Point, x: Point) -> bool:
-    """Membership of x in the horoball through x0: beta(x) <= beta(x0) + 1e-9."""
-    b0 = busemann_value(space, ray, x0)
-    bx = busemann_value(space, ray, x)
-    if space.exact:
-        return bx <= b0
-    return float(bx) <= float(b0) + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # asymptotic-ray pseudometric rho_xi
 
@@ -163,7 +154,7 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
     """lim d(c(t), d(t)) / (2t) for the rays from o toward xi and eta.
 
     The raw limit lies in [0, 1]; the comparison against pi of the Tits
-    relation is read as a comparison against 1 (see tits_less_than_pi).
+    relation is read as a comparison against 1.
     """
     if xi.matches(eta):
         raise SpaceError("tits_delta needs distinct ideal points")
@@ -181,11 +172,6 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
             return float(2 * v2 - v1)
         T *= 2
     raise ConvergenceError(f"Tits limit not stable below t = {T_CAP}")
-
-
-def tits_less_than_pi(delta: float) -> bool:
-    """The relation "Td < pi" under the raw-limit reading: delta < 1 - 1e-4."""
-    return delta < 1.0 - 1e-4
 
 
 # ---------------------------------------------------------------------------

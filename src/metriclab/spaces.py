@@ -193,16 +193,6 @@ class TreeDesc:
             ends=_check_ids(data.get("ends", []), "ends"),
         )
 
-    def to_json(self) -> dict:
-        out = {
-            "vertices": list(self.vertices),
-            "edges": [[u, v, str(ln)] for (u, v, ln) in self.edges],
-            "denominator_bound": self.denominator_bound,
-        }
-        if self.ends:
-            out["ends"] = list(self.ends)
-        return out
-
 
 def _edge_length(ln) -> Fraction:
     try:
@@ -243,10 +233,8 @@ class Space:
     default calls ``distance`` per pair),
     ``grasshopper(a, b)`` (the fewest exact unit jumps, math.inf if none;
     None without a closed form), ``extreme_midpoint(a, b, selector)``
-    (refused where midpoints are unique), and the JSON codecs ``to_json``,
-    ``coords_from_json``, ``ideal_to_json`` and its inverse
-    ``ideal_from_json``. ``exact`` is true where distances are exact
-    Fractions.
+    (refused where midpoints are unique). ``exact`` is true where distances
+    are exact Fractions.
 
     The float models override ``rows`` with a kernel for one dimension: the
     plane for ``Euclidean``, ``MinkowskiLp`` and ``MinkowskiLinf``, R^3 for
@@ -314,18 +302,6 @@ class Space:
             return float(distance(self, geo.point_at(t), x))
         return golden_min(f, lo, hi, tol=1e-13 * max(1.0, w))
 
-    def to_json(self) -> dict:
-        return {"kind": type(self).__name__}
-
-    def coords_from_json(self, v):
-        return self.coerce(v)
-
-    def ideal_to_json(self, rep):
-        return rep
-
-    def ideal_from_json(self, rep) -> "IdealPoint":
-        return direction_ideal(self, rep)
-
 
 def _clip(geo, t) -> float:
     """t clipped to the domain of geo, as a float."""
@@ -373,6 +349,10 @@ class NormedSpace(Space):
     same float operations in the same order. ``rho_closed`` is a closed
     form in the plane and a golden-section search in other dimensions."""
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise SpaceError("dimension must be positive")
+
     def validate(self, c):
         if not _reals(c, self.dim):
             raise SpaceError(f"expected {self.dim}-tuple of reals, got {c!r}")
@@ -402,9 +382,6 @@ class NormedSpace(Space):
     def ideal_matches(self, a, b):
         return all(abs(x - y) <= 1e-9 for x, y in zip(a, b))
 
-    def ideal_to_json(self, rep):
-        return list(rep)
-
     def rho_closed(self, c, d):
         # the rays are c(0) + s u and d(0) + t u, so rho is the distance
         # between the parallel lines, min over tau of |off + tau u|
@@ -428,10 +405,6 @@ class NormedSpace(Space):
 @dataclass(frozen=True)
 class Euclidean(NormedSpace):
     dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise SpaceError("dimension must be positive")
 
     def norm(self, v):
         return enorm(v)
@@ -479,9 +452,6 @@ class Euclidean(NormedSpace):
     def tag(self):
         return f"euclidean-{self.dim}"
 
-    def to_json(self):
-        return {"kind": "euclidean", "dim": self.dim}
-
 
 @dataclass(frozen=True)
 class MinkowskiLp(NormedSpace):
@@ -491,6 +461,7 @@ class MinkowskiLp(NormedSpace):
     dim: int = 2
 
     def __post_init__(self):
+        super().__post_init__()
         if not (1.0 < self.p < INF):
             raise SpaceError("MinkowskiLp requires 1 < p < oo")
 
@@ -524,9 +495,6 @@ class MinkowskiLp(NormedSpace):
 
     def tag(self):
         return f"minkowski-l{self.p:g}"
-
-    def to_json(self):
-        return {"kind": "minkowski", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -692,15 +660,6 @@ class HyperbolicPlane(Space):
     def tag(self):
         return "hyperbolic-plane"
 
-    def to_json(self):
-        return {"kind": "hyperbolic"}
-
-    def ideal_to_json(self, rep):
-        return "inf" if rep == INF else rep
-
-    def ideal_from_json(self, rep):
-        return boundary_ideal(self, INF if rep == "inf" else float(rep))
-
 
 # ---------------------------------------------------------------------------
 # sphere and real line
@@ -826,9 +785,6 @@ class RealLine(Space):
 
     def tag(self):
         return "real-line"
-
-    def to_json(self):
-        return {"kind": "real-line"}
 
 
 # ---------------------------------------------------------------------------
@@ -1156,19 +1112,6 @@ class MetricTree(Space):
     def tag(self):
         return f"tree-n{self.desc.denominator_bound}"
 
-    def to_json(self):
-        return {"kind": "tree", "desc": self.desc.to_json()}
-
-    def coords_from_json(self, v):
-        if v[0] == "v":
-            return ("v", v[1])
-        if v[0] == "e":
-            return ("e", int(v[1]), Fraction(str(v[2])))
-        return ("r", v[1], Fraction(str(v[2])))
-
-    def ideal_from_json(self, rep):
-        return tree_end(self, rep)
-
 
 # ---------------------------------------------------------------------------
 # maximum products
@@ -1263,6 +1206,8 @@ def tree_edge_point(space: MetricTree, edge_index: int, offset: Number) -> Point
 
 
 def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
+    if end not in _of_model(space, MetricTree).desc.ends:
+        raise SpaceError(f"{end!r} is not a declared end")
     off = _as_fraction(offset)
     if off == 0:
         return tree_vertex(space, end)

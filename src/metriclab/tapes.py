@@ -23,7 +23,7 @@ from .spaces import (
     vscale,
     vsub,
 )
-from .verify import VerificationReport, _jsonable
+from .verify import VerificationReport
 
 
 @dataclass
@@ -39,27 +39,6 @@ class PTape:
     space: object
     p: int
     points: dict            # (i, j, z) -> Point
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "points": {f"{i},{j},{z}": _jsonable(pt.coords)
-                       for (i, j, z), pt in sorted(self.points.items())},
-        }
-
-    @staticmethod
-    def from_json(space, data: dict) -> "PTape":
-        pts = {}
-        for key, coords in data["points"].items():
-            i, j, z = (int(v) for v in key.split(","))
-            pts[(i, j, z)] = Point(space, space.coords_from_json(coords))
-        return PTape(space, int(data["p"]), pts)
-
-
-def shift_window(tape: PTape, s: int) -> PTape:
-    """Relabel every z index by a common integer shift."""
-    return PTape(tape.space, tape.p,
-                 {(i, j, z + s): pt for (i, j, z), pt in tape.points.items()})
 
 
 # ---------------------------------------------------------------------------

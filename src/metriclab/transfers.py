@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numeric import SearchError
 from .spaces import (
     GeodesicRef,
     HyperbolicPlane,
@@ -24,7 +23,7 @@ from .spaces import (
     tree_end,
 )
 from .horofn import _line_orientation, busemann_value, ray_toward
-from .verify import VerificationReport, _jsonable
+from .verify import VerificationReport
 
 
 @dataclass
@@ -54,21 +53,6 @@ def _busemann_for(space, line: GeodesicRef, xi: IdealPoint):
     def beta(p: Point):
         return busemann_value(space, ray, p)
     return beta
-
-
-def horospherical_transfer(space, frm: GeodesicRef, to: GeodesicRef,
-                           xi: IdealPoint, m: Point) -> Point:
-    """Image of m in `to` on the same horosphere toward xi; residual <= 1e-8."""
-    ok, _, resid = on_geodesic(space, frm, m)
-    if not ok:
-        raise SpaceError(f"transfer source point is off its line (residual {resid})")
-    t = transfer_param(space, frm, to, xi, m)
-    out = to.point_at(t)
-    beta = _busemann_for(space, frm, xi)
-    resid = abs(float(beta(out)) - float(beta(m)))
-    if resid > 1e-8:
-        raise SearchError(f"transfer residual {resid} exceeds 1e-8")
-    return out
 
 
 def double_transfer(space, a: GeodesicRef, b: GeodesicRef, x: Point,
@@ -117,31 +101,6 @@ class ScissorsConfig:
     c: GeodesicRef
     d: GeodesicRef
     x: Point
-
-    def to_json(self) -> dict:
-        def end_rep(ip):
-            return None if ip is None else self.space.ideal_to_json(ip.rep)
-
-        def line_rec(g):
-            return {"minus": end_rep(g.minus), "plus": end_rep(g.plus),
-                    "anchor": _jsonable(g.point_at(0).coords)}
-        return {
-            "space": self.space.to_json(),
-            "a": line_rec(self.a), "b": line_rec(self.b),
-            "c": line_rec(self.c), "d": line_rec(self.d),
-            "x": _jsonable(self.x.coords),
-        }
-
-    @staticmethod
-    def from_json(space, data: dict) -> "ScissorsConfig":
-        def pt(v):
-            return Point(space, space.coords_from_json(v))
-
-        def line_of(rec):
-            return line_through(space, space.ideal_from_json(rec["minus"]),
-                                space.ideal_from_json(rec["plus"]), pt(rec["anchor"]))
-        return ScissorsConfig(space, line_of(data["a"]), line_of(data["b"]),
-                              line_of(data["c"]), line_of(data["d"]), pt(data["x"]))
 
 
 def validate_scissors(space, cfg: ScissorsConfig, tol: float = 1e-9) -> VerificationReport:
@@ -251,17 +210,6 @@ def degenerate_flat_scissors(space) -> ScissorsConfig:
     base = point(space, (0.0, 0.0))
     line = line_through(space, eta, xi, base)
     return ScissorsConfig(space, line, line, line, line, base)
-
-
-def flat_translate_scissors(space) -> ScissorsConfig:
-    """Flat scissors with b = c = d = the translate of a by (0, 1); valid,
-    shift 0, and nondegenerate under the strict flag (x is off a)."""
-    xi = direction_ideal(space, (1.0, 0.0))
-    eta = direction_ideal(space, (-1.0, 0.0))
-    a = line_through(space, eta, xi, point(space, (0.0, 0.0)))
-    x = point(space, (0.0, 1.0))
-    moved = line_through(space, eta, xi, x)
-    return ScissorsConfig(space, a, moved, moved, moved, x)
 
 
 def tree_scissors(space: MetricTree, ends4) -> ScissorsConfig:

@@ -1,8 +1,7 @@
 """Metric-level predicates and structured pass/fail reports.
 
 Checks here operate on sampled point sets: metric axioms, midpoint convexity
-of the distance, Hausdorff distance, normed-strip detection between parallel
-lines, and the unit-distance / isometry predicates for bijections.
+of the distance, and the unit-distance / isometry predicates for bijections.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numeric import bisect_root
 from .spaces import (
     GeodesicRef,
     Point,
@@ -22,7 +20,6 @@ from .spaces import (
     _check_member,
     _check_space,
     _same_space,
-    closest_param,
     distance,
     distance_rows,
     midpoint,
@@ -259,154 +256,6 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef,
                         rep.fail({"a": (t1[i1], t2[j1]), "b": (t1[i2], t2[j2]),
                                   "mid": mid, "avg": avg})
     return rep.finalize(pairs=checked)
-
-
-# ---------------------------------------------------------------------------
-# Hausdorff distance
-
-def hausdorff_distance(space, A: SampleSet, B: SampleSet) -> float:
-    """Two-sided Hausdorff distance between finite samples."""
-    if not (_same_space(A.space, space) and _same_space(B.space, space)):
-        raise SpaceError("samples from a different space")
-    # a SampleSet checks its points against its space when it is built
-    dist = space.distance
-    a_coords = [p.coords for p in A.points]
-    b_coords = [q.coords for q in B.points]
-
-    def directed(src, dst):
-        worst = 0.0
-        for a in src:
-            best = min(float(dist(a, b)) for b in dst)
-            worst = max(worst, best)
-        return worst
-    return max(directed(a_coords, b_coords), directed(b_coords, a_coords))
-
-
-# ---------------------------------------------------------------------------
-# normed strip detection
-
-def detect_normed_strip(space, a: GeodesicRef, b: GeodesicRef) -> VerificationReport:
-    """Decide whether two lines bound a normed strip and fit the strip's norm.
-
-    For parallel lines the cross-distance d(a(s), b(t)) depends only on t - s
-    after aligning b's parameterization; that profile is the fitted norm on
-    the level beta = 1, and N(alpha, beta) = |beta| * profile(alpha / beta).
-    The check verifies translation invariance, convexity of the profile, and
-    midpoint homogeneity N(alpha/2, 1/2) = N(alpha, 1) / 2. Diverging lines
-    yield a not-a-strip report, not an error.
-    """
-    if a.kind != "line" or b.kind != "line":
-        raise SpaceError("strip detection needs straight lines")
-    grid, tol, span = 8, 1e-6, 4.0     # lattice, tolerance, probe half-width
-    rep = VerificationReport("normed-strip", tolerance=tol)
-
-    def inf_dist_to_a(q):
-        _, val = closest_param(space, a, q)
-        return float(val)
-
-    sup1 = max(inf_dist_to_a(b.point_at(t)) for t in _linspace(-span, span, 9))
-    sup2 = max(inf_dist_to_a(b.point_at(t)) for t in _linspace(-2 * span, 2 * span, 17))
-    rep.data["sup_inf_near"] = sup1
-    rep.data["sup_inf_far"] = sup2
-    if sup2 > sup1 + 1e-3:
-        rep.fail({"reason": "not-a-strip", "sup_near": sup1, "sup_far": sup2})
-        rep.counts = {"is_strip": 0}
-        return rep.finalize()
-    b, reversed_b = _orient_like(space, a, b, span)
-    rep.data["orientation"] = "reversed" if reversed_b else "aligned"
-    t0 = _align_parallel(space, a, b, span)
-
-    step = 2.0 * span / grid
-    taus = [i * step for i in range(-grid, grid + 1)]
-    prof = {i: float(distance(space, a.point_at(0), b.point_at(t0 + i * step)))
-            for i in range(-grid, grid + 1)}
-    # translation invariance of cross-distances
-    for s_i in range(-grid // 2, grid // 2 + 1):
-        for i in range(-grid // 2, grid // 2 + 1):
-            s = s_i * step
-            got = float(distance(space, a.point_at(s), b.point_at(t0 + s + i * step)))
-            if abs(got - prof[i]) > tol:
-                rep.fail({"kind": "translation", "s": s, "tau": i * step,
-                          "got": got, "expect": prof[i]})
-    # norm axioms on the table: positivity and convexity (the triangle
-    # inequality of the fitted norm); central symmetry N(v) = N(-v) is the
-    # symmetry of the metric itself
-    for i in range(-grid, grid + 1):
-        if prof[i] <= 0.0:
-            rep.fail({"kind": "positivity", "tau": i * step})
-    for i in range(-grid + 1, grid):
-        if 2.0 * prof[i] > prof[i - 1] + prof[i + 1] + tol:
-            rep.fail({"kind": "convexity", "tau": i * step})
-    # homogeneity via midpoints: d(a(0), mid(a(s), b(t0+t))) = profile(s+t)/2
-    for s_i in (-2, 0, 2):
-        for i in (-2, 0, 2):
-            if not (-grid <= s_i + i <= grid):
-                continue
-            m = midpoint(space, a.point_at(s_i * step), b.point_at(t0 + i * step))
-            got = float(distance(space, a.point_at(0), m))
-            want = 0.5 * prof[s_i + i]
-            if abs(got - want) > tol:
-                rep.fail({"kind": "homogeneity", "s": s_i * step, "t": i * step,
-                          "got": got, "expect": want})
-    rep.data["norm_table"] = {"tau": taus, "value": [prof[i] for i in range(-grid, grid + 1)],
-                              "width": prof[0], "alignment": t0}
-    return rep.finalize(is_strip=1)
-
-
-def _orient_like(space, a, b, span: float):
-    """Reparameterize b to run in a's direction if it was handed reversed.
-
-    For parallel lines d(a(s), b(t)) depends only on t - s once orientations
-    agree; a co-moving probe staying at the baseline gap detects this.
-    """
-    t0, gap = closest_param(space, b, a.point_at(0))
-    t0, gap = float(t0), float(gap)
-    same = abs(float(distance(space, a.point_at(span), b.point_at(t0 + span)))
-               - gap)
-    opposite = abs(float(distance(space, a.point_at(span), b.point_at(t0 - span)))
-                   - gap)
-    if same <= opposite:
-        return b, False
-    return b.reversed(), True
-
-
-def _align_parallel(space, a, b, span: float) -> float:
-    """Alignment shift t0 making the cross-distance profile even in tau.
-
-    Norms are even, so d(a(0), b(t0 + s)) = d(a(0), b(t0 - s)) exactly at the
-    true alignment; the symmetry residual is monotone in t0 and its root is
-    far better conditioned than the flat minimum of the profile itself.
-    """
-    t_rough, _ = closest_param(space, b, a.point_at(0))
-    t_rough = float(t_rough)
-    o = a.point_at(0)
-
-    def residual(t0):
-        plus = float(distance(space, o, b.point_at(t0 + span)))
-        minus = float(distance(space, o, b.point_at(t0 - span)))
-        return plus - minus
-    return bisect_root(residual, t_rough - 2.0, t_rough + 2.0, tol=1e-13)
-
-
-def strip_norm_value(report: VerificationReport, alpha: float, beta: float) -> float:
-    """Evaluate the fitted strip norm N(alpha, beta) from a strip report's
-    table by linear interpolation of the beta = 1 profile."""
-    table = report.data["norm_table"]
-    taus, vals = table["tau"], table["value"]
-    if beta == 0.0:
-        return abs(alpha)
-    ratio = alpha / abs(beta)
-    if ratio <= taus[0] or ratio >= taus[-1]:
-        raise SpaceError("norm table does not cover the requested slope")
-    for i in range(len(taus) - 1):
-        if taus[i] <= ratio <= taus[i + 1]:
-            w = (ratio - taus[i]) / (taus[i + 1] - taus[i])
-            return abs(beta) * ((1 - w) * vals[i] + w * vals[i + 1])
-    raise SpaceError("unreachable")
-
-
-def _linspace(lo, hi, n):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

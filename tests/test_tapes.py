@@ -22,7 +22,6 @@ from metriclab.tapes import (
     RSequence,
     build_p_tape,
     check_third_division,
-    shift_window,
     tape_position,
     validate_p_tape,
     validate_r_sequence,
@@ -157,7 +156,8 @@ def test_window_shift_invariance():
     e2 = Euclidean(2)
     tape = build_p_tape(e2, _base_line(e2), 6, 0.6, window=(-15, 15))
     for s in (-3, 1, 3):
-        assert validate_p_tape(shift_window(tape, s)).passed
+        moved = {(i, j, z + s): pt for (i, j, z), pt in tape.points.items()}
+        assert validate_p_tape(PTape(e2, tape.p, moved)).passed
 
 
 @pytest.mark.parametrize("space", [MinkowskiLinf(), Euclidean(3), HyperbolicPlane()],
@@ -239,11 +239,3 @@ def test_third_division_cardinality_check():
     e2 = Euclidean(2)
     with pytest.raises(SpaceError):
         check_third_division(e2, {(0, 1): point(e2, (0.0, 0.0))})
-
-
-def test_tape_json_roundtrip():
-    e2 = Euclidean(2)
-    tape = build_p_tape(e2, _base_line(e2), 6, 0.6, window=(-12, 12))
-    back = PTape.from_json(e2, tape.to_json())
-    assert back.p == 6 and len(back.points) == len(tape.points)
-    assert validate_p_tape(back).passed

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -7,9 +6,7 @@ import pytest
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
-    MetricTree,
     SpaceError,
-    TreeDesc,
     boundary_ideal,
     direction_ideal,
     distance,
@@ -21,11 +18,10 @@ from metriclab.transfers import (
     ScissorsConfig,
     degenerate_flat_scissors,
     double_transfer,
-    flat_translate_scissors,
-    horospherical_transfer,
     hyperbolic_scissors,
     scissors_shift,
     scissors_shift_formula,
+    transfer_param,
     tree_scissors,
     validate_scissors,
 )
@@ -39,11 +35,21 @@ def _flat_line(space, y_offset):
     return line_through(space, eta, xi, point(space, (0.0, y_offset))), xi
 
 
+@pytest.fixture
+def flat_translate_scissors():
+    """Flat scissors in E^2 with b = c = d = the translate of a by (0, 1);
+    valid, shift 0, and nondegenerate under the strict flag (x is off a)."""
+    e2 = Euclidean(2)
+    a, _ = _flat_line(e2, 0.0)
+    moved, _ = _flat_line(e2, 1.0)
+    return ScissorsConfig(e2, a, moved, moved, moved, point(e2, (0.0, 1.0)))
+
+
 def test_horospherical_transfer_euclid_vertical_levels():
     e2 = Euclidean(2)
     a, xi = _flat_line(e2, 0.0)
     b, _ = _flat_line(e2, 1.0)
-    out = horospherical_transfer(e2, a, b, xi, point(e2, (3.0, 0.0)))
+    out = b.point_at(transfer_param(e2, a, b, xi, point(e2, (3.0, 0.0))))
     assert abs(out.coords[0] - 3.0) < 1e-8
     assert out.coords[1] == 1.0
 
@@ -54,7 +60,7 @@ def test_horospherical_transfer_tree_exact(ended_tree):
     a = line_through(t, tree_end(t, "e2"), tree_end(t, "e1"))
     b = line_through(t, tree_end(t, "e3"), tree_end(t, "e1"))
     m = a.point_at(Fraction(-2))          # on e2's ray
-    out = horospherical_transfer(t, a, b, tree_end(t, "e1"), m)
+    out = b.point_at(transfer_param(t, a, b, tree_end(t, "e1"), m))
     # equal Busemann level: same distance-to-merge bookkeeping on b
     from metriclab.horofn import busemann_value, ray_toward
     beta = lambda p: busemann_value(t, ray_toward(t, a, tree_end(t, "e1")), p)
@@ -68,7 +74,7 @@ def test_horospherical_transfer_h2_residual():
     b = line_through(h, boundary_ideal(h, INF), boundary_ideal(h, 1.0))
     xi = boundary_ideal(h, 1.0)
     m = a.point_at(0.4)
-    out = horospherical_transfer(h, a, b, xi, m)
+    out = b.point_at(transfer_param(h, a, b, xi, m))
     from metriclab.horofn import busemann_value, ray_toward
     beta = lambda p: busemann_value(h, ray_toward(h, a, xi), p)
     assert abs(beta(out) - beta(m)) <= 1e-8
@@ -81,7 +87,7 @@ def test_transfer_rejects_non_asymptotic_lines():
     down = direction_ideal(e2, (0, -1))
     vertical = line_through(e2, down, up, point(e2, (0.0, 0.0)))
     with pytest.raises(SpaceError):
-        horospherical_transfer(e2, a, vertical, xi, point(e2, (1.0, 0.0)))
+        transfer_param(e2, a, vertical, xi, point(e2, (1.0, 0.0)))
 
 
 def test_double_transfer_identity_euclid():
@@ -132,11 +138,11 @@ def test_validate_scissors_h2():
     assert rep.data["degenerate"] is False
 
 
-def test_validate_scissors_flat_and_tree(ended_tree):
+def test_validate_scissors_flat_and_tree(ended_tree, flat_translate_scissors):
     e2 = Euclidean(2)
     rep = validate_scissors(e2, degenerate_flat_scissors(e2))
     assert rep.passed and rep.data["degenerate"] is True
-    rep = validate_scissors(e2, flat_translate_scissors(e2))
+    rep = validate_scissors(e2, flat_translate_scissors)
     assert rep.passed and rep.data["degenerate"] is False
     cfg = tree_scissors(ended_tree, ("e1", "e2", "e3", "e4"))
     rep = validate_scissors(ended_tree, cfg, tol=0)
@@ -144,11 +150,11 @@ def test_validate_scissors_flat_and_tree(ended_tree):
     assert cfg.x.coords == ("v", "x0")
 
 
-def test_scissors_shift_degenerate_euclid_zero():
+def test_scissors_shift_degenerate_euclid_zero(flat_translate_scissors):
     e2 = Euclidean(2)
     comp, form = scissors_shift(e2, degenerate_flat_scissors(e2))
     assert abs(comp) <= 1e-6 and abs(form) <= 1e-6
-    comp, form = scissors_shift(e2, flat_translate_scissors(e2))
+    comp, form = scissors_shift(e2, flat_translate_scissors)
     assert abs(comp) <= 1e-6 and abs(form) <= 1e-6
 
 
@@ -192,37 +198,3 @@ def test_scissors_shift_continuity_spot_check():
         a_ends=(-1.0 - 1e-3, 1.0 + 1e-3), d_ends=(-2.0 + 1e-3, 2.0 - 1e-3)))
     assert abs(moved - base) < 1e-1
 
-
-def test_scissors_json_roundtrip(ended_tree):
-    h = HyperbolicPlane()
-    cfg = hyperbolic_scissors()
-    back = ScissorsConfig.from_json(h, cfg.to_json())
-    assert validate_scissors(h, back).passed
-    assert abs(back.x.coords[1] - cfg.x.coords[1]) < 1e-12
-
-    tcfg = tree_scissors(ended_tree, ("e1", "e2", "e3", "e4"))
-    tback = ScissorsConfig.from_json(ended_tree, tcfg.to_json())
-    assert validate_scissors(ended_tree, tback, tol=0).passed
-    assert tback.x.coords == tcfg.x.coords
-
-    e2 = Euclidean(2)
-    fcfg = flat_translate_scissors(e2)
-    fback = ScissorsConfig.from_json(e2, fcfg.to_json())
-    assert validate_scissors(e2, fback).passed
-
-
-def test_scissors_json_keeps_integer_vertex_ids():
-    # a star whose center and four ends have int ids: the ends' reps and
-    # the lines' points come back as ints, and the JSON is a fixed point
-    t = MetricTree(TreeDesc(vertices=(0, 1, 2, 3, 4),
-                            edges=tuple((0, e, Fraction(1, 2)) for e in (1, 2, 3, 4)),
-                            denominator_bound=2, ends=(1, 2, 3, 4)))
-    cfg = tree_scissors(t, (1, 2, 3, 4))
-    data = cfg.to_json()
-    assert data["a"]["minus"] == 1 and type(data["a"]["minus"]) is int
-    back = ScissorsConfig.from_json(t, json.loads(json.dumps(data)))
-    assert back.to_json() == data
-    for line in (back.a, back.b, back.c, back.d):
-        assert all(type(ip.rep) is int for ip in (line.minus, line.plus))
-        assert all(type(line.point_at(u).coords[1]) is int for u in (-1, 0))
-    assert validate_scissors(t, back, tol=0).passed
