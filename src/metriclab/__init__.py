@@ -71,7 +71,6 @@ from .transfers import (
 )
 from .tapes import (
     PTape,
-    RSequence,
     build_p_tape,
     check_third_division,
     tape_position,

@@ -38,7 +38,6 @@ INF = math.inf
 class UnitJumpGraph:
     """Finite graph whose edges are the exact unit-distance pairs of nodes."""
 
-    space: object
     nodes: tuple
     adjacency: dict = field(default_factory=dict)
 
@@ -53,7 +52,7 @@ class UnitJumpGraph:
                 if (d == 1) if exact else abs(float(d) - 1.0) <= 1e-9:
                     adj[i].append(j)
                     adj[j].append(i)
-        return UnitJumpGraph(space, nodes, adj)
+        return UnitJumpGraph(nodes, adj)
 
     def index_of(self, p: Point) -> int:
         for i, q in enumerate(self.nodes):
@@ -99,14 +98,11 @@ def grasshopper_distance(space, x: Point, y: Point):
     The model's ``grasshopper`` closed form, on the real line (reachable
     set x + Z), Euclidean dim >= 2 (ceil of the distance, two jumps for
     short hops) and metric trees (an integer BFS over the anchors of the
-    reachable offset classes); SpaceError on every other model.
+    reachable offset classes); every other model raises SpaceError.
     ``graph_bfs_distance`` on a graph of Points is the oracle.
     """
     _check_member(space, x, y)
-    g = space.grasshopper(x.coords, y.coords)
-    if g is None:
-        raise SpaceError(f"no analytic grasshopper formula for {space!r}")
-    return g
+    return space.grasshopper(x.coords, y.coords)
 
 
 def euclid_jump_chain(space, x: Point, y: Point):
@@ -117,7 +113,7 @@ def euclid_jump_chain(space, x: Point, y: Point):
         return [x]
     if g == 1:
         return [x, y]
-    perp = _unit_perp(space, x, y)
+    perp = _unit_perp(x, y)
     chain = [x]
     u = vscale(tuple(b - a for a, b in zip(x.coords, y.coords)), 1.0 / d)
     straight = g - 2
@@ -134,16 +130,13 @@ def euclid_jump_chain(space, x: Point, y: Point):
     return chain
 
 
-def _unit_perp(space, x, y):
+def _unit_perp(x, y):
     dx = tuple(b - a for a, b in zip(x.coords, y.coords))
     nonzero = max(range(len(dx)), key=lambda i: abs(dx[i]))
     other = (nonzero + 1) % len(dx)
     perp = [0.0] * len(dx)
     perp[nonzero], perp[other] = -dx[other], dx[nonzero]
     n = math.sqrt(sum(v * v for v in perp))
-    if n == 0:
-        perp[other] = 1.0
-        n = 1.0
     return tuple(v / n for v in perp)
 
 
@@ -187,8 +180,7 @@ class TreePointSet:
         return self.class_points(self.beta)
 
     def union_sample(self) -> SampleSet:
-        return SampleSet(self.space, self.a_alpha + self.a_beta,
-                         spec=f"A_alpha u A_beta (alpha={self.alpha}, beta={self.beta})")
+        return SampleSet(self.space, self.a_alpha + self.a_beta)
 
 
 def tree_swap_bijection(tps: TreePointSet) -> BijectionSpec:

@@ -18,6 +18,8 @@ from .spaces import (
     IdealPoint,
     Point,
     SpaceError,
+    _check_member,
+    _same_space,
     distance,
     point,
     ray_from,
@@ -53,19 +55,17 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "closed",
                    tol: float = 1e-6):
     """beta_ray(y); exact Fraction on trees, float elsewhere.
 
-    method: "closed" takes the model's closed form (every model with rays
-    has one), "limit" forces the truncated doubling limit, the oracle.
+    method: "closed" takes the model's closed form (SpaceError on models
+    without rays), "limit" forces the truncated doubling limit, the oracle.
     """
+    _check_member(space, y)
     if ray.plus is None:
         raise SpaceError("Busemann function needs a ray with an ideal endpoint")
     if method == "limit":
         return _busemann_limit(space, ray, y, tol=tol)
     if method != "closed":
         raise SpaceError(f"unknown method {method!r}")
-    val = space.busemann_closed(ray, y)
-    if val is None:
-        raise SpaceError(f"no closed-form Busemann value for {space!r}")
-    return val
+    return space.busemann_closed(ray, y)
 
 
 def _busemann_limit(space, ray, y, *, tol):
@@ -122,13 +122,12 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef):
     convex golden-section minimization in other dimensions), on H^2 and
     the real line (exactly 0), and on trees for every pair of rays (0 for
     merging rays, otherwise the bridge length between the ray images).
-    Raises SpaceError where the model has none, which on the continuous
-    models means the rays are not asymptotic.
+    The model raises SpaceError for rays that are not asymptotic (on every
+    model but the tree) and where it has no rays at all.
     """
-    val = space.rho_closed(c, d)
-    if val is None:
-        raise SpaceError("rays are not asymptotic")
-    return val
+    if not (_same_space(c.space, space) and _same_space(d.space, space)):
+        raise SpaceError("ray belongs to a different space")
+    return space.rho_closed(c, d)
 
 
 def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,
@@ -264,4 +263,4 @@ def spherical_shadow_sample(space, y, x0: Point, rho: float,
             hits.append(z)
     if not hits:
         raise SpaceError("no shadow points at this resolution; widen tol")
-    return SampleSet(space, tuple(hits), spec=f"shadow(rho={rho}, res={resolution})")
+    return SampleSet(space, tuple(hits))

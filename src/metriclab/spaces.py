@@ -130,8 +130,8 @@ class TreeDesc:
         if len(self.edges) != len(self.vertices) - 1:
             raise SpaceError("edge count must be vertex count - 1 for a tree")
         n = self.denominator_bound
-        if n < 1:
-            raise SpaceError("denominator bound must be positive")
+        if type(n) is not int or n < 1:
+            raise SpaceError(f"denominator bound must be positive: an int >= 1, got {n!r}")
         adj = {v: [] for v in self.vertices}
         for i, (u, v, ln) in enumerate(self.edges):
             if u not in vs or v not in vs:
@@ -225,16 +225,16 @@ class Space:
     ``segment(a, b, d)``, ``ray(base, xi)`` and ``line(eta, xi, through)``
     (ideal points passed by their reps), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
-    value and the asymptotic-ray pseudometric; None without a closed form),
-    ``closest_param`` (a golden-section search by default; closed forms on
-    ``Euclidean``, ``HyperbolicPlane`` and ``MetricTree``), ``rows(coords)``
-    (the pair distances of a list of coordinates, row i holding
-    d(coords[i], coords[j]) for j > i, as ``distance`` gives them; the
-    default calls ``distance`` per pair),
-    ``grasshopper(a, b)`` (the fewest exact unit jumps, math.inf if none;
-    None without a closed form), ``extreme_midpoint(a, b, selector)``
-    (refused where midpoints are unique). ``exact`` is true where distances
-    are exact Fractions.
+    value and the asymptotic-ray pseudometric), ``closest_param`` (a
+    golden-section search by default; closed forms on ``Euclidean``,
+    ``HyperbolicPlane`` and ``MetricTree``), ``rows(coords)`` (the pair
+    distances of a list of coordinates, row i holding d(coords[i],
+    coords[j]) for j > i, as ``distance`` gives them; the default calls
+    ``distance`` per pair), ``grasshopper(a, b)`` (the fewest exact unit
+    jumps, math.inf if none), ``extreme_midpoint(a, b, selector)``. What a
+    model cannot do, by default or for its input (``rho_closed`` on rays
+    that are not asymptotic), raises SpaceError; no method returns None for
+    it. ``exact`` is true where distances are exact Fractions.
 
     The float models override ``rows`` with a kernel for one dimension: the
     plane for ``Euclidean``, ``MinkowskiLp`` and ``MinkowskiLinf``, R^3 for
@@ -247,8 +247,8 @@ class Space:
 
     A strictly convex plane that carries tapes also gives
     ``half_chord(u, beta)``: the alpha >= 0 with |alpha u + beta w| = 1 for
-    a unit u, w = (-u[1], u[0]) and |beta| <= 1, or None where it has no
-    closed form for u. Its unit circle in (alpha, beta) is symmetric under
+    a unit u, w = (-u[1], u[0]) and |beta| <= 1; it raises SpaceError where
+    it has no closed form for u. Its unit circle in (alpha, beta) is symmetric under
     the swap, so ``half_chord(u, h)`` is also the height of half-chord h.
     Models without it build no tapes.
     """
@@ -279,13 +279,13 @@ class Space:
         return a == b or abs(a - b) <= 1e-9
 
     def busemann_closed(self, ray, y):
-        return None
+        raise SpaceError(f"no closed-form Busemann value for {self!r}")
 
     def rho_closed(self, c, d):
-        return None
+        raise SpaceError("rays are not asymptotic")
 
     def grasshopper(self, a, b):
-        return None
+        raise SpaceError(f"no analytic grasshopper formula for {self!r}")
 
     def extreme_midpoint(self, a, b, selector):
         raise SpaceError(f"midpoint selectors are not supported for {self!r}")
@@ -309,13 +309,19 @@ def _clip(geo, t) -> float:
     return float(min(max(t, lo), hi))
 
 
-def _asymptotic(c, d) -> bool:
-    """Do the rays c and d have a common ideal endpoint?"""
-    return c.plus is not None and d.plus is not None and c.plus.matches(d.plus)
+def _check_asymptotic(c, d):
+    """SpaceError unless the rays c and d have a common ideal endpoint."""
+    if c.plus is None or d.plus is None or not c.plus.matches(d.plus):
+        raise SpaceError("rays are not asymptotic")
 
 
 _REAL = (int, float, Fraction)
 _REAL_TYPES = frozenset(_REAL)
+
+
+def _int_or_float(x) -> bool:
+    # a float model's parameter; a Fraction has no "g" format before Python 3.12
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _reals(c, dim) -> bool:
@@ -350,8 +356,8 @@ class NormedSpace(Space):
     form in the plane and a golden-section search in other dimensions."""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise SpaceError("dimension must be positive")
+        if type(self.dim) is not int or self.dim < 1:
+            raise SpaceError(f"dimension must be positive: an int >= 1, got {self.dim!r}")
 
     def validate(self, c):
         if not _reals(c, self.dim):
@@ -385,8 +391,7 @@ class NormedSpace(Space):
     def rho_closed(self, c, d):
         # the rays are c(0) + s u and d(0) + t u, so rho is the distance
         # between the parallel lines, min over tau of |off + tau u|
-        if not _asymptotic(c, d):
-            return None
+        _check_asymptotic(c, d)
         off = vsub(c.point_at(0).coords, d.point_at(0).coords)
         u = c.plus.rep
         if self.dim == 2:
@@ -458,12 +463,11 @@ class MinkowskiLp(NormedSpace):
     """The plane with the l_p norm; 1 < p < oo keeps the norm strictly convex."""
 
     p: float
-    dim: int = 2
+    dim = 2
 
     def __post_init__(self):
-        super().__post_init__()
-        if not (1.0 < self.p < INF):
-            raise SpaceError("MinkowskiLp requires 1 < p < oo")
+        if not (_int_or_float(self.p) and 1 < self.p < INF):
+            raise SpaceError(f"MinkowskiLp requires an int or float 1 < p < oo, got {self.p!r}")
 
     def norm(self, v):
         return pnorm(v, self.p)
@@ -475,8 +479,6 @@ class MinkowskiLp(NormedSpace):
         return sum(abs(x - y) ** self.p for x, y in zip(a, b)) ** (1.0 / self.p)
 
     def rows(self, coords):
-        if self.dim != 2:
-            return super().rows(coords)
         p, q = self.p, 1.0 / self.p
         return ([(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in coords[i + 1:]]
                 for i, (ax, ay) in enumerate(coords))
@@ -490,7 +492,7 @@ class MinkowskiLp(NormedSpace):
     def half_chord(self, u, beta):
         # alpha u and beta w sit in separate coordinates only on an axis
         if 0.0 not in u:
-            return None
+            raise SpaceError(f"no closed unit chord in {self.tag()} along direction {u}")
         return (1.0 - abs(beta) ** self.p) ** (1.0 / self.p)
 
     def tag(self):
@@ -502,7 +504,7 @@ class MinkowskiLinf(NormedSpace):
     """Sup-norm plane. Not strictly convex; admitted only to produce
     convexity-violation witnesses and excluded from Busemann suites."""
 
-    dim: int = 2
+    dim = 2
 
     def norm(self, v):
         return supnorm(v)
@@ -514,8 +516,6 @@ class MinkowskiLinf(NormedSpace):
         return max(abs(x - y) for x, y in zip(a, b))
 
     def rows(self, coords):
-        if self.dim != 2:
-            return super().rows(coords)
         return ([max(abs(ax - bx), abs(ay - by)) for bx, by in coords[i + 1:]]
                 for i, (ax, ay) in enumerate(coords))
 
@@ -631,7 +631,8 @@ class HyperbolicPlane(Space):
 
     def rho_closed(self, c, d):
         # asymptotic rays come arbitrarily close (Bridson-Haefliger II.8)
-        return 0.0 if _asymptotic(c, d) else None
+        _check_asymptotic(c, d)
+        return 0.0
 
     def closest_param(self, geo, x):
         # the foot of the perpendicular from z to a vertical line at a has
@@ -670,10 +671,10 @@ class SphereIntrinsic(Space):
     dim: int  # ambient dimension; points are unit vectors in R^dim
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise SpaceError("radius must be positive")
-        if self.dim < 2:
-            raise SpaceError("ambient dimension must be >= 2")
+        if not (_int_or_float(self.radius) and 0 < self.radius < INF):
+            raise SpaceError(f"radius must be a finite int or float > 0, got {self.radius!r}")
+        if type(self.dim) is not int or self.dim < 2:
+            raise SpaceError(f"ambient dimension must be an int >= 2, got {self.dim!r}")
 
     def validate(self, c):
         if not _reals(c, self.dim):
@@ -772,7 +773,8 @@ class RealLine(Space):
 
     def rho_closed(self, c, d):
         # rays in the same direction eventually overlap
-        return 0.0 if _asymptotic(c, d) else None
+        _check_asymptotic(c, d)
+        return 0.0
 
     def grasshopper(self, a, b):
         # the unit jumps from a reach exactly a + Z
@@ -1371,10 +1373,8 @@ def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
     _check_member(space, x, y)
     if selector is not None:
         return space.extreme_midpoint(x.coords, y.coords, selector)
-    d = distance(space, x, y)
-    if d == 0:
-        raise DegenerateError("midpoint of identical points")
-    return geodesic_between(space, x, y).point_at(d / 2)
+    geo = geodesic_between(space, x, y)
+    return geo.point_at(geo.length / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -636,7 +636,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     vals = [0.0, 0.25]
     vals += [rng.uniform(-3, 3) for _ in range(10)]
     vals += [v + 1.0 for v in vals[:6]]
-    sample = SampleSet(rl, tuple(point(rl, v) for v in vals), spec="line")
+    sample = SampleSet(rl, tuple(point(rl, v) for v in vals))
     out.append(_counterexample_report("line-sine", (rl, rl), ls, sample, 1e-9, 1e-9))
 
     # 2. sphere-flip at both radii (non-vacuous and vacuous unit classes)
@@ -656,7 +656,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
         pts.append(sphere_point(sph, (0.0, 0.0, 1.0)))
         pts.append(sphere_point(sph, (0.0, 0.0, -1.0)))
         pts.append(sphere_point(sph, (1.0, 0.0, 0.3)))
-        sample = SampleSet(sph, tuple(pts), spec="sphere")
+        sample = SampleSet(sph, tuple(pts))
         flip_reports.append(_counterexample_report(
             f"sphere-flip[r={radius:.6f}]", (sph, sph), flip, sample, 1e-9, 1e-9))
     combined = VerificationReport("counterexample[sphere-flip]", tolerance=1e-9)
@@ -680,7 +680,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     phi = gh.tree_swap_bijection(tps)
     nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
     vertices = [tree_vertex(tree, v) for v in tree.desc.vertices]
-    sample = SampleSet(tree, tuple(nodes) + tuple(vertices), spec="tree-classes")
+    sample = SampleSet(tree, tuple(nodes) + tuple(vertices))
     out.append(_counterexample_report("tree-swap", (tree, tree), phi, sample, 0.0, 0.0))
 
     # 4. tree-smooth
@@ -689,7 +689,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     for i in range(len(tree.desc.edges)):
         for num in (1, 3, 5, 7):
             pts.append(tree_edge_point(tree, i, Fraction(num, 16)))
-    sample = SampleSet(tree, tuple(pts), spec="tree-lattice")
+    sample = SampleSet(tree, tuple(pts))
     out.append(_counterexample_report("tree-smooth", (tree, tree), smooth,
                                       sample, 1e-9, 1e-9))
 
@@ -702,7 +702,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
     for i in range(-2, 3):
         for j in range(-2, 3):
             grid.append(Point(mp, ((float(i) * 0.5,), float(j) * 0.25)))
-    sample = SampleSet(mp, tuple(grid), spec="product-grid")
+    sample = SampleSet(mp, tuple(grid))
     out.append(_counterexample_report("max-lift", (mp, mp), lift, sample, 1e-9, 1e-9))
     return out
 

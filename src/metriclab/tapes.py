@@ -27,14 +27,6 @@ from .verify import VerificationReport
 
 
 @dataclass
-class RSequence:
-    """Unit-step isometric copy of a window of integers."""
-
-    space: object
-    points: dict            # z (int) -> Point
-
-
-@dataclass
 class PTape:
     space: object
     p: int
@@ -44,14 +36,15 @@ class PTape:
 # ---------------------------------------------------------------------------
 # validation
 
-def validate_r_sequence(seq: RSequence, tol: float = 1e-9) -> VerificationReport:
-    """All window pairs must satisfy d(x_z1, x_z2) = |z1 - z2| (exact on trees)."""
-    zs = sorted(seq.points)
+def validate_r_sequence(space, points: dict, tol: float = 1e-9) -> VerificationReport:
+    """Is ``points`` (int z -> Point) a unit-step copy of a window of integers:
+    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)?"""
+    zs = sorted(points)
     if len(zs) < 2:
         raise SpaceError("r-sequence window needs at least two indices")
     rep = VerificationReport("r-sequence", tolerance=tol)
-    exact = seq.space.exact
-    rows = distance_rows(seq.space, [seq.points[z] for z in zs])
+    exact = space.exact
+    rows = distance_rows(space, [points[z] for z in zs])
     for a, (z1, row) in enumerate(zip(zs, rows)):
         for z2, d in zip(zs[a + 1:], row):
             bad = (d != z2 - z1) if exact else abs(float(d) - (z2 - z1)) > tol
@@ -98,7 +91,7 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
         for j in range(1, p + 1):
             if (i, j) not in rows:
                 raise SpaceError(f"missing row ({i}, {j})")
-            sub = validate_r_sequence(RSequence(tape.space, rows[(i, j)]), tol=tol)
+            sub = validate_r_sequence(tape.space, rows[(i, j)], tol=tol)
             rows_checked += 1
             if not sub.passed:
                 rep.fail({"row": (i, j), "violations": sub.counts["violations"]})
@@ -198,8 +191,6 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
     w = (-u[1], u[0])                                          # Euclidean perp
 
     half = space.half_chord(u, drift)
-    if half is None:
-        raise SpaceError(f"no closed unit chord in {space.tag()} along direction {u}")
     room = 2.0 - 2.0 * half
     if not 2.0 / p < room:
         raise PreconditionError(f"p = {p} too small for drift {drift}: need 2/p < {room:.6f}")
@@ -208,9 +199,7 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
     beta_tape = space.half_chord(u, D / 2.0)
     step_up = vadd(vscale(u, D / 2.0), vscale(w, beta_tape))
 
-    if window is None:
-        window = (-2 * p, 2 * p)
-    zmin, zmax = window
+    zmin, zmax = window or (-2 * p, 2 * p)
     pts = {}
     for i in range(4):
         off = vscale(step_up, i - 1)

@@ -139,7 +139,6 @@ def _witness_key(w) -> str:
 class SampleSet:
     space: object
     points: tuple
-    spec: str = "user"
 
     def __post_init__(self):
         for p in self.points:
@@ -154,7 +153,7 @@ def random_sample(space, n: int, seed: int) -> SampleSet:
     _check_space(space)
     rng = random.Random(seed)
     pts = tuple(space.random_point(rng, 4.0) for _ in range(n))
-    return SampleSet(space, pts, spec=f"random(n={n}, scale=4.0)")
+    return SampleSet(space, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +231,13 @@ def check_busemann_midpoints(space, x: Point, y: Point, z: Point, *,
     return rep.finalize()
 
 
-def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef,
-                             grid: int = 8) -> VerificationReport:
+def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> VerificationReport:
     """Midpoint convexity of D(t, t') = d(g1(t), g2(t')), within 1e-9, over a
     lattice on the two segment domains."""
     if g1.kind != "segment" or g2.kind != "segment":
         raise SpaceError("distance convexity check needs segments")
     rep = VerificationReport(f"distance-convexity[{space.tag()}]", tolerance=1e-9)
+    grid = 8    # lattice steps per segment
     t1 = [float(g1.length) * i / grid for i in range(grid + 1)]
     t2 = [float(g2.length) * j / grid for j in range(grid + 1)]
     D = [[float(distance(space, g1.point_at(a), g2.point_at(b))) for b in t2] for a in t1]

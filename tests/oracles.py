@@ -109,7 +109,7 @@ def _shadow_sweep(space, y, x0, rho, resolution, tol):
             hits.append(z)
     if not hits:
         raise SpaceError("no shadow points at this resolution; widen tol")
-    return SampleSet(space, tuple(hits), spec=f"shadow(rho={rho}, res={resolution})")
+    return SampleSet(space, tuple(hits))
 
 
 def _chord_roots(norm, u, w, height: float):

@@ -274,7 +274,7 @@ def test_criterion_08_grasshopper():
                 grasshopper_distance(tree, phi.forward(A[i]), phi.forward(A[j]))
     nodes = tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
     vertices = tuple(tree_vertex(tree, v) for v in tree.desc.vertices)
-    sample = SampleSet(tree, tuple(nodes) + vertices, spec="enumerated")
+    sample = SampleSet(tree, tuple(nodes) + vertices)
     assert preserves_unit_distance((tree, tree), phi, sample, mode="eq", tol=0).passed
     iso = is_isometry((tree, tree), phi, sample, tol=0)
     assert not iso.passed and len(iso.witnesses) >= 1

@@ -236,7 +236,7 @@ def test_tree_swap_unit_preservation_and_witness(path_tree):
     phi = tree_swap_bijection(tps)
     nodes = tree_offset_class_nodes(path_tree, tps.a_alpha[0], tps.a_beta[0])
     vertices = tuple(tree_vertex(path_tree, v) for v in path_tree.desc.vertices)
-    sample = SampleSet(path_tree, tuple(nodes) + vertices, spec="enumerated")
+    sample = SampleSet(path_tree, tuple(nodes) + vertices)
     assert preserves_unit_distance((path_tree, path_tree), phi, sample,
                                    mode="eq", tol=0).passed
     iso = is_isometry((path_tree, path_tree), phi, sample, tol=0)
@@ -292,7 +292,7 @@ def test_smooth_tree_preserves_unit_distance(path_tree):
     for i in range(3):
         for num in (1, 3, 5, 7):
             pts.append(tree_edge_point(path_tree, i, Fraction(num, 16)))
-    sample = SampleSet(path_tree, tuple(pts), spec="lattice")
+    sample = SampleSet(path_tree, tuple(pts))
     assert preserves_unit_distance((path_tree, path_tree), phi, sample,
                                    mode="eq", tol=1e-9).passed
     iso = is_isometry((path_tree, path_tree), phi, sample, tol=1e-9)
@@ -326,7 +326,7 @@ def test_sphere_flip_preserves_units_and_breaks_isometry():
         pts.append(sphere_point(sph, tuple(-c for c in v)))
     pts += [sphere_point(sph, (0, 0, 1)), sphere_point(sph, (0, 0, -1)),
             sphere_point(sph, (1, 0, 0.3))]
-    sample = SampleSet(sph, tuple(pts), spec="symmetric")
+    sample = SampleSet(sph, tuple(pts))
     assert preserves_unit_distance((sph, sph), flip, sample, mode="eq").passed
     iso = is_isometry((sph, sph), flip, sample)
     assert not iso.passed and iso.witnesses
@@ -345,7 +345,7 @@ def test_sphere_flip_small_radius_vacuous():
         v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
         pts.append(sphere_point(sph, v))
         pts.append(sphere_point(sph, tuple(-c for c in v)))
-    sample = SampleSet(sph, tuple(pts), spec="symmetric")
+    sample = SampleSet(sph, tuple(pts))
     assert preserves_unit_distance((sph, sph), flip, sample, mode="eq").passed
     assert not is_isometry((sph, sph), flip, sample).passed
 
@@ -371,7 +371,7 @@ def test_diameter_below_one_everything_vacuous():
     inv_map = {pts[perm[i]].coords: pts[i] for i in range(len(pts))}
     spec = BijectionSpec("permutation", sph, sph,
                          lambda p: fwd_map[p.coords], lambda p: inv_map[p.coords])
-    sample = SampleSet(sph, tuple(pts), spec="perm")
+    sample = SampleSet(sph, tuple(pts))
     for mode in ("eq", "le", "lt"):
         assert preserves_unit_distance((sph, sph), spec, sample, mode=mode).passed
 
@@ -386,7 +386,7 @@ def test_max_product_lift_preserves_units_inherits_violation():
     for i in range(20):
         for j in range(20):
             grid.append(Point(mp, ((i * 0.25,), j * 0.2)))
-    sample = SampleSet(mp, tuple(grid), spec="grid-20x20")
+    sample = SampleSet(mp, tuple(grid))
     assert preserves_unit_distance((mp, mp), lift, sample, mode="eq").passed
     iso = is_isometry((mp, mp), lift, sample)
     assert not iso.passed

@@ -216,11 +216,13 @@ def test_rho_closed_none_without_common_ideal_point():
     e2 = Euclidean(2)
     c = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
     d = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (0, 1)))
-    assert e2.rho_closed(c, d) is None
-    # the sphere has no rays and keeps the base class's None
+    with pytest.raises(SpaceError, match="rays are not asymptotic"):
+        e2.rho_closed(c, d)
+    # the sphere has no rays and keeps the base class's refusal
     s2 = SphereIntrinsic(1.0, 3)
     g = geodesic_between(s2, sphere_point(s2, (1, 0, 0)), sphere_point(s2, (0, 1, 0)))
-    assert s2.rho_closed(g, g) is None
+    with pytest.raises(SpaceError, match="rays are not asymptotic"):
+        s2.rho_closed(g, g)
 
 
 def test_ray_pseudodistance_h2_vanishes():

@@ -266,9 +266,7 @@ def test_tree_ray_point_refuses_a_non_end_at_every_offset(ended_tree, offset):
     assert tree_ray_point(ended_tree, "e1", 1).coords == ("r", "e1", 1)
 
 
-@pytest.mark.parametrize("make", [Euclidean, lambda d: MinkowskiLp(1.5, d),
-                                  lambda d: MinkowskiLinf(dim=d)],
-                         ids=["euclidean", "minkowski-lp", "minkowski-linf"])
+@pytest.mark.parametrize("make", [Euclidean], ids=["euclidean"])
 @pytest.mark.parametrize("dim", [0, -1])
 def test_normed_spaces_refuse_a_dimension_below_one(make, dim):
     with pytest.raises(SpaceError, match="dimension must be positive"):
@@ -276,8 +274,31 @@ def test_normed_spaces_refuse_a_dimension_below_one(make, dim):
     assert make(1).distance((0.0,), (-2.0,)) == 2.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Euclidean(2.0),                  # was accepted, tagged euclidean-2.0
+    lambda: Euclidean(True),                 # was E^1, tagged euclidean-True
+    lambda: Euclidean("2"),                  # was a bare TypeError
+    lambda: MinkowskiLp("2"),
+    lambda: SphereIntrinsic("1", 3),
+    lambda: SphereIntrinsic(1.0, 2.5),       # was a TypeError from random_point
+    lambda: SphereIntrinsic(math.nan, 3),    # was accepted as sphere-rnan-d3
+    lambda: TreeDesc(("a", "b"), (("a", "b", Fraction(1, 2)),), denominator_bound=2.0),
+    # a Fraction was accepted, and tag() then raised TypeError before Python 3.12
+    lambda: MinkowskiLp(Fraction(3, 2)),
+    lambda: SphereIntrinsic(Fraction(1, 2), 3),
+], ids=["euclidean-float-dim", "euclidean-bool-dim", "euclidean-str-dim", "lp-str-p",
+        "sphere-str-radius", "sphere-float-dim", "sphere-nan-radius", "tree-float-bound",
+        "lp-fraction-p", "sphere-fraction-radius"])
+def test_constructors_refuse_wrong_input_types(make):
+    # a dimension or denominator bound is an int that is not a bool; a
+    # radius or p is a finite int or float
+    with pytest.raises(SpaceError) as err:
+        make()
+    assert "\n" not in str(err.value)
+
+
 def test_sphere_point_refuses_a_non_sphere():
-    for space in (Euclidean(3), MinkowskiLp(1.5, 3), RealLine()):
+    for space in (Euclidean(3), MinkowskiLp(1.5), RealLine()):
         with pytest.raises(SpaceError):
             sphere_point(space, (3, 4, 0))
     assert sphere_point(SphereIntrinsic(1.0, 3), (3, 4, 0)).coords == (0.6, 0.8, 0.0)
@@ -486,7 +507,7 @@ def _row_cases():
     # the catalog's float models run their row kernels; the dimensions
     # without a kernel run the per-pair ``Space.rows`` default
     from metriclab.suites import catalog, ended_tree, swap_tree
-    return catalog() + [MaxProduct(ended_tree(), swap_tree()), MinkowskiLp(1.5, dim=3),
+    return catalog() + [MaxProduct(ended_tree(), swap_tree()),
                         Euclidean(1), Euclidean(3), SphereIntrinsic(2.5, 2)]
 
 

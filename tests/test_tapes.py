@@ -19,7 +19,6 @@ from metriclab.spaces import (
 )
 from metriclab.tapes import (
     PTape,
-    RSequence,
     build_p_tape,
     check_third_division,
     tape_position,
@@ -37,11 +36,11 @@ def _base_line(space, theta=0.0):
 
 def test_r_sequence_straight_and_perturbed():
     e2 = Euclidean(2)
-    seq = RSequence(e2, {z: point(e2, (float(z), 0.0)) for z in range(-5, 6)})
-    assert validate_r_sequence(seq).passed
+    pts = {z: point(e2, (float(z), 0.0)) for z in range(-5, 6)}
+    assert validate_r_sequence(e2, pts).passed
     pts = {z: point(e2, (float(z) + (0.1 if z == 3 else 0.0), 0.0))
            for z in range(-5, 6)}
-    rep = validate_r_sequence(RSequence(e2, pts))
+    rep = validate_r_sequence(e2, pts)
     assert not rep.passed
     assert any(w["z1"] == 2 and w["z2"] == 3 for w in rep.witnesses)
 
@@ -49,8 +48,8 @@ def test_r_sequence_straight_and_perturbed():
 def test_r_sequence_tree_line_exact(ended_tree):
     line = line_through(ended_tree, tree_end(ended_tree, "e1"),
                         tree_end(ended_tree, "e2"))
-    seq = RSequence(ended_tree, {z: line.point_at(Fraction(z)) for z in range(-5, 6)})
-    assert validate_r_sequence(seq).passed
+    pts = {z: line.point_at(Fraction(z)) for z in range(-5, 6)}
+    assert validate_r_sequence(ended_tree, pts).passed
 
 
 def test_tape_quadruples_match_printed_system():

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from metriclab.horofn import busemann_value, ray_toward
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
+    MetricTree,
     SpaceError,
+    TreeDesc,
     boundary_ideal,
     direction_ideal,
     distance,
@@ -42,7 +45,7 @@ def flat_translate_scissors():
     e2 = Euclidean(2)
     a, _ = _flat_line(e2, 0.0)
     moved, _ = _flat_line(e2, 1.0)
-    return ScissorsConfig(e2, a, moved, moved, moved, point(e2, (0.0, 1.0)))
+    return ScissorsConfig(a, moved, moved, moved, point(e2, (0.0, 1.0)))
 
 
 def test_horospherical_transfer_euclid_vertical_levels():
@@ -98,7 +101,47 @@ def test_double_transfer_identity_euclid():
     res = double_transfer(e2, a, b, x)
     assert abs(res.shift) <= 1e-8
     assert abs(res.image.coords[0] - 2.0) <= 1e-8
-    assert res.residuals["vs_formula"] <= 1e-8
+
+
+def _shift_case(name):
+    """(space, a, b, probe on a, level_shift) for the shift identity; the
+    two Busemann terms are nonzero in every case."""
+    if name == "e2":
+        e2 = Euclidean(2)
+        a, xi = _flat_line(e2, 0.0)
+        b = line_through(e2, direction_ideal(e2, (-1, 0)), xi, point(e2, (0.5, 1.5)))
+        return e2, a, b, point(e2, (2.0, 0.0)), 0
+    if name == "tree":
+        # a star with arms 1/2, 1 and 3/2, so a(0) and b(0) sit at different
+        # distances from the common end
+        tree = MetricTree(TreeDesc(
+            ("x0", "e1", "e2", "e3"),
+            (("x0", "e1", Fraction(1, 2)), ("x0", "e2", Fraction(1)),
+             ("x0", "e3", Fraction(3, 2))), 2, ("e1", "e2", "e3")))
+        a = line_through(tree, tree_end(tree, "e2"), tree_end(tree, "e1"))
+        b = line_through(tree, tree_end(tree, "e3"), tree_end(tree, "e1"))
+        return tree, a, b, a.point_at(Fraction(3, 4)), 0
+    # H^2 lines with the finite common end 1
+    h = HyperbolicPlane()
+    a = line_through(h, boundary_ideal(h, -1.0), boundary_ideal(h, 1.0))
+    b = line_through(h, boundary_ideal(h, 4.0), boundary_ideal(h, 1.0))
+    return h, a, b, a.point_at(0.7), (0.25 if name == "h2-level-quarter" else 0)
+
+
+@pytest.mark.parametrize("name", ["e2", "h2", "h2-level-quarter", "tree"])
+def test_double_transfer_shift_is_the_busemann_sum(name):
+    # shift = beta_a(b(0)) + beta_b(a(0)) + level_shift, each beta taken here
+    # on the ray toward the common end
+    space, a, b, x, level_shift = _shift_case(name)
+
+    def beta(line, y):
+        return busemann_value(space, ray_toward(space, line, a.plus), y)
+    want = beta(a, b.point_at(0)) + beta(b, a.point_at(0)) + level_shift
+    shift = double_transfer(space, a, b, x, level_shift=level_shift).shift
+    if name == "tree":
+        assert isinstance(shift, Fraction) and shift == want
+    else:
+        assert abs(shift - want) <= 1e-8
 
 
 def test_double_transfer_tree_exact_zero(ended_tree):

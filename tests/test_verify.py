@@ -127,7 +127,7 @@ def test_distance_convexity_linf_violation():
     from metriclab.spaces import GeodesicRef
     g1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
     g2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
-    rep = check_distance_convexity(linf, g1, g2, grid=4)
+    rep = check_distance_convexity(linf, g1, g2)
     assert not rep.passed
     assert rep.witnesses
 
