@@ -108,7 +108,7 @@ def grasshopper_distance(space, x: Point, y: Point):
 def euclid_jump_chain(space, x: Point, y: Point):
     """Witness chain of unit jumps realizing the analytic Euclidean count."""
     d = float(distance(space, x, y))
-    g = grasshopper_distance(space, x, y)
+    g = space.grasshopper(x.coords, y.coords)
     if g == 0:
         return [x]
     if g == 1:

@@ -116,10 +116,10 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef):
     """rho(c, d) = inf over s, t >= 0 of d(c(s), d(t)); exact Fraction on trees.
 
     The model's closed form ``Space.rho_closed``: for rays with a common
-    ideal point on the flat models (Euclidean, l_p, sup-norm: the distance
-    between the two parallel lines, |omega(off)| / |omega|* in the plane
-    for the functional omega that vanishes on the common direction, a 1-d
-    convex golden-section minimization in other dimensions), on H^2 and
+    ideal point on the flat models (the distance between the two parallel
+    lines: on Euclidean space the part of their offset orthogonal to the
+    common direction, on the l_p and sup-norm planes |omega(off)| /
+    |omega|* for the functional omega that vanishes on it), on H^2 and
     the real line (exactly 0), and on trees for every pair of rays (0 for
     merging rays, otherwise the bridge length between the ray images).
     The model raises SpaceError for rays that are not asymptotic (on every

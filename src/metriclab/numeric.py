@@ -1,6 +1,7 @@
 """Small numerical toolkit: bisection on monotone functions and convex 1-d
 minimization. Everything here is deterministic and dependency free; callers
-pick tolerances."""
+pick tolerances. No module of the package calls ``golden_min``: it is the
+tests' search oracle, kept here because perfbench traces it by this name."""
 
 from __future__ import annotations
 

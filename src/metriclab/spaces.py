@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .numeric import golden_min
-
 INF = math.inf
 
 Number = Union[int, float, Fraction]
@@ -183,13 +181,10 @@ class TreeDesc:
                 and all(isinstance(e, list) and len(e) == 3 for e in edges)):
             raise SpaceError("edges must be a list of [u, v, length] triples")
         _check_ids([x for e in edges for x in e[:2]], "edge endpoints")
-        n = data.get("denominator_bound")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise SpaceError(f"denominator_bound must be an integer: {n!r}")
         return TreeDesc(
             vertices=_check_ids(data.get("vertices"), "vertices"),
             edges=tuple((u, v, _edge_length(ln)) for (u, v, ln) in edges),
-            denominator_bound=n,
+            denominator_bound=data.get("denominator_bound"),
             ends=_check_ids(data.get("ends", []), "ends"),
         )
 
@@ -225,16 +220,17 @@ class Space:
     ``segment(a, b, d)``, ``ray(base, xi)`` and ``line(eta, xi, through)``
     (ideal points passed by their reps), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
-    value and the asymptotic-ray pseudometric), ``closest_param`` (a
-    golden-section search by default; closed forms on ``Euclidean``,
-    ``HyperbolicPlane`` and ``MetricTree``), ``rows(coords)`` (the pair
-    distances of a list of coordinates, row i holding d(coords[i],
-    coords[j]) for j > i, as ``distance`` gives them; the default calls
-    ``distance`` per pair), ``grasshopper(a, b)`` (the fewest exact unit
-    jumps, math.inf if none), ``extreme_midpoint(a, b, selector)``. What a
-    model cannot do, by default or for its input (``rho_closed`` on rays
-    that are not asymptotic), raises SpaceError; no method returns None for
-    it. ``exact`` is true where distances are exact Fractions.
+    value and the asymptotic-ray pseudometric), ``closest_param`` (closed
+    forms on ``Euclidean``, ``HyperbolicPlane`` and ``MetricTree``),
+    ``rows(coords)`` (the pair distances of a list of coordinates, row i
+    holding d(coords[i], coords[j]) for j > i, as ``distance`` gives them;
+    the default calls ``distance`` per pair), ``grasshopper(a, b)`` (the
+    fewest exact unit jumps, math.inf if none) and
+    ``extreme_midpoint(a, b, selector)``. Every method is a closed form:
+    what a model cannot do, by default or for its input (``rho_closed`` on
+    rays that are not asymptotic), raises SpaceError; no method searches,
+    and none returns None for it. ``exact`` is true where distances are
+    exact Fractions.
 
     The float models override ``rows`` with a kernel for one dimension: the
     plane for ``Euclidean``, ``MinkowskiLp`` and ``MinkowskiLinf``, R^3 for
@@ -291,16 +287,7 @@ class Space:
         raise SpaceError(f"midpoint selectors are not supported for {self!r}")
 
     def closest_param(self, geo, x):
-        # the distance along a geodesic is convex: golden-section search
-        d0 = float(distance(self, geo.point_at(0), x))
-        w = 2.0 * d0 + 2.0
-        lo, hi = geo.domain()
-        lo = max(float(lo), -w) if lo != -INF else -w
-        hi = min(float(hi), w) if hi != INF else w
-
-        def f(t):
-            return float(distance(self, geo.point_at(t), x))
-        return golden_min(f, lo, hi, tol=1e-13 * max(1.0, w))
+        raise SpaceError(f"no closed-form closest point for {self!r}")
 
 
 def _clip(geo, t) -> float:
@@ -349,11 +336,13 @@ def _flat_line_anchor(space, through):
 
 class NormedSpace(Space):
     """R^dim with a norm: distance, geodesics and ideal points are affine.
-    Subclasses give ``norm``, ``dual_norm`` (the norm of a linear functional
-    given by its coefficients), a ``dim`` field and ``distance``, which is
+    Subclasses give ``norm``, ``dim`` (a field on ``Euclidean``, the class
+    constant 2 on the l_p and sup-norm planes) and ``distance``, which is
     ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
-    same float operations in the same order. ``rho_closed`` is a closed
-    form in the plane and a golden-section search in other dimensions."""
+    same float operations in the same order. ``rho_closed`` is the planar
+    form from the planes' ``dual_norm`` (the norm of a linear functional
+    given by its coefficients); ``Euclidean`` overrides it with the
+    orthogonal gap in every dimension."""
 
     def __post_init__(self):
         if type(self.dim) is not int or self.dim < 1:
@@ -390,18 +379,13 @@ class NormedSpace(Space):
 
     def rho_closed(self, c, d):
         # the rays are c(0) + s u and d(0) + t u, so rho is the distance
-        # between the parallel lines, min over tau of |off + tau u|
+        # between the parallel lines, min over tau of |off + tau u|; in the
+        # plane (Hahn-Banach) it is |omega(off)| / |omega|* for
+        # omega = (-u2, u1), the functional that vanishes on u
         _check_asymptotic(c, d)
         off = vsub(c.point_at(0).coords, d.point_at(0).coords)
         u = c.plus.rep
-        if self.dim == 2:
-            # Hahn-Banach: |omega(off)| / |omega|* for omega = (-u2, u1),
-            # the functional that vanishes on u
-            return abs(u[0] * off[1] - u[1] * off[0]) / self.dual_norm((-u[1], u[0]))
-        # elsewhere a convex search; |off + tau u| >= |tau| - |off| keeps
-        # the minimizer in [-w, w]
-        w = 2.0 * self.norm(off) + 1.0
-        return golden_min(lambda tau: self.norm(vadd(off, vscale(u, tau))), -w, w)[1]
+        return abs(u[0] * off[1] - u[1] * off[0]) / self.dual_norm((-u[1], u[0]))
 
     def random_point(self, rng, scale):
         return point(self, tuple(rng.uniform(-scale, scale) for _ in range(self.dim)))
@@ -412,9 +396,6 @@ class Euclidean(NormedSpace):
     dim: int
 
     def norm(self, v):
-        return enorm(v)
-
-    def dual_norm(self, v):
         return enorm(v)
 
     def distance(self, a, b):
@@ -432,6 +413,13 @@ class Euclidean(NormedSpace):
         o = ray.point_at(0)
         u = vsub(ray.point_at(1).coords, o.coords)
         return -vdot(vsub(y.coords, o.coords), u)
+
+    def rho_closed(self, c, d):
+        # the gap between the parallel lines: the part of off orthogonal to u
+        _check_asymptotic(c, d)
+        off = vsub(c.point_at(0).coords, d.point_at(0).coords)
+        u = c.plus.rep
+        return enorm(vsub(off, vscale(u, vdot(off, u))))
 
     def closest_param(self, geo, x):
         # orthogonal projection onto the carrier, clipped to the domain
@@ -1385,9 +1373,8 @@ def closest_param(space, geo: GeodesicRef, x: Point):
 
     Closed forms on Euclidean space (orthogonal projection), H^2 (the foot
     of the perpendicular, after a Moebius map onto the imaginary axis) and
-    trees (exact Gromov-product projection); golden-section search on the
-    other models, where the distance along a geodesic is convex. The
-    geodesic must belong to `space`.
+    trees (exact Gromov-product projection); every other model raises
+    SpaceError. The geodesic must belong to `space`.
     """
     _check_member(space, x)
     if not _same_space(geo.space, space):

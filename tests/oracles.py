@@ -86,6 +86,22 @@ def _ray_grid(space, c, d):
     return best
 
 
+def _closest_search(space, geo, x):
+    """Search oracle for ``closest_param``: (argmin, min) of
+    t -> d(geo(t), x) by golden-section search. The distance along a
+    geodesic of a Busemann space is convex, and d(geo(t), x) >= |t| - d0
+    keeps the minimizer in [-w, w] for w = 2 d0 + 2."""
+    d0 = float(distance(space, geo.point_at(0), x))
+    w = 2.0 * d0 + 2.0
+    lo, hi = geo.domain()
+    lo = max(float(lo), -w) if lo != -math.inf else -w
+    hi = min(float(hi), w) if hi != math.inf else w
+
+    def f(t):
+        return float(distance(space, geo.point_at(t), x))
+    return golden_min(f, lo, hi, tol=1e-13 * max(1.0, w))
+
+
 def _parallel_gap(space, c, d):
     """Search oracle for rho(c, d) on the flat models: the distance between
     the parallel lines through c(0) and d(0) along the common direction u,

@@ -1,7 +1,7 @@
 """The closed-form ``closest_param`` of ``Euclidean`` (E^2, E^3) and
-``HyperbolicPlane`` against the protocol's golden-section default
-``Space.closest_param`` on seeded segments, rays, lines and reversed lines;
-on H^2 both carriers, vertical lines and semicircles, are covered."""
+``HyperbolicPlane`` against the golden-section search oracle
+``oracles._closest_search`` on seeded segments, rays, lines and reversed
+lines; on H^2 both carriers, vertical lines and semicircles, are covered."""
 
 import math
 import random
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
-    Space,
     boundary_ideal,
     direction_ideal,
     geodesic_between,
@@ -21,6 +20,7 @@ from metriclab.spaces import (
     point,
     ray_from,
 )
+from oracles import _closest_search
 
 INF = math.inf
 KINDS = ("segment", "ray", "line", "reversed")
@@ -74,7 +74,7 @@ def _point_on(geo, rng):
 
 def _agrees_with_search(space, geo, x):
     t, resid = space.closest_param(geo, x)
-    t_search, resid_search = Space.closest_param(space, geo, x)
+    t_search, resid_search = _closest_search(space, geo, x)
     assert abs(resid - resid_search) <= 1e-9
     assert abs(t - t_search) <= 1e-6
 

@@ -1,6 +1,6 @@
 """The closed-form asymptotic-ray pseudometric (``Space.rho_closed``)
 against the grid oracle ``oracles._ray_grid`` on seeded asymptotic rays and,
-on the normed planes, against the golden-section search
+on E^2, E^3, E^4 and the normed planes, against the golden-section search
 ``oracles._parallel_gap``; and the closed-form shadow window of
 ``spherical_shadow_sample`` against the full sweep ``oracles._shadow_sweep``."""
 
@@ -75,14 +75,16 @@ def test_rho_closed_agrees_with_grid_oracle(space, seed):
         assert abs(closed - grid) <= 1e-3
 
 
-PLANES = (Euclidean(2), MinkowskiLp(1.5), MinkowskiLp(2.0), MinkowskiLp(3.0), MinkowskiLinf())
+NORMED = (Euclidean(2), Euclidean(3), Euclidean(4), MinkowskiLp(1.5), MinkowskiLp(2.0),
+          MinkowskiLp(3.0), MinkowskiLinf())
 
 
-@pytest.mark.parametrize("space", PLANES, ids=lambda s: s.tag())
+@pytest.mark.parametrize("space", NORMED, ids=lambda s: s.tag())
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_planar_rho_closed_agrees_with_search(space, seed):
-    # the dual-norm closed form against the golden-section search it replaced
+    # the orthogonal gap on E^n and the dual-norm form on the planes against
+    # the golden-section search they replaced
     c, d = _asymptotic_rays(space, seed)
     assert abs(ray_pseudodistance(space, c, d) - _parallel_gap(space, c, d)) <= 1e-12
 

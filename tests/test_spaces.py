@@ -369,6 +369,15 @@ def test_unsupported_operations_raise_space_error():
         ray_from(s, sphere_point(s, (1, 0, 0)), IdealPoint(s, (0.0, 1.0, 0.0)))
     with pytest.raises(SpaceError):
         direction_ideal(s, (1, 0, 0))
+    # closest points have closed forms on E^n, H^2 and trees only
+    rl = RealLine()
+    for space, a, b, x in ((MinkowskiLp(3.0), (0.0, 0.0), (2.0, 0.0), (1.0, 2.0)),
+                           (MinkowskiLinf(), (0.0, 0.0), (2.0, 0.0), (1.0, 2.0)),
+                           (s, (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                           (rl, 0.0, 2.0, 1.0)):
+        seg = geodesic_between(space, point(space, a), point(space, b))
+        with pytest.raises(SpaceError):
+            closest_param(space, seg, point(space, x))
     for call in (lambda: point(object(), (0.0, 0.0)),
                  lambda: direction_ideal(object(), (1.0, 0.0)),
                  lambda: random_sample(object(), 3, 0)):
