@@ -83,36 +83,37 @@ def ended_tree() -> MetricTree:
         ends=("e1", "e2", "e3", "e4")))
 
 
+_ENDED_TREE = ended_tree()
+
+# the model catalog: (model, busemann) rows in the axioms suite's report
+# order; busemann marks the models the busemann suite checks
+CATALOG = (
+    (Euclidean(2), True),
+    (Euclidean(3), False),
+    (MinkowskiLp(1.5), True),
+    (MinkowskiLp(2.0), True),
+    (MinkowskiLp(3.0), True),
+    (MinkowskiLinf(), False),
+    (HyperbolicPlane(), True),
+    (_ENDED_TREE, True),
+    (swap_tree(), False),
+    (SphereIntrinsic(1.0 / math.pi, 3), False),
+    (RealLine(), True),
+    (MaxProduct(Euclidean(2), RealLine()), False),
+)
+
+
 def catalog(tree: MetricTree = None):
-    """The model catalog exercised by the axiom suite."""
-    t = tree if tree is not None else ended_tree()
-    return [
-        Euclidean(2),
-        Euclidean(3),
-        MinkowskiLp(1.5),
-        MinkowskiLp(2.0),
-        MinkowskiLp(3.0),
-        MinkowskiLinf(),
-        HyperbolicPlane(),
-        t,
-        swap_tree(),
-        SphereIntrinsic(1.0 / math.pi, 3),
-        RealLine(),
-        MaxProduct(Euclidean(2), RealLine()),
-    ]
+    """``CATALOG``'s models in row order; a given ``tree`` takes the ended
+    tree's row (``swap_tree`` keeps its own)."""
+    return [tree if tree is not None and model is _ENDED_TREE else model
+            for model, _ in CATALOG]
 
 
 def busemann_catalog():
-    """The strictly Busemann sub-catalog (sup-norm plane and sphere excluded)."""
-    return [
-        Euclidean(2),
-        MinkowskiLp(1.5),
-        MinkowskiLp(2.0),
-        MinkowskiLp(3.0),
-        HyperbolicPlane(),
-        ended_tree(),
-        RealLine(),
-    ]
+    """``catalog()``'s instances that ``CATALOG`` flags busemann, in row
+    order. E^3 and ``swap_tree`` are Busemann too, but the suite skips them."""
+    return [model for model, busemann in CATALOG if busemann]
 
 
 class _Reports(list):
@@ -183,7 +184,7 @@ def suite_busemann(seed: int, params: dict) -> list:
     inner = check_busemann_midpoints(
         linf, point(linf, (0.0, 0.0)), point(linf, (2.0, 0.0)), point(linf, (2.0, 2.0)),
         selector_xy="lower extreme", selector_xz="upper extreme", tol=tol)
-    out.append(_expect_failure(inner, "busemann-violation[minkowski-linf]"))
+    out.append(_expect_failure(inner, f"busemann-violation[{linf.tag()}]"))
 
     # distance convexity grids
     e2 = Euclidean(2)
@@ -206,7 +207,7 @@ def suite_busemann(seed: int, params: dict) -> list:
     gl1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
     gl2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
     inner = check_distance_convexity(linf, gl1, gl2)
-    out.append(_expect_failure(inner, "distance-convexity-violation[minkowski-linf]"))
+    out.append(_expect_failure(inner, f"distance-convexity-violation[{linf.tag()}]"))
     return out
 
 
@@ -233,11 +234,11 @@ def suite_horofn(seed: int, params: dict) -> list:
     # ray and a point y drawn left to right; a limit that fails to converge
     # or leaves double range is a witness, not an exception
     pairs = params.get("oracle_pairs", 50)
-    for label, space, case in (
-            ("euclidean-2", e2, lambda: (ray_from(e2, e2.random_point(rng, 3), e2_xi()),
-                                         e2.random_point(rng, 5))),
-            ("hyperbolic-plane", h2, lambda: (h2_ray(), h2_point()))):
-        with out.check(f"busemann-oracle[{label}]", tol) as rep:
+    for space, case in (
+            (e2, lambda: (ray_from(e2, e2.random_point(rng, 3), e2_xi()),
+                          e2.random_point(rng, 5))),
+            (h2, lambda: (h2_ray(), h2_point()))):
+        with out.check(f"busemann-oracle[{space.tag()}]", tol) as rep:
             for _ in range(pairs):
                 r, y = case()
                 closed = busemann_value(space, r, y, method="closed")
@@ -473,37 +474,37 @@ def suite_tapes(seed: int, params: dict) -> list:
 
     with out.check("tape-build", 1e-9) as rep:
         built = {}
-        for name, space, drift in (("euclidean-2", e2, 0.6), ("minkowski-l3", l3, 0.8)):
+        for space, drift in ((e2, 0.6), (l3, 0.8)):
             a = axis[space]
             tape = tp.build_p_tape(space, a, 6, drift)
-            built[name] = (space, a, tape)
+            built[space] = tape
             sub = tp.validate_p_tape(tape)
             if not sub.passed:
-                rep.fail({"case": name, "violations": sub.counts["violations"]})
+                rep.fail({"case": space.tag(), "violations": sub.counts["violations"]})
             worst = 0.0
             for j in range(1, 7):
                 for z in (-3, 0, 3):
                     want = a.point_at(float(tp.tape_position(6, j, z)))
                     worst = max(worst, float(distance(space, tape.points[(1, j, z)], want)))
             if worst > 1e-9:
-                rep.fail({"case": name, "position_law_error": worst})
+                rep.fail({"case": space.tag(), "position_law_error": worst})
         rep.counts = {"cases": 2}
 
     with out.check("tape-gate", 0.0) as rep:
         gates = 0
-        for space, a_name, drift in ((e2, "euclidean-2", 0.2), (l3, "minkowski-l3", 0.6)):
+        for space, drift in ((e2, 0.2), (l3, 0.6)):
             gates += 1
             try:
                 tp.build_p_tape(space, axis[space], 6, drift)
-                rep.fail({"case": a_name, "reason": "gate accepted an undersized p"})
+                rep.fail({"case": space.tag(), "reason": "gate accepted an undersized p"})
             except tp.PreconditionError:
                 pass
         rep.counts = {"cases": gates}
 
-    space, a, tape = built["euclidean-2"]
-    bad = tp.PTape(space, tape.p, dict(tape.points))
+    tape = built[e2]
+    bad = tp.PTape(e2, tape.p, dict(tape.points))
     c = bad.points[(1, 3, 0)].coords
-    bad.points[(1, 3, 0)] = point(space, (c[0] + 0.05, c[1]))
+    bad.points[(1, 3, 0)] = point(e2, (c[0] + 0.05, c[1]))
     out.append(_expect_failure(tp.validate_p_tape(bad), "tape-perturbation-rejected"))
 
     with out.check("third-division", 1e-9) as rep:

@@ -105,18 +105,13 @@ def validate_scissors(space, cfg: ScissorsConfig, tol: float = 1e-9) -> Verifica
             rep.fail({"condition": name,
                       "left": None if u is None else u.rep,
                       "right": None if v is None else v.rep})
-    residuals = {}
     for name, line in (("b", cfg.b), ("c", cfg.c)):
-        ok, t, resid = on_geodesic(space, line, cfg.x, tol=tol)
-        residuals[f"x_on_{name}"] = float(resid)
+        ok, _, resid = on_geodesic(space, line, cfg.x, tol=tol)
         if not ok:
             rep.fail({"condition": f"x on {name}", "residual": float(resid)})
-    on_a, _, res_a = on_geodesic(space, cfg.a, cfg.x, tol=tol)
-    on_d, _, res_d = on_geodesic(space, cfg.d, cfg.x, tol=tol)
-    residuals["x_on_a"] = float(res_a)
-    residuals["x_on_d"] = float(res_d)
+    on_a = on_geodesic(space, cfg.a, cfg.x, tol=tol)[0]
+    on_d = on_geodesic(space, cfg.d, cfg.x, tol=tol)[0]
     rep.data["degenerate"] = bool(on_a and on_d)
-    rep.data["residuals"] = residuals
     return rep.finalize(incidences=5)
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from metriclab import suites
 from metriclab.spaces import MetricTree, TreeDesc
 
 
@@ -17,21 +18,9 @@ def star_tree():
 
 @pytest.fixture
 def path_tree():
-    """Path of three edges of length 1/2; n = 2 (the grasshopper tree)."""
-    return MetricTree(TreeDesc(
-        vertices=("v0", "v1", "v2", "v3"),
-        edges=(("v0", "v1", Fraction(1, 2)), ("v1", "v2", Fraction(1, 2)),
-               ("v2", "v3", Fraction(1, 2))),
-        denominator_bound=2))
+    return suites.swap_tree()
 
 
 @pytest.fixture
 def ended_tree():
-    """Star with four infinite ends plus a finite spur; n = 2."""
-    return MetricTree(TreeDesc(
-        vertices=("x0", "e1", "e2", "e3", "e4", "spur"),
-        edges=(("x0", "e1", Fraction(1, 2)), ("x0", "e2", Fraction(1, 2)),
-               ("x0", "e3", Fraction(1, 2)), ("x0", "e4", Fraction(1, 2)),
-               ("x0", "spur", Fraction(1, 2))),
-        denominator_bound=2,
-        ends=("e1", "e2", "e3", "e4")))
+    return suites.ended_tree()

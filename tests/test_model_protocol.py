@@ -19,13 +19,17 @@ ALLOWED = {
 }
 
 
+def _aliases(tree):
+    return {a.asname: a.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
+
+
 def _model_isinstance_calls(source):
     """(enclosing scope, model class) for each ``isinstance`` call whose
     class argument names a model, directly, through an ``import ... as``
     alias, as an attribute such as ``spaces.Euclidean``, or in a tuple."""
     tree = ast.parse(source)
-    alias = {a.asname: a.name for node in ast.walk(tree)
-             if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
+    alias = _aliases(tree)
     found = []
 
     def names(arg):
@@ -69,3 +73,52 @@ def test_only_spaces_asks_which_model_it_holds():
     assert sorted(hits - ALLOWED) == []
     # the allowed guards are still there, so the scan still sees them
     assert hits == ALLOWED
+
+
+# calls that build a catalog model: the model classes and the named trees
+MODEL_BUILDERS = MODELS | {"ended_tree", "swap_tree"}
+
+
+def _model_lists(source):
+    """Line of each list or tuple literal that holds two or more model
+    constructor calls, or rows that start with one. The right side of a
+    tuple-unpacking assignment is not a list."""
+    tree = ast.parse(source)
+    alias = _aliases(tree)
+    unpacked = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)}
+
+    def builds_model(elt):
+        if isinstance(elt, (ast.Tuple, ast.List)):
+            return bool(elt.elts) and builds_model(elt.elts[0])
+        if isinstance(elt, ast.Call) and isinstance(elt.func, ast.Attribute):
+            return elt.func.attr in MODEL_BUILDERS
+        if isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name):
+            return alias.get(elt.func.id, elt.func.id) in MODEL_BUILDERS
+        return False
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Tuple, ast.List)) and id(node) not in unpacked
+            and sum(map(builds_model, node.elts)) >= 2]
+
+
+def test_the_scan_sees_a_model_list():
+    src = ("from .spaces import RealLine as RL\n"
+           "from . import spaces\n"
+           "PAIR = [RL(), spaces.Euclidean(2)]\n"
+           "ROWS = ((ended_tree(), True), (swap_tree(), False))\n"
+           "a, b = RL(), ended_tree()\n"
+           "ONE = (RL(), 'real-line', 1.0)\n"
+           "MP = MaxProduct(RL(), RL())\n"
+           "NAMES = [RL, 'tree', ended_tree]\n")
+    assert sorted(_model_lists(src)) == [3, 4]
+
+
+def test_only_catalog_lists_models():
+    source = (PACKAGE / "suites.py").read_text()
+    catalog_line = next(node.value.lineno for node in ast.parse(source).body
+                        if isinstance(node, ast.Assign)
+                        and [getattr(t, "id", None) for t in node.targets] == ["CATALOG"])
+    hits = {(path.name, line) for path in sorted(PACKAGE.rglob("*.py"))
+            for line in _model_lists(path.read_text())}
+    assert hits == {("suites.py", catalog_line)}

@@ -19,14 +19,14 @@ def test_suite_output_matches_golden(suite):
     assert text.encode("utf-8") == (GOLDEN / f"{suite}_seed7.json").read_bytes()
 
 
-@pytest.mark.parametrize("suite", ("horofn", "transfers", "scissors"))
-def test_suites_run_no_golden_section_search(suite, monkeypatch):
-    # rho on the normed planes and closest points on E^n and H^2 are closed
-    # forms: with every golden-section search in the package replaced by a
-    # stub that raises, these suites still reproduce their goldens
+@pytest.mark.parametrize("suite", ("horofn", "transfers", "scissors", "tapes"))
+def test_suites_run_no_search(suite, monkeypatch):
+    # rho on the normed planes, closest points on E^n and H^2 and the tape
+    # chords are closed forms: with every bisection in the package replaced
+    # by a stub that raises, these suites still reproduce their goldens
     def stub(*args, **kwargs):
-        raise AssertionError(f"suite {suite} ran a golden-section search")
-    search = numeric.golden_min
+        raise AssertionError(f"suite {suite} ran a bisection")
+    search = numeric.bisect_root
     for modname, mod in list(sys.modules.items()):
         if modname == "metriclab" or modname.startswith("metriclab."):
             for name, obj in list(vars(mod).items()):
@@ -34,6 +34,20 @@ def test_suites_run_no_golden_section_search(suite, monkeypatch):
                     monkeypatch.setattr(mod, name, stub)
     text = emit_report(run_suite(ScenarioConfig(suite=suite, seed=7)))
     assert text.encode("utf-8") == (GOLDEN / f"{suite}_seed7.json").read_bytes()
+
+
+def test_catalog_views_read_one_table(star_tree):
+    full = suites.catalog()
+    assert len(full) == len(suites.CATALOG) == 12
+    assert full[7].desc == suites.ended_tree().desc
+    assert full[8].desc == suites.swap_tree().desc
+    # a given tree takes the ended tree's slot, and only that slot
+    swapped = suites.catalog(star_tree)
+    assert [k for k, (m, n) in enumerate(zip(full, swapped)) if m is not n] == [7]
+    assert swapped[7] is star_tree
+    # busemann_catalog returns catalog()'s own instances, in catalog order
+    slots = [[k for k, m in enumerate(full) if m is b] for b in suites.busemann_catalog()]
+    assert slots == [[0], [2], [3], [4], [6], [7], [10]]
 
 
 # sha256 of the whole `all` report for three more seeds (seed 7 is pinned
