@@ -24,7 +24,7 @@ from .spaces import (
     point,
     ray_from,
 )
-from .verify import SampleSet, VerificationReport
+from .verify import SampleSet, VerificationReport, _check_tol
 
 INF = math.inf
 T_CAP = 1e8     # truncation cap of the Busemann and Tits limits
@@ -176,12 +176,6 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
 # ---------------------------------------------------------------------------
 # shadows
 
-def _check_shadow_tol(tol):
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not math.isfinite(tol) or tol < 0):
-        raise SpaceError(f"shadow tolerance must be a finite number >= 0, got {tol!r}")
-
-
 def shadow_contains(space, y, x0: Point, z: Point, tol: float = 1e-9) -> bool:
     """Is z in the complete shadow of x0 relative to y?
 
@@ -189,7 +183,7 @@ def shadow_contains(space, y, x0: Point, z: Point, tol: float = 1e-9) -> bool:
     tol. Ideal y: the Busemann sublevel reading, beta_y(z) - beta_y(x0)
     equals d(x0, z) within tol (beta normalized along the ray from x0).
     """
-    _check_shadow_tol(tol)
+    _check_tol(tol, "shadow tolerance")
     if isinstance(y, IdealPoint):
         r = ray_from(space, x0, y)
         beta_z = busemann_value(space, r, z)
@@ -243,7 +237,7 @@ def spherical_shadow_sample(space, y, x0: Point, rho: float,
         raise SpaceError(f"shadow sphere radius must be finite and > 0, got {rho!r}")
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise SpaceError(f"shadow resolution must be an integer >= 1, got {resolution!r}")
-    _check_shadow_tol(tol)
+    _check_tol(tol, "shadow tolerance")
     cx, cy = x0.coords
     if isinstance(y, IdealPoint):
         vx, vy = ray_from(space, x0, y).point_at(1).coords

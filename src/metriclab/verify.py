@@ -6,6 +6,7 @@ of the distance, and the unit-distance / isometry predicates for bijections.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import operator
@@ -56,7 +57,16 @@ class VerificationReport:
         its place and takes that number."""
         if counts:
             self.counts = {**counts, "violations": len(self.witnesses)}
-        kept = sorted(self.witnesses, key=_witness_key)[:MAX_WITNESSES]
+        # a witness whose lead sorts after the cut has at least
+        # MAX_WITNESSES keys below its own; the filter keeps the original
+        # order, so the stable sort breaks ties as before
+        candidates = self.witnesses
+        leads = [_witness_lead(w) for w in candidates]
+        known = [lead for lead in leads if lead]
+        if len(known) > MAX_WITNESSES:
+            cut = heapq.nsmallest(MAX_WITNESSES, known)[-1]
+            candidates = [w for w, lead in zip(candidates, leads) if lead <= cut]
+        kept = sorted(candidates, key=_witness_key)[:MAX_WITNESSES]
         self.witnesses = [_jsonable(w) for w in kept]
         if self.status == "fail" and not self.witnesses:
             raise AssertionError("failed report without witnesses")
@@ -132,6 +142,34 @@ def _witness_key(w) -> str:
     return json.dumps(_jsonable(w), sort_keys=True)
 
 
+def _witness_lead(w) -> str:
+    """The prefix of _witness_key(w) up to and including the separator
+    after its first field, or '' unless w is a non-empty dict with str
+    keys. JSON values end where the separator starts, so two non-empty
+    leads that differ order their whole keys the same way."""
+    if not isinstance(w, dict) or not w or not _STR.issuperset(map(type, w)):
+        return ""
+    k = min(w)
+    v = w[k]
+    # the encoder's own spellings of a float and a Fraction, without the
+    # cost of setting up an encoder for one value
+    if isinstance(v, float) and math.isfinite(v):
+        enc = float.__repr__(v)
+    elif isinstance(v, Fraction):
+        enc = f'"{v}"'
+    else:
+        enc = _witness_key(v)
+    return "{" + _encode_key(k) + ": " + enc + (", " if len(w) > 1 else "}")
+
+
+def _check_tol(tol, what: str = "tol"):
+    # a nan or negative tol would fail every comparison, a wrong verdict
+    # with no error
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not math.isfinite(tol) or tol < 0):
+        raise SpaceError(f"{what} must be a finite number >= 0, got {tol!r}")
+
+
 # ---------------------------------------------------------------------------
 # samples
 
@@ -177,6 +215,7 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
                         seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Symmetry, identity of indiscernibles, and the triangle inequality on
     random triples from the sample. Tree distances are compared exactly."""
+    _check_tol(tol)
     rep = VerificationReport(f"metric-axioms[{space.tag()}]", tolerance=tol)
     rng = random.Random(seed)
     pts = sample.points
@@ -216,6 +255,7 @@ def check_busemann_midpoints(space, x: Point, y: Point, z: Point, *,
                              tol: float = 1e-9) -> VerificationReport:
     """Midpoint inequality d(m, n) <= d(y, z)/2 for m, n the midpoints of
     [x, y] and [x, z]. Selectors are for the sup-norm plane only."""
+    _check_tol(tol)
     if x.coords == y.coords or x.coords == z.coords or y.coords == z.coords:
         raise SpaceError("midpoint check needs pairwise distinct points")
     rep = VerificationReport(f"busemann-midpoints[{space.tag()}]", tolerance=tol)
@@ -263,6 +303,7 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> Verific
 def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
                 tol: float = 1e-9) -> VerificationReport:
     """d_Y(f x, f y) = d_X(x, y) on all sample pairs; exact when tol == 0."""
+    _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
     pts = sample.points
@@ -284,12 +325,15 @@ _UNIT_MODES = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}
 def _unit_class(mode: str, tol: float, exact: bool):
     """The classifier of a row of distances of one space: each d compared
     with 1 per mode. Exact distances compare as they are when tol == 0;
-    otherwise |d - 1| <= tol snaps to exactly 1 first."""
+    otherwise |d - 1| <= tol snaps to exactly 1 first, which for "eq" (with
+    tol >= 0) is the whole test."""
     cmp = _UNIT_MODES.get(mode)
     if cmp is None:
         raise SpaceError(f"unknown mode {mode!r}")
     if exact and tol == 0:
         return lambda row: [cmp(d, 1) for d in row]
+    if mode == "eq":
+        return lambda row: [abs(v - 1.0) <= tol for v in map(float, row)]
     return lambda row: [cmp(1.0 if abs(v - 1.0) <= tol else v, 1) for v in map(float, row)]
 
 
@@ -300,6 +344,7 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
     Forward pairs test d = 1 iff d(f., f.) = 1 (or <=, <); the declared
     inverse is tested the same way on the image sample.
     """
+    _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"unit-distance[{f.name}, mode={mode}]", tolerance=tol)
     pts = list(sample.points)

@@ -1,11 +1,15 @@
+import bisect
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metriclab import verify
+from metriclab.grasshopper import line_counterexample
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
@@ -22,6 +26,7 @@ from metriclab.spaces import (
     tree_vertex,
 )
 from metriclab.verify import (
+    MAX_WITNESSES,
     BijectionSpec,
     SampleSet,
     VerificationReport,
@@ -216,6 +221,48 @@ def test_unit_class_modes_snap_and_exactness():
         _unit_class("ge", 1e-9, False)
 
 
+def test_unit_class_eq_matches_the_snap_then_compare_form():
+    # "eq" on float rows is one comparison per distance; the form it
+    # replaced snapped |d - 1| <= tol to 1 and then compared with 1
+    for tol in (1e-9, 0.25, 0.0):
+        row = [1.0, 1 + tol, 1 - tol, 1 + 2 * tol, 1 - 2 * tol, math.nan, math.inf,
+               -math.inf, 0.0, Fraction(1), 1]
+        snapped = [(1.0 if abs(v - 1.0) <= tol else v) == 1 for v in map(float, row)]
+        assert _unit_class("eq", tol, False)(row) == snapped, tol
+        if tol:
+            assert _unit_class("eq", tol, True)(row) == snapped, tol
+
+
+_BAD_TOLS = (True, False, None, "1e-9", Fraction(1, 10 ** 9), -1.0, -1e-12, math.nan,
+             math.inf, -math.inf)
+
+
+def _tol_checks():
+    e2 = Euclidean(2)
+    sample = random_sample(e2, 6, seed=3)
+    x, y, z = (point(e2, c) for c in ((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)))
+    return {
+        "is_isometry": lambda tol: is_isometry(
+            (e2, e2), _identity(e2), sample, tol=tol),
+        "preserves_unit_distance": lambda tol: preserves_unit_distance(
+            (e2, e2), _identity(e2), sample, tol=tol),
+        "check_metric_axioms": lambda tol: check_metric_axioms(e2, sample, tol=tol),
+        "check_busemann_midpoints": lambda tol: check_busemann_midpoints(
+            e2, x, y, z, tol=tol),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tol_checks()))
+def test_checks_reject_a_tol_that_is_not_a_finite_number_at_least_0(name):
+    # a nan or negative tol used to fail the identity on every pair
+    check = _tol_checks()[name]
+    for tol in (0, 0.0, 1e-9):
+        assert check(tol).passed, (name, tol)
+    for tol in _BAD_TOLS:
+        with pytest.raises(SpaceError, match="tol must be a finite number >= 0"):
+            check(tol)
+
+
 def test_isometry_implies_unit_preservation():
     # one direction of the characterization, testable exactly on samples
     e2 = Euclidean(2)
@@ -309,6 +356,72 @@ def test_finalize_keeps_the_jsonable_order_and_cap(ws):
     assert len(rep.witnesses) == len(ws)
     rep.finalize()
     assert rep.witnesses == [_jsonable(w) for w in sorted(ws, key=_reference_key)][:32]
+
+
+_tied_first_values = st.sampled_from([
+    True, False, None, 0, 1, 12, -3, 1.0, 1.05, 0.5, -0.5, Fraction(1, 2), Fraction(1, 23),
+    "a", "ab", "", "nan", math.nan, math.inf, -math.inf, (1, 2), {"k": 1.0}, {2: "x"}])
+
+# dicts whose first field "a" takes few values, so leads tie and prefix
+# one another, some with that field alone; mixed in, dicts with non-str
+# keys and witnesses that are not dicts
+_first_field_witnesses = st.builds(
+    lambda first, rest: {"a": first, **rest}, _tied_first_values,
+    st.dictionaries(st.sampled_from("bc"), _witness_leaves(), max_size=2))
+_other_witnesses = st.one_of(
+    st.dictionaries(st.one_of(st.sampled_from("ab"), st.integers(0, 2), st.booleans()),
+                    _tied_first_values, min_size=1, max_size=3),
+    _witness_leaves(),
+    st.lists(_tied_first_values, max_size=2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ws=st.tuples(st.lists(_first_field_witnesses, min_size=MAX_WITNESSES + 1, max_size=120),
+                    st.lists(_other_witnesses, max_size=30))
+       .flatmap(lambda parts: st.permutations(parts[0] + parts[1])))
+# '{"a": 12}' sorts before '{"a": 1}', though 1 is a prefix of 12
+@example(ws=[{"a": 0}] * 31 + [{"a": 1}, {"a": 1}, {"a": 12}])
+# a Fraction encodes as a string
+@example(ws=[{"a": Fraction(1, 2)}] + [{"a": "1/3"}] * 32)
+# a witness without a lead may sort anywhere, so it never sets the cut
+@example(ws=[{True: 0}] * 31 + [{"A": 2}, {"A": 1}])
+# equal keys keep their original order
+@example(ws=[{"a": 0, "b": 1}, {"b": 1, "a": 0}] * 17)
+def test_finalize_keeps_the_jsonable_order_and_cap_beyond_the_cap(ws):
+    # past the cap, finalize sorts only the witnesses whose first field
+    # can place them among the first MAX_WITNESSES; it keeps what the full
+    # sort keeps, in the same order
+    rep = VerificationReport("demo")
+    for w in ws:
+        rep.fail(w)
+    rep.finalize()
+    want = [_jsonable(w) for w in sorted(ws, key=_reference_key)][:MAX_WITNESSES]
+    assert json.dumps(rep.witnesses) == json.dumps(want)
+
+
+def test_finalize_encodes_little_more_than_the_witnesses_it_keeps(monkeypatch):
+    # the line-sine map on 52 points and their shifts by 1 preserves only
+    # the 52 shift pairs, so the isometry report has 5,304 violations
+    rl = RealLine()
+    rng = random.Random(1)
+    base = [rng.uniform(-4.0, 4.0) for _ in range(52)]
+    sample = SampleSet(rl, tuple(point(rl, v) for v in base + [b + 1.0 for b in base]))
+    raw, encoded = [], []
+    finalize, key = VerificationReport.finalize, verify._witness_key
+
+    def spy(self, **counts):
+        raw.extend(self.witnesses)
+        return finalize(self, **counts)
+    monkeypatch.setattr(VerificationReport, "finalize", spy)
+    monkeypatch.setattr(verify, "_witness_key", lambda w: encoded.append(w) or key(w))
+    rep = is_isometry((rl, rl), line_counterexample(), sample)
+    assert rep.counts == {"pairs": 5356, "violations": 5304}
+    assert len(rep.witnesses) == MAX_WITNESSES
+    # the first sorted field is d_after: the encoded witnesses are those at
+    # or below the 32nd d_after in key order, ties included
+    firsts = sorted(repr(w["d_after"]) for w in raw)
+    tied = bisect.bisect_right(firsts, firsts[MAX_WITNESSES - 1])
+    assert len(encoded) <= tied < 2 * MAX_WITNESSES
 
 
 def test_failed_report_requires_witness():
