@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import marshal
 import math
 import operator
 import random
@@ -22,7 +23,6 @@ from .spaces import (
     _check_space,
     _same_space,
     distance,
-    distance_rows,
     midpoint,
 )
 
@@ -300,15 +300,51 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> Verific
 # ---------------------------------------------------------------------------
 # isometry and unit-distance preservation
 
+# the newest pair tables of the bijection checks, oldest first, as
+# (space, key, rows)
+_pair_tables = []
+
+
+def _pair_rows(space, points):
+    """The rows of distance_rows(space, points) as one list, shared by the
+    two bijection checks: on one sample they ask for the same tables.
+
+    A stored table serves only the very same space and strictly equal
+    coordinates, so that 1, 1.0, True and -0.0 never share one: on an exact
+    space the coordinate list compares as it is (tree offsets are
+    Fractions), elsewhere its marshal bytes do, and coordinates marshal
+    refuses get a table of their own. At most two tables are kept."""
+    _check_member(space, *points)
+    coords = [p.coords for p in points]
+    if space.exact:
+        key = coords
+    else:
+        try:
+            key = marshal.dumps(coords, 2)   # version 2 writes no back-references
+        except ValueError:
+            return list(space.rows(coords))
+    for s, k, rows in _pair_tables:
+        if s is space and k == key:
+            return rows
+    del _pair_tables[:-1]
+    rows = list(space.rows(coords))
+    _pair_tables.append((space, key, rows))
+    return rows
+
+
 def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
                 tol: float = 1e-9) -> VerificationReport:
-    """d_Y(f x, f y) = d_X(x, y) on all sample pairs; exact when tol == 0."""
+    """d_Y(f x, f y) = d_X(x, y) on all sample pairs; exact when tol == 0.
+
+    It builds its two tables, X over the sample and Y over the images,
+    whole; after preserves_unit_distance on the same sample both are
+    already stored."""
     _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
     pts = sample.points
     images = [f.forward(p) for p in pts]
-    rows = zip(distance_rows(X, pts), distance_rows(Y, images))
+    rows = zip(_pair_rows(X, pts), _pair_rows(Y, images))
     exact = tol == 0 and X.exact and Y.exact
     pairs = 0
     for i, (row_x, row_y) in enumerate(rows):
@@ -342,16 +378,23 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
     """Bidirectional check of the unit-distance relation in the given mode.
 
     Forward pairs test d = 1 iff d(f., f.) = 1 (or <=, <); the declared
-    inverse is tested the same way on the image sample.
+    inverse is tested the same way on the image sample. An unknown mode
+    raises before f is evaluated.
+
+    It asks for X over the preimages first, then X over the sample (the
+    same table when the inverse returns the sample exactly) and Y over the
+    images, so the two tables it leaves stored are those is_isometry asks
+    for on the same sample.
     """
     _check_tol(tol)
     X, Y = spaces
+    unit_x, unit_y = _unit_class(mode, tol, X.exact), _unit_class(mode, tol, Y.exact)
     rep = VerificationReport(f"unit-distance[{f.name}, mode={mode}]", tolerance=tol)
     pts = list(sample.points)
     images = [f.forward(p) for p in pts]
     preimages = [f.inverse(q) for q in images]
-    rows = zip(distance_rows(X, pts), distance_rows(Y, images), distance_rows(X, preimages))
-    unit_x, unit_y = _unit_class(mode, tol, X.exact), _unit_class(mode, tol, Y.exact)
+    rows_back = _pair_rows(X, preimages)
+    rows = zip(_pair_rows(X, pts), _pair_rows(Y, images), rows_back)
     pairs = 0
     for i, (row_x, row_y, row_back) in enumerate(rows):
         pairs += len(row_x)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metriclab import grasshopper as gh
 from metriclab import verify
 from metriclab.grasshopper import line_counterexample
 from metriclab.spaces import (
@@ -25,6 +26,7 @@ from metriclab.spaces import (
     tree_edge_point,
     tree_vertex,
 )
+from metriclab.suites import catalog, swap_tree
 from metriclab.verify import (
     MAX_WITNESSES,
     BijectionSpec,
@@ -429,3 +431,222 @@ def test_failed_report_requires_witness():
     rep.status = "fail"
     with pytest.raises(AssertionError):
         rep.finalize()
+
+
+# ---------------------------------------------------------------------------
+# the pair tables the two bijection checks share
+
+def test_unknown_mode_raises_before_the_bijection_is_evaluated():
+    rl = RealLine()
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return p
+    spec = BijectionSpec("counted", rl, rl, counted, counted)
+    sample = SampleSet(rl, tuple(point(rl, v) for v in (0.0, 1.0, 2.5)))
+    with pytest.raises(SpaceError, match="unknown mode"):
+        preserves_unit_distance((rl, rl), spec, sample, mode="bogus")
+    assert calls == []
+
+
+def _count_builds(monkeypatch, model):
+    """Empties the stored tables and records the size of every table that
+    model's rows builds from then on."""
+    monkeypatch.setattr(verify, "_pair_tables", [])
+    builds, rows = [], model.rows
+
+    def counted(self, coords):
+        builds.append(len(coords))
+        return rows(self, coords)
+    monkeypatch.setattr(model, "rows", counted)
+    return builds
+
+
+def _unit_then_isometry(spaces, spec, sample, tol=1e-9):
+    unit = preserves_unit_distance(spaces, spec, sample, tol=tol)
+    iso = is_isometry(spaces, spec, sample, tol=tol)
+    return unit, iso
+
+
+def _line_sine_sample():
+    rl = RealLine()
+    rng = random.Random(7)
+    vals = [0.0, 0.25] + [rng.uniform(-3, 3) for _ in range(10)]
+    vals += [v + 1.0 for v in vals[:6]]
+    return SampleSet(rl, tuple(point(rl, v) for v in vals))
+
+
+def test_line_sine_checks_build_three_tables(monkeypatch):
+    # X over the preimages, X over the sample and Y over the images; the
+    # isometry check reuses the last two
+    builds = _count_builds(monkeypatch, RealLine)
+    rl = RealLine()
+    unit, iso = _unit_then_isometry((rl, rl), line_counterexample(), _line_sine_sample())
+    assert unit.passed and not iso.passed
+    assert builds == [18, 18, 18]
+
+
+def test_tree_swap_checks_build_two_tables(monkeypatch):
+    # the swap is an exact involution: the preimages are the sample
+    builds = _count_builds(monkeypatch, MetricTree)
+    tree = swap_tree()
+    tps = gh.TreePointSet(tree, Fraction(1, 10), Fraction(1, 5))
+    nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
+    sample = SampleSet(tree, tuple(nodes) + tuple(tree_vertex(tree, v)
+                                                  for v in tree.desc.vertices))
+    unit, iso = _unit_then_isometry((tree, tree), gh.tree_swap_bijection(tps), sample, 0.0)
+    assert unit.passed and not iso.passed
+    assert builds == [len(sample.points)] * 2
+
+
+def test_identity_checks_build_one_table(monkeypatch):
+    builds = _count_builds(monkeypatch, HyperbolicPlane)
+    h2 = HyperbolicPlane()
+    unit, iso = _unit_then_isometry((h2, h2), _identity(h2), random_sample(h2, 30, seed=5))
+    assert unit.passed and iso.passed
+    assert builds == [30]
+
+
+def _doubling(space):
+    return BijectionSpec("double", space, space, lambda p: Point(space, 2 * p.coords),
+                         lambda p: Point(space, p.coords / 2))
+
+
+def test_stored_tables_keep_the_coordinate_types(monkeypatch):
+    # 1, 1.0, True and Fraction(1) give distances of their own types, so
+    # equal-valued samples of different types never share a table
+    builds = _count_builds(monkeypatch, RealLine)
+    rl = RealLine()
+    # (values, witness distance type, tables built); the bool sample's
+    # images are the int sample's, and a Fraction sample is never stored
+    variants = (([0.0, 1.0, 3.0], float, 2), ([0, 1, 3], int, 2), ([0, 1, 3], int, 0),
+                ([False, True, 3], int, 1), ([Fraction(0), Fraction(1), 3], str, 2),
+                ([Fraction(0), Fraction(1), 3], str, 2), ([-0.0, 1.0, 3.0], float, 2),
+                ([0.0, 1.0, 3.0], float, 2), ([0.0, 1.0, 3.0], float, 0))
+    for values, kind, built in variants:
+        before = len(builds)
+        sample = SampleSet(rl, tuple(Point(rl, v) for v in values))
+        rep = is_isometry((rl, rl), _doubling(rl), sample)
+        assert len(rep.witnesses) == 3, values
+        for w in rep.witnesses:
+            assert type(w["d_before"]) is kind and type(w["d_after"]) is kind, values
+        assert len(builds) - before == built, values
+
+
+def test_a_changed_point_gets_a_fresh_table(monkeypatch):
+    builds = _count_builds(monkeypatch, Euclidean)
+    e2 = Euclidean(2)
+    base = random_sample(e2, 12, seed=6).points
+    for i in (0, 5, 11):
+        assert is_isometry((e2, e2), _identity(e2), SampleSet(e2, base)).passed
+        pts = list(base)
+        pts[i] = point(e2, (pts[i].coords[0], math.nextafter(pts[i].coords[1], math.inf)))
+        moved, other = pts[i], pts[i - 1]
+        collapse = BijectionSpec("collapse", e2, e2, lambda p: other if p is moved else p,
+                                 lambda p: p)
+        del builds[:]
+        rep = is_isometry((e2, e2), collapse, SampleSet(e2, tuple(pts)), tol=0.0)
+        assert builds == [12, 12], i
+        assert rep.counts["violations"] == 11, i
+        assert all(list(moved.coords) in (w["x"], w["y"]) for w in rep.witnesses), i
+
+
+def test_equal_spaces_keep_tables_of_their_own(monkeypatch):
+    builds = _count_builds(monkeypatch, Euclidean)
+    first, second = Euclidean(2), Euclidean(2)
+    sample = random_sample(first, 10, seed=11)
+    again = SampleSet(second, tuple(Point(second, p.coords) for p in sample.points))
+    assert is_isometry((first, first), _identity(first), sample).passed
+    assert is_isometry((second, second), _identity(second), again).passed
+    assert builds == [10, 10]
+
+
+def test_a_foreign_point_raises_even_with_an_equal_table_stored(monkeypatch):
+    monkeypatch.setattr(verify, "_pair_tables", [])
+    e2, lp2 = Euclidean(2), MinkowskiLp(2.0)
+    sample = random_sample(e2, 8, seed=8)
+    assert is_isometry((e2, e2), _identity(e2), sample).passed
+    foreign = BijectionSpec("foreign", e2, e2, lambda p: Point(lp2, p.coords), lambda p: p)
+    with pytest.raises(SpaceError, match="does not belong"):
+        is_isometry((e2, e2), foreign, sample)
+
+
+def test_at_most_two_tables_are_stored(monkeypatch):
+    builds = _count_builds(monkeypatch, RealLine)
+    stored = []
+    counted = RealLine.rows
+
+    def noting(self, coords):
+        stored.append(len(verify._pair_tables))
+        return counted(self, coords)
+    monkeypatch.setattr(RealLine, "rows", noting)
+    rl = RealLine()
+    for seed in range(6):
+        sample = random_sample(rl, 10, seed=seed)
+        _unit_then_isometry((rl, rl), line_counterexample(), sample)
+        _unit_then_isometry((rl, rl), _doubling(rl), sample)
+        assert len(verify._pair_tables) <= 2
+    # the table being built is stored after at most one other
+    assert builds and max(stored) <= 1
+
+
+def test_a_failed_build_stores_nothing(monkeypatch):
+    builds = _count_builds(monkeypatch, RealLine)
+    rl = RealLine()
+    sample = random_sample(rl, 5, seed=9)
+    assert is_isometry((rl, rl), _identity(rl), sample).passed
+
+    def failing(self, coords):
+        raise SpaceError("no table")
+    monkeypatch.setattr(RealLine, "rows", failing)
+    other = random_sample(rl, 5, seed=10)
+    with pytest.raises(SpaceError, match="no table"):
+        is_isometry((rl, rl), _identity(rl), other)
+    # only the first sample's table is stored
+    assert [rows for _, _, rows in verify._pair_tables] == [
+        [[abs(a.coords - b.coords) for b in sample.points[i + 1:]]
+         for i, a in enumerate(sample.points)]]
+    assert builds == [5]
+
+
+def _swap_first_two(sample):
+    """An involution of the whole space that swaps the first two sample
+    points and fixes every other point."""
+    a, b = sample.points[:2]
+
+    def swap(p):
+        return b if p.coords == a.coords else a if p.coords == b.coords else p
+    return BijectionSpec("swap", sample.space, sample.space, swap, swap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=st.sampled_from([m for m in catalog() if not m.exact] + [MetricTree(TreeDesc(
+           ("a", "b", "c", "d"), (("a", "b", Fraction(1, 2)), ("b", "c", Fraction(1, 3)),
+                                  ("b", "d", Fraction(3, 4))), 12))]),
+       kind=st.sampled_from(["identity", "swap", "line-sine"]),
+       n=st.integers(2, 14), seed=st.integers(0, 1000), isometry_first=st.booleans())
+def test_shared_tables_leave_both_reports_unchanged(model, kind, n, seed, isometry_first):
+    if kind == "line-sine":
+        model = RealLine()
+    sample = random_sample(model, n, seed=seed)
+    if kind == "line-sine":
+        spec = line_counterexample()
+    elif kind == "swap":
+        spec = _swap_first_two(sample)
+    else:
+        spec = _identity(model)
+    spaces = (model, model)
+    tol = 0.0 if model.exact else 1e-9
+    checks = [lambda: preserves_unit_distance(spaces, spec, sample, tol=tol).to_json(),
+              lambda: is_isometry(spaces, spec, sample, tol=tol).to_json()]
+    if isometry_first:
+        checks.reverse()
+    alone = []
+    for check in checks:
+        verify._pair_tables.clear()
+        alone.append(check())
+    verify._pair_tables.clear()
+    shared = [check() for check in checks]
+    again = [check() for check in checks]
+    assert shared == alone and again == alone
