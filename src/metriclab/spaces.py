@@ -157,6 +157,8 @@ class TreeDesc:
         for e in self.ends:
             if e not in vs:
                 raise SpaceError(f"end anchor {e} is not a vertex")
+        if len(set(self.ends)) != len(self.ends):
+            raise SpaceError("duplicate end ids")
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "total_length", sum(ln for (_, _, ln) in self.edges))
 
@@ -211,35 +213,32 @@ class Space:
     Every model implements, on raw coordinates:
 
     * ``validate(c)``             raise SpaceError unless c are point coordinates
-    * ``distance(a, b)``          the metric (exact Fraction on trees)
+    * ``row(a, bs)``              the list of d(a, b) for each b in bs
     * ``random_point(rng, scale)`` a Point drawn from a seeded ``random.Random``
     * ``tag()``                   the label used in report names
 
-    and overrides the defaults below where its geometry has them: ``coerce``
+    The base class derives from ``row`` the metric ``distance(a, b)`` and
+    ``rows(coords)``, the pair distances of a list of coordinates, row i
+    holding d(coords[i], coords[j]) for j > i; both are ``row``'s values,
+    so they agree bit for bit. A model whose tables share work across pairs
+    gives ``distance`` and ``rows`` instead, and no ``row``: ``MetricTree``
+    anchors every point once over one common denominator (its distances are
+    exact Fractions), and ``MaxProduct`` zips its factors' rows.
+
+    A model overrides the defaults below where its geometry has them: ``coerce``
     (coordinates for ``point``), the unit-speed evaluators t -> Point
     ``segment(a, b, d)``, ``ray(base, xi)`` and ``line(eta, xi, through)``
     (ideal points passed by their reps), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
     value and the asymptotic-ray pseudometric), ``closest_param`` (closed
     forms on ``Euclidean``, ``HyperbolicPlane`` and ``MetricTree``),
-    ``rows(coords)`` (the pair distances of a list of coordinates, row i
-    holding d(coords[i], coords[j]) for j > i, as ``distance`` gives them;
-    the default calls ``distance`` per pair), ``grasshopper(a, b)`` (the
+    ``grasshopper(a, b)`` (the
     fewest exact unit jumps, math.inf if none) and
     ``extreme_midpoint(a, b, selector)``. Every method is a closed form:
     what a model cannot do, by default or for its input (``rho_closed`` on
     rays that are not asymptotic), raises SpaceError; no method searches,
     and none returns None for it. ``exact`` is true where distances are
     exact Fractions.
-
-    The float models override ``rows`` with a kernel for one dimension: the
-    plane for ``Euclidean``, ``MinkowskiLp`` and ``MinkowskiLinf``, R^3 for
-    ``SphereIntrinsic``, and ``HyperbolicPlane`` and ``RealLine``. A kernel
-    computes each row in one comprehension over unpacked coordinates, with
-    the float operations of ``distance`` in the same order, so its values
-    are bit-identical to ``distance``'s; every other dimension keeps the
-    default. Where a kernel spells out a sum of three terms, ``distance``
-    spells it out too.
 
     A strictly convex plane that carries tapes also gives
     ``half_chord(u, beta)``: the alpha >= 0 with |alpha u + beta w| = 1 for
@@ -254,9 +253,12 @@ class Space:
     def coerce(self, coords):
         return tuple(float(x) for x in coords)
 
+    def distance(self, a, b):
+        return self.row(a, (b,))[0]
+
     def rows(self, coords):
-        dist = self.distance
-        return ([dist(a, b) for b in coords[i + 1:]] for i, a in enumerate(coords))
+        row = self.row
+        return (row(a, coords[i + 1:]) for i, a in enumerate(coords))
 
     def segment(self, a, b, d):
         raise SpaceError(f"geodesics are not supported for {self!r}")
@@ -312,10 +314,15 @@ def _int_or_float(x) -> bool:
 
 
 def _reals(c, dim) -> bool:
-    """Is c a dim-tuple of real numbers? Exact types are one set test;
-    subclasses such as bool take the isinstance pass."""
-    return (isinstance(c, tuple) and len(c) == dim
-            and (_REAL_TYPES.issuperset(map(type, c)) or all(isinstance(x, _REAL) for x in c)))
+    """Is c a dim-tuple of finite real numbers? Exact types are one set
+    test; subclasses such as bool take the isinstance pass. NaN, an
+    infinity and an int or Fraction beyond double range are not finite."""
+    try:
+        return (isinstance(c, tuple) and len(c) == dim
+                and (_REAL_TYPES.issuperset(map(type, c)) or all(isinstance(x, _REAL) for x in c))
+                and all(map(math.isfinite, c)))
+    except OverflowError:
+        return False
 
 
 def _check_space(space) -> Space:
@@ -337,7 +344,7 @@ def _flat_line_anchor(space, through):
 class NormedSpace(Space):
     """R^dim with a norm: distance, geodesics and ideal points are affine.
     Subclasses give ``norm``, ``dim`` (a field on ``Euclidean``, the class
-    constant 2 on the l_p and sup-norm planes) and ``distance``, which is
+    constant 2 on the l_p and sup-norm planes) and ``row``, which is
     ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
     same float operations in the same order. ``rho_closed`` is the planar
     form from the planes' ``dual_norm`` (the norm of a linear functional
@@ -350,7 +357,7 @@ class NormedSpace(Space):
 
     def validate(self, c):
         if not _reals(c, self.dim):
-            raise SpaceError(f"expected {self.dim}-tuple of reals, got {c!r}")
+            raise SpaceError(f"expected {self.dim}-tuple of finite reals, got {c!r}")
 
     def _along(self, x0, u):
         def at(t):
@@ -369,9 +376,15 @@ class NormedSpace(Space):
         return self._along(_flat_line_anchor(self, through), xi)
 
     def direction_ideal(self, v):
-        n = self.norm(v)
-        if n == 0:
-            raise SpaceError("zero direction")
+        v = tuple(v)
+        if not _reals(v, self.dim):
+            raise SpaceError(f"a direction is {self.dim} finite reals, got {v!r}")
+        try:
+            n = self.norm(v)
+        except OverflowError:       # abs(x) ** p beyond double range on l_p
+            n = INF
+        if n == 0 or n == INF:      # a norm past double range would give (0, 0)
+            raise SpaceError(f"direction {v!r} is zero or its norm overflows a double")
         return IdealPoint(self, tuple(float(x) / n for x in v))
 
     def ideal_matches(self, a, b):
@@ -398,16 +411,12 @@ class Euclidean(NormedSpace):
     def norm(self, v):
         return enorm(v)
 
-    def distance(self, a, b):
-        return math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b)))
-
-    def rows(self, coords):
-        if self.dim != 2:
-            return super().rows(coords)
+    def row(self, a, bs):
         sqrt = math.sqrt
-        return ([sqrt(dx * dx + dy * dy)
-                 for bx, by in coords[i + 1:] for dx, dy in ((ax - bx, ay - by),)]
-                for i, (ax, ay) in enumerate(coords))
+        if self.dim != 2:
+            return [sqrt(sum((x - y) * (x - y) for x, y in zip(a, b))) for b in bs]
+        ax, ay = a
+        return [sqrt(dx * dx + dy * dy) for bx, by in bs for dx, dy in ((ax - bx, ay - by),)]
 
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
@@ -463,13 +472,9 @@ class MinkowskiLp(NormedSpace):
     def dual_norm(self, v):
         return pnorm(v, self.p / (self.p - 1.0))
 
-    def distance(self, a, b):
-        return sum(abs(x - y) ** self.p for x, y in zip(a, b)) ** (1.0 / self.p)
-
-    def rows(self, coords):
-        p, q = self.p, 1.0 / self.p
-        return ([(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in coords[i + 1:]]
-                for i, (ax, ay) in enumerate(coords))
+    def row(self, a, bs):
+        (ax, ay), p, q = a, self.p, 1.0 / self.p
+        return [(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in bs]
 
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
@@ -500,12 +505,9 @@ class MinkowskiLinf(NormedSpace):
     def dual_norm(self, v):
         return sum(abs(float(x)) for x in v)
 
-    def distance(self, a, b):
-        return max(abs(x - y) for x, y in zip(a, b))
-
-    def rows(self, coords):
-        return ([max(abs(ax - bx), abs(ay - by)) for bx, by in coords[i + 1:]]
-                for i, (ax, ay) in enumerate(coords))
+    def row(self, a, bs):
+        ax, ay = a
+        return [max(abs(ax - bx), abs(ay - by)) for bx, by in bs]
 
     def busemann_closed(self, ray, y):
         # |y - o - t u|_oo - t: a coordinate with |u_i| < 1 falls behind by
@@ -553,18 +555,12 @@ class HyperbolicPlane(Space):
 
     def validate(self, c):
         if not (_reals(c, 2) and c[1] > 0):
-            raise SpaceError(f"upper half-plane point needs y > 0, got {c!r}")
+            raise SpaceError(f"upper half-plane point needs finite x and y > 0, got {c!r}")
 
-    def distance(self, a, b):
+    def row(self, a, bs):
         # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w))
-        rho = math.hypot(a[0] - b[0], a[1] - b[1])
-        return 2.0 * math.asinh(rho / (2.0 * math.sqrt(a[1] * b[1])))
-
-    def rows(self, coords):
-        hypot, asinh, sqrt = math.hypot, math.asinh, math.sqrt
-        return ([2.0 * asinh(hypot(ax - bx, ay - by) / (2.0 * sqrt(ay * by)))
-                 for bx, by in coords[i + 1:]]
-                for i, (ax, ay) in enumerate(coords))
+        (ax, ay), hypot, asinh, sqrt = a, math.hypot, math.asinh, math.sqrt
+        return [2.0 * asinh(hypot(ax - bx, ay - by) / (2.0 * sqrt(ay * by))) for bx, by in bs]
 
     def _evaluator(self, coords):
         def at(t):
@@ -666,32 +662,21 @@ class SphereIntrinsic(Space):
 
     def validate(self, c):
         if not _reals(c, self.dim):
-            raise SpaceError(f"expected direction in R^{self.dim}")
+            raise SpaceError(f"expected finite direction in R^{self.dim}")
         if abs(enorm(c) - 1.0) > 1e-12:
             raise SpaceError(f"sphere direction must be unit within 1e-12: {c!r}")
 
-    def distance(self, a, b):
-        # r atan2(|a - (a.b) b|, a.b); in R^3 both sums are spelled out left
-        # to right, as ``rows`` spells them (Python 3.12's float ``sum``
-        # compensates, so it could round three terms differently)
-        if self.dim == 3:
-            (ax, ay, az), (bx, by, bz) = a, b
-            c = ax * bx + ay * by + az * bz
-            rx, ry, rz = ax - bx * c, ay - by * c, az - bz * c
-            return self.radius * math.atan2(math.sqrt(rx * rx + ry * ry + rz * rz), c)
-        c = vdot(a, b)
-        s = math.sqrt(sum((x - y * c) * (x - y * c) for x, y in zip(a, b)))
-        return self.radius * math.atan2(s, c)
-
-    def rows(self, coords):
-        if self.dim != 3:
-            return super().rows(coords)
+    def row(self, a, bs):
+        # r atan2(|a - (a.b) b|, a.b)
         r, sqrt, atan2 = self.radius, math.sqrt, math.atan2
-        return ([r * atan2(sqrt(rx * rx + ry * ry + rz * rz), c)
-                 for bx, by, bz in coords[i + 1:]
-                 for c in (ax * bx + ay * by + az * bz,)
-                 for rx, ry, rz in ((ax - bx * c, ay - by * c, az - bz * c),)]
-                for i, (ax, ay, az) in enumerate(coords))
+        if self.dim != 3:
+            return [r * atan2(sqrt(sum((x - y * c) * (x - y * c) for x, y in zip(a, b))), c)
+                    for b in bs for c in (vdot(a, b),)]
+        ax, ay, az = a
+        return [r * atan2(sqrt(rx * rx + ry * ry + rz * rz), c)
+                for bx, by, bz in bs
+                for c in (ax * bx + ay * by + az * bz,)
+                for rx, ry, rz in ((ax - bx * c, ay - by * c, az - bz * c),)]
 
     def segment(self, a, b, d):
         r = self.radius
@@ -720,17 +705,14 @@ class RealLine(Space):
     """The real line; ideal points are +-1.0."""
 
     def validate(self, c):
-        if not isinstance(c, _REAL):
-            raise SpaceError(f"real-line point is a single real number, got {c!r}")
+        if not _reals((c,), 1):
+            raise SpaceError(f"real-line point is a single finite real number, got {c!r}")
 
     def coerce(self, coords):
         return float(coords)
 
-    def distance(self, a, b):
-        return abs(a - b)
-
-    def rows(self, coords):
-        return ([abs(a - b) for b in coords[i + 1:]] for i, a in enumerate(coords))
+    def row(self, a, bs):
+        return [abs(a - b) for b in bs]
 
     def _along(self, x0, sgn):
         def at(t):
@@ -749,6 +731,8 @@ class RealLine(Space):
         return self._along(_flat_line_anchor(self, through), xi)
 
     def direction_ideal(self, v):
+        if not _reals((v,), 1):
+            raise SpaceError(f"a direction is a finite real, got {v!r}")
         s = float(v)
         if s == 0:
             raise SpaceError("zero direction")
@@ -1169,7 +1153,11 @@ class Point:
 
 def point(space, coords) -> Point:
     """Convenience constructor; flat/sphere coords given as any iterable."""
-    return Point(space, _check_space(space).coerce(coords))
+    try:
+        coords = _check_space(space).coerce(coords)
+    except OverflowError:       # float() of an int or Fraction beyond double range
+        raise SpaceError(f"a coordinate of {space.tag()} leaves double range") from None
+    return Point(space, coords)
 
 
 def _of_model(space, model):
@@ -1206,7 +1194,10 @@ def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
 
 def sphere_point(space: SphereIntrinsic, direction) -> Point:
     _of_model(space, SphereIntrinsic)
-    n = enorm(direction)
+    try:
+        n = enorm(direction)
+    except OverflowError:           # float() of an int or Fraction beyond double range
+        raise SpaceError("a direction component leaves double range") from None
     if n == 0:
         raise SpaceError("zero direction")
     return Point(space, tuple(float(x) / n for x in direction))

@@ -216,9 +216,10 @@ GOOD_TREE = {"vertices": ["a", "b", "c"],
     dict(GOOD_TREE, denominator_bound=[2]),
     dict(GOOD_TREE, edges=[["a", "b", "1"], ["b", "c", "2"]], denominator_bound=True),
     dict(GOOD_TREE, edges=[["a", "b", "1/0"], ["b", "c", "1/2"]]),
+    dict(GOOD_TREE, ends=["a", "a"]),
     [GOOD_TREE],
 ], ids=["ends-int", "vertex-list", "vertices-str", "edge-pair", "endpoint-list",
-        "bound-list", "bound-bool", "zero-denominator", "not-an-object"])
+        "bound-list", "bound-bool", "zero-denominator", "duplicate-ends", "not-an-object"])
 def test_cli_rejects_malformed_tree_file(tmp_path, capsys, tree):
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(json.dumps(tree))

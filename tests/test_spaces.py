@@ -20,6 +20,7 @@ from metriclab.spaces import (
     MinkowskiLp,
     Point,
     RealLine,
+    Space,
     SpaceError,
     SphereIntrinsic,
     TreeDesc,
@@ -43,6 +44,7 @@ from metriclab.spaces import (
 from metriclab.verify import (
     BijectionSpec,
     SampleSet,
+    check_metric_axioms,
     is_isometry,
     preserves_unit_distance,
     random_sample,
@@ -346,6 +348,55 @@ def test_point_coords_must_be_real_numbers():
         Point(space, c)
 
 
+@pytest.mark.parametrize("space, good", [
+    (Euclidean(2), (0.0, 1.0)), (Euclidean(3), (0.0, 1.0, 2.0)), (MinkowskiLp(3.0), (0.0, 1.0)),
+    (MinkowskiLinf(), (0.0, 1.0)), (HyperbolicPlane(), (0.0, 1.0)),
+    (SphereIntrinsic(1.0, 3), (0.0, 1.0, 0.0)), (RealLine(), 1.0),
+], ids=["euclidean-2", "euclidean-3", "minkowski-l3", "minkowski-linf", "hyperbolic",
+        "sphere", "real-line"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400, Fraction(-10 ** 400, 3)],
+                         ids=["nan", "inf", "-inf", "int-beyond-double", "fraction-beyond-double"])
+def test_points_refuse_non_finite_coordinates(space, good, bad):
+    # each coordinate in turn is NaN, an infinity, or an exact number that
+    # no double holds: a SpaceError, never an OverflowError or a point
+    Point(space, good)
+    cases = ([good[:i] + (bad,) + good[i + 1:] for i in range(len(good))]
+             if isinstance(good, tuple) else [bad])
+    for c in cases:
+        with pytest.raises(SpaceError, match="finite"):
+            Point(space, c)
+        with pytest.raises(SpaceError):
+            point(space, c)
+
+
+def test_hyperbolic_ray_point_beyond_double_range_is_refused():
+    # y = 1e300 e^t overflows to inf without an OverflowError; the point
+    # (0.0, inf), whose distance to (1, 1) is nan, is refused instead
+    h = HyperbolicPlane()
+    r = ray_from(h, point(h, (0.0, 1e300)), boundary_ideal(h, math.inf))
+    assert r.point_at(5).coords[1] > 1e300
+    with pytest.raises(SpaceError, match="finite"):
+        r.point_at(30)
+
+
+def test_direction_ideal_refuses_wrong_lengths_and_non_finite_components():
+    e2, e3, lp, rl = Euclidean(2), Euclidean(3), MinkowskiLp(3.0), RealLine()
+    for space, v in ((e2, (3, 0, 4)), (e2, (1.0,)), (e3, (1.0, 0.0)), (lp, (1.0, 0.0, 0.0)),
+                     (e2, (math.nan, 1.0)), (e2, [math.inf, 0.0]), (lp, (0.0, -math.inf)),
+                     (MinkowskiLinf(), (math.nan, 0.0)), (e2, (10 ** 400, 0)),
+                     (rl, math.nan), (rl, math.inf), (rl, -math.inf), (rl, 10 ** 400),
+                     (rl, (1.0,)), (rl, "1"),
+                     # zero, or a norm past double range: inf on E^2, an
+                     # OverflowError on l_3; either would give (0, 0)
+                     (e2, (0, 0)), (e2, (1e308, 1e308)), (lp, (1e308, 0.0))):
+        with pytest.raises(SpaceError):
+            direction_ideal(space, v)
+    # a list is still a direction; its length is the space's dimension
+    assert direction_ideal(e2, [3, 4]).rep == (0.6, 0.8)
+    assert direction_ideal(e3, (0, 0, 2)).rep == (0.0, 0.0, 1.0)
+    assert direction_ideal(rl, -2).rep == -1.0
+
+
 def test_max_product_nesting_capped():
     mp1 = MaxProduct(Euclidean(2), RealLine())
     mp2 = MaxProduct(mp1, RealLine())
@@ -464,6 +515,7 @@ def test_tree_desc_validation():
         (("a", "b", "c", "d"), (("a", "b", half), ("a", "b", half), ("c", "d", half)), 2, (),
          "not connected"),
         (("a", "b"), (("a", "b", half),), 2, ("z",), "end anchor z is not a vertex"),
+        (("a", "b"), (("a", "b", half),), 2, ("a", "b", "a"), "duplicate end ids"),
     ]
     for vertices, edges, n, ends, message in cases:
         with pytest.raises(SpaceError, match=message):
@@ -497,6 +549,9 @@ def test_sphere_point_validation():
     s = SphereIntrinsic(1.0, 3)
     with pytest.raises(SpaceError):
         Point(s, (1.0, 1.0, 0.0))
+    for direction in ((10 ** 400, 0, 0), (math.nan, 1.0, 0.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(SpaceError):
+            sphere_point(s, direction)
     assert sphere_point(s, (2, 0, 0)).coords == (1.0, 0.0, 0.0)
 
 
@@ -513,8 +568,8 @@ def test_on_geodesic_parameters(ended_tree):
 # pair-distance rows and the fused distance kernels
 
 def _row_cases():
-    # the catalog's float models run their row kernels; the dimensions
-    # without a kernel run the per-pair ``Space.rows`` default
+    # the catalog's models, a tree x tree product, and the dimensions
+    # whose ``row`` takes its general comprehension, not its fast form
     from metriclab.suites import catalog, ended_tree, swap_tree
     return catalog() + [MaxProduct(ended_tree(), swap_tree()),
                         Euclidean(1), Euclidean(3), SphereIntrinsic(2.5, 2)]
@@ -591,6 +646,59 @@ def test_float_pair_checks_use_the_row_kernels(monkeypatch):
     for space in spaces:
         monkeypatch.setattr(type(space), "distance", raising)
     assert [reports(space, k) for k, space in enumerate(spaces)] == want
+
+
+def test_float_models_write_their_metric_once_as_row():
+    # each float model gives `row` and takes `distance` and `rows` from the
+    # base class; the tree and the product share work across the pairs of
+    # a table, so they give `distance` and `rows` and no `row`
+    for cls in (Euclidean, MinkowskiLp, MinkowskiLinf, HyperbolicPlane, SphereIntrinsic,
+                RealLine):
+        assert "row" in vars(cls), cls
+        assert not {"distance", "rows"} & vars(cls).keys(), cls
+        assert cls.distance is Space.distance and cls.rows is Space.rows, cls
+    for cls in (MetricTree, MaxProduct):
+        assert {"distance", "rows"} <= vars(cls).keys(), cls
+        assert not hasattr(cls, "row"), cls
+
+
+class _TaxicabPlane(Space):
+    """The l1 plane from the four hooks every model gives, and nothing else."""
+
+    def validate(self, c):
+        if not (isinstance(c, tuple) and len(c) == 2):
+            raise SpaceError(f"expected a pair, got {c!r}")
+
+    def row(self, a, bs):
+        return [abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in bs]
+
+    def random_point(self, rng, scale):
+        return point(self, (rng.uniform(-scale, scale), rng.uniform(-scale, scale)))
+
+    def tag(self):
+        return "taxicab-plane"
+
+
+def test_a_model_with_only_row_gets_distance_and_rows():
+    space = _TaxicabPlane()
+    sample = random_sample(space, 12, seed=3)
+    pts = sample.points
+    coords = [p.coords for p in pts]
+    rows = list(distance_rows(space, pts))
+    assert rows == [space.row(a, coords[i + 1:]) for i, a in enumerate(coords)]
+    for i, row in enumerate(rows):
+        for j, d in enumerate(row, i + 1):
+            assert d == distance(space, pts[i], pts[j]) == space.row(coords[i], (coords[j],))[0]
+    assert distance(space, point(space, (0, 0)), point(space, (1, -2))) == 3.0
+    assert check_metric_axioms(space, sample).passed
+    # swapping the axes is an isometry of l1; doubling is not
+    swap = BijectionSpec("swap", space, space, lambda p: point(space, p.coords[::-1]),
+                         lambda p: point(space, p.coords[::-1]))
+    double = BijectionSpec("double", space, space,
+                           lambda p: point(space, (2 * p.coords[0], 2 * p.coords[1])),
+                           lambda p: point(space, (p.coords[0] / 2, p.coords[1] / 2)))
+    assert is_isometry((space, space), swap, sample).passed
+    assert not is_isometry((space, space), double, sample).passed
 
 
 def test_distance_rows_reject_foreign_point_before_any_row():
