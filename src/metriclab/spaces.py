@@ -86,6 +86,26 @@ def supnorm(a):
     return max(abs(float(x)) for x in a)
 
 
+def _shown(v) -> str:
+    """repr(v) for an error message; where repr refuses (an int past
+    Python's limit on digits in a str) a short description such as
+    "int of 5001 digits", with tuples and Fractions shown part by part."""
+    try:
+        return repr(v)
+    except ValueError:
+        pass
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(_shown, v)) + ")"
+    if isinstance(v, Fraction):
+        return f"Fraction({_shown(v.numerator)}, {_shown(v.denominator)})"
+    if isinstance(v, int):
+        digits = int(math.log10(abs(v)))    # log10 may round up or down by one
+        while abs(v) >= 10 ** digits:
+            digits += 1
+        return f"int of {digits} digits"
+    return f"a {type(v).__name__} value"
+
+
 def _as_fraction(t: Number) -> Fraction:
     # Fraction(float) is the exact binary value of the float, so tree
     # arithmetic stays exact whatever the caller passes; NaN, an infinity
@@ -217,13 +237,17 @@ class Space:
     * ``random_point(rng, scale)`` a Point drawn from a seeded ``random.Random``
     * ``tag()``                   the label used in report names
 
-    The base class derives from ``row`` the metric ``distance(a, b)`` and
+    ``row`` is every model's one metric hook. The base class derives from
+    it ``distance(a, b)``, which is ``row(a, (b,))[0]``, and
     ``rows(coords)``, the pair distances of a list of coordinates, row i
     holding d(coords[i], coords[j]) for j > i; both are ``row``'s values,
-    so they agree bit for bit. A model whose tables share work across pairs
-    gives ``distance`` and ``rows`` instead, and no ``row``: ``MetricTree``
-    anchors every point once over one common denominator (its distances are
-    exact Fractions), and ``MaxProduct`` zips its factors' rows.
+    so they agree bit for bit. No model overrides ``distance``. Only
+    ``MetricTree`` and ``MaxProduct`` override ``rows``, where a whole
+    table shares work across its pairs and measures faster than one
+    ``row`` per point (150 points, Python 3.11): the tree anchors every
+    point once over one common denominator, 9 ms against 38 (its distances
+    are exact Fractions), and the product zips its factors' rows, 7.1 ms
+    against 7.6 on E^2 x R.
 
     A model overrides the defaults below where its geometry has them: ``coerce``
     (coordinates for ``point``), the unit-speed evaluators t -> Point
@@ -357,7 +381,7 @@ class NormedSpace(Space):
 
     def validate(self, c):
         if not _reals(c, self.dim):
-            raise SpaceError(f"expected {self.dim}-tuple of finite reals, got {c!r}")
+            raise SpaceError(f"expected {self.dim}-tuple of finite reals, got {_shown(c)}")
 
     def _along(self, x0, u):
         def at(t):
@@ -378,13 +402,13 @@ class NormedSpace(Space):
     def direction_ideal(self, v):
         v = tuple(v)
         if not _reals(v, self.dim):
-            raise SpaceError(f"a direction is {self.dim} finite reals, got {v!r}")
+            raise SpaceError(f"a direction is {self.dim} finite reals, got {_shown(v)}")
         try:
             n = self.norm(v)
         except OverflowError:       # abs(x) ** p beyond double range on l_p
             n = INF
         if n == 0 or n == INF:      # a norm past double range would give (0, 0)
-            raise SpaceError(f"direction {v!r} is zero or its norm overflows a double")
+            raise SpaceError(f"direction {_shown(v)} is zero or its norm overflows a double")
         return IdealPoint(self, tuple(float(x) / n for x in v))
 
     def ideal_matches(self, a, b):
@@ -555,7 +579,7 @@ class HyperbolicPlane(Space):
 
     def validate(self, c):
         if not (_reals(c, 2) and c[1] > 0):
-            raise SpaceError(f"upper half-plane point needs finite x and y > 0, got {c!r}")
+            raise SpaceError(f"upper half-plane point needs finite x and y > 0, got {_shown(c)}")
 
     def row(self, a, bs):
         # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w))
@@ -662,9 +686,9 @@ class SphereIntrinsic(Space):
 
     def validate(self, c):
         if not _reals(c, self.dim):
-            raise SpaceError(f"expected finite direction in R^{self.dim}")
+            raise SpaceError(f"expected a finite direction in R^{self.dim}, got {_shown(c)}")
         if abs(enorm(c) - 1.0) > 1e-12:
-            raise SpaceError(f"sphere direction must be unit within 1e-12: {c!r}")
+            raise SpaceError(f"sphere direction must be unit within 1e-12: {_shown(c)}")
 
     def row(self, a, bs):
         # r atan2(|a - (a.b) b|, a.b)
@@ -706,7 +730,7 @@ class RealLine(Space):
 
     def validate(self, c):
         if not _reals((c,), 1):
-            raise SpaceError(f"real-line point is a single finite real number, got {c!r}")
+            raise SpaceError(f"real-line point is a single finite real number, got {_shown(c)}")
 
     def coerce(self, coords):
         return float(coords)
@@ -732,7 +756,7 @@ class RealLine(Space):
 
     def direction_ideal(self, v):
         if not _reals((v,), 1):
-            raise SpaceError(f"a direction is a finite real, got {v!r}")
+            raise SpaceError(f"a direction is a finite real, got {_shown(v)}")
         s = float(v)
         if s == 0:
             raise SpaceError("zero direction")
@@ -884,39 +908,48 @@ class MetricTree(Space):
         desc = self.desc
         if not (isinstance(c, tuple) and c and c[0] in ("v", "e", "r")
                 and len(c) == (2 if c[0] == "v" else 3)):
-            raise SpaceError(f"bad tree coords {c!r}")
+            raise SpaceError(f"bad tree coords {_shown(c)}")
         if c[0] == "v":
             try:
                 known = c[1] in self.desc.up
             except TypeError:       # an unhashable id, such as a JSON list
                 known = False
             if not known:
-                raise SpaceError(f"unknown vertex {c[1]!r}")
+                raise SpaceError(f"unknown vertex {_shown(c[1])}")
         elif c[0] == "e":
             _, idx, off = c
             ln = self._edge(idx)[2]
             if not isinstance(off, Fraction) or not (0 < off < ln):
-                raise SpaceError(f"edge offset must be a Fraction in (0, {ln}): {off!r}")
+                raise SpaceError(f"edge offset must be a Fraction in (0, {_shown(ln)}): {_shown(off)}")
         else:
             _, end, off = c
             if end not in desc.ends:
-                raise SpaceError(f"{end!r} is not a declared end")
+                raise SpaceError(f"{_shown(end)} is not a declared end")
             if not isinstance(off, Fraction) or off <= 0:
-                raise SpaceError(f"ray offset must be a positive Fraction: {off!r}")
+                raise SpaceError(f"ray offset must be a positive Fraction: {_shown(off)}")
 
     def _edge(self, idx):
         """Edge (u, v, length) number idx; SpaceError unless idx is an in-range int."""
         edges = self.desc.edges
         if not (type(idx) is int and 0 <= idx < len(edges)):
-            raise SpaceError(f"edge index {idx!r} out of range")
+            raise SpaceError(f"edge index {_shown(idx)} out of range")
         return edges[idx]
 
     def coerce(self, coords):
         return coords
 
-    def distance(self, a, b) -> Fraction:
-        L, (va, da), (vb, db) = self._pair(a, b)
-        return Fraction(da + db - 2 * self._top(va, da, vb, db, L), L)
+    def row(self, a, bs):
+        # a is anchored once; each b is one anchor and one integer climb
+        # over the pair's common denominator
+        va, pa, qa = self._anchor(a)
+        anchor, top, lcm = self._anchor, self._top, math.lcm
+        out = []
+        for b in bs:
+            vb, pb, qb = anchor(b)
+            L = lcm(qa, qb)
+            da, db = pa * (L // qa), pb * (L // qb)
+            out.append(Fraction(da + db - 2 * top(va, da, vb, db, L), L))
+        return out
 
     def rows(self, coords):
         # each point is anchored once over one common L; a pair is then one
@@ -1120,8 +1153,9 @@ class MaxProduct(Space):
         return coords
 
     # max compares a Fraction with a float exactly and returns the larger as is
-    def distance(self, a, b):
-        return max(self.left.distance(a[0], b[0]), self.right.distance(a[1], b[1]))
+    def row(self, a, bs):
+        return list(map(max, self.left.row(a[0], [b[0] for b in bs]),
+                        self.right.row(a[1], [b[1] for b in bs])))
 
     def rows(self, coords):
         pairs = zip(self.left.rows([c[0] for c in coords]),

@@ -214,25 +214,28 @@ class BijectionSpec:
 def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
                         seed: int = 0, tol: float = 1e-9) -> VerificationReport:
     """Symmetry, identity of indiscernibles, and the triangle inequality on
-    random triples from the sample. Tree distances are compared exactly."""
+    random triples from the sample. Tree distances are compared exactly.
+
+    Each triple is two rows of the model, from x to (y, z) and from y to
+    (x, z), so d(y, x) is computed apart from d(x, y)."""
     _check_tol(tol)
     rep = VerificationReport(f"metric-axioms[{space.tag()}]", tolerance=tol)
     rng = random.Random(seed)
     pts = sample.points
     _check_member(space, *pts)
-    dist = space.distance
+    row, draw = space.row, rng.choice     # choice draws as randrange(len(pts)) does
     exact = space.exact
     checked = 0
     for _ in range(triples):
-        x, y, z = (pts[rng.randrange(len(pts))] for _ in range(3))
-        dxy, dyx = dist(x.coords, y.coords), dist(y.coords, x.coords)
+        x, y, z = draw(pts), draw(pts), draw(pts)
+        xc, yc, zc = x.coords, y.coords, z.coords
+        dxy, dxz = row(xc, (yc, zc))
+        dyx, dyz = row(yc, (xc, zc))
         if (dxy != dyx) if exact else abs(float(dxy) - float(dyx)) > tol:
             rep.fail({"axiom": "symmetry", "x": x, "y": y, "dxy": dxy, "dyx": dyx})
         zero = (dxy == 0) if exact else float(dxy) <= tol
-        if zero != (x.coords == y.coords):
+        if zero != (xc == yc):
             rep.fail({"axiom": "identity", "x": x, "y": y, "d": dxy})
-        dxz = dist(x.coords, z.coords)
-        dyz = dist(y.coords, z.coords)
         # exact distances may lie beyond float range, so their slack stays
         # exact and is built only for a witness
         if exact:
@@ -280,7 +283,12 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> Verific
     grid = 8    # lattice steps per segment
     t1 = [float(g1.length) * i / grid for i in range(grid + 1)]
     t2 = [float(g2.length) * j / grid for j in range(grid + 1)]
-    D = [[float(distance(space, g1.point_at(a), g2.point_at(b))) for b in t2] for a in t1]
+    # each lattice point once; D[i] is the row from g1(t1[i]) to g2's points
+    p1 = [g1.point_at(a) for a in t1]
+    p2 = [g2.point_at(b) for b in t2]
+    _check_member(space, *p1, *p2)
+    c2 = [p.coords for p in p2]
+    D = [[float(d) for d in space.row(p.coords, c2)] for p in p1]
     checked = 0
     for i1 in range(grid + 1):
         for j1 in range(grid + 1):

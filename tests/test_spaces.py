@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import suites
 from metriclab.grasshopper import UnitJumpGraph
 from metriclab.spaces import (
     AmbiguousError,
@@ -369,6 +370,39 @@ def test_points_refuse_non_finite_coordinates(space, good, bad):
             point(space, c)
 
 
+HUGE = 10 ** 5000      # repr refuses an int of more than 4300 digits
+THIRD = Fraction(HUGE, 3)
+_TREE = suites.ended_tree()
+_FLOAT_POINTS = ((Euclidean(2), (0.0, 1.0)), (Euclidean(3), (0.0, 1.0, 2.0)),
+                 (MinkowskiLp(3.0), (0.0, 1.0)), (MinkowskiLinf(), (0.0, 1.0)),
+                 (HyperbolicPlane(), (0.0, 1.0)), (SphereIntrinsic(1.0, 3), (0.0, 1.0, 0.0)),
+                 (RealLine(), 1.0))
+
+
+@pytest.mark.parametrize("make, args", [
+    *((Point, (space, (bad,) + good[1:] if isinstance(good, tuple) else bad))
+      for space, good in _FLOAT_POINTS for bad in (HUGE, THIRD)),
+    (direction_ideal, (Euclidean(2), (HUGE, 0))),
+    (direction_ideal, (MinkowskiLp(3.0), (THIRD, 0.0))),
+    (direction_ideal, (RealLine(), HUGE)),
+    (direction_ideal, (RealLine(), THIRD)),
+    (Point, (_TREE, ("x", HUGE))),
+    (Point, (_TREE, ("v", HUGE))),
+    (Point, (_TREE, ("e", HUGE, Fraction(1, 4)))),
+    (Point, (_TREE, ("e", 0, HUGE))),
+    (Point, (_TREE, ("e", 0, THIRD))),
+    (Point, (_TREE, ("r", HUGE, Fraction(1)))),
+    (Point, (_TREE, ("r", "e1", HUGE))),
+    (Point, (MetricTree(TreeDesc(("a", "b"), (("a", "b", Fraction(HUGE)),), 1)),
+             ("e", 0, Fraction(-1)))),
+])
+def test_a_number_too_long_to_repr_gets_a_short_description(make, args):
+    # the message describes the number, rather than raising ValueError from
+    # the repr that would format it
+    with pytest.raises(SpaceError, match="int of 5001 digits"):
+        make(*args)
+
+
 def test_hyperbolic_ray_point_beyond_double_range_is_refused():
     # y = 1e300 e^t overflows to inf without an OverflowError; the point
     # (0.0, inf), whose distance to (1, 1) is nan, is refused instead
@@ -648,18 +682,15 @@ def test_float_pair_checks_use_the_row_kernels(monkeypatch):
     assert [reports(space, k) for k, space in enumerate(spaces)] == want
 
 
-def test_float_models_write_their_metric_once_as_row():
-    # each float model gives `row` and takes `distance` and `rows` from the
-    # base class; the tree and the product share work across the pairs of
-    # a table, so they give `distance` and `rows` and no `row`
+def test_every_model_writes_its_metric_once_as_row():
+    # `row` is the one metric hook of every model, and `distance` always
+    # comes from the base class; only the tree and the product, whose
+    # tables share work across pairs, give their own `rows`
     for cls in (Euclidean, MinkowskiLp, MinkowskiLinf, HyperbolicPlane, SphereIntrinsic,
-                RealLine):
+                RealLine, MetricTree, MaxProduct):
         assert "row" in vars(cls), cls
-        assert not {"distance", "rows"} & vars(cls).keys(), cls
-        assert cls.distance is Space.distance and cls.rows is Space.rows, cls
-    for cls in (MetricTree, MaxProduct):
-        assert {"distance", "rows"} <= vars(cls).keys(), cls
-        assert not hasattr(cls, "row"), cls
+        assert "distance" not in vars(cls) and cls.distance is Space.distance, cls
+        assert ("rows" in vars(cls)) == (cls in (MetricTree, MaxProduct)), cls
 
 
 class _TaxicabPlane(Space):
@@ -706,9 +737,9 @@ def test_distance_rows_reject_foreign_point_before_any_row():
     calls = []
 
     class Counting(Euclidean):
-        def distance(self, a, b):
-            calls.append((a, b))
-            return super().distance(a, b)
+        def row(self, a, bs):
+            calls.append((a, bs))
+            return super().row(a, bs)
 
     space = Counting(2)
     pts = [point(space, (float(i), 0.0)) for i in range(5)] + [point(e3, (0, 0, 0))]

@@ -13,14 +13,18 @@ from metriclab import verify
 from metriclab.grasshopper import line_counterexample
 from metriclab.spaces import (
     Euclidean,
+    GeodesicRef,
     HyperbolicPlane,
+    MaxProduct,
     MetricTree,
     MinkowskiLinf,
     MinkowskiLp,
     Point,
     RealLine,
+    Space,
     SpaceError,
     TreeDesc,
+    distance,
     geodesic_between,
     point,
     tree_edge_point,
@@ -65,9 +69,9 @@ def test_metric_axioms_stay_exact_beyond_float_range():
     assert check_metric_axioms(tree, random_sample(tree, 20, seed=1), seed=2).passed
 
     class Stretched(MetricTree):
-        def distance(self, a, b):       # d(a, c) tripled: 6 * 10^400
-            d = super().distance(a, b)
-            return 3 * d if {a[1], b[1]} == {"a", "c"} else d
+        def row(self, a, bs):           # d(a, c) tripled: 6 * 10^400
+            return [3 * d if {a[1], b[1]} == {"a", "c"} else d
+                    for b, d in zip(bs, super().row(a, bs))]
     bad = Stretched(desc)
     sample = SampleSet(bad, tuple(tree_vertex(bad, v) for v in desc.vertices))
     rep = check_metric_axioms(bad, sample, seed=2)
@@ -118,6 +122,82 @@ def test_distance_convexity_euclid_and_hyperbolic():
     assert check_distance_convexity(h, gh1, gh2).passed
 
 
+def _spy_on_row(monkeypatch, cls):
+    """The list of (len(bs), result) of every cls.row call from now on."""
+    calls, row = [], cls.row
+
+    def spy(self, a, bs):
+        out = row(self, a, bs)
+        calls.append((len(bs), out))
+        return out
+    monkeypatch.setattr(cls, "row", spy)
+    return calls
+
+
+def _forbid_distance(monkeypatch):
+    """Make every one-pair distance call, through the model or the module,
+    fail the test."""
+    def refuse(*args):
+        raise AssertionError("one-pair distance call")
+    monkeypatch.setattr(Space, "distance", refuse)
+    monkeypatch.setattr(verify, "distance", refuse)
+
+
+@pytest.mark.parametrize("model", ["e2", "tree", "product"])
+def test_metric_axioms_read_two_rows_per_triple(monkeypatch, ended_tree, model):
+    space = {"e2": Euclidean(2), "tree": ended_tree,
+             "product": MaxProduct(Euclidean(2), RealLine())}[model]
+    sample = random_sample(space, 40, seed=5)
+    expected = check_metric_axioms(space, sample, triples=200, seed=9).to_json()
+    rows = _spy_on_row(monkeypatch, type(space))
+    _forbid_distance(monkeypatch)
+    rep = check_metric_axioms(space, sample, triples=200, seed=9)
+    assert [n for n, _ in rows] == [2] * 400
+    assert rep.to_json() == expected
+
+
+def _busemann_suite_e2_grids():
+    e2 = Euclidean(2)
+    g1 = geodesic_between(e2, point(e2, (0.0, 0.0)), point(e2, (4.0, 1.0)))
+    g2 = geodesic_between(e2, point(e2, (0.0, 2.0)), point(e2, (3.0, 5.0)))
+    return e2, g1, g2
+
+
+def _counted(geo, calls):
+    """geo with every point_at evaluation appended to calls."""
+    def point_at(t):
+        calls.append(t)
+        return geo.point_at(t)
+    return GeodesicRef(geo.space, geo.kind, point_at, length=geo.length)
+
+
+def test_distance_convexity_evaluates_each_lattice_point_once(monkeypatch):
+    e2, g1, g2 = _busemann_suite_e2_grids()
+    # the per-pair table: one distance of two fresh points per lattice pair
+    t1 = [float(g1.length) * i / 8 for i in range(9)]
+    t2 = [float(g2.length) * j / 8 for j in range(9)]
+    per_pair = [[float(distance(e2, g1.point_at(a), g2.point_at(b))) for b in t2] for a in t1]
+    evals = []
+    rows = _spy_on_row(monkeypatch, Euclidean)
+    _forbid_distance(monkeypatch)
+    rep = check_distance_convexity(e2, _counted(g1, evals), _counted(g2, evals))
+    assert rep.passed and rep.counts["pairs"] > 0
+    assert len(evals) == 18
+    assert [n for n, _ in rows] == [9] * 9
+    assert [[float(d) for d in out] for _, out in rows] == per_pair
+
+
+def test_distance_convexity_rejects_a_foreign_lattice_point():
+    e2, g1, g2 = _busemann_suite_e2_grids()
+    e3 = Euclidean(3)
+
+    def leaves_the_plane(t):
+        return point(e3, (0.0, 0.0, 0.0)) if t == g2.length else g2.point_at(t)
+    foreign_end = GeodesicRef(e2, "segment", leaves_the_plane, length=g2.length)
+    with pytest.raises(SpaceError):
+        check_distance_convexity(e2, g1, foreign_end)
+
+
 def test_distance_convexity_linf_violation():
     # the sup norm admits bent unit-speed geodesics from (0,0) to (2,0)
     # through the extreme midpoints; between those, midpoint convexity of
@@ -131,7 +211,6 @@ def test_distance_convexity_linf_violation():
                 return point(linf, (t, sign * t))
             return point(linf, (t, sign * (2.0 - t)))
         return at
-    from metriclab.spaces import GeodesicRef
     g1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
     g2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
     rep = check_distance_convexity(linf, g1, g2)
