@@ -48,10 +48,13 @@ class UnitJumpGraph:
         exact = space.exact
         adj = {i: [] for i in range(len(nodes))}
         for i, row in enumerate(rows):
-            for j, d in enumerate(row, i + 1):
-                if (d == 1) if exact else abs(float(d) - 1.0) <= 1e-9:
-                    adj[i].append(j)
-                    adj[j].append(i)
+            if exact:
+                hits = [j for j, d in enumerate(row, i + 1) if d == 1]
+            else:
+                hits = [j for j, d in enumerate(row, i + 1) if abs(float(d) - 1.0) <= 1e-9]
+            adj[i] += hits
+            for j in hits:
+                adj[j].append(i)
         return UnitJumpGraph(nodes, adj)
 
     def index_of(self, p: Point) -> int:

@@ -86,6 +86,22 @@ def supnorm(a):
     return max(abs(float(x)) for x in a)
 
 
+def _direction_norm(norm, v) -> float:
+    """norm(v) for a direction v. Where squaring or powering before the root
+    takes the plain value to 0 or inf, m * norm(v / m) instead, m the
+    largest |component|: the scaled sum lies in [1, len(v)]. A v whose plain
+    norm is a nonzero double keeps its bits."""
+    try:
+        n = norm(v)
+    except OverflowError:           # abs(x) ** p beyond double range on l_p
+        n = INF
+    if n == 0 or n == INF:
+        m = supnorm(v)
+        if 0 < m < INF:
+            n = m * norm(tuple(float(x) / m for x in v))
+    return n
+
+
 def _shown(v) -> str:
     """repr(v) for an error message; where repr refuses (an int past
     Python's limit on digits in a str) a short description such as
@@ -155,9 +171,9 @@ class TreeDesc:
             if u not in vs or v not in vs:
                 raise SpaceError(f"edge endpoint not a vertex: {(u, v)}")
             if not isinstance(ln, Fraction) or ln <= 0:
-                raise SpaceError(f"edge length must be a positive Fraction: {ln}")
+                raise SpaceError(f"edge length must be a positive Fraction: {_shown(ln)}")
             if n % ln.denominator != 0:
-                raise SpaceError(f"edge length {ln} has denominator not dividing {n}")
+                raise SpaceError(f"edge length {_shown(ln)} has denominator not dividing {n}")
             adj[u].append((v, i, ln))
             adj[v].append((u, i, ln))
         # connectivity: every vertex is reached (acyclicity follows from the
@@ -403,10 +419,7 @@ class NormedSpace(Space):
         v = tuple(v)
         if not _reals(v, self.dim):
             raise SpaceError(f"a direction is {self.dim} finite reals, got {_shown(v)}")
-        try:
-            n = self.norm(v)
-        except OverflowError:       # abs(x) ** p beyond double range on l_p
-            n = INF
+        n = _direction_norm(self.norm, v)
         if n == 0 or n == INF:      # a norm past double range would give (0, 0)
             raise SpaceError(f"direction {_shown(v)} is zero or its norm overflows a double")
         return IdealPoint(self, tuple(float(x) / n for x in v))
@@ -1229,7 +1242,7 @@ def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
 def sphere_point(space: SphereIntrinsic, direction) -> Point:
     _of_model(space, SphereIntrinsic)
     try:
-        n = enorm(direction)
+        n = _direction_norm(enorm, direction)
     except OverflowError:           # float() of an int or Fraction beyond double range
         raise SpaceError("a direction component leaves double range") from None
     if n == 0:

@@ -39,6 +39,9 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
     tolerance: float = 0.0
     data: dict = field(default_factory=dict)
+    # every violation recorded, with those a check ranked out before
+    # building their witnesses
+    violations: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -48,25 +51,22 @@ class VerificationReport:
         # kept as given; finalize converts only the witnesses it keeps
         self.status = "fail"
         self.witnesses.append(witness)
+        self.violations += 1
 
     def finalize(self, **counts):
         """Canonical witness order and cap; a failed report keeps >= 1 witness.
 
         Given counts become the report's counts, followed by "violations",
-        the number of witnesses before the cap; a given "violations" keeps
-        its place and takes that number."""
+        the number of violations recorded; a given "violations" keeps its
+        place and takes that number. The witnesses sorted are those
+        _under_lead_cut passes. is_isometry ranks its failing pairs the same
+        way before it builds their witnesses and sets ``violations`` to
+        every failing pair, so the count still covers those it never
+        built."""
         if counts:
-            self.counts = {**counts, "violations": len(self.witnesses)}
-        # a witness whose lead sorts after the cut has at least
-        # MAX_WITNESSES keys below its own; the filter keeps the original
-        # order, so the stable sort breaks ties as before
-        candidates = self.witnesses
-        leads = [_witness_lead(w) for w in candidates]
-        known = [lead for lead in leads if lead]
-        if len(known) > MAX_WITNESSES:
-            cut = heapq.nsmallest(MAX_WITNESSES, known)[-1]
-            candidates = [w for w, lead in zip(candidates, leads) if lead <= cut]
-        kept = sorted(candidates, key=_witness_key)[:MAX_WITNESSES]
+            self.counts = {**counts, "violations": self.violations}
+        leads = [_witness_lead(w) for w in self.witnesses]
+        kept = sorted(_under_lead_cut(self.witnesses, leads), key=_witness_key)[:MAX_WITNESSES]
         self.witnesses = [_jsonable(w) for w in kept]
         if self.status == "fail" and not self.witnesses:
             raise AssertionError("failed report without witnesses")
@@ -150,16 +150,36 @@ def _witness_lead(w) -> str:
     if not isinstance(w, dict) or not w or not _STR.issuperset(map(type, w)):
         return ""
     k = min(w)
-    v = w[k]
+    return "{" + _encode_key(k) + ": " + _spelling(w[k]) + (", " if len(w) > 1 else "}")
+
+
+def _spelling(v) -> str:
+    """v as _witness_key spells it inside a witness. Witnesses with one
+    smallest key and more fields share their lead up to this spelling and
+    from the separator after it, so among them the spellings order the
+    leads: a JSON value that is a proper prefix of another is a number,
+    continued by a digit, '.' or 'e', each above the separator's ','."""
     # the encoder's own spellings of a float and a Fraction, without the
     # cost of setting up an encoder for one value
     if isinstance(v, float) and math.isfinite(v):
-        enc = float.__repr__(v)
-    elif isinstance(v, Fraction):
-        enc = f'"{v}"'
-    else:
-        enc = _witness_key(v)
-    return "{" + _encode_key(k) + ": " + enc + (", " if len(w) > 1 else "}")
+        return float.__repr__(v)
+    if isinstance(v, Fraction):
+        return f'"{v}"'
+    return _witness_key(v)
+
+
+def _under_lead_cut(items: list, leads: list) -> list:
+    """The items, in their order, whose lead is at most the MAX_WITNESSES-th
+    smallest non-empty lead; all of them while no more than MAX_WITNESSES
+    leads are non-empty. An item above the cut has at least MAX_WITNESSES
+    keys below its own, so it cannot be kept; an empty lead ('', no
+    ranking) is never above it. Keeping the order lets a stable sort of
+    what passes break ties as a sort of every item would."""
+    known = [lead for lead in leads if lead]
+    if len(known) <= MAX_WITNESSES:
+        return items
+    cut = heapq.nsmallest(MAX_WITNESSES, known)[-1]
+    return [w for w, lead in zip(items, leads) if lead <= cut]
 
 
 def _check_tol(tol, what: str = "tol"):
@@ -346,7 +366,13 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
 
     It builds its two tables, X over the sample and Y over the images,
     whole; after preserves_unit_distance on the same sample both are
-    already stored."""
+    already stored. Each row is decided by one comprehension, and on an
+    exact check a row equal in X and Y is skipped whole. A failing pair is
+    kept as (i, j, d_before, d_after). Past MAX_WITNESSES of them, the
+    pairs are ranked by the spelling of d_after, which orders their leads
+    (d_after is the witness's smallest key), and only those at or under
+    the cut finalize would take get a witness. The report's "violations"
+    counts every failing pair."""
     _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
@@ -354,12 +380,24 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     images = [f.forward(p) for p in pts]
     rows = zip(_pair_rows(X, pts), _pair_rows(Y, images))
     exact = tol == 0 and X.exact and Y.exact
+    n = len(pts)
     pairs = 0
+    failing = []
     for i, (row_x, row_y) in enumerate(rows):
         pairs += len(row_x)
-        for j, (dx, dy) in enumerate(zip(row_x, row_y), i + 1):
-            if not ((dx == dy) if exact else abs(float(dx) - float(dy)) <= tol):
-                rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
+        js = range(i + 1, n)
+        if exact:
+            if row_x != row_y:
+                failing += [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y) if dx != dy]
+        else:
+            failing += [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y)
+                        if not abs(float(dx) - float(dy)) <= tol]
+    found = len(failing)
+    if found > MAX_WITNESSES:
+        failing = _under_lead_cut(failing, [_spelling(dy) for *_, dy in failing])
+    for i, j, dx, dy in failing:
+        rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
+    rep.violations = found          # the pairs ranked out count too
     return rep.finalize(pairs=pairs)
 
 
@@ -377,7 +415,8 @@ def _unit_class(mode: str, tol: float, exact: bool):
     if exact and tol == 0:
         return lambda row: [cmp(d, 1) for d in row]
     if mode == "eq":
-        return lambda row: [abs(v - 1.0) <= tol for v in map(float, row)]
+        # an int or Fraction minus a float is float(d) - 1.0 already
+        return lambda row: [abs(v - 1.0) <= tol for v in row]
     return lambda row: [cmp(1.0 if abs(v - 1.0) <= tol else v, 1) for v in map(float, row)]
 
 
@@ -406,8 +445,11 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
     pairs = 0
     for i, (row_x, row_y, row_back) in enumerate(rows):
         pairs += len(row_x)
-        classes = zip(unit_x(row_x), unit_y(row_y), unit_x(row_back))
-        for j, (before, after, back) in enumerate(classes, i + 1):
+        cx, cy = unit_x(row_x), unit_y(row_y)
+        cb = cx if row_back is row_x else unit_x(row_back)
+        if cx == cy == cb:
+            continue
+        for j, before, after, back in zip(range(i + 1, len(pts)), cx, cy, cb):
             if before != after:
                 rep.fail({"direction": "forward", "x": pts[i], "y": pts[j],
                           "before": before, "after": after})

@@ -14,6 +14,7 @@ from metriclab.spaces import (
     PreconditionError,
     SpaceError,
     distance,
+    distance_rows,
     point,
     tree_edge_point,
     tree_ray_point,
@@ -22,7 +23,7 @@ from metriclab.spaces import (
     vscale,
     vsub,
 )
-from metriclab.verify import SampleSet
+from metriclab.verify import SampleSet, VerificationReport
 
 
 def _normed_distance(space, a, b):
@@ -188,3 +189,72 @@ def _lattice_jump_graph(space, pts):
     for e in desc.ends:
         grid += [tree_ray_point(space, e, Fraction(k, L)) for k in range(1, int(reach * L) + 1)]
     return UnitJumpGraph.build(space, grid)
+
+
+# ---------------------------------------------------------------------------
+# per-pair loops of the bijection checks and the unit-jump graph
+
+def _is_isometry_pairwise(spaces, f, sample, tol=1e-9):
+    """``is_isometry`` one pair at a time: every failing pair becomes a
+    witness, and ``finalize`` alone ranks and caps them."""
+    X, Y = spaces
+    rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
+    pts = sample.points
+    images = [f.forward(p) for p in pts]
+    exact = tol == 0 and X.exact and Y.exact
+    pairs = 0
+    for i, (row_x, row_y) in enumerate(zip(distance_rows(X, pts), distance_rows(Y, images))):
+        pairs += len(row_x)
+        for j, (dx, dy) in enumerate(zip(row_x, row_y), i + 1):
+            if not ((dx == dy) if exact else abs(float(dx) - float(dy)) <= tol):
+                rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
+    return rep.finalize(pairs=pairs)
+
+
+def _unit_class_of(d, mode, tol, exact):
+    """The unit class of one distance d: d compared with 1 per mode, exactly
+    when tol == 0 on an exact space, else as a float snapped to 1 within tol."""
+    cmp = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}[mode]
+    if exact and tol == 0:
+        return cmp(d, 1)
+    v = float(d)
+    if mode == "eq":
+        return abs(v - 1.0) <= tol
+    return cmp(1.0 if abs(v - 1.0) <= tol else v, 1)
+
+
+def _preserves_unit_distance_pairwise(spaces, f, sample, mode="eq", tol=1e-9):
+    """``preserves_unit_distance`` one pair at a time, each distance
+    classified on its own."""
+    X, Y = spaces
+    rep = VerificationReport(f"unit-distance[{f.name}, mode={mode}]", tolerance=tol)
+    pts = list(sample.points)
+    images = [f.forward(p) for p in pts]
+    preimages = [f.inverse(q) for q in images]
+    rows = zip(distance_rows(X, pts), distance_rows(Y, images), distance_rows(X, preimages))
+    pairs = 0
+    for i, (row_x, row_y, row_back) in enumerate(rows):
+        pairs += len(row_x)
+        for j, (dx, dy, db) in enumerate(zip(row_x, row_y, row_back), i + 1):
+            before = _unit_class_of(dx, mode, tol, X.exact)
+            after = _unit_class_of(dy, mode, tol, Y.exact)
+            back = _unit_class_of(db, mode, tol, X.exact)
+            if before != after:
+                rep.fail({"direction": "forward", "x": pts[i], "y": pts[j],
+                          "before": before, "after": after})
+            if after != back:
+                rep.fail({"direction": "inverse", "x": images[i], "y": images[j],
+                          "image_class": after, "preimage_class": back})
+    return rep.finalize(pairs=pairs)
+
+
+def _unit_jump_adjacency(space, points):
+    """The adjacency of ``UnitJumpGraph.build(space, points)``, one pair at
+    a time: the exact unit pairs of an exact space, else |d - 1| <= 1e-9."""
+    adj = {i: [] for i in range(len(points))}
+    for i, row in enumerate(distance_rows(space, points)):
+        for j, d in enumerate(row, i + 1):
+            if (d == 1) if space.exact else abs(float(d) - 1.0) <= 1e-9:
+                adj[i].append(j)
+                adj[j].append(i)
+    return adj

@@ -30,10 +30,12 @@ from metriclab.spaces import (
     direction_ideal,
     distance,
     distance_rows,
+    enorm,
     geodesic_between,
     line_through,
     midpoint,
     on_geodesic,
+    pnorm,
     point,
     ray_from,
     sphere_point,
@@ -395,6 +397,8 @@ _FLOAT_POINTS = ((Euclidean(2), (0.0, 1.0)), (Euclidean(3), (0.0, 1.0, 2.0)),
     (Point, (_TREE, ("r", "e1", HUGE))),
     (Point, (MetricTree(TreeDesc(("a", "b"), (("a", "b", Fraction(HUGE)),), 1)),
              ("e", 0, Fraction(-1)))),
+    (TreeDesc, (("a", "b"), (("a", "b", THIRD),), 1)),
+    (TreeDesc, (("a", "b"), (("a", "b", HUGE),), 1)),
 ])
 def test_a_number_too_long_to_repr_gets_a_short_description(make, args):
     # the message describes the number, rather than raising ValueError from
@@ -420,15 +424,34 @@ def test_direction_ideal_refuses_wrong_lengths_and_non_finite_components():
                      (MinkowskiLinf(), (math.nan, 0.0)), (e2, (10 ** 400, 0)),
                      (rl, math.nan), (rl, math.inf), (rl, -math.inf), (rl, 10 ** 400),
                      (rl, (1.0,)), (rl, "1"),
-                     # zero, or a norm past double range: inf on E^2, an
-                     # OverflowError on l_3; either would give (0, 0)
-                     (e2, (0, 0)), (e2, (1e308, 1e308)), (lp, (1e308, 0.0))):
+                     # zero, or a norm past double range; either would
+                     # give (0, 0)
+                     (e2, (0, 0)), (e2, (1.5e308, 1.5e308)), (lp, (1.7e308, 1.7e308))):
         with pytest.raises(SpaceError):
             direction_ideal(space, v)
     # a list is still a direction; its length is the space's dimension
     assert direction_ideal(e2, [3, 4]).rep == (0.6, 0.8)
     assert direction_ideal(e3, (0, 0, 2)).rep == (0.0, 0.0, 1.0)
     assert direction_ideal(rl, -2).rep == -1.0
+
+
+def test_finite_nonzero_directions_whose_plain_sum_leaves_double_range():
+    # the sum of squares (cubes on l_3) overflows or underflows, though the
+    # norm is a double; the direction is taken over its largest component
+    e2, lp, sph = Euclidean(2), MinkowskiLp(3.0), SphereIntrinsic(1.0, 3)
+    half = math.sqrt(0.5)
+    for v in ((1e154, 1e154), (1e-200, 1e-200), (1e308, 1e308), (-1e-300, 1e-300)):
+        rep = direction_ideal(e2, v).rep
+        assert rep == pytest.approx((math.copysign(half, v[0]), half), rel=1e-15)
+    assert direction_ideal(lp, (1e-200, 0.0)).rep == (1.0, 0.0)
+    assert direction_ideal(lp, (1e308, -1e308)).rep == pytest.approx(
+        (2 ** (-1 / 3), -2 ** (-1 / 3)), rel=1e-15)
+    assert sphere_point(sph, (1e200, 1e200, 0)).coords == pytest.approx((half, half, 0.0),
+                                                                         rel=1e-15)
+    # a direction whose plain norm is a nonzero double keeps its bits
+    for v in ((3.0, 4.0), (1e100, 3e99), (1e-100, 2e-101), (0.1, -0.7)):
+        assert direction_ideal(e2, v).rep == tuple(x / enorm(v) for x in v)
+        assert direction_ideal(lp, v).rep == tuple(x / pnorm(v, 3.0) for x in v)
 
 
 def test_max_product_nesting_capped():

@@ -67,3 +67,13 @@ def test_all_enforces_declared_suite_sizes(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "axioms", lambda seed, params: full(seed, params)[1:])
     with pytest.raises(AssertionError, match="suite axioms produced 11 reports"):
         suites.run_named_suite("all", 7, {})
+
+
+# the inverse direction of the line-sine unit-distance check is decided by
+# rounding near the half-integers, so these seeds fail; the samples stay
+# where they are until the check itself is mended
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+@pytest.mark.parametrize("seed", [336, 360, 4096])
+def test_counterexamples_pass_at_every_seed(seed):
+    reports = suites.SUITES["counterexamples"](seed, {})
+    assert all(rep.passed for rep in reports), [rep.check for rep in reports if not rep.passed]

@@ -1,7 +1,9 @@
 import bisect
+import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -37,14 +39,22 @@ from metriclab.verify import (
     SampleSet,
     VerificationReport,
     _jsonable,
+    _spelling,
     _unit_class,
     _witness_key,
+    _witness_lead,
     check_busemann_midpoints,
     check_distance_convexity,
     check_metric_axioms,
     is_isometry,
     preserves_unit_distance,
     random_sample,
+)
+
+from oracles import (
+    _is_isometry_pairwise,
+    _preserves_unit_distance_pairwise,
+    _unit_jump_adjacency,
 )
 
 
@@ -482,13 +492,18 @@ def test_finalize_keeps_the_jsonable_order_and_cap_beyond_the_cap(ws):
     assert json.dumps(rep.witnesses) == json.dumps(want)
 
 
-def test_finalize_encodes_little_more_than_the_witnesses_it_keeps(monkeypatch):
-    # the line-sine map on 52 points and their shifts by 1 preserves only
-    # the 52 shift pairs, so the isometry report has 5,304 violations
+def _line_sine_sample_104():
+    """52 points and their shifts by 1: the line-sine map preserves only
+    the 52 shift pairs, so its isometry report has 5,304 violations."""
     rl = RealLine()
     rng = random.Random(1)
     base = [rng.uniform(-4.0, 4.0) for _ in range(52)]
-    sample = SampleSet(rl, tuple(point(rl, v) for v in base + [b + 1.0 for b in base]))
+    return SampleSet(rl, tuple(point(rl, v) for v in base + [b + 1.0 for b in base]))
+
+
+def test_finalize_encodes_little_more_than_the_witnesses_it_keeps(monkeypatch):
+    rl = RealLine()
+    sample = _line_sine_sample_104()
     raw, encoded = [], []
     finalize, key = VerificationReport.finalize, verify._witness_key
 
@@ -505,6 +520,28 @@ def test_finalize_encodes_little_more_than_the_witnesses_it_keeps(monkeypatch):
     firsts = sorted(repr(w["d_after"]) for w in raw)
     tied = bisect.bisect_right(firsts, firsts[MAX_WITNESSES - 1])
     assert len(encoded) <= tied < 2 * MAX_WITNESSES
+
+
+def test_isometry_builds_witnesses_only_for_pairs_it_can_keep(monkeypatch):
+    # a count, not a timing: the failing pairs are ranked by the spelling
+    # of d_after before any witness is built, and every one of them is
+    # still counted
+    rl = RealLine()
+    sample = _line_sine_sample_104()
+    spec = line_counterexample()
+    failing = _is_isometry_pairwise((rl, rl), spec, sample).counts["violations"]
+    assert failing == 5304
+    calls = []
+    fail = VerificationReport.fail
+
+    def counted(self, witness):
+        calls.append(witness)
+        return fail(self, witness)
+    monkeypatch.setattr(VerificationReport, "fail", counted)
+    rep = is_isometry((rl, rl), spec, sample)
+    assert rep.counts == {"pairs": 5356, "violations": failing}
+    assert MAX_WITNESSES <= len(calls) <= 2 * MAX_WITNESSES
+    assert len(rep.witnesses) == MAX_WITNESSES
 
 
 def test_failed_report_requires_witness():
@@ -731,3 +768,139 @@ def test_shared_tables_leave_both_reports_unchanged(model, kind, n, seed, isomet
     shared = [check() for check in checks]
     again = [check() for check in checks]
     assert shared == alone and again == alone
+
+
+# ---------------------------------------------------------------------------
+# the bijection checks and the unit-jump graph against their per-pair loops
+
+@dataclass(frozen=True, eq=False)
+class _Tabled(RealLine):
+    """A line whose points 0, 1, ..., n - 1 have their distances read from a
+    table, table[i][j - i - 1] = d(i, j) for i < j: any values, nan, +-inf
+    and Fractions among them. With eq=False no two instances are the same
+    space, so no stored table of one serves another."""
+
+    table: tuple = ()
+    exact: bool = False
+
+    def row(self, a, bs):
+        return [self.table[min(a, b)][abs(b - a) - 1] for b in bs]
+
+
+# few values, so that leads tie; 1 and 12 spell as prefixes of one another,
+# and 1.0 + 1e-12 is a unit distance only within a tolerance
+_FLOAT_DISTANCES = (0.0, 0.5, 1.0, 1.0 + 1e-12, 1.25, 2.0, 12.0, math.nan, math.inf,
+                    -math.inf, 1, 12, Fraction(1, 3), Fraction(1))
+# exact models give numbers equal to themselves: no nan
+_EXACT_DISTANCES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(4, 3), Fraction(2),
+                    Fraction(12), 1, 3)
+
+
+def _tabled_case(x_table, y_table, exact, back):
+    """Spaces X and Y over the tables, a bijection k -> k whose declared
+    inverse sends k to back[k] (a permutation), and the sample 0..n-1."""
+    X, Y = _Tabled(x_table, exact), _Tabled(y_table, exact)
+    spec = BijectionSpec("tabled", X, Y, lambda p: Point(Y, p.coords),
+                         lambda q: Point(X, back[q.coords]))
+    return (X, Y), spec, SampleSet(X, tuple(Point(X, k) for k in range(len(back))))
+
+
+def _table_of(n, values):
+    """The table of n points, filled row by row with values over and over."""
+    fill = itertools.cycle(values)
+    return tuple(tuple(itertools.islice(fill, n - 1 - i)) for i in range(n - 1))
+
+
+@st.composite
+def _tabled_cases(draw):
+    exact = draw(st.booleans())
+    values = st.sampled_from(_EXACT_DISTANCES if exact else _FLOAT_DISTANCES)
+    n = draw(st.integers(2, 14))
+
+    def table():
+        return tuple(tuple(draw(st.lists(values, min_size=n - 1 - i, max_size=n - 1 - i)))
+                     for i in range(n - 1))
+    return _tabled_case(table(), table(), exact, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_tabled_cases(), tol=st.sampled_from([0.0, 1e-9, 0.25]),
+       mode=st.sampled_from(["eq", "le", "lt"]))
+# 66 failing pairs, every d_after tied at 2.0
+@example(case=_tabled_case(_table_of(12, [1.0]), _table_of(12, [2.0]), False,
+                           list(range(12))), tol=0.0, mode="eq")
+# 66 pairs of exact Fractions, tied at 2 past the 32nd lead
+@example(case=_tabled_case(_table_of(12, [Fraction(1)]), _table_of(12, [Fraction(2)]),
+                           True, list(range(12))[::-1]), tol=1e-9, mode="le")
+# nan, +-inf and prefix spellings among 66 failing d_after
+@example(case=_tabled_case(_table_of(12, [0.25]), _table_of(12, _FLOAT_DISTANCES), False,
+                           list(range(12))), tol=1e-9, mode="eq")
+def test_bijection_checks_match_the_per_pair_loops(case, tol, mode):
+    spaces, spec, sample = case
+    got = is_isometry(spaces, spec, sample, tol=tol).to_json()
+    assert json.dumps(got) == json.dumps(_is_isometry_pairwise(spaces, spec, sample, tol=tol)
+                                         .to_json())
+    got = preserves_unit_distance(spaces, spec, sample, mode=mode, tol=tol).to_json()
+    want = _preserves_unit_distance_pairwise(spaces, spec, sample, mode=mode, tol=tol)
+    assert json.dumps(got) == json.dumps(want.to_json())
+    # the value is_isometry ranks a pair by spells the lead of its witness
+    x, y = sample.points[:2]
+    for row in spaces[1].table:
+        for d in row:
+            w = {"x": x, "y": y, "d_before": 0.0, "d_after": d}
+            assert _witness_lead(w) == '{"d_after": ' + _spelling(d) + ", "
+
+
+def _tree_swap_sample():
+    tree = swap_tree()
+    tps = gh.TreePointSet(tree, Fraction(1, 10), Fraction(1, 5))
+    nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
+    sample = SampleSet(tree, tuple(nodes) + tuple(tree_vertex(tree, v)
+                                                  for v in tree.desc.vertices))
+    return (tree, tree), gh.tree_swap_bijection(tps), sample
+
+
+@pytest.mark.parametrize("case", ["line-sine", "line-double", "tree-swap", "e2-identity"])
+def test_bijection_checks_on_models_match_the_per_pair_loops(case):
+    # a float space and an exact one, failing and passing
+    rl, e2 = RealLine(), Euclidean(2)
+    spaces, spec, sample = {
+        "line-sine": lambda: ((rl, rl), line_counterexample(), _line_sine_sample_104()),
+        "line-double": lambda: ((rl, rl), _doubling(rl), random_sample(rl, 40, seed=3)),
+        "tree-swap": _tree_swap_sample,
+        "e2-identity": lambda: ((e2, e2), _identity(e2), random_sample(e2, 40, seed=4)),
+    }[case]()
+    for tol in (0.0, 1e-9):
+        assert (is_isometry(spaces, spec, sample, tol=tol).to_json()
+                == _is_isometry_pairwise(spaces, spec, sample, tol=tol).to_json())
+        for mode in ("eq", "le", "lt"):
+            assert (preserves_unit_distance(spaces, spec, sample, mode=mode, tol=tol).to_json()
+                    == _preserves_unit_distance_pairwise(spaces, spec, sample, mode=mode,
+                                                         tol=tol).to_json())
+
+
+_UNIT_NEAR = (1.0, 1.0 + 1e-10, 1.0 - 1e-8, 0.5, 2.0, math.nan, math.inf, 1, Fraction(1),
+              Fraction(1, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(exact=st.booleans(), n=st.integers(1, 16), data=st.data())
+def test_unit_jump_graph_matches_the_per_pair_adjacency(exact, n, data):
+    values = st.sampled_from(_EXACT_DISTANCES if exact else _UNIT_NEAR)
+    table = tuple(tuple(data.draw(st.lists(values, min_size=n - 1 - i, max_size=n - 1 - i)))
+                  for i in range(n - 1))
+    space = _Tabled(table, exact)
+    points = [Point(space, k) for k in range(n)]
+    assert gh.UnitJumpGraph.build(space, points).adjacency == _unit_jump_adjacency(space,
+                                                                                   points)
+
+
+def test_unit_jump_graph_on_lattices_matches_the_per_pair_adjacency(star_tree):
+    rl = RealLine()
+    line = [point(rl, k / 2) for k in range(-12, 13)] + [point(rl, 0.25 + 1e-12)]
+    tree = [tree_vertex(star_tree, v) for v in star_tree.desc.vertices]
+    tree += [tree_edge_point(star_tree, i, Fraction(k, 8)) for i in range(3) for k in (1, 2, 4)]
+    for space, points in ((rl, line), (star_tree, tree)):
+        adjacency = gh.UnitJumpGraph.build(space, points).adjacency
+        assert adjacency == _unit_jump_adjacency(space, points)
+        assert sum(map(len, adjacency.values())) > 0
