@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
 
-from .spaces import MetricTree, SpaceError, TreeDesc
+from .spaces import MetricTree, SpaceError, TreeDesc, _finite, _shown
 from .suites import COUNT_PARAMETERS, RANDOMIZED_SUITES, SUITES, run_named_suite
 from .verify import _jsonable
 
@@ -39,51 +38,51 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
-            raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
+            raise ConfigError(f"unknown suite {_shown(self.suite)}; choose from {SUITE_NAMES}")
         if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError(f"output must be a path string, got {self.output!r}")
+            raise ConfigError(f"output must be a path string, got {_shown(self.output)}")
         if self.format not in ("json", "text"):
-            raise ConfigError(f"unknown format {self.format!r}")
+            raise ConfigError(f"unknown format {_shown(self.format)}")
         if self.seed is None:
             if self.suite in RANDOMIZED_SUITES:
-                raise ConfigError(f"suite {self.suite!r} is randomized: a seed is required")
+                raise ConfigError(f"suite {_shown(self.suite)} is randomized: a seed is required")
             self.seed = 0
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be an integer, got {_shown(self.seed)}")
         if not isinstance(self.parameters, dict):
-            raise ConfigError(f"parameters must be an object, got {self.parameters!r}")
+            raise ConfigError(f"parameters must be an object, got {_shown(self.parameters)}")
         self.parameters = dict(self.parameters)
         for key in self.parameters:
             if key not in PARAMETER_KEYS:
-                raise ConfigError(f"unknown parameter {key!r}; choose from {PARAMETER_KEYS}")
+                raise ConfigError(f"unknown parameter {_shown(key)}; choose from {PARAMETER_KEYS}")
         if "tree" in self.parameters and not isinstance(self.parameters["tree"], MetricTree):
             raise ConfigError("parameters.tree must be a MetricTree (give a tree_file), "
-                              f"got {self.parameters['tree']!r}")
+                              f"got {_shown(self.parameters['tree'])}")
         for key in COUNT_PARAMETERS:
             n = self.parameters.get(key, 1)
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ConfigError(f"{key} must be a positive integer, got {n!r}")
+                raise ConfigError(f"{key} must be a positive integer, got {_shown(n)}")
         tol = self.parameters.get("tol", 0.0)
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not math.isfinite(tol) or tol < 0):
-            raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+        if not (_finite(tol) and tol >= 0):
+            raise ConfigError(f"tol must be a finite number >= 0, got {_shown(tol)}")
 
     @staticmethod
     def from_file(path: str, overrides: dict = None) -> "ScenarioConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: bad JSON, bad UTF-8, or an int past Python's digit limit
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return ScenarioConfig.from_dict(raw, overrides)
 
     @staticmethod
     def from_dict(raw: dict, overrides: dict = None) -> "ScenarioConfig":
         if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, got {raw!r}")
+            raise ConfigError(f"config must be a JSON object, got {_shown(raw)}")
         for key in raw:
             if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}; choose from {CONFIG_KEYS}")
+                raise ConfigError(f"unknown config key {_shown(key)}; choose from {CONFIG_KEYS}")
         merged = dict(raw)
         for key, val in (overrides or {}).items():
             if val is not None:
@@ -140,7 +139,7 @@ def emit_report(result: SuiteResult, fmt: str = "json") -> str:
     if fmt == "json":
         return json.dumps(result.payload(), indent=2, allow_nan=False) + "\n"
     if fmt != "text":
-        raise ConfigError(f"unknown format {fmt!r}")
+        raise ConfigError(f"unknown format {_shown(fmt)}")
     lines = [f"suite: {result.suite}   seed: {result.seed}   "
              f"duration: {result.duration:.2f}s"]
     width = max(len(r.check) for r in result.reports)

@@ -19,7 +19,9 @@ from .spaces import (
     Point,
     SpaceError,
     _check_member,
+    _finite,
     _same_space,
+    _shown,
     distance,
     point,
     ray_from,
@@ -64,7 +66,7 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "closed",
     if method == "limit":
         return _busemann_limit(space, ray, y, tol=tol)
     if method != "closed":
-        raise SpaceError(f"unknown method {method!r}")
+        raise SpaceError(f"unknown method {_shown(method)}")
     return space.busemann_closed(ray, y)
 
 
@@ -232,11 +234,10 @@ def spherical_shadow_sample(space, y, x0: Point, rho: float,
     """
     if not (isinstance(space, Euclidean) and space.dim == 2):
         raise SpaceError("spherical shadow sampling is implemented for Euclidean(2)")
-    if (isinstance(rho, bool) or not isinstance(rho, (int, float))
-            or not math.isfinite(rho) or rho <= 0):
-        raise SpaceError(f"shadow sphere radius must be finite and > 0, got {rho!r}")
+    if not (_finite(rho) and rho > 0):
+        raise SpaceError(f"shadow sphere radius must be finite and > 0, got {_shown(rho)}")
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise SpaceError(f"shadow resolution must be an integer >= 1, got {resolution!r}")
+        raise SpaceError(f"shadow resolution must be an integer >= 1, got {_shown(resolution)}")
     _check_tol(tol, "shadow tolerance")
     cx, cy = x0.coords
     if isinstance(y, IdealPoint):

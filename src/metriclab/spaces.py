@@ -88,14 +88,16 @@ def supnorm(a):
 
 def _direction_norm(norm, v) -> float:
     """norm(v) for a direction v. Where squaring or powering before the root
-    takes the plain value to 0 or inf, m * norm(v / m) instead, m the
-    largest |component|: the scaled sum lies in [1, len(v)]. A v whose plain
-    norm is a nonzero double keeps its bits."""
+    takes the plain value to inf, or below 1e-100 (under which a sum of
+    squares or cubes can be subnormal; 1e-100 ** 3 is still normal), it is
+    m * norm(v / m) instead, m the largest |component|: the scaled sum lies
+    in [1, len(v)]. A v whose plain norm is a double >= 1e-100 keeps its
+    bits."""
     try:
         n = norm(v)
     except OverflowError:           # abs(x) ** p beyond double range on l_p
         n = INF
-    if n == 0 or n == INF:
+    if n < 1e-100 or n == INF:
         m = supnorm(v)
         if 0 < m < INF:
             n = m * norm(tuple(float(x) / m for x in v))
@@ -131,7 +133,7 @@ def _as_fraction(t: Number) -> Fraction:
     try:
         return Fraction(t)
     except (ValueError, OverflowError, TypeError, ZeroDivisionError):
-        raise SpaceError(f"a tree parameter is a finite number, not {t!r}") from None
+        raise SpaceError(f"a tree parameter is a finite number, not {_shown(t)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +167,15 @@ class TreeDesc:
             raise SpaceError("edge count must be vertex count - 1 for a tree")
         n = self.denominator_bound
         if type(n) is not int or n < 1:
-            raise SpaceError(f"denominator bound must be positive: an int >= 1, got {n!r}")
+            raise SpaceError(f"denominator bound must be positive: an int >= 1, got {_shown(n)}")
         adj = {v: [] for v in self.vertices}
         for i, (u, v, ln) in enumerate(self.edges):
             if u not in vs or v not in vs:
-                raise SpaceError(f"edge endpoint not a vertex: {(u, v)}")
+                raise SpaceError(f"edge endpoint not a vertex: {_shown((u, v))}")
             if not isinstance(ln, Fraction) or ln <= 0:
                 raise SpaceError(f"edge length must be a positive Fraction: {_shown(ln)}")
             if n % ln.denominator != 0:
-                raise SpaceError(f"edge length {_shown(ln)} has denominator not dividing {n}")
+                raise SpaceError(f"edge length {_shown(ln)} has denominator not dividing {_shown(n)}")
             adj[u].append((v, i, ln))
             adj[v].append((u, i, ln))
         # connectivity: every vertex is reached (acyclicity follows from the
@@ -211,7 +213,7 @@ class TreeDesc:
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
-            raise SpaceError(f"not a tree description source: {source!r}")
+            raise SpaceError(f"not a tree description source: {_shown(source)}")
         if not isinstance(data, dict):
             raise SpaceError("a tree description is a JSON object")
         edges = data.get("edges")
@@ -231,7 +233,7 @@ def _edge_length(ln) -> Fraction:
     try:
         return Fraction(str(ln))
     except ZeroDivisionError:
-        raise SpaceError(f"edge length {ln!r} has a zero denominator") from None
+        raise SpaceError(f"edge length {_shown(ln)} has a zero denominator") from None
 
 
 def _check_ids(ids, name) -> tuple:
@@ -280,6 +282,10 @@ class Space:
     and none returns None for it. ``exact`` is true where distances are
     exact Fractions.
 
+    Each input rule has one home: ``_finite`` tests a number parameter,
+    ``_check_member`` a point's space, ``MetricTree._end`` a tree end, and
+    a message spells the caller's value with ``_shown``.
+
     A strictly convex plane that carries tapes also gives
     ``half_chord(u, beta)``: the alpha >= 0 with |alpha u + beta w| = 1 for
     a unit u, w = (-u[1], u[0]) and |beta| <= 1; it raises SpaceError where
@@ -301,35 +307,35 @@ class Space:
         return (row(a, coords[i + 1:]) for i, a in enumerate(coords))
 
     def segment(self, a, b, d):
-        raise SpaceError(f"geodesics are not supported for {self!r}")
+        raise SpaceError(f"geodesics are not supported for {_shown(self)}")
 
     def ray(self, base, xi):
-        raise SpaceError(f"rays are not supported for {self!r}")
+        raise SpaceError(f"rays are not supported for {_shown(self)}")
 
     def line(self, eta, xi, through):
-        raise SpaceError(f"lines are not supported for {self!r}")
+        raise SpaceError(f"lines are not supported for {_shown(self)}")
 
     def direction_ideal(self, v):
-        raise SpaceError(f"direction ideal points undefined for {self!r}")
+        raise SpaceError(f"direction ideal points undefined for {_shown(self)}")
 
     def ideal_matches(self, a, b):
         # a == b first: inf - inf is nan, and inf matches only itself
         return a == b or abs(a - b) <= 1e-9
 
     def busemann_closed(self, ray, y):
-        raise SpaceError(f"no closed-form Busemann value for {self!r}")
+        raise SpaceError(f"no closed-form Busemann value for {_shown(self)}")
 
     def rho_closed(self, c, d):
         raise SpaceError("rays are not asymptotic")
 
     def grasshopper(self, a, b):
-        raise SpaceError(f"no analytic grasshopper formula for {self!r}")
+        raise SpaceError(f"no analytic grasshopper formula for {_shown(self)}")
 
     def extreme_midpoint(self, a, b, selector):
-        raise SpaceError(f"midpoint selectors are not supported for {self!r}")
+        raise SpaceError(f"midpoint selectors are not supported for {_shown(self)}")
 
     def closest_param(self, geo, x):
-        raise SpaceError(f"no closed-form closest point for {self!r}")
+        raise SpaceError(f"no closed-form closest point for {_shown(self)}")
 
 
 def _clip(geo, t) -> float:
@@ -348,9 +354,13 @@ _REAL = (int, float, Fraction)
 _REAL_TYPES = frozenset(_REAL)
 
 
-def _int_or_float(x) -> bool:
-    # a float model's parameter; a Fraction has no "g" format before Python 3.12
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _finite(x) -> bool:
+    """Is x a finite int or float, not a bool? An int beyond double range
+    is not; nor is a Fraction, which has no "g" format before Python 3.12."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _reals(c, dim) -> bool:
@@ -367,7 +377,7 @@ def _reals(c, dim) -> bool:
 
 def _check_space(space) -> Space:
     if not isinstance(space, Space):
-        raise SpaceError(f"unknown space {space!r}")
+        raise SpaceError(f"unknown space {_shown(space)}")
     return space
 
 
@@ -393,7 +403,7 @@ class NormedSpace(Space):
 
     def __post_init__(self):
         if type(self.dim) is not int or self.dim < 1:
-            raise SpaceError(f"dimension must be positive: an int >= 1, got {self.dim!r}")
+            raise SpaceError(f"dimension must be positive: an int >= 1, got {_shown(self.dim)}")
 
     def validate(self, c):
         if not _reals(c, self.dim):
@@ -500,8 +510,8 @@ class MinkowskiLp(NormedSpace):
     dim = 2
 
     def __post_init__(self):
-        if not (_int_or_float(self.p) and 1 < self.p < INF):
-            raise SpaceError(f"MinkowskiLp requires an int or float 1 < p < oo, got {self.p!r}")
+        if not (_finite(self.p) and self.p > 1):
+            raise SpaceError(f"MinkowskiLp requires an int or float 1 < p < oo, got {_shown(self.p)}")
 
     def norm(self, v):
         return pnorm(v, self.p)
@@ -522,7 +532,7 @@ class MinkowskiLp(NormedSpace):
     def half_chord(self, u, beta):
         # alpha u and beta w sit in separate coordinates only on an axis
         if 0.0 not in u:
-            raise SpaceError(f"no closed unit chord in {self.tag()} along direction {u}")
+            raise SpaceError(f"no closed unit chord in {self.tag()} along direction {_shown(u)}")
         return (1.0 - abs(beta) ** self.p) ** (1.0 / self.p)
 
     def tag(self):
@@ -556,7 +566,7 @@ class MinkowskiLinf(NormedSpace):
     def extreme_midpoint(self, a, b, selector):
         # a midpoint's coordinate j lies in [max(a_j, b_j) - d/2, min(a_j, b_j) + d/2]
         if selector not in ("upper extreme", "lower extreme"):
-            raise SpaceError(f"unknown midpoint selector {selector!r}")
+            raise SpaceError(f"unknown midpoint selector {_shown(selector)}")
         dd = self.distance(a, b)
         if dd == 0:
             raise DegenerateError("midpoint of identical points")
@@ -604,7 +614,7 @@ class HyperbolicPlane(Space):
             try:
                 return Point(self, coords(float(t)))
             except OverflowError:   # exp or cosh far out: raise, never pin
-                raise SpaceError(f"geodesic parameter {t} leaves double range") from None
+                raise SpaceError(f"geodesic parameter {_shown(t)} leaves double range") from None
         return at
 
     def _vertical(self, x0, y0, sgn):
@@ -692,10 +702,10 @@ class SphereIntrinsic(Space):
     dim: int  # ambient dimension; points are unit vectors in R^dim
 
     def __post_init__(self):
-        if not (_int_or_float(self.radius) and 0 < self.radius < INF):
-            raise SpaceError(f"radius must be a finite int or float > 0, got {self.radius!r}")
+        if not (_finite(self.radius) and self.radius > 0):
+            raise SpaceError(f"radius must be a finite int or float > 0, got {_shown(self.radius)}")
         if type(self.dim) is not int or self.dim < 2:
-            raise SpaceError(f"ambient dimension must be an int >= 2, got {self.dim!r}")
+            raise SpaceError(f"ambient dimension must be an int >= 2, got {_shown(self.dim)}")
 
     def validate(self, c):
         if not _reals(c, self.dim):
@@ -904,11 +914,11 @@ class MetricTree(Space):
             tL = num * L            # t * den over L, like D and rise
             if num < 0:
                 if minus_end is None:
-                    raise SpaceError(f"parameter {t} below domain")
+                    raise SpaceError(f"parameter {_shown(t)} below domain")
                 return Point(self, ("r", minus_end, -tf))
             if tL > D * den:
                 if plus_end is None:
-                    raise SpaceError(f"parameter {t} beyond domain")
+                    raise SpaceError(f"parameter {_shown(t)} beyond domain")
                 return Point(self, ("r", plus_end, Fraction(tL - D * den, den * L)))
             M = math.lcm(L, den)
             s, m = num * (M // den), M // L
@@ -918,7 +928,6 @@ class MetricTree(Space):
         return at
 
     def validate(self, c):
-        desc = self.desc
         if not (isinstance(c, tuple) and c and c[0] in ("v", "e", "r")
                 and len(c) == (2 if c[0] == "v" else 3)):
             raise SpaceError(f"bad tree coords {_shown(c)}")
@@ -936,8 +945,7 @@ class MetricTree(Space):
                 raise SpaceError(f"edge offset must be a Fraction in (0, {_shown(ln)}): {_shown(off)}")
         else:
             _, end, off = c
-            if end not in desc.ends:
-                raise SpaceError(f"{_shown(end)} is not a declared end")
+            self._end(end)
             if not isinstance(off, Fraction) or off <= 0:
                 raise SpaceError(f"ray offset must be a positive Fraction: {_shown(off)}")
 
@@ -947,6 +955,12 @@ class MetricTree(Space):
         if not (type(idx) is int and 0 <= idx < len(edges)):
             raise SpaceError(f"edge index {_shown(idx)} out of range")
         return edges[idx]
+
+    def _end(self, end):
+        """end itself; SpaceError unless it is a declared end."""
+        if end not in self.desc.ends:
+            raise SpaceError(f"{_shown(end)} is not a declared end")
+        return end
 
     def coerce(self, coords):
         return coords
@@ -1069,7 +1083,7 @@ class MetricTree(Space):
             def at(t):
                 tf = _as_fraction(t)
                 if tf < 0:
-                    raise SpaceError(f"parameter {t} below domain")
+                    raise SpaceError(f"parameter {_shown(t)} below domain")
                 return Point(self, ("r", end, off + tf))
             return at
         return self._geodesic(c, ("v", end), plus_end=end)
@@ -1210,7 +1224,7 @@ def point(space, coords) -> Point:
 def _of_model(space, model):
     """space itself, if it is a `model`; SpaceError otherwise."""
     if not isinstance(space, model):
-        raise SpaceError(f"expected a {model.__name__} space, got {space!r}")
+        raise SpaceError(f"expected a {model.__name__} space, got {_shown(space)}")
     return space
 
 
@@ -1231,8 +1245,7 @@ def tree_edge_point(space: MetricTree, edge_index: int, offset: Number) -> Point
 
 
 def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
-    if end not in _of_model(space, MetricTree).desc.ends:
-        raise SpaceError(f"{end!r} is not a declared end")
+    _of_model(space, MetricTree)._end(end)
     off = _as_fraction(offset)
     if off == 0:
         return tree_vertex(space, end)
@@ -1278,16 +1291,13 @@ def direction_ideal(space, v) -> IdealPoint:
 
 def boundary_ideal(space: HyperbolicPlane, x) -> IdealPoint:
     """Ideal point of H^2: a boundary real or math.inf."""
-    x = float(x)
-    if math.isnan(x) or x == -INF:
-        raise SpaceError(f"an H^2 ideal point is a boundary real or +inf, not {x!r}")
-    return IdealPoint(_of_model(space, HyperbolicPlane), x)
+    if not (_reals((x,), 1) or x == INF):
+        raise SpaceError(f"an H^2 ideal point is a boundary real or +inf, not {_shown(x)}")
+    return IdealPoint(_of_model(space, HyperbolicPlane), float(x))
 
 
 def tree_end(space: MetricTree, end) -> IdealPoint:
-    if end not in _of_model(space, MetricTree).desc.ends:
-        raise SpaceError(f"{end!r} is not a declared end")
-    return IdealPoint(space, end)
+    return IdealPoint(space, _of_model(space, MetricTree)._end(end))
 
 
 # ---------------------------------------------------------------------------
@@ -1335,7 +1345,7 @@ def _same_space(a, b) -> bool:
 def _check_member(space, *pts):
     for p in pts:
         if not isinstance(p, Point) or not _same_space(p.space, space):
-            raise SpaceError(f"point {p!r} does not belong to {space!r}")
+            raise SpaceError(f"point {_shown(p)} does not belong to {_shown(space)}")
 
 
 def distance(space, x: Point, y: Point):

@@ -36,6 +36,7 @@ from .spaces import (
     SpaceError,
     SphereIntrinsic,
     TreeDesc,
+    _shown,
     boundary_ideal,
     direction_ideal,
     distance,
@@ -742,7 +743,7 @@ def run_named_suite(name: str, seed: int, params: dict) -> list:
     if name == "all":
         return [rep for sub in SUITES for rep in run_named_suite(sub, seed, params)]
     if name not in SUITES:
-        raise SpaceError(f"unknown suite {name!r}")
+        raise SpaceError(f"unknown suite {_shown(name)}")
     reports = SUITES[name](seed, params)
     expected = SUITE_SIZES[name]
     if len(reports) != expected:

@@ -21,7 +21,8 @@ from .spaces import (
     SpaceError,
     _check_member,
     _check_space,
-    _same_space,
+    _finite,
+    _shown,
     distance,
     midpoint,
 )
@@ -39,9 +40,6 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
     tolerance: float = 0.0
     data: dict = field(default_factory=dict)
-    # every violation recorded, with those a check ranked out before
-    # building their witnesses
-    violations: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -51,20 +49,21 @@ class VerificationReport:
         # kept as given; finalize converts only the witnesses it keeps
         self.status = "fail"
         self.witnesses.append(witness)
-        self.violations += 1
 
     def finalize(self, **counts):
         """Canonical witness order and cap; a failed report keeps >= 1 witness.
 
-        Given counts become the report's counts, followed by "violations",
-        the number of violations recorded; a given "violations" keeps its
-        place and takes that number. The witnesses sorted are those
-        _under_lead_cut passes. is_isometry ranks its failing pairs the same
-        way before it builds their witnesses and sets ``violations`` to
-        every failing pair, so the count still covers those it never
-        built."""
+        Given counts become the report's counts, with "violations": a number
+        given for it is kept, otherwise it is the number of witnesses
+        recorded, in the place of a given None or after the other counts.
+        The witnesses sorted are those _under_lead_cut passes. is_isometry
+        ranks its failing pairs the same way before it builds their
+        witnesses and gives every failing pair as ``violations``, so the
+        count still covers those it never built."""
         if counts:
-            self.counts = {**counts, "violations": self.violations}
+            if counts.get("violations") is None:
+                counts["violations"] = len(self.witnesses)
+            self.counts = counts
         leads = [_witness_lead(w) for w in self.witnesses]
         kept = sorted(_under_lead_cut(self.witnesses, leads), key=_witness_key)[:MAX_WITNESSES]
         self.witnesses = [_jsonable(w) for w in kept]
@@ -86,6 +85,9 @@ class VerificationReport:
 
 
 def _jsonable(v):
+    if isinstance(v, float):    # first: most leaves are floats, such as coordinates
+        # strict JSON has no Infinity or NaN
+        return v if math.isfinite(v) else "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -94,22 +96,12 @@ def _jsonable(v):
         return str(v)
     if isinstance(v, Point):
         return _jsonable(v.coords)
-    if isinstance(v, float) and not math.isfinite(v):
-        # strict JSON has no Infinity or NaN
-        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
     return v
 
 
-def _encode_default(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, Point):
-        return v.coords
-    raise TypeError(f"not JSON serializable: {v!r}")
-
-
-_encode_key = json.JSONEncoder(sort_keys=True, default=_encode_default,
-                               allow_nan=False).encode
+# default spells a Fraction or a Point as _jsonable does; any other type
+# comes back as it is, and the encoder refuses it
+_encode_key = json.JSONEncoder(sort_keys=True, default=_jsonable, allow_nan=False).encode
 
 
 _STR = frozenset((str,))
@@ -183,11 +175,10 @@ def _under_lead_cut(items: list, leads: list) -> list:
 
 
 def _check_tol(tol, what: str = "tol"):
-    # a nan or negative tol would fail every comparison, a wrong verdict
-    # with no error
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-            or not math.isfinite(tol) or tol < 0):
-        raise SpaceError(f"{what} must be a finite number >= 0, got {tol!r}")
+    """SpaceError unless tol is _finite and >= 0: a nan or negative tol
+    would fail every comparison, a wrong verdict with no error."""
+    if not (_finite(tol) and tol >= 0):
+        raise SpaceError(f"{what} must be a finite number >= 0, got {_shown(tol)}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +190,7 @@ class SampleSet:
     points: tuple
 
     def __post_init__(self):
-        for p in self.points:
-            if not _same_space(p.space, self.space):
-                raise SpaceError("sample point from a different space")
+        _check_member(self.space, *self.points)
         if not self.points:
             raise SpaceError("empty sample")
 
@@ -397,8 +386,7 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
         failing = _under_lead_cut(failing, [_spelling(dy) for *_, dy in failing])
     for i, j, dx, dy in failing:
         rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
-    rep.violations = found          # the pairs ranked out count too
-    return rep.finalize(pairs=pairs)
+    return rep.finalize(pairs=pairs, violations=found)     # the pairs ranked out count too
 
 
 _UNIT_MODES = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}
@@ -411,7 +399,7 @@ def _unit_class(mode: str, tol: float, exact: bool):
     tol >= 0) is the whole test."""
     cmp = _UNIT_MODES.get(mode)
     if cmp is None:
-        raise SpaceError(f"unknown mode {mode!r}")
+        raise SpaceError(f"unknown mode {_shown(mode)}")
     if exact and tol == 0:
         return lambda row: [cmp(d, 1) for d in row]
     if mode == "eq":

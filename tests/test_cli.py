@@ -202,6 +202,21 @@ def test_cli_rejects_bad_seed_and_tol(tmp_path, capsys, config, flags):
         assert (key in err) == (key in json.dumps(config))
 
 
+@pytest.mark.parametrize("text", [
+    '{"suite": "axioms", "seed": 1%s}' % ("0" * 5000),
+    '{"suite": "axioms", "seed": 7, "parameters": {"triples": 1%s}}' % ("0" * 5000),
+    '{"suite": "axioms", "seed": 7, "parameters": {"tol": 1%s}}' % ("0" * 399),
+], ids=["seed-5001-digits", "triples-5001-digits", "tol-400-digits"])
+def test_cli_rejects_huge_integers_in_a_config(tmp_path, capsys, text):
+    # json refuses an int of more than 4300 digits with a plain ValueError;
+    # a 400-digit tol parses but overflows a float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 GOOD_TREE = {"vertices": ["a", "b", "c"],
              "edges": [["a", "b", "1/2"], ["b", "c", "1/2"]],
              "denominator_bound": 2}

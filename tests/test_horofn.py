@@ -373,6 +373,24 @@ def test_shadows_reject_bad_tol(tol):
         spherical_shadow_sample(e2, y, x0, 1.0, resolution=720, tol=tol)
 
 
+_E2 = Euclidean(2)
+_Y, _X0 = point(_E2, (-2, 0)), point(_E2, (0, 0))
+_UP = ray_from(_E2, _X0, direction_ideal(_E2, (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spherical_shadow_sample(_E2, _Y, _X0, rho=10 ** 400),
+    lambda: spherical_shadow_sample(_E2, _Y, _X0, 1.0, tol=10 ** 400),
+    lambda: shadow_contains(_E2, _Y, _X0, point(_E2, (0, 5)), tol=10 ** 400),
+    lambda: busemann_value(_E2, _UP, _Y, method=10 ** 5000),
+], ids=["shadow-rho-400-digits", "shadow-tol-400-digits", "contains-tol-400-digits",
+        "busemann-method-5001-digits"])
+def test_bad_input_raises_space_error(make):
+    with pytest.raises(SpaceError) as err:
+        make()
+    assert "\n" not in str(err.value)
+
+
 def test_shadows_accept_zero_tol():
     e2 = Euclidean(2)
     y, x0 = point(e2, (-1, 0)), point(e2, (0, 0))

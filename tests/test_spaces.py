@@ -407,6 +407,38 @@ def test_a_number_too_long_to_repr_gets_a_short_description(make, args):
         make(*args)
 
 
+_H2_UP = ray_from(HyperbolicPlane(), Point(HyperbolicPlane(), (0.0, 1.0)),
+                 boundary_ideal(HyperbolicPlane(), math.inf))
+_TREE_SEGMENT = geodesic_between(_TREE, tree_vertex(_TREE, "x0"), tree_vertex(_TREE, "spur"))
+_LINF = MinkowskiLinf()
+
+
+@pytest.mark.parametrize("make, args", [
+    (tree_end, (_TREE, HUGE)),
+    (tree_ray_point, (_TREE, HUGE, 1)),
+    (MinkowskiLp, (10 ** 400,)),
+    (MinkowskiLp, (HUGE,)),
+    (SphereIntrinsic, (10 ** 400, 3)),
+    (distance, (Euclidean(2), Point(Euclidean(2), (0.0, 0.0)), (HUGE, 0))),
+    (TreeDesc, (("a", "b"), (("a", "b", Fraction(1)),), -HUGE)),
+    (boundary_ideal, (HyperbolicPlane(), 10 ** 400)),
+    (boundary_ideal, (HyperbolicPlane(), "x")),
+    (boundary_ideal, (HyperbolicPlane(), None)),
+    (_H2_UP.point_at, (HUGE,)),
+    (_TREE_SEGMENT.point_at, (THIRD,)),
+    (midpoint, (_LINF, Point(_LINF, (0.0, 0.0)), Point(_LINF, (1.0, 0.0)), HUGE)),
+], ids=["tree-end-5001-digits", "tree-ray-end-5001-digits", "lp-p-400-digits",
+        "lp-p-5001-digits", "sphere-radius-400-digits", "distance-to-raw-coords",
+        "tree-bound-5001-digits", "boundary-400-digits", "boundary-str", "boundary-none",
+        "h2-parameter-5001-digits", "tree-parameter-5001-digits", "selector-5001-digits"])
+def test_bad_input_raises_space_error(make, args):
+    # a number past double range is refused where it enters, and a message
+    # spells a value too long to print by its length
+    with pytest.raises(SpaceError) as err:
+        make(*args)
+    assert "\n" not in str(err.value)
+
+
 def test_hyperbolic_ray_point_beyond_double_range_is_refused():
     # y = 1e300 e^t overflows to inf without an OverflowError; the point
     # (0.0, inf), whose distance to (1, 1) is nan, is refused instead
@@ -440,14 +472,16 @@ def test_finite_nonzero_directions_whose_plain_sum_leaves_double_range():
     # norm is a double; the direction is taken over its largest component
     e2, lp, sph = Euclidean(2), MinkowskiLp(3.0), SphereIntrinsic(1.0, 3)
     half = math.sqrt(0.5)
-    for v in ((1e154, 1e154), (1e-200, 1e-200), (1e308, 1e308), (-1e-300, 1e-300)):
+    # (1e-160, 1e-160): the sum of squares, 2e-320, is subnormal, not 0
+    for v in ((1e154, 1e154), (1e-160, 1e-160), (1e-200, 1e-200), (1e308, 1e308),
+              (-1e-300, 1e-300)):
         rep = direction_ideal(e2, v).rep
         assert rep == pytest.approx((math.copysign(half, v[0]), half), rel=1e-15)
     assert direction_ideal(lp, (1e-200, 0.0)).rep == (1.0, 0.0)
     assert direction_ideal(lp, (1e308, -1e308)).rep == pytest.approx(
         (2 ** (-1 / 3), -2 ** (-1 / 3)), rel=1e-15)
-    assert sphere_point(sph, (1e200, 1e200, 0)).coords == pytest.approx((half, half, 0.0),
-                                                                         rel=1e-15)
+    for v in ((1e200, 1e200, 0), (1e-160, 1e-160, 0)):
+        assert sphere_point(sph, v).coords == pytest.approx((half, half, 0.0), rel=1e-15)
     # a direction whose plain norm is a nonzero double keeps its bits
     for v in ((3.0, 4.0), (1e100, 3e99), (1e-100, 2e-101), (0.1, -0.7)):
         assert direction_ideal(e2, v).rep == tuple(x / enorm(v) for x in v)

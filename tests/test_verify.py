@@ -233,7 +233,7 @@ def test_sample_checks_reject_foreign_samples():
     s2, s3 = random_sample(e2, 4, seed=1), random_sample(e3, 4, seed=1)
     with pytest.raises(SpaceError):
         check_metric_axioms(e2, s3)
-    with pytest.raises(SpaceError, match="sample point from a different space"):
+    with pytest.raises(SpaceError, match="does not belong to"):
         SampleSet(e2, s2.points + s3.points[:1])
     with pytest.raises(SpaceError, match="empty sample"):
         SampleSet(e2, ())
@@ -352,6 +352,23 @@ def test_checks_reject_a_tol_that_is_not_a_finite_number_at_least_0(name):
     for tol in _BAD_TOLS:
         with pytest.raises(SpaceError, match="tol must be a finite number >= 0"):
             check(tol)
+
+
+_E2 = Euclidean(2)
+_E2_SAMPLE = random_sample(_E2, 4, seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: check_metric_axioms(_E2, _E2_SAMPLE, tol=10 ** 400),
+    lambda: is_isometry((_E2, _E2), _identity(_E2), _E2_SAMPLE, tol=10 ** 400),
+    lambda: preserves_unit_distance((_E2, _E2), _identity(_E2), _E2_SAMPLE, mode=10 ** 5000),
+    lambda: SampleSet(_E2, ((0.0, 0.0),)),
+], ids=["axioms-tol-400-digits", "isometry-tol-400-digits", "unit-mode-5001-digits",
+        "sample-of-raw-coords"])
+def test_bad_input_raises_space_error(make):
+    with pytest.raises(SpaceError) as err:
+        make()
+    assert "\n" not in str(err.value)
 
 
 def test_isometry_implies_unit_preservation():
