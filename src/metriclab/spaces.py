@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -86,18 +87,19 @@ def supnorm(a):
     return max(abs(float(x)) for x in a)
 
 
-def _direction_norm(norm, v) -> float:
-    """norm(v) for a direction v. Where squaring or powering before the root
-    takes the plain value to inf, or below 1e-100 (under which a sum of
-    squares or cubes can be subnormal; 1e-100 ** 3 is still normal), it is
-    m * norm(v / m) instead, m the largest |component|: the scaled sum lies
-    in [1, len(v)]. A v whose plain norm is a double >= 1e-100 keeps its
-    bits."""
+def _direction_norm(norm, v, p) -> float:
+    """norm(v) for a direction v, norm the l_p norm. Where squaring or
+    powering before the root takes the plain value to inf, or below the
+    smallest normal double to the power 1 / p (under which the sum of p-th
+    powers is subnormal), it is m * norm(v / m) instead, m the largest
+    |component|: the scaled sum lies in [1, len(v)]. A v whose plain norm
+    is a double at or above that bound keeps its bits; for p <= 3 the bound
+    is below 1e-100."""
     try:
         n = norm(v)
     except OverflowError:           # abs(x) ** p beyond double range on l_p
         n = INF
-    if n < 1e-100 or n == INF:
+    if n < sys.float_info.min ** (1.0 / p) or n == INF:
         m = supnorm(v)
         if 0 < m < INF:
             n = m * norm(tuple(float(x) / m for x in v))
@@ -194,7 +196,7 @@ class TreeDesc:
             raise SpaceError("edge set is not connected")
         for e in self.ends:
             if e not in vs:
-                raise SpaceError(f"end anchor {e} is not a vertex")
+                raise SpaceError(f"end anchor {_shown(e)} is not a vertex")
         if len(set(self.ends)) != len(self.ends):
             raise SpaceError("duplicate end ids")
         object.__setattr__(self, "up", up)
@@ -393,8 +395,10 @@ def _flat_line_anchor(space, through):
 
 class NormedSpace(Space):
     """R^dim with a norm: distance, geodesics and ideal points are affine.
-    Subclasses give ``norm``, ``dim`` (a field on ``Euclidean``, the class
-    constant 2 on the l_p and sup-norm planes) and ``row``, which is
+    Subclasses give ``norm``, its exponent ``p`` (a field on the l_p plane,
+    the class constant 2 on ``Euclidean`` and inf on the sup-norm plane),
+    ``dim`` (a field on ``Euclidean``, the class constant 2 on the l_p and
+    sup-norm planes) and ``row``, which is
     ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
     same float operations in the same order. ``rho_closed`` is the planar
     form from the planes' ``dual_norm`` (the norm of a linear functional
@@ -429,7 +433,7 @@ class NormedSpace(Space):
         v = tuple(v)
         if not _reals(v, self.dim):
             raise SpaceError(f"a direction is {self.dim} finite reals, got {_shown(v)}")
-        n = _direction_norm(self.norm, v)
+        n = _direction_norm(self.norm, v, self.p)
         if n == 0 or n == INF:      # a norm past double range would give (0, 0)
             raise SpaceError(f"direction {_shown(v)} is zero or its norm overflows a double")
         return IdealPoint(self, tuple(float(x) / n for x in v))
@@ -454,6 +458,7 @@ class NormedSpace(Space):
 @dataclass(frozen=True)
 class Euclidean(NormedSpace):
     dim: int
+    p = 2
 
     def norm(self, v):
         return enorm(v)
@@ -521,7 +526,14 @@ class MinkowskiLp(NormedSpace):
 
     def row(self, a, bs):
         (ax, ay), p, q = a, self.p, 1.0 / self.p
-        return [(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in bs]
+        try:
+            out = [(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in bs]
+            if INF not in out:
+                return out
+        except OverflowError:       # abs(gap) ** p beyond double range
+            pass
+        # a power or the sum of two left double range: rescale each pair
+        return [_direction_norm(self.norm, (ax - bx, ay - by), p) for bx, by in bs]
 
     def busemann_closed(self, ray, y):
         o = ray.point_at(0)
@@ -545,6 +557,7 @@ class MinkowskiLinf(NormedSpace):
     convexity-violation witnesses and excluded from Busemann suites."""
 
     dim = 2
+    p = INF
 
     def norm(self, v):
         return supnorm(v)
@@ -1255,7 +1268,7 @@ def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
 def sphere_point(space: SphereIntrinsic, direction) -> Point:
     _of_model(space, SphereIntrinsic)
     try:
-        n = _direction_norm(enorm, direction)
+        n = _direction_norm(enorm, direction, 2)
     except OverflowError:           # float() of an int or Fraction beyond double range
         raise SpaceError("a direction component leaves double range") from None
     if n == 0:

@@ -99,39 +99,15 @@ def _jsonable(v):
     return v
 
 
-# default spells a Fraction or a Point as _jsonable does; any other type
-# comes back as it is, and the encoder refuses it
-_encode_key = json.JSONEncoder(sort_keys=True, default=_jsonable, allow_nan=False).encode
-
-
+_encode_key = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 _STR = frozenset((str,))
-# a Point validates its coordinates as numbers, tags and vertex ids, so
-# it holds no dict
-_LEAVES = frozenset((str, int, float, bool, type(None), Fraction, Point))
-
-
-def _str_keyed(v) -> bool:
-    """Is every dict key in v, at any depth, a str?"""
-    if isinstance(v, dict):
-        if not _STR.issuperset(map(type, v)):
-            return False
-        v = v.values()
-    elif not isinstance(v, (list, tuple)):
-        return True
-    return _LEAVES.issuperset(map(type, v)) or all(map(_str_keyed, v))
 
 
 def _witness_key(w) -> str:
-    """json.dumps(_jsonable(w), sort_keys=True), from one pass of the C
-    encoder where that gives the same string: it cannot when w holds a
-    non-finite float (the encoder raises) or a non-str dict key (the
-    encoder sorts ints as numbers and spells True and None its own way)."""
-    if _str_keyed(w):
-        try:
-            return _encode_key(w)
-        except ValueError:
-            pass
-    return json.dumps(_jsonable(w), sort_keys=True)
+    """json.dumps(_jsonable(w), sort_keys=True): the order finalize sorts
+    witnesses by. A leaf of a type _jsonable does not convert is a
+    TypeError."""
+    return _encode_key(_jsonable(w))
 
 
 def _witness_lead(w) -> str:

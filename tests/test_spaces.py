@@ -421,6 +421,7 @@ _LINF = MinkowskiLinf()
     (SphereIntrinsic, (10 ** 400, 3)),
     (distance, (Euclidean(2), Point(Euclidean(2), (0.0, 0.0)), (HUGE, 0))),
     (TreeDesc, (("a", "b"), (("a", "b", Fraction(1)),), -HUGE)),
+    (TreeDesc, (("a", "b"), (("a", "b", Fraction(1)),), 1, (HUGE,))),
     (boundary_ideal, (HyperbolicPlane(), 10 ** 400)),
     (boundary_ideal, (HyperbolicPlane(), "x")),
     (boundary_ideal, (HyperbolicPlane(), None)),
@@ -429,7 +430,8 @@ _LINF = MinkowskiLinf()
     (midpoint, (_LINF, Point(_LINF, (0.0, 0.0)), Point(_LINF, (1.0, 0.0)), HUGE)),
 ], ids=["tree-end-5001-digits", "tree-ray-end-5001-digits", "lp-p-400-digits",
         "lp-p-5001-digits", "sphere-radius-400-digits", "distance-to-raw-coords",
-        "tree-bound-5001-digits", "boundary-400-digits", "boundary-str", "boundary-none",
+        "tree-bound-5001-digits", "tree-end-anchor-5001-digits", "boundary-400-digits",
+        "boundary-str", "boundary-none",
         "h2-parameter-5001-digits", "tree-parameter-5001-digits", "selector-5001-digits"])
 def test_bad_input_raises_space_error(make, args):
     # a number past double range is refused where it enters, and a message
@@ -468,8 +470,9 @@ def test_direction_ideal_refuses_wrong_lengths_and_non_finite_components():
 
 
 def test_finite_nonzero_directions_whose_plain_sum_leaves_double_range():
-    # the sum of squares (cubes on l_3) overflows or underflows, though the
-    # norm is a double; the direction is taken over its largest component
+    # the sum of squares (cubes on l_3, p-th powers on l_p) overflows or
+    # underflows, though the norm is a double; the direction is taken over
+    # its largest component
     e2, lp, sph = Euclidean(2), MinkowskiLp(3.0), SphereIntrinsic(1.0, 3)
     half = math.sqrt(0.5)
     # (1e-160, 1e-160): the sum of squares, 2e-320, is subnormal, not 0
@@ -482,10 +485,34 @@ def test_finite_nonzero_directions_whose_plain_sum_leaves_double_range():
         (2 ** (-1 / 3), -2 ** (-1 / 3)), rel=1e-15)
     for v in ((1e200, 1e200, 0), (1e-160, 1e-160, 0)):
         assert sphere_point(sph, v).coords == pytest.approx((half, half, 0.0), rel=1e-15)
-    # a direction whose plain norm is a nonzero double keeps its bits
+    # on l_10 the 10th powers of components near 1e-32 are subnormal, though
+    # the norm is far above 1e-100; on l_1000 those of 0.4 underflow to 0
+    for p, v in ((10.0, (1e-32, 1e-32)), (10.0, (3e-32, -3e-32)), (10.0, (1e-32, 2e-33)),
+                 (1000.0, (0.4, 0.3))):
+        rep = direction_ideal(MinkowskiLp(p), v).rep
+        assert pnorm(rep, p) == pytest.approx(1.0, abs=4 * math.ulp(1.0))
+    # a direction whose plain norm is a nonzero double, with a normal sum
+    # of powers, keeps its bits
     for v in ((3.0, 4.0), (1e100, 3e99), (1e-100, 2e-101), (0.1, -0.7)):
         assert direction_ideal(e2, v).rep == tuple(x / enorm(v) for x in v)
         assert direction_ideal(lp, v).rep == tuple(x / pnorm(v, 3.0) for x in v)
+    v = (1e-20, -3e-21)
+    assert direction_ideal(MinkowskiLp(10.0), v).rep == tuple(x / pnorm(v, 10.0) for x in v)
+
+
+@pytest.mark.parametrize("p, gap", [(400.0, 10.0), (3.0, 1e103), (1.5, 1e206), (2.0, 1e154)])
+def test_lp_distances_whose_powers_leave_double_range(p, gap):
+    # gap ** p (on l_2, the sum of two squares) is past double range while
+    # the distance is a double: a row with such a pair rescales each pair
+    # by its larger gap, and a row without one keeps its bits
+    lp = MinkowskiLp(p)
+    o = (0.0, 0.0)
+    far = [(gap, 0.0), (0.0, -gap), (gap, gap), (1.0, 2.0)]
+    want = [gap, gap, gap * 2 ** (1 / p), (1 + 2 ** p) ** (1 / p)]
+    assert lp.row(o, far) == pytest.approx(want, rel=1e-15)
+    assert distance(lp, point(lp, o), point(lp, (gap, gap))) == pytest.approx(want[2], rel=1e-15)
+    near = [(1.0, 2.0), (-0.5, 3.0)]
+    assert lp.row(o, near) == [(abs(x) ** p + abs(y) ** p) ** (1 / p) for x, y in near]
 
 
 def test_max_product_nesting_capped():
@@ -605,7 +632,7 @@ def test_tree_desc_validation():
         (("a", "b"), (("a", "b", Fraction(1, 3)),), 2, (), "not dividing 2"),
         (("a", "b", "c", "d"), (("a", "b", half), ("a", "b", half), ("c", "d", half)), 2, (),
          "not connected"),
-        (("a", "b"), (("a", "b", half),), 2, ("z",), "end anchor z is not a vertex"),
+        (("a", "b"), (("a", "b", half),), 2, ("z",), "end anchor 'z' is not a vertex"),
         (("a", "b"), (("a", "b", half),), 2, ("a", "b", "a"), "duplicate end ids"),
     ]
     for vertices, edges, n, ends, message in cases:

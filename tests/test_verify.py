@@ -456,6 +456,16 @@ def test_witness_key_equals_the_jsonable_key(w):
     assert _witness_key(w) == _reference_key(w)
 
 
+def test_witness_key_refuses_an_unknown_leaf_type():
+    # a set, bytes or a bare object has no JSON spelling: the key raises,
+    # as json.dumps does
+    for w in ({"s": {1}}, [object()], {"x": 1.0, "y": {"z": b"b"}}):
+        with pytest.raises(TypeError):
+            _witness_key(w)
+        with pytest.raises(TypeError):
+            _reference_key(w)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(ws=st.lists(st.dictionaries(st.sampled_from("xyz"), _witnesses, min_size=1),
                    min_size=1, max_size=40))
