@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -60,19 +61,19 @@ class ConvergenceError(RuntimeError):
 # vector helpers (plain tuples, no external deps)
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vscale(a, s):
-    return tuple(x * s for x in a)
+    return tuple([x * s for x in a])
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def enorm(a):
@@ -465,6 +466,9 @@ class Euclidean(NormedSpace):
 
     def row(self, a, bs):
         sqrt = math.sqrt
+        if self.dim == 1:       # sqrt(0 + d * d) is sqrt(d * d): d * d is never -0.0
+            (ax,) = a
+            return [sqrt((ax - bx) * (ax - bx)) for (bx,) in bs]
         if self.dim != 2:
             return [sqrt(sum((x - y) * (x - y) for x, y in zip(a, b))) for b in bs]
         ax, ay = a
@@ -567,7 +571,9 @@ class MinkowskiLinf(NormedSpace):
 
     def row(self, a, bs):
         ax, ay = a
-        return [max(abs(ax - bx), abs(ay - by)) for bx, by in bs]
+        # max(dx, dy) without the call: dx unless dy > dx
+        return [dy if dy > dx else dx
+                for bx, by in bs for dx, dy in ((abs(ax - bx), abs(ay - by)),)]
 
     def busemann_closed(self, ray, y):
         # |y - o - t u|_oo - t: a coordinate with |u_i| < 1 falls behind by
@@ -1192,15 +1198,17 @@ class MaxProduct(Space):
     def coerce(self, coords):
         return coords
 
-    # max compares a Fraction with a float exactly and returns the larger as is
+    # max(l, r) without the call: l unless r > l, which compares a Fraction
+    # with a float exactly and keeps the larger as is, the left one on a tie
     def row(self, a, bs):
-        return list(map(max, self.left.row(a[0], [b[0] for b in bs]),
-                        self.right.row(a[1], [b[1] for b in bs])))
+        pairs = zip(self.left.row(a[0], [b[0] for b in bs]),
+                    self.right.row(a[1], [b[1] for b in bs]))
+        return [r if r > l else l for l, r in pairs]
 
     def rows(self, coords):
         pairs = zip(self.left.rows([c[0] for c in coords]),
                     self.right.rows([c[1] for c in coords]))
-        return (list(map(max, rl, rr)) for rl, rr in pairs)
+        return ([r if r > l else l for l, r in zip(rl, rr)] for rl, rr in pairs)
 
     def random_point(self, rng, scale):
         l = self.left.random_point(rng, scale)

@@ -101,6 +101,7 @@ def _jsonable(v):
 
 _encode_key = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 _STR = frozenset((str,))
+_FLOAT = frozenset((float,))
 
 
 def _witness_key(w) -> str:
@@ -148,6 +149,28 @@ def _under_lead_cut(items: list, leads: list) -> list:
         return items
     cut = heapq.nsmallest(MAX_WITNESSES, known)[-1]
     return [w for w, lead in zip(items, leads) if lead <= cut]
+
+
+def _under_spelling_cut(failing: list) -> list:
+    """_under_lead_cut(failing, [_spelling(d_after) ...]) for the failing
+    pairs (i, j, d_before, d_after) of is_isometry, without spelling the
+    floats where it need not.
+
+    repr spells a float with its sign bit clear in fixed notation for
+    decimal exponents -4 to 15: it starts with "0." exactly for +0.0 and
+    1e-4 <= d < 1.0, where string and numeric order agree, and with a digit
+    1 to 9 for every other finite one. So while every d_after is such a
+    float and at least MAX_WITNESSES of them start with "0.", the cut is
+    the MAX_WITNESSES-th smallest of those, by value. Any other d_after (a
+    Fraction, an int, nan, an infinity, -0.0 or a negative value) and
+    fewer such floats keep the spelled cut."""
+    ds = [dy for *_, dy in failing]
+    if _FLOAT.issuperset(map(type, ds)) and all(map(math.isfinite, ds)) and min(ds) >= 0.0:
+        fixed = [d for d in ds if d < 1.0 and (d >= 1e-4 or d == 0.0)]
+        if len(fixed) >= MAX_WITNESSES and all(math.copysign(1.0, d) > 0.0 for d in fixed if not d):
+            cut = heapq.nsmallest(MAX_WITNESSES, fixed)[-1]
+            return [w for w, d in zip(failing, ds) if d <= cut and (d >= 1e-4 or d == 0.0)]
+    return _under_lead_cut(failing, [_spelling(d) for d in ds])
 
 
 def _check_tol(tol, what: str = "tol"):
@@ -277,10 +300,9 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> Verific
     checked = 0
     for i1 in range(grid + 1):
         for j1 in range(grid + 1):
-            for i2 in range(i1, grid + 1):
-                for j2 in range(grid + 1):
-                    if (i1 + i2) % 2 or (j1 + j2) % 2:
-                        continue
+            # the later corners of the same parity: their midpoints are lattice points
+            for i2 in range(i1, grid + 1, 2):
+                for j2 in range(j1 % 2, grid + 1, 2):
                     mid = D[(i1 + i2) // 2][(j1 + j2) // 2]
                     avg = 0.5 * (D[i1][j1] + D[i2][j2])
                     checked += 1
@@ -336,8 +358,10 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     kept as (i, j, d_before, d_after). Past MAX_WITNESSES of them, the
     pairs are ranked by the spelling of d_after, which orders their leads
     (d_after is the witness's smallest key), and only those at or under
-    the cut finalize would take get a witness. The report's "violations"
-    counts every failing pair."""
+    the cut finalize would take get a witness. Float values of d_after
+    spelled "0.", where spelling and value agree, are ranked by value
+    (_under_spelling_cut); everything else by its spelling. The report's
+    "violations" counts every failing pair."""
     _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
@@ -359,7 +383,7 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
                         if not abs(float(dx) - float(dy)) <= tol]
     found = len(failing)
     if found > MAX_WITNESSES:
-        failing = _under_lead_cut(failing, [_spelling(dy) for *_, dy in failing])
+        failing = _under_spelling_cut(failing)
     for i, j, dx, dy in failing:
         rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
     return rep.finalize(pairs=pairs, violations=found)     # the pairs ranked out count too

@@ -32,6 +32,23 @@ def _normed_distance(space, a, b):
     return space.norm(vsub(a, b))
 
 
+def _linf_row(a, bs):
+    """The sup-norm row with one ``max`` call per pair."""
+    ax, ay = a
+    return [max(abs(ax - bx), abs(ay - by)) for bx, by in bs]
+
+
+def _max_row(left, right):
+    """The max product of two factor rows with one ``max`` call per pair:
+    the left value, as it is, unless the right one is larger."""
+    return list(map(max, left, right))
+
+
+def _euclidean_row(a, bs):
+    """The Euclidean row in any dimension, the root of a sum of squares."""
+    return [math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b))) for b in bs]
+
+
 def _sphere_distance(space, a, b):
     """The sphere's angular distance through the tuple helpers:
     r atan2(|a - (a.b) b|, a.b). Both sums add left to right, as the float

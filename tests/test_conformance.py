@@ -9,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.spaces import MaxProduct, RealLine, distance
+from metriclab.spaces import Euclidean, MaxProduct, MinkowskiLinf, Point, RealLine, distance
 from metriclab.suites import CATALOG, ended_tree, swap_tree
 from metriclab.verify import random_sample
 
+from oracles import _euclidean_row, _linf_row, _max_row
+
 # the catalog, plus products with a tree factor: one exact throughout, one
-# whose distances are Fractions or floats pair by pair
+# whose distances are Fractions or floats pair by pair; E^1 and the
+# max-lift domain E^1 x R
 MODELS = [model for model, _ in CATALOG] + [MaxProduct(ended_tree(), swap_tree()),
-                                             MaxProduct(swap_tree(), RealLine())]
+                                             MaxProduct(swap_tree(), RealLine()),
+                                             Euclidean(1), MaxProduct(Euclidean(1), RealLine())]
 
 
 def _key(d):
@@ -38,3 +42,60 @@ def test_row_distance_and_rows_agree(space, seed, n):
         assert [_key(d) for d in table[i]] == row[i + 1:]
     if space.exact:
         assert all(type(d) is Fraction for r in table for d in r)
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against the calls they replace: max per pair, and the
+# generic root of a sum on E^1
+
+def _check_kernels(space, coords):
+    """space's row and rows against the reference rows, in type and bits."""
+    if isinstance(space, MaxProduct):
+        def reference(a, bs):
+            return _max_row(space.left.row(a[0], [b[0] for b in bs]),
+                            space.right.row(a[1], [b[1] for b in bs]))
+    else:
+        reference = _linf_row if isinstance(space, MinkowskiLinf) else _euclidean_row
+    for i, a in enumerate(coords):
+        want = [_key(d) for d in reference(a, coords)]
+        assert [_key(d) for d in space.row(a, coords)] == want
+        if isinstance(space, MaxProduct):
+            assert [_key(d) for d in list(space.rows(coords))[i]] == want[i + 1:]
+
+
+_KERNEL_MODELS = [MinkowskiLinf(), Euclidean(1), MaxProduct(Euclidean(1), RealLine()),
+                  MaxProduct(MinkowskiLinf(), RealLine()), MaxProduct(swap_tree(), RealLine()),
+                  MaxProduct(RealLine(), swap_tree())]
+
+
+@pytest.mark.parametrize("space", _KERNEL_MODELS, ids=[m.tag() for m in _KERNEL_MODELS])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12))
+def test_row_kernels_match_the_calls_they_replace(space, seed, n):
+    _check_kernels(space, [p.coords for p in random_sample(space, n, seed).points])
+
+
+_HALF = Fraction(1, 2)
+_KERNEL_EDGES = {
+    # gaps of 2e308 overflow to inf, in one coordinate or both
+    "linf-overflow": (MinkowskiLinf(), [(1e308, -1e308), (-1e308, 1e308), (1e308, 0.0),
+                                       (0.0, -1e308), (1e308, 1e308), (-0.0, 5e-324)]),
+    # a Fraction equal to a float: the left factor's value and type win
+    "product-tie-fraction-left": (MaxProduct(RealLine(), RealLine()),
+                                  [(Fraction(0), 0.0), (_HALF, 0.5), (Fraction(1), 1.5),
+                                   (Fraction(3, 2), -0.0)]),
+    "product-tie-float-left": (MaxProduct(RealLine(), RealLine()),
+                               [(0.0, Fraction(0)), (0.5, _HALF), (1.5, Fraction(1)),
+                                (-0.0, Fraction(3, 2))]),
+    # exact coordinates, and squares that overflow or underflow
+    "e1-fractions": (Euclidean(1), [(Fraction(1, 3),), (Fraction(-2, 7),), (0,), (1.5,),
+                                    (_HALF,)]),
+    "e1-extremes": (Euclidean(1), [(1e200,), (-1e200,), (5e-324,), (0.0,), (-0.0,), (1e-160,)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_KERNEL_EDGES))
+def test_row_kernels_match_the_calls_they_replace_at_the_edges(case):
+    space, coords = _KERNEL_EDGES[case]
+    coords = [Point(space, c).coords for c in coords]      # valid points only
+    _check_kernels(space, coords)

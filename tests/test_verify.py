@@ -552,7 +552,8 @@ def test_finalize_encodes_little_more_than_the_witnesses_it_keeps(monkeypatch):
 def test_isometry_builds_witnesses_only_for_pairs_it_can_keep(monkeypatch):
     # a count, not a timing: the failing pairs are ranked by the spelling
     # of d_after before any witness is built, and every one of them is
-    # still counted
+    # still counted; floats spelled "0." are ranked by value, so only the
+    # witnesses kept are spelled
     rl = RealLine()
     sample = _line_sine_sample_104()
     spec = line_counterexample()
@@ -565,9 +566,13 @@ def test_isometry_builds_witnesses_only_for_pairs_it_can_keep(monkeypatch):
         calls.append(witness)
         return fail(self, witness)
     monkeypatch.setattr(VerificationReport, "fail", counted)
+    spelled = []
+    spelling = verify._spelling
+    monkeypatch.setattr(verify, "_spelling", lambda v: spelled.append(v) or spelling(v))
     rep = is_isometry((rl, rl), spec, sample)
     assert rep.counts == {"pairs": 5356, "violations": failing}
     assert MAX_WITNESSES <= len(calls) <= 2 * MAX_WITNESSES
+    assert len(spelled) <= 2 * MAX_WITNESSES
     assert len(rep.witnesses) == MAX_WITNESSES
 
 
@@ -823,6 +828,14 @@ _EXACT_DISTANCES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(4, 3), Fr
                     Fraction(12), 1, 3)
 
 
+# the edges of the floats spelled "0." (+0.0, 1e-4 and the largest float
+# below 1) and the floats next to them spelled otherwise
+_FIXED_EDGES = (0.0, 1e-4, math.nextafter(1e-4, 0), 0.9999999999999999, 1.0,
+                9999999999999998.0, 1e16, 5e-324)
+_FIXED_40ths = tuple(k / 40 for k in range(39, 0, -1))
+_ABOVE = tuple(float(k) for k in range(2, 37))
+
+
 def _tabled_case(x_table, y_table, exact, back):
     """Spaces X and Y over the tables, a bijection k -> k whose declared
     inverse sends k to back[k] (a permutation), and the sample 0..n-1."""
@@ -862,6 +875,24 @@ def _tabled_cases(draw):
 # nan, +-inf and prefix spellings among 66 failing d_after
 @example(case=_tabled_case(_table_of(12, [0.25]), _table_of(12, _FLOAT_DISTANCES), False,
                            list(range(12))), tol=1e-9, mode="eq")
+# 56 of 66 failing d_after spelled "0.", with the edges of that class, and
+# exactly 32, cut at the largest float below 1: the cut by value
+@example(case=_tabled_case(_table_of(12, [7.5]), _table_of(12, _FIXED_EDGES + _FIXED_40ths),
+                           False, list(range(12))), tol=1e-9, mode="eq")
+@example(case=_tabled_case(_table_of(12, [7.5]),
+                           _table_of(12, _FIXED_EDGES + _FIXED_40ths[:29] + _ABOVE[:29]),
+                           False, list(range(12))), tol=1e-9, mode="eq")
+# the same with one -0.0, or one Fraction, among them: the cut by spelling
+@example(case=_tabled_case(_table_of(12, [7.5]),
+                           _table_of(12, (-0.0,) + _FIXED_EDGES + _FIXED_40ths[1:]),
+                           False, list(range(12))), tol=1e-9, mode="eq")
+@example(case=_tabled_case(_table_of(12, [7.5]),
+                           _table_of(12, (Fraction(1, 40),) + _FIXED_EDGES + _FIXED_40ths[1:]),
+                           False, list(range(12))), tol=1e-9, mode="eq")
+# only 31 of 66 spelled "0.": the cut by spelling
+@example(case=_tabled_case(_table_of(12, [7.5]),
+                           _table_of(12, _FIXED_40ths[:31] + _ABOVE),
+                           False, list(range(12))), tol=1e-9, mode="eq")
 def test_bijection_checks_match_the_per_pair_loops(case, tol, mode):
     spaces, spec, sample = case
     got = is_isometry(spaces, spec, sample, tol=tol).to_json()
