@@ -2,12 +2,13 @@
 
 Checks here operate on sampled point sets: metric axioms, midpoint convexity
 of the distance, and the unit-distance / isometry predicates for bijections.
+A failed report keeps the first 32 witnesses (MAX_WITNESSES) in the order
+its check found them, which is sample order, and counts every one in
+"violations".
 """
 
 from __future__ import annotations
 
-import heapq
-import json
 import marshal
 import math
 import operator
@@ -51,22 +52,20 @@ class VerificationReport:
         self.witnesses.append(witness)
 
     def finalize(self, **counts):
-        """Canonical witness order and cap; a failed report keeps >= 1 witness.
+        """Cap the witnesses at the first MAX_WITNESSES in the order found;
+        a failed report keeps >= 1 witness.
 
         Given counts become the report's counts, with "violations": a number
         given for it is kept, otherwise it is the number of witnesses
-        recorded, in the place of a given None or after the other counts.
-        The witnesses sorted are those _under_lead_cut passes. is_isometry
-        ranks its failing pairs the same way before it builds their
-        witnesses and gives every failing pair as ``violations``, so the
-        count still covers those it never built."""
+        recorded before the cap, in the place of a given None or after the
+        other counts. is_isometry builds witnesses only for the first
+        MAX_WITNESSES failing pairs and gives every failing pair as
+        ``violations``, so the count still covers those it never built."""
         if counts:
             if counts.get("violations") is None:
                 counts["violations"] = len(self.witnesses)
             self.counts = counts
-        leads = [_witness_lead(w) for w in self.witnesses]
-        kept = sorted(_under_lead_cut(self.witnesses, leads), key=_witness_key)[:MAX_WITNESSES]
-        self.witnesses = [_jsonable(w) for w in kept]
+        self.witnesses = [_jsonable(w) for w in self.witnesses[:MAX_WITNESSES]]
         if self.status == "fail" and not self.witnesses:
             raise AssertionError("failed report without witnesses")
         return self
@@ -97,80 +96,6 @@ def _jsonable(v):
     if isinstance(v, Point):
         return _jsonable(v.coords)
     return v
-
-
-_encode_key = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
-_STR = frozenset((str,))
-_FLOAT = frozenset((float,))
-
-
-def _witness_key(w) -> str:
-    """json.dumps(_jsonable(w), sort_keys=True): the order finalize sorts
-    witnesses by. A leaf of a type _jsonable does not convert is a
-    TypeError."""
-    return _encode_key(_jsonable(w))
-
-
-def _witness_lead(w) -> str:
-    """The prefix of _witness_key(w) up to and including the separator
-    after its first field, or '' unless w is a non-empty dict with str
-    keys. JSON values end where the separator starts, so two non-empty
-    leads that differ order their whole keys the same way."""
-    if not isinstance(w, dict) or not w or not _STR.issuperset(map(type, w)):
-        return ""
-    k = min(w)
-    return "{" + _encode_key(k) + ": " + _spelling(w[k]) + (", " if len(w) > 1 else "}")
-
-
-def _spelling(v) -> str:
-    """v as _witness_key spells it inside a witness. Witnesses with one
-    smallest key and more fields share their lead up to this spelling and
-    from the separator after it, so among them the spellings order the
-    leads: a JSON value that is a proper prefix of another is a number,
-    continued by a digit, '.' or 'e', each above the separator's ','."""
-    # the encoder's own spellings of a float and a Fraction, without the
-    # cost of setting up an encoder for one value
-    if isinstance(v, float) and math.isfinite(v):
-        return float.__repr__(v)
-    if isinstance(v, Fraction):
-        return f'"{v}"'
-    return _witness_key(v)
-
-
-def _under_lead_cut(items: list, leads: list) -> list:
-    """The items, in their order, whose lead is at most the MAX_WITNESSES-th
-    smallest non-empty lead; all of them while no more than MAX_WITNESSES
-    leads are non-empty. An item above the cut has at least MAX_WITNESSES
-    keys below its own, so it cannot be kept; an empty lead ('', no
-    ranking) is never above it. Keeping the order lets a stable sort of
-    what passes break ties as a sort of every item would."""
-    known = [lead for lead in leads if lead]
-    if len(known) <= MAX_WITNESSES:
-        return items
-    cut = heapq.nsmallest(MAX_WITNESSES, known)[-1]
-    return [w for w, lead in zip(items, leads) if lead <= cut]
-
-
-def _under_spelling_cut(failing: list) -> list:
-    """_under_lead_cut(failing, [_spelling(d_after) ...]) for the failing
-    pairs (i, j, d_before, d_after) of is_isometry, without spelling the
-    floats where it need not.
-
-    repr spells a float with its sign bit clear in fixed notation for
-    decimal exponents -4 to 15: it starts with "0." exactly for +0.0 and
-    1e-4 <= d < 1.0, where string and numeric order agree, and with a digit
-    1 to 9 for every other finite one. So while every d_after is such a
-    float and at least MAX_WITNESSES of them start with "0.", the cut is
-    the MAX_WITNESSES-th smallest of those, by value. Any other d_after (a
-    Fraction, an int, nan, an infinity, -0.0 or a negative value) and
-    fewer such floats keep the spelled cut."""
-    ds = [dy for *_, dy in failing]
-    if _FLOAT.issuperset(map(type, ds)) and all(map(math.isfinite, ds)) and min(ds) >= 0.0:
-        fixed = [d for d in ds if d < 1.0 and (d >= 1e-4 or d == 0.0)]
-        if len(fixed) >= MAX_WITNESSES and all(math.copysign(1.0, d) > 0.0 for d in fixed if not d):
-            cut = heapq.nsmallest(MAX_WITNESSES, fixed)[-1]
-            return [w for w, d in zip(failing, ds) if d <= cut and (d >= 1e-4 or d == 0.0)]
-    return _under_lead_cut(failing, [_spelling(d) for d in ds])
 
 
 def _check_tol(tol, what: str = "tol"):
@@ -355,13 +280,10 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     whole; after preserves_unit_distance on the same sample both are
     already stored. Each row is decided by one comprehension, and on an
     exact check a row equal in X and Y is skipped whole. A failing pair is
-    kept as (i, j, d_before, d_after). Past MAX_WITNESSES of them, the
-    pairs are ranked by the spelling of d_after, which orders their leads
-    (d_after is the witness's smallest key), and only those at or under
-    the cut finalize would take get a witness. Float values of d_after
-    spelled "0.", where spelling and value agree, are ranked by value
-    (_under_spelling_cut); everything else by its spelling. The report's
-    "violations" counts every failing pair."""
+    kept as (i, j, d_before, d_after) until there are MAX_WITNESSES of
+    them, in sample order, and only those get a witness: the first
+    MAX_WITNESSES in the order found. The report's "violations" counts
+    every failing pair."""
     _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
@@ -370,23 +292,24 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     rows = zip(_pair_rows(X, pts), _pair_rows(Y, images))
     exact = tol == 0 and X.exact and Y.exact
     n = len(pts)
-    pairs = 0
+    pairs = found = 0
     failing = []
     for i, (row_x, row_y) in enumerate(rows):
         pairs += len(row_x)
         js = range(i + 1, n)
         if exact:
-            if row_x != row_y:
-                failing += [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y) if dx != dy]
+            if row_x == row_y:
+                continue
+            bad = [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y) if dx != dy]
         else:
-            failing += [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y)
-                        if not abs(float(dx) - float(dy)) <= tol]
-    found = len(failing)
-    if found > MAX_WITNESSES:
-        failing = _under_spelling_cut(failing)
+            bad = [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y)
+                   if not abs(float(dx) - float(dy)) <= tol]
+        found += len(bad)
+        if len(failing) < MAX_WITNESSES:
+            failing += bad[:MAX_WITNESSES - len(failing)]
     for i, j, dx, dy in failing:
         rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
-    return rep.finalize(pairs=pairs, violations=found)     # the pairs ranked out count too
+    return rep.finalize(pairs=pairs, violations=found)     # the pairs past the cap count too
 
 
 _UNIT_MODES = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}

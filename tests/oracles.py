@@ -213,7 +213,7 @@ def _lattice_jump_graph(space, pts):
 
 def _is_isometry_pairwise(spaces, f, sample, tol=1e-9):
     """``is_isometry`` one pair at a time: every failing pair becomes a
-    witness, and ``finalize`` alone ranks and caps them."""
+    witness, in (i, j) order, and ``finalize`` alone caps them."""
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
     pts = sample.points

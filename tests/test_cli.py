@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -21,6 +22,17 @@ def test_cli_json_determinism(tmp_path):
     r2 = _run(["--suite", "grasshopper", "--seed", "7", "--out", str(out2)])
     assert r1.returncode == 0 and r2.returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_all_bytes_do_not_depend_on_the_hash_seed():
+    # witnesses keep the order the checks find them in, so no iteration
+    # over a hashed set of strings may reach the report
+    outs = [_run(["--suite", "all", "--seed", "7"],
+                 env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            for hash_seed in ("0", "12345")]
+    assert [r.returncode for r in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    assert '"suite": "all"' in outs[0].stdout
 
 
 def test_cli_exit_codes():

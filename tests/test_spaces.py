@@ -916,10 +916,11 @@ def test_tree_product_is_exact():
     assert not exact.passed
     assert preserves_unit_distance((prod, prod), f, sample, tol=1e-9).passed
     iso = is_isometry((prod, prod), f, sample, tol=0)
-    assert iso.witnesses == [{"x": [["v", "b"], ["v", "a"]], "y": [["v", "c"], ["v", "a"]],
-                              "d_before": str(1 + eps), "d_after": "1"},
-                             {"x": [["v", "a"], ["v", "a"]], "y": [["v", "b"], ["v", "a"]],
-                              "d_before": "1", "d_after": str(1 + eps)}]
+    # in sample order: the pair (a, b), then (b, c)
+    assert iso.witnesses == [{"x": [["v", "a"], ["v", "a"]], "y": [["v", "b"], ["v", "a"]],
+                              "d_before": "1", "d_after": str(1 + eps)},
+                             {"x": [["v", "b"], ["v", "a"]], "y": [["v", "c"], ["v", "a"]],
+                              "d_before": str(1 + eps), "d_after": "1"}]
 
 
 def test_tree_edge_point_refuses_bad_edge_indices():

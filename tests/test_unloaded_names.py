@@ -3,7 +3,12 @@ package. A constant, helper or class that no code in ``src/`` reads is left
 behind by a change that took away its last reader: it is dead weight, and a
 reader has to prove that to themselves. Such a name goes, so a new one fails
 this test. An import is not a definition, and a re-export in ``__init__`` is
-not a load."""
+not a load.
+
+The same holds for imports: a name a module imports at module level and
+never loads itself (a stray ``import heapq`` left after its last call went)
+fails the second test. ``__init__``'s imports are its re-exports, and
+``from __future__`` imports are compiler directives; both are exempt."""
 
 import ast
 from pathlib import Path
@@ -35,9 +40,25 @@ def _defined(tree):
                         yield leaf.id
 
 
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), filename=path.name)
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _imported(tree):
+    """The names a module's top-level import statements bind, apart from
+    ``from __future__`` directives."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a
+                yield alias.asname or alias.name.split(".")[0]
+
+
 def test_every_module_level_name_is_loaded_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text(), filename=path.name)
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     loaded = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -48,3 +69,14 @@ def test_every_module_level_name_is_loaded_in_the_package():
     unloaded = {(mod, name) for mod, tree in trees.items()
                 for name in _defined(tree) if name not in loaded}
     assert unloaded == UNLOADED
+
+
+def test_every_module_level_import_is_loaded_in_its_module():
+    unloaded = set()
+    for mod, tree in _trees().items():
+        if mod == "__init__":
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unloaded |= {(mod, name) for name in _imported(tree) if name not in loaded}
+    assert unloaded == set()

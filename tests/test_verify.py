@@ -1,4 +1,3 @@
-import bisect
 import itertools
 import json
 import math
@@ -39,10 +38,7 @@ from metriclab.verify import (
     SampleSet,
     VerificationReport,
     _jsonable,
-    _spelling,
     _unit_class,
-    _witness_key,
-    _witness_lead,
     check_busemann_midpoints,
     check_distance_convexity,
     check_metric_axioms,
@@ -414,11 +410,6 @@ def test_finalize_counts_violations_before_the_cap():
     assert rep.counts == {"lhs": 1.0}
 
 
-def _reference_key(w):
-    # convert the witness first, then encode it
-    return json.dumps(_jsonable(w), sort_keys=True)
-
-
 def _witness_leaves():
     from metriclab.suites import ended_tree
     e2, rl, tree = Euclidean(2), RealLine(), ended_tree()
@@ -446,77 +437,34 @@ _witnesses = st.recursive(
     max_leaves=12)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(w=_witnesses)
-@example(w={"d": math.nan, "e": -math.inf, "x": Point(Euclidean(2), (1e308, -0.0))})
-@example(w={"row": {2: "a", 10: "b"}, "flags": {True: 1, None: 2}})
-def test_witness_key_equals_the_jsonable_key(w):
-    # over Fractions, Points, tuples, nested dicts, int/bool/None/float
-    # keys, nan and inf
-    assert _witness_key(w) == _reference_key(w)
-
-
-def test_witness_key_refuses_an_unknown_leaf_type():
-    # a set, bytes or a bare object has no JSON spelling: the key raises,
-    # as json.dumps does
-    for w in ({"s": {1}}, [object()], {"x": 1.0, "y": {"z": b"b"}}):
-        with pytest.raises(TypeError):
-            _witness_key(w)
-        with pytest.raises(TypeError):
-            _reference_key(w)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ws=st.lists(_witnesses, min_size=1, max_size=MAX_WITNESSES))
+def test_finalize_keeps_the_jsonable_order_and_cap(ws):
+    # up to the cap, finalize keeps every witness in the order recorded,
+    # each converted by _jsonable, and counts every one
+    rep = VerificationReport("demo")
+    for w in ws:
+        rep.fail(w)
+    rep.finalize(pairs=100)
+    assert json.dumps(rep.witnesses) == json.dumps([_jsonable(w) for w in ws])
+    assert rep.counts == {"pairs": 100, "violations": len(ws)}
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(ws=st.lists(st.dictionaries(st.sampled_from("xyz"), _witnesses, min_size=1),
-                   min_size=1, max_size=40))
-def test_finalize_keeps_the_jsonable_order_and_cap(ws):
-    rep = VerificationReport("demo")
-    for w in ws:
-        rep.fail(w)
-    assert len(rep.witnesses) == len(ws)
-    rep.finalize()
-    assert rep.witnesses == [_jsonable(w) for w in sorted(ws, key=_reference_key)][:32]
-
-
-_tied_first_values = st.sampled_from([
-    True, False, None, 0, 1, 12, -3, 1.0, 1.05, 0.5, -0.5, Fraction(1, 2), Fraction(1, 23),
-    "a", "ab", "", "nan", math.nan, math.inf, -math.inf, (1, 2), {"k": 1.0}, {2: "x"}])
-
-# dicts whose first field "a" takes few values, so leads tie and prefix
-# one another, some with that field alone; mixed in, dicts with non-str
-# keys and witnesses that are not dicts
-_first_field_witnesses = st.builds(
-    lambda first, rest: {"a": first, **rest}, _tied_first_values,
-    st.dictionaries(st.sampled_from("bc"), _witness_leaves(), max_size=2))
-_other_witnesses = st.one_of(
-    st.dictionaries(st.one_of(st.sampled_from("ab"), st.integers(0, 2), st.booleans()),
-                    _tied_first_values, min_size=1, max_size=3),
-    _witness_leaves(),
-    st.lists(_tied_first_values, max_size=2))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(ws=st.tuples(st.lists(_first_field_witnesses, min_size=MAX_WITNESSES + 1, max_size=120),
-                    st.lists(_other_witnesses, max_size=30))
-       .flatmap(lambda parts: st.permutations(parts[0] + parts[1])))
-# '{"a": 12}' sorts before '{"a": 1}', though 1 is a prefix of 12
-@example(ws=[{"a": 0}] * 31 + [{"a": 1}, {"a": 1}, {"a": 12}])
-# a Fraction encodes as a string
-@example(ws=[{"a": Fraction(1, 2)}] + [{"a": "1/3"}] * 32)
-# a witness without a lead may sort anywhere, so it never sets the cut
-@example(ws=[{True: 0}] * 31 + [{"A": 2}, {"A": 1}])
-# equal keys keep their original order
-@example(ws=[{"a": 0, "b": 1}, {"b": 1, "a": 0}] * 17)
+@given(ws=st.lists(st.dictionaries(st.sampled_from("xyz"), _witness_leaves(), min_size=1),
+                   min_size=MAX_WITNESSES + 1, max_size=100))
+# recorded against their key order: the first recorded are kept, not the
+# smallest
+@example(ws=[{"k": k} for k in range(50, 0, -1)])
 def test_finalize_keeps_the_jsonable_order_and_cap_beyond_the_cap(ws):
-    # past the cap, finalize sorts only the witnesses whose first field
-    # can place them among the first MAX_WITNESSES; it keeps what the full
-    # sort keeps, in the same order
+    # past the cap, finalize keeps the first MAX_WITNESSES in the order
+    # recorded and still counts every one
     rep = VerificationReport("demo")
     for w in ws:
         rep.fail(w)
-    rep.finalize()
-    want = [_jsonable(w) for w in sorted(ws, key=_reference_key)][:MAX_WITNESSES]
-    assert json.dumps(rep.witnesses) == json.dumps(want)
+    rep.finalize(pairs=200)
+    assert json.dumps(rep.witnesses) == json.dumps([_jsonable(w) for w in ws[:MAX_WITNESSES]])
+    assert rep.counts == {"pairs": 200, "violations": len(ws)}
 
 
 def _line_sine_sample_104():
@@ -529,36 +477,25 @@ def _line_sine_sample_104():
 
 
 def test_finalize_encodes_little_more_than_the_witnesses_it_keeps(monkeypatch):
-    rl = RealLine()
-    sample = _line_sine_sample_104()
-    raw, encoded = [], []
-    finalize, key = VerificationReport.finalize, verify._witness_key
-
-    def spy(self, **counts):
-        raw.extend(self.witnesses)
-        return finalize(self, **counts)
-    monkeypatch.setattr(VerificationReport, "finalize", spy)
-    monkeypatch.setattr(verify, "_witness_key", lambda w: encoded.append(w) or key(w))
-    rep = is_isometry((rl, rl), line_counterexample(), sample)
-    assert rep.counts == {"pairs": 5356, "violations": 5304}
-    assert len(rep.witnesses) == MAX_WITNESSES
-    # the first sorted field is d_after: the encoded witnesses are those at
-    # or below the 32nd d_after in key order, ties included
-    firsts = sorted(repr(w["d_after"]) for w in raw)
-    tied = bisect.bisect_right(firsts, firsts[MAX_WITNESSES - 1])
-    assert len(encoded) <= tied < 2 * MAX_WITNESSES
+    # finalize converts the witnesses it keeps and never reads one past the
+    # cap
+    ws = [{"k": k, "x": Point(RealLine(), k / 3)} for k in range(100)]
+    rep = VerificationReport("demo")
+    for w in ws:
+        rep.fail(w)
+    seen = []
+    jsonable = verify._jsonable
+    monkeypatch.setattr(verify, "_jsonable", lambda v: seen.append(v) or jsonable(v))
+    rep.finalize()
+    assert [v for v in seen if any(v is w for w in ws)] == ws[:MAX_WITNESSES]
+    assert rep.counts == {}
 
 
 def test_isometry_builds_witnesses_only_for_pairs_it_can_keep(monkeypatch):
-    # a count, not a timing: the failing pairs are ranked by the spelling
-    # of d_after before any witness is built, and every one of them is
-    # still counted; floats spelled "0." are ranked by value, so only the
-    # witnesses kept are spelled
+    # a count, not a timing: is_isometry builds a witness for the first
+    # MAX_WITNESSES failing pairs alone, and still counts every one of them
     rl = RealLine()
     sample = _line_sine_sample_104()
-    spec = line_counterexample()
-    failing = _is_isometry_pairwise((rl, rl), spec, sample).counts["violations"]
-    assert failing == 5304
     calls = []
     fail = VerificationReport.fail
 
@@ -566,14 +503,14 @@ def test_isometry_builds_witnesses_only_for_pairs_it_can_keep(monkeypatch):
         calls.append(witness)
         return fail(self, witness)
     monkeypatch.setattr(VerificationReport, "fail", counted)
-    spelled = []
-    spelling = verify._spelling
-    monkeypatch.setattr(verify, "_spelling", lambda v: spelled.append(v) or spelling(v))
-    rep = is_isometry((rl, rl), spec, sample)
-    assert rep.counts == {"pairs": 5356, "violations": failing}
-    assert MAX_WITNESSES <= len(calls) <= 2 * MAX_WITNESSES
-    assert len(spelled) <= 2 * MAX_WITNESSES
-    assert len(rep.witnesses) == MAX_WITNESSES
+    rep = is_isometry((rl, rl), line_counterexample(), sample)
+    assert rep.counts == {"pairs": 5356, "violations": 5304}
+    assert len(calls) == MAX_WITNESSES
+    # the map keeps only the 52 shift pairs (i, i + 52), so the first
+    # failing pairs in sample order are (0, 1), ..., (0, 32)
+    pts = sample.points
+    assert [(w["x"], w["y"]) for w in calls] == [(pts[0], pts[j]) for j in range(1, 33)]
+    assert rep.witnesses == [_jsonable(w) for w in calls]
 
 
 def test_failed_report_requires_witness():
@@ -819,21 +756,13 @@ class _Tabled(RealLine):
         return [self.table[min(a, b)][abs(b - a) - 1] for b in bs]
 
 
-# few values, so that leads tie; 1 and 12 spell as prefixes of one another,
-# and 1.0 + 1e-12 is a unit distance only within a tolerance
+# few values, so that many pairs fail; nan, +-inf, ints and Fractions among
+# them, and 1.0 + 1e-12 is a unit distance only within a tolerance
 _FLOAT_DISTANCES = (0.0, 0.5, 1.0, 1.0 + 1e-12, 1.25, 2.0, 12.0, math.nan, math.inf,
                     -math.inf, 1, 12, Fraction(1, 3), Fraction(1))
 # exact models give numbers equal to themselves: no nan
 _EXACT_DISTANCES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(4, 3), Fraction(2),
                     Fraction(12), 1, 3)
-
-
-# the edges of the floats spelled "0." (+0.0, 1e-4 and the largest float
-# below 1) and the floats next to them spelled otherwise
-_FIXED_EDGES = (0.0, 1e-4, math.nextafter(1e-4, 0), 0.9999999999999999, 1.0,
-                9999999999999998.0, 1e16, 5e-324)
-_FIXED_40ths = tuple(k / 40 for k in range(39, 0, -1))
-_ABOVE = tuple(float(k) for k in range(2, 37))
 
 
 def _tabled_case(x_table, y_table, exact, back):
@@ -866,33 +795,15 @@ def _tabled_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=_tabled_cases(), tol=st.sampled_from([0.0, 1e-9, 0.25]),
        mode=st.sampled_from(["eq", "le", "lt"]))
-# 66 failing pairs, every d_after tied at 2.0
+# 66 failing pairs, every d_after 2.0: the cap falls inside the fourth row
 @example(case=_tabled_case(_table_of(12, [1.0]), _table_of(12, [2.0]), False,
                            list(range(12))), tol=0.0, mode="eq")
-# 66 pairs of exact Fractions, tied at 2 past the 32nd lead
+# 66 failing pairs of exact Fractions
 @example(case=_tabled_case(_table_of(12, [Fraction(1)]), _table_of(12, [Fraction(2)]),
                            True, list(range(12))[::-1]), tol=1e-9, mode="le")
-# nan, +-inf and prefix spellings among 66 failing d_after
+# nan, +-inf, ints and Fractions among 66 failing d_after
 @example(case=_tabled_case(_table_of(12, [0.25]), _table_of(12, _FLOAT_DISTANCES), False,
                            list(range(12))), tol=1e-9, mode="eq")
-# 56 of 66 failing d_after spelled "0.", with the edges of that class, and
-# exactly 32, cut at the largest float below 1: the cut by value
-@example(case=_tabled_case(_table_of(12, [7.5]), _table_of(12, _FIXED_EDGES + _FIXED_40ths),
-                           False, list(range(12))), tol=1e-9, mode="eq")
-@example(case=_tabled_case(_table_of(12, [7.5]),
-                           _table_of(12, _FIXED_EDGES + _FIXED_40ths[:29] + _ABOVE[:29]),
-                           False, list(range(12))), tol=1e-9, mode="eq")
-# the same with one -0.0, or one Fraction, among them: the cut by spelling
-@example(case=_tabled_case(_table_of(12, [7.5]),
-                           _table_of(12, (-0.0,) + _FIXED_EDGES + _FIXED_40ths[1:]),
-                           False, list(range(12))), tol=1e-9, mode="eq")
-@example(case=_tabled_case(_table_of(12, [7.5]),
-                           _table_of(12, (Fraction(1, 40),) + _FIXED_EDGES + _FIXED_40ths[1:]),
-                           False, list(range(12))), tol=1e-9, mode="eq")
-# only 31 of 66 spelled "0.": the cut by spelling
-@example(case=_tabled_case(_table_of(12, [7.5]),
-                           _table_of(12, _FIXED_40ths[:31] + _ABOVE),
-                           False, list(range(12))), tol=1e-9, mode="eq")
 def test_bijection_checks_match_the_per_pair_loops(case, tol, mode):
     spaces, spec, sample = case
     got = is_isometry(spaces, spec, sample, tol=tol).to_json()
@@ -901,12 +812,6 @@ def test_bijection_checks_match_the_per_pair_loops(case, tol, mode):
     got = preserves_unit_distance(spaces, spec, sample, mode=mode, tol=tol).to_json()
     want = _preserves_unit_distance_pairwise(spaces, spec, sample, mode=mode, tol=tol)
     assert json.dumps(got) == json.dumps(want.to_json())
-    # the value is_isometry ranks a pair by spells the lead of its witness
-    x, y = sample.points[:2]
-    for row in spaces[1].table:
-        for d in row:
-            w = {"x": x, "y": y, "d_before": 0.0, "d_after": d}
-            assert _witness_lead(w) == '{"d_after": ' + _spelling(d) + ", "
 
 
 def _tree_swap_sample():
