@@ -47,7 +47,7 @@ def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
         geo = geo.reversed()
     elif geo.kind == "ray":
         return geo
-    return GeodesicRef(space, "ray", geo.point_at, plus=geo.plus)
+    return GeodesicRef(space, "ray", geo.at, plus=geo.plus)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "closed",
         return _busemann_limit(space, ray, y, tol=tol)
     if method != "closed":
         raise SpaceError(f"unknown method {_shown(method)}")
-    return space.busemann_closed(ray, y)
+    return space.busemann_closed(ray, y.coords)
 
 
 def _busemann_limit(space, ray, y, *, tol):
@@ -241,7 +241,7 @@ def spherical_shadow_sample(space, y, x0: Point, rho: float,
     _check_tol(tol, "shadow tolerance")
     cx, cy = x0.coords
     if isinstance(y, IdealPoint):
-        vx, vy = ray_from(space, x0, y).point_at(1).coords
+        vx, vy = ray_from(space, x0, y).at(1)
         w = (cx - vx, cy - vy)
         sin2 = tol / (2.0 * rho)
     else:

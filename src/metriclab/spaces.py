@@ -270,16 +270,16 @@ class Space:
     are exact Fractions), and the product zips its factors' rows, 7.1 ms
     against 7.6 on E^2 x R.
 
-    A model overrides the defaults below where its geometry has them: ``coerce``
-    (coordinates for ``point``), the unit-speed evaluators t -> Point
+    A model overrides the defaults below where its geometry has them:
+    ``coerce`` (coordinates for ``point``), the unit-speed evaluators
     ``segment(a, b, d)``, ``ray(base, xi)`` and ``line(eta, xi, through)``
-    (ideal points passed by their reps), ``direction_ideal``,
+    (ideal points passed by their reps), which return coordinates
+    (``GeodesicRef.point_at`` builds the ``Point``), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
     value and the asymptotic-ray pseudometric), ``closest_param`` (closed
     forms on ``Euclidean``, ``HyperbolicPlane`` and ``MetricTree``),
-    ``grasshopper(a, b)`` (the
-    fewest exact unit jumps, math.inf if none) and
-    ``extreme_midpoint(a, b, selector)``. Every method is a closed form:
+    ``grasshopper(a, b)`` (the fewest exact unit jumps, math.inf if none)
+    and ``extreme_midpoint(a, b, selector)``. Every method is a closed form:
     what a model cannot do, by default or for its input (``rho_closed`` on
     rays that are not asymptotic), raises SpaceError; no method searches,
     and none returns None for it. ``exact`` is true where distances are
@@ -416,7 +416,7 @@ class NormedSpace(Space):
 
     def _along(self, x0, u):
         def at(t):
-            return Point(self, vadd(x0, vscale(u, float(t))))
+            return vadd(x0, vscale(u, float(t)))
         return at
 
     def segment(self, a, b, d):
@@ -448,9 +448,15 @@ class NormedSpace(Space):
         # plane (Hahn-Banach) it is |omega(off)| / |omega|* for
         # omega = (-u2, u1), the functional that vanishes on u
         _check_asymptotic(c, d)
-        off = vsub(c.point_at(0).coords, d.point_at(0).coords)
+        off = vsub(c.at(0), d.at(0))
         u = c.plus.rep
         return abs(u[0] * off[1] - u[1] * off[0]) / self.dual_norm((-u[1], u[0]))
+
+    def busemann_closed(self, ray, y):
+        o = ray.at(0)
+        u = vsub(ray.at(1), o)
+        grad = tuple(math.copysign(abs(c) ** (self.p - 1.0), c) for c in u)   # u itself on E^n
+        return -vdot(vsub(y, o), grad)
 
     def random_point(self, rng, scale):
         return point(self, tuple(rng.uniform(-scale, scale) for _ in range(self.dim)))
@@ -474,24 +480,24 @@ class Euclidean(NormedSpace):
         ax, ay = a
         return [sqrt(dx * dx + dy * dy) for bx, by in bs for dx, dy in ((ax - bx, ay - by),)]
 
-    def busemann_closed(self, ray, y):
-        o = ray.point_at(0)
-        u = vsub(ray.point_at(1).coords, o.coords)
-        return -vdot(vsub(y.coords, o.coords), u)
-
     def rho_closed(self, c, d):
         # the gap between the parallel lines: the part of off orthogonal to u
         _check_asymptotic(c, d)
-        off = vsub(c.point_at(0).coords, d.point_at(0).coords)
+        off = vsub(c.at(0), d.at(0))
         u = c.plus.rep
         return enorm(vsub(off, vscale(u, vdot(off, u))))
 
     def closest_param(self, geo, x):
         # orthogonal projection onto the carrier, clipped to the domain
-        o = geo.point_at(0).coords
-        u = vsub(geo.point_at(1).coords, o)
-        t = _clip(geo, vdot(vsub(x.coords, o), u) / vdot(u, u))
-        return t, self.distance(geo.point_at(t).coords, x.coords)
+        o = geo.at(0)
+        u = vsub(geo.at(1), o)
+        uu = vdot(u, u)
+        if uu == 0:     # o + u rounds to o far from the origin
+            raise SpaceError(f"the unit step of a geodesic through {_shown(o)} rounds to zero")
+        t = _clip(geo, vdot(vsub(x, o), u) / uu)
+        foot = geo.at(t)
+        self.validate(foot)     # a projection past double range gives inf or nan
+        return t, self.distance(foot, x)
 
     def grasshopper(self, a, b):
         # k >= 2 unit jumps reach the closed k-ball, one jump the unit sphere
@@ -539,12 +545,6 @@ class MinkowskiLp(NormedSpace):
         # a power or the sum of two left double range: rescale each pair
         return [_direction_norm(self.norm, (ax - bx, ay - by), p) for bx, by in bs]
 
-    def busemann_closed(self, ray, y):
-        o = ray.point_at(0)
-        u = vsub(ray.point_at(1).coords, o.coords)
-        grad = tuple(math.copysign(abs(c) ** (self.p - 1.0), c) for c in u)
-        return -vdot(vsub(y.coords, o.coords), grad)
-
     def half_chord(self, u, beta):
         # alpha u and beta w sit in separate coordinates only on an axis
         if 0.0 not in u:
@@ -578,8 +578,8 @@ class MinkowskiLinf(NormedSpace):
     def busemann_closed(self, ray, y):
         # |y - o - t u|_oo - t: a coordinate with |u_i| < 1 falls behind by
         # (1 - |u_i|) t, so only those with |u_i| = 1 survive the limit
-        o = ray.point_at(0).coords
-        return max(-ui * (yi - oi) for ui, yi, oi in zip(ray.plus.rep, y.coords, o)
+        o = ray.at(0)
+        return max(-ui * (yi - oi) for ui, yi, oi in zip(ray.plus.rep, y, o)
                    if abs(ui) == 1.0)
 
     def extreme_midpoint(self, a, b, selector):
@@ -591,8 +591,8 @@ class MinkowskiLinf(NormedSpace):
             raise DegenerateError("midpoint of identical points")
         half = dd / 2.0
         if selector == "upper extreme":
-            return Point(self, tuple(min(aj, bj) + half for aj, bj in zip(a, b)))
-        return Point(self, tuple(max(aj, bj) - half for aj, bj in zip(a, b)))
+            return tuple(min(aj, bj) + half for aj, bj in zip(a, b))
+        return tuple(max(aj, bj) - half for aj, bj in zip(a, b))
 
     def tag(self):
         return "minkowski-linf"
@@ -615,6 +615,17 @@ def _hyp_carrier(a, b):
     return m, math.hypot(a[0] - m, a[1])
 
 
+def _arc_param(x, m, r) -> float:
+    """The parameter atanh((x - m) / r) of the point over x on the
+    semicircle |z - m| = r; SpaceError where |x - m| rounds to r or past
+    it, which puts the point on the boundary."""
+    try:
+        return math.atanh((x - m) / r)
+    except ValueError:          # math domain error: |x - m| / r >= 1
+        raise SpaceError(f"the point over x = {_shown(x)} lies on the boundary "
+                         f"of its geodesic, centre {_shown(m)}, radius {_shown(r)}") from None
+
+
 @dataclass(frozen=True)
 class HyperbolicPlane(Space):
     """Upper half-plane model of H^2; ideal points are boundary reals or oo."""
@@ -631,9 +642,11 @@ class HyperbolicPlane(Space):
     def _evaluator(self, coords):
         def at(t):
             try:
-                return Point(self, coords(float(t)))
+                c = coords(float(t))
             except OverflowError:   # exp or cosh far out: raise, never pin
                 raise SpaceError(f"geodesic parameter {_shown(t)} leaves double range") from None
+            self.validate(c)        # a height can also overflow or underflow silently
+            return c
         return at
 
     def _vertical(self, x0, y0, sgn):
@@ -647,8 +660,8 @@ class HyperbolicPlane(Space):
         if carrier is None:
             return self._vertical(a[0], a[1], 1.0 if b[1] > a[1] else -1.0)
         m, r = carrier
-        t1 = math.atanh((a[0] - m) / r)
-        t2 = math.atanh((b[0] - m) / r)
+        t1 = _arc_param(a[0], m, r)
+        t2 = _arc_param(b[0], m, r)
         return self._arc(m, r, t1, 1.0 if t2 > t1 else -1.0)
 
     def ray(self, base, u):
@@ -659,7 +672,7 @@ class HyperbolicPlane(Space):
             return self._vertical(u, by, -1.0)
         m = (bx * bx + by * by - u * u) / (2.0 * (bx - u))
         r = abs(u - m)
-        return self._arc(m, r, math.atanh((bx - m) / r), 1.0 if u > m else -1.0)
+        return self._arc(m, r, _arc_param(bx, m, r), 1.0 if u > m else -1.0)
 
     def line(self, eta, xi, through):
         if eta == INF:
@@ -670,14 +683,14 @@ class HyperbolicPlane(Space):
                          1.0 if xi > eta else -1.0)
 
     def busemann_closed(self, ray, y):
-        o = ray.point_at(0)
+        o = ray.at(0)
         xi = ray.plus.rep
         if xi == INF:
-            return math.log(o.coords[1]) - math.log(y.coords[1])
+            return math.log(o[1]) - math.log(y[1])
 
         def level(z):
             return math.log(((z[0] - xi) ** 2 + z[1] ** 2) / z[1])
-        return level(y.coords) - level(o.coords)
+        return level(y) - level(o)
 
     def rho_closed(self, c, d):
         # asymptotic rays come arbitrarily close (Bridson-Haefliger II.8)
@@ -689,7 +702,7 @@ class HyperbolicPlane(Space):
         # height |z - a|; a semicircle over [p, q] is first moved onto the
         # imaginary axis by the isometry T(z) = (z - p) / (q - z), which
         # keeps heights |T(z)| (Beardon 1983, ch. 7)
-        o, one = geo.point_at(0).coords, geo.point_at(1).coords
+        o, one = geo.at(0), geo.at(1)
         carrier = _hyp_carrier(o, one)
         if carrier is None:
             def height(z):
@@ -701,9 +714,9 @@ class HyperbolicPlane(Space):
             def height(z):
                 return math.hypot(z[0] - p, z[1]) / math.hypot(q - z[0], z[1])
         h0 = height(o)
-        step = math.log(height(x.coords) / h0)
+        step = math.log(height(x) / h0)
         t = _clip(geo, step if height(one) > h0 else -step)
-        return t, self.distance(geo.point_at(t).coords, x.coords)
+        return t, self.distance(geo.at(t), x)
 
     def random_point(self, rng, scale):
         return point(self, (rng.uniform(-scale, scale), math.exp(rng.uniform(-1.5, 1.5))))
@@ -753,7 +766,7 @@ class SphereIntrinsic(Space):
 
         def at(t):
             ang = float(t) / r
-            return Point(self, vadd(vscale(a, math.cos(ang)), vscale(w, math.sin(ang))))
+            return vadd(vscale(a, math.cos(ang)), vscale(w, math.sin(ang)))
         return at
 
     def random_point(self, rng, scale):
@@ -782,7 +795,7 @@ class RealLine(Space):
 
     def _along(self, x0, sgn):
         def at(t):
-            return Point(self, x0 + sgn * float(t))
+            return x0 + sgn * float(t)
         return at
 
     def segment(self, a, b, d):
@@ -805,9 +818,9 @@ class RealLine(Space):
         return IdealPoint(self, 1.0 if s > 0 else -1.0)
 
     def busemann_closed(self, ray, y):
-        o = ray.point_at(0)
-        sgn = 1.0 if ray.point_at(1).coords > o.coords else -1.0
-        return -sgn * (y.coords - o.coords)
+        o = ray.at(0)
+        sgn = 1.0 if ray.at(1) > o else -1.0
+        return -sgn * (y - o)
 
     def rho_closed(self, c, d):
         # rays in the same direction eventually overlap
@@ -934,16 +947,16 @@ class MetricTree(Space):
             if num < 0:
                 if minus_end is None:
                     raise SpaceError(f"parameter {_shown(t)} below domain")
-                return Point(self, ("r", minus_end, -tf))
+                return ("r", minus_end, -tf)
             if tL > D * den:
                 if plus_end is None:
                     raise SpaceError(f"parameter {_shown(t)} beyond domain")
-                return Point(self, ("r", plus_end, Fraction(tL - D * den, den * L)))
+                return ("r", plus_end, Fraction(tL - D * den, den * L))
             M = math.lcm(L, den)
             s, m = num * (M // den), M // L
             if tL <= rise * den:
-                return Point(self, self._coords(va, da * m - s, M))
-            return Point(self, self._coords(vb, (db - D) * m + s, M))
+                return self._coords(va, da * m - s, M)
+            return self._coords(vb, (db - D) * m + s, M)
         return at
 
     def validate(self, c):
@@ -1103,7 +1116,7 @@ class MetricTree(Space):
                 tf = _as_fraction(t)
                 if tf < 0:
                     raise SpaceError(f"parameter {_shown(t)} below domain")
-                return Point(self, ("r", end, off + tf))
+                return ("r", end, off + tf)
             return at
         return self._geodesic(c, ("v", end), plus_end=end)
 
@@ -1122,7 +1135,7 @@ class MetricTree(Space):
             if c[0] == "r" and c[1] == end:
                 return -c[2]
             return self.distance(c, ("v", end))
-        return h(y.coords) - h(ray.point_at(0).coords)
+        return h(y) - h(ray.at(0))
 
     def rho_closed(self, c, d):
         # exact: merging rays give 0; otherwise (rays toward different ends)
@@ -1132,19 +1145,18 @@ class MetricTree(Space):
             raise SpaceError("tree rays need ideal endpoints")
         if c.plus.rep == d.plus.rep:
             return Fraction(0)
-        t, _ = self.closest_param(c, d.point_at(0))
-        return self.closest_param(d, c.point_at(t))[1]
+        t, _ = self.closest_param(c, d.at(0))
+        return self.closest_param(d, c.at(t))[1]
 
     def closest_param(self, geo, x):
         # exact Gromov-product projection
         lo, hi = geo.domain()
-        big = self.desc.total_length + self.distance(geo.point_at(0).coords, x.coords) + 1
+        big = self.desc.total_length + self.distance(geo.at(0), x) + 1
         lo = _as_fraction(lo) if lo != -INF else -big
         hi = _as_fraction(hi) if hi != INF else big
-        p, q = geo.point_at(lo), geo.point_at(hi)
-        dxp = self.distance(x.coords, p.coords)
-        dxq = self.distance(x.coords, q.coords)
-        dpq = self.distance(p.coords, q.coords)
+        p, q = geo.at(lo), geo.at(hi)
+        dxp, dxq = self.row(x, (p, q))
+        dpq = self.distance(p, q)
         resid = (dxp + dxq - dpq) / 2
         return lo + (dxp - resid), resid
 
@@ -1326,7 +1338,7 @@ def tree_end(space: MetricTree, end) -> IdealPoint:
 
 @dataclass(frozen=True)
 class GeodesicRef:
-    """Unit-speed geodesic with a model-specific closed-form evaluator.
+    """Unit-speed geodesic; its evaluator ``at`` gives coordinates, ``point_at`` the Point.
 
     ``kind`` is "segment", "ray", or "line"; the domain is [0, length],
     [0, oo), or all of R. ``minus``/``plus`` are the ideal endpoints of the
@@ -1335,10 +1347,13 @@ class GeodesicRef:
 
     space: object
     kind: str
-    point_at: Callable[[Number], Point]
+    at: Callable[[Number], object]
     length: Optional[Number] = None   # segments only
     minus: Optional[IdealPoint] = None
     plus: Optional[IdealPoint] = None
+
+    def point_at(self, t) -> Point:
+        return Point(self.space, self.at(t))
 
     def domain(self):
         if self.kind == "segment":
@@ -1351,10 +1366,8 @@ class GeodesicRef:
         """The same line run backwards: t -> c(-t), with the ends swapped."""
         if self.kind != "line":
             raise SpaceError(f"only a line can be reversed, not a {self.kind}")
-        base = self.point_at
-
         def at(t):
-            return base(-t)
+            return self.at(-t)
         return GeodesicRef(self.space, "line", at, minus=self.plus, plus=self.minus)
 
 
@@ -1429,7 +1442,7 @@ def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
     """
     _check_member(space, x, y)
     if selector is not None:
-        return space.extreme_midpoint(x.coords, y.coords, selector)
+        return Point(space, space.extreme_midpoint(x.coords, y.coords, selector))
     geo = geodesic_between(space, x, y)
     return geo.point_at(geo.length / 2)
 
@@ -1448,7 +1461,7 @@ def closest_param(space, geo: GeodesicRef, x: Point):
     _check_member(space, x)
     if not _same_space(geo.space, space):
         raise SpaceError("geodesic belongs to a different space")
-    return space.closest_param(geo, x)
+    return space.closest_param(geo, x.coords)
 
 
 def on_geodesic(space, geo: GeodesicRef, x: Point, tol: float = 1e-9):

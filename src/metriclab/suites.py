@@ -202,8 +202,8 @@ def suite_busemann(seed: int, params: dict) -> list:
         def at(t):
             t = float(t)
             if t <= 1.0:
-                return point(linf, (t, sign * t))
-            return point(linf, (t, sign * (2.0 - t)))
+                return (t, sign * t)
+            return (t, sign * (2.0 - t))
         return at
     gl1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
     gl2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
@@ -427,7 +427,7 @@ def suite_scissors(seed: int, params: dict) -> list:
         comp_h, form_h = tr.scissors_shift(HyperbolicPlane(), cfg_h)
         if abs(comp_h - form_h) > 1e-6 or comp_h <= 0.01:
             rep.fail({"case": "hyperbolic", "comp": comp_h, "form": form_h})
-        rep.counts = {"cases": 3, "violations": len(rep.witnesses),
+        rep.counts = {"cases": 3, "violations": None,
                       "hyperbolic_delta": float(form_h)}
 
     with out.check("scissors-validation", 1e-9) as rep:
@@ -454,7 +454,7 @@ def suite_scissors(seed: int, params: dict) -> list:
         _, form_p = tr.scissors_shift(HyperbolicPlane(), cfg_p)
         if abs(form_p - form_h) > 0.1:
             rep.fail({"base": form_h, "perturbed": form_p})
-        rep.counts = {"cases": 1, "violations": len(rep.witnesses),
+        rep.counts = {"cases": 1, "violations": None,
                       "delta_change": abs(float(form_p) - float(form_h))}
     return out
 

@@ -187,8 +187,8 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
         raise PreconditionError("drift must lie in (0, 1.0)")
     if a.kind != "line":
         raise SpaceError("tape construction needs a base line")
-    u = vsub(a.point_at(1.0).coords, a.point_at(0.0).coords)   # unit direction
-    w = (-u[1], u[0])                                          # Euclidean perp
+    u = vsub(a.at(1.0), a.at(0.0))      # unit direction
+    w = (-u[1], u[0])                   # Euclidean perp
 
     half = space.half_chord(u, drift)
     room = 2.0 - 2.0 * half
@@ -206,6 +206,6 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
         for j in range(1, p + 1):
             base = float(tape_position(p, j, 0))
             for z in range(zmin, zmax + 1):
-                anchor = a.point_at(base + z).coords
+                anchor = a.at(base + z)
                 pts[(i, j, z)] = Point(space, vadd(anchor, off))
     return PTape(space, p, pts)

@@ -41,31 +41,35 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
     tolerance: float = 0.0
     data: dict = field(default_factory=dict)
+    found: int = 0                  # fail calls, those past the cap too
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def fail(self, witness: dict):
-        # kept as given; finalize converts only the witnesses it keeps
+        # the first MAX_WITNESSES are kept as given, for finalize to
+        # convert; the rest are only counted
         self.status = "fail"
-        self.witnesses.append(witness)
+        self.found += 1
+        if len(self.witnesses) < MAX_WITNESSES:
+            self.witnesses.append(witness)
 
     def finalize(self, **counts):
-        """Cap the witnesses at the first MAX_WITNESSES in the order found;
-        a failed report keeps >= 1 witness.
+        """Convert the witnesses kept, the first MAX_WITNESSES in the order
+        found; a failed report keeps >= 1 witness.
 
         Given counts become the report's counts, with "violations": a number
-        given for it is kept, otherwise it is the number of witnesses
-        recorded before the cap, in the place of a given None or after the
+        given for it is kept, otherwise it is the number of ``fail`` calls,
+        past the cap too, in the place of a given None or after the
         other counts. is_isometry builds witnesses only for the first
         MAX_WITNESSES failing pairs and gives every failing pair as
         ``violations``, so the count still covers those it never built."""
         if counts:
             if counts.get("violations") is None:
-                counts["violations"] = len(self.witnesses)
+                counts["violations"] = self.found
             self.counts = counts
-        self.witnesses = [_jsonable(w) for w in self.witnesses[:MAX_WITNESSES]]
+        self.witnesses = [_jsonable(w) for w in self.witnesses]
         if self.status == "fail" and not self.witnesses:
             raise AssertionError("failed report without witnesses")
         return self

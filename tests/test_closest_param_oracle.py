@@ -73,7 +73,7 @@ def _point_on(geo, rng):
 
 
 def _agrees_with_search(space, geo, x):
-    t, resid = space.closest_param(geo, x)
+    t, resid = space.closest_param(geo, x.coords)
     t_search, resid_search = _closest_search(space, geo, x)
     assert abs(resid - resid_search) <= 1e-9
     assert abs(t - t_search) <= 1e-6

@@ -1,15 +1,38 @@
 """The conformance matrix over ``suites.CATALOG``: each model's derived
 quantities against their definitions. Its first cell is the metric: every
 model's ``row(a, bs)``, the one-pair ``distance`` and the table ``rows``
-give the same values, exactly (type and value, and floats bit for bit)."""
+give the same values, exactly (type and value, and floats bit for bit).
+Its last cell is the geodesics: ``point_at`` wraps the coordinates of the
+evaluator ``at`` as they are."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.spaces import Euclidean, MaxProduct, MinkowskiLinf, Point, RealLine, distance
+from metriclab.spaces import (
+    Euclidean,
+    HyperbolicPlane,
+    MaxProduct,
+    MetricTree,
+    MinkowskiLinf,
+    Point,
+    RealLine,
+    Space,
+    SpaceError,
+    boundary_ideal,
+    closest_param,
+    direction_ideal,
+    distance,
+    geodesic_between,
+    line_through,
+    point,
+    ray_from,
+    tree_end,
+)
 from metriclab.suites import CATALOG, ended_tree, swap_tree
 from metriclab.verify import random_sample
 
@@ -99,3 +122,82 @@ def test_row_kernels_match_the_calls_they_replace_at_the_edges(case):
     space, coords = _KERNEL_EDGES[case]
     coords = [Point(space, c).coords for c in coords]      # valid points only
     _check_kernels(space, coords)
+
+
+# ---------------------------------------------------------------------------
+# geodesics: point_at(t) is Point(space, at(t)), and a closed form that reads
+# at(t) still refuses what a validated point refused
+
+GEODESIC_MODELS = [model for model, _ in CATALOG if type(model).segment is not Space.segment]
+
+
+def _bits(c):
+    """c's type and value, part by part; floats by their hex."""
+    return tuple(map(_bits, c)) if isinstance(c, tuple) else _key(c)
+
+
+def _ideal_pair(space, rng):
+    """Two distinct seeded ideal points (eta, xi) of space, opposite on the
+    flat models; None where it has no two ends."""
+    if isinstance(space, HyperbolicPlane):
+        a = rng.uniform(-3.0, 3.0)
+        b = math.inf if rng.random() < 0.5 else a + rng.choice((-1, 1)) * rng.uniform(0.2, 4.0)
+        return boundary_ideal(space, a), boundary_ideal(space, b)
+    if isinstance(space, MetricTree):
+        ends = space.desc.ends
+        return tuple(tree_end(space, e) for e in rng.sample(ends, 2)) if len(ends) > 1 else None
+    if isinstance(space, RealLine):
+        s = rng.choice((-1.0, 1.0))
+        return direction_ideal(space, -s), direction_ideal(space, s)
+    if hasattr(space, "norm"):
+        v = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
+        return direction_ideal(space, [-x for x in v]), direction_ideal(space, v)
+    return None
+
+
+@pytest.mark.parametrize("space", GEODESIC_MODELS,
+                         ids=[f"{k}-{m.tag()}" for k, m in enumerate(GEODESIC_MODELS)])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6))
+def test_point_at_wraps_the_evaluator_coordinates(space, seed):
+    rng = random.Random(seed)
+    a, b = space.random_point(rng, 3.0), space.random_point(rng, 3.0)
+    geos = [geodesic_between(space, a, b)] if a.coords != b.coords else []
+    ends = _ideal_pair(space, rng)
+    if ends is not None:
+        line = line_through(space, *ends, b)
+        geos += [ray_from(space, a, ends[1]), line, line.reversed()]
+    for geo in geos:
+        lo, hi = geo.domain()
+        lo, hi = max(lo, -4), min(hi, 4)
+        for k in (0, 64, *(rng.randint(1, 63) for _ in range(6))):
+            t = lo + (hi - lo) * Fraction(k, 64)
+            t = t if space.exact else float(t)
+            p = geo.point_at(t)
+            assert p.space is space
+            assert _bits(p.coords) == _bits(geo.at(t))
+
+
+_H2, _E2 = HyperbolicPlane(), Euclidean(2)
+_REFUSED = {
+    # y = 1e308 e^1 overflows to inf: the closed form reads geo(1) off the
+    # evaluator, which checks what it returns
+    "h2-closest-param-at-1e308": (
+        _H2, ray_from(_H2, point(_H2, (0.0, 1e308)), boundary_ideal(_H2, math.inf)),
+        point(_H2, (0.0, 1.0))),
+    # the projection's numerator overflows: the foot is (nan, nan)
+    "e2-closest-param-past-double-range": (
+        _E2, ray_from(_E2, point(_E2, (1e308, 0.0)), direction_ideal(_E2, (-1.0, 0.5))),
+        point(_E2, (-1e308, 0.0))),
+    # the ends' gap overflows: the unit step is (nan, 0.0)
+    "e2-closest-param-on-an-overflowing-segment": (
+        _E2, geodesic_between(_E2, point(_E2, (-1e308, 0.0)), point(_E2, (1e308, 0.0))),
+        point(_E2, (1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_closed_forms_on_evaluator_coordinates_refuse_what_points_refused(case):
+    space, geo, x = _REFUSED[case]
+    with pytest.raises(SpaceError):
+        closest_param(space, geo, x)

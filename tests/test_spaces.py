@@ -411,6 +411,12 @@ _H2_UP = ray_from(HyperbolicPlane(), Point(HyperbolicPlane(), (0.0, 1.0)),
                  boundary_ideal(HyperbolicPlane(), math.inf))
 _TREE_SEGMENT = geodesic_between(_TREE, tree_vertex(_TREE, "x0"), tree_vertex(_TREE, "spur"))
 _LINF = MinkowskiLinf()
+_H2 = HyperbolicPlane()
+# y = 1e-300 puts the point on its carrier's boundary: |x - m| rounds to r
+_H2_LOW = point(_H2, (0.5, 1e-300))
+_E2 = Euclidean(2)
+# 1e17 + 1.0 rounds to 1e17, so the unit step read off the ray is zero
+_E2_FAR = ray_from(_E2, point(_E2, (1e17, 0.0)), direction_ideal(_E2, (1, 0)))
 
 
 @pytest.mark.parametrize("make, args", [
@@ -428,14 +434,20 @@ _LINF = MinkowskiLinf()
     (_H2_UP.point_at, (HUGE,)),
     (_TREE_SEGMENT.point_at, (THIRD,)),
     (midpoint, (_LINF, Point(_LINF, (0.0, 0.0)), Point(_LINF, (1.0, 0.0)), HUGE)),
+    (ray_from, (_H2, _H2_LOW, boundary_ideal(_H2, 1.0))),
+    (geodesic_between, (_H2, _H2_LOW, point(_H2, (1.0, 0.25)))),
+    (closest_param, (_E2, _E2_FAR, point(_E2, (0.0, 0.0)))),
 ], ids=["tree-end-5001-digits", "tree-ray-end-5001-digits", "lp-p-400-digits",
         "lp-p-5001-digits", "sphere-radius-400-digits", "distance-to-raw-coords",
         "tree-bound-5001-digits", "tree-end-anchor-5001-digits", "boundary-400-digits",
         "boundary-str", "boundary-none",
-        "h2-parameter-5001-digits", "tree-parameter-5001-digits", "selector-5001-digits"])
+        "h2-parameter-5001-digits", "tree-parameter-5001-digits", "selector-5001-digits",
+        "h2-ray-base-on-carrier-boundary", "h2-segment-end-on-carrier-boundary",
+        "e2-unit-step-rounds-to-zero"])
 def test_bad_input_raises_space_error(make, args):
     # a number past double range is refused where it enters, and a message
-    # spells a value too long to print by its length
+    # spells a value too long to print by its length; input at the edge of
+    # double precision is refused with SpaceError, not a bare math error
     with pytest.raises(SpaceError) as err:
         make(*args)
     assert "\n" not in str(err.value)

@@ -170,11 +170,11 @@ def _busemann_suite_e2_grids():
 
 
 def _counted(geo, calls):
-    """geo with every point_at evaluation appended to calls."""
-    def point_at(t):
+    """geo with every evaluation of its coordinates appended to calls."""
+    def at(t):
         calls.append(t)
-        return geo.point_at(t)
-    return GeodesicRef(geo.space, geo.kind, point_at, length=geo.length)
+        return geo.at(t)
+    return GeodesicRef(geo.space, geo.kind, at, length=geo.length)
 
 
 def test_distance_convexity_evaluates_each_lattice_point_once(monkeypatch):
@@ -195,33 +195,55 @@ def test_distance_convexity_evaluates_each_lattice_point_once(monkeypatch):
 
 def test_distance_convexity_rejects_a_foreign_lattice_point():
     e2, g1, g2 = _busemann_suite_e2_grids()
-    e3 = Euclidean(3)
 
     def leaves_the_plane(t):
-        return point(e3, (0.0, 0.0, 0.0)) if t == g2.length else g2.point_at(t)
+        return (0.0, 0.0, 0.0) if t == g2.length else g2.at(t)
     foreign_end = GeodesicRef(e2, "segment", leaves_the_plane, length=g2.length)
-    with pytest.raises(SpaceError):
+    with pytest.raises(SpaceError, match="expected 2-tuple"):
         check_distance_convexity(e2, g1, foreign_end)
 
 
-def test_distance_convexity_linf_violation():
-    # the sup norm admits bent unit-speed geodesics from (0,0) to (2,0)
-    # through the extreme midpoints; between those, midpoint convexity of
-    # the cross-distance fails at the center of the lattice
+def _bent_linf_pair():
+    """The sup-norm plane and its bent unit-speed geodesics from (0,0) to
+    (2,0) through the extreme midpoints."""
     linf = MinkowskiLinf()
 
     def bent(sign):
         def at(t):
             t = float(t)
             if t <= 1.0:
-                return point(linf, (t, sign * t))
-            return point(linf, (t, sign * (2.0 - t)))
+                return (t, sign * t)
+            return (t, sign * (2.0 - t))
         return at
-    g1 = GeodesicRef(linf, "segment", bent(-1.0), length=2.0)
-    g2 = GeodesicRef(linf, "segment", bent(+1.0), length=2.0)
+    return (linf, GeodesicRef(linf, "segment", bent(-1.0), length=2.0),
+            GeodesicRef(linf, "segment", bent(+1.0), length=2.0))
+
+
+def test_distance_convexity_linf_violation():
+    # between the bent geodesics, midpoint convexity of the cross-distance
+    # fails at the center of the lattice
+    linf, g1, g2 = _bent_linf_pair()
     rep = check_distance_convexity(linf, g1, g2)
     assert not rep.passed
     assert rep.witnesses
+
+
+def test_fail_stores_only_the_witnesses_it_keeps(monkeypatch):
+    # the bent pair fails 425 times: the report's list never holds more
+    # than the MAX_WITNESSES it keeps, and "violations" counts every one
+    linf, g1, g2 = _bent_linf_pair()
+    stored = []
+    fail = VerificationReport.fail
+
+    def spied(self, witness):
+        fail(self, witness)
+        stored.append(list(self.witnesses))
+    monkeypatch.setattr(VerificationReport, "fail", spied)
+    rep = check_distance_convexity(linf, g1, g2)
+    assert len(stored) == rep.counts["violations"] == 425
+    assert max(map(len, stored)) == MAX_WITNESSES
+    assert stored[-1] == stored[MAX_WITNESSES - 1]
+    assert rep.witnesses == [_jsonable(w) for w in stored[-1]]
 
 
 def test_sample_checks_reject_foreign_samples():
