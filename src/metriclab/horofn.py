@@ -61,6 +61,8 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "closed",
     without rays), "limit" forces the truncated doubling limit, the oracle.
     """
     _check_member(space, y)
+    if not _same_space(ray.space, space):
+        raise SpaceError("ray belongs to a different space")
     if ray.plus is None:
         raise SpaceError("Busemann function needs a ray with an ideal endpoint")
     if method == "limit":
@@ -71,18 +73,21 @@ def busemann_value(space, ray: GeodesicRef, y: Point, *, method: str = "closed",
 
 
 def _busemann_limit(space, ray, y, *, tol):
-    o = ray.point_at(0)
-    d0 = distance(space, o, y)
+    """The oracle for ``busemann_closed``: it reads only the ray's ``at``
+    and distances from the model's ``row``, never the closed form, so the
+    two stay independent evaluations of beta."""
+    yc, dist = y.coords, space.distance
+    d0 = dist(ray.at(0), yc)
     if space.exact:
         T = d0 + 1
-        v1 = distance(space, y, ray.point_at(T)) - T
-        v2 = distance(space, y, ray.point_at(2 * T)) - 2 * T
+        v1 = dist(yc, ray.at(T)) - T
+        v2 = dist(yc, ray.at(2 * T)) - 2 * T
         if v1 != v2:
             raise ConvergenceError("tree Busemann value did not stabilize")
         return v2
 
     def f(t):
-        return float(distance(space, y, ray.point_at(t))) - t
+        return float(dist(yc, ray.at(t))) - t
 
     def aitken(f1, f2, f3):
         den = (f3 - f2) - (f2 - f1)
@@ -95,6 +100,8 @@ def _busemann_limit(space, ray, y, *, tol):
     # Acceptance needs two consecutive small steps: a single one can be a
     # coincidental plateau of the extrapolant while the tail is still large.
     T = max(1.0, 2.0 * float(d0))
+    if T > T_CAP:   # no doubling step runs; a ray point past double range refuses itself
+        ray.point_at(4.0 * T)
     window = [f(T), f(2.0 * T), f(4.0 * T)]
     prev = None
     prev_diff = None
@@ -136,9 +143,10 @@ def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,
                              tol: float = 1e-6) -> VerificationReport:
     """0 <= beta_c(d(0)) + beta_d(c(0)) <= 2 rho_xi(c, d), within tol."""
     rep = VerificationReport("busemann-sum-bound", tolerance=tol)
-    bc = busemann_value(space, c, d.point_at(0))
-    bd = busemann_value(space, d, c.point_at(0))
+    # rho first: it refuses a foreign ray, and every model one without an ideal end
     rho = ray_pseudodistance(space, c, d)
+    bc = space.busemann_closed(c, d.at(0))
+    bd = space.busemann_closed(d, c.at(0))
     total = float(bc) + float(bd)
     rep.counts = {"sum": total, "rho": float(rho)}
     if total < -tol:
@@ -164,7 +172,7 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
 
     def f(t):
         # an int t keeps tree values exact Fractions
-        return distance(space, c.point_at(t), d.point_at(t)) / (2 * t)
+        return space.distance(c.at(t), d.at(t)) / (2 * t)
     T = 1
     while T <= T_CAP:
         v1, v2 = f(T), f(2 * T)

@@ -714,7 +714,10 @@ class HyperbolicPlane(Space):
             def height(z):
                 return math.hypot(z[0] - p, z[1]) / math.hypot(q - z[0], z[1])
         h0 = height(o)
-        step = math.log(height(x) / h0)
+        try:
+            step = math.log(height(x) / h0)
+        except ValueError:      # the height ratio underflows to 0
+            raise SpaceError(f"the closest parameter to {_shown(x)} leaves double range") from None
         t = _clip(geo, step if height(one) > h0 else -step)
         return t, self.distance(geo.at(t), x)
 
@@ -1443,8 +1446,10 @@ def midpoint(space, x: Point, y: Point, selector: str = None) -> Point:
     _check_member(space, x, y)
     if selector is not None:
         return Point(space, space.extreme_midpoint(x.coords, y.coords, selector))
-    geo = geodesic_between(space, x, y)
-    return geo.point_at(geo.length / 2)
+    d = space.distance(x.coords, y.coords)
+    if d == 0:
+        raise DegenerateError("geodesic between identical points")
+    return Point(space, space.segment(x.coords, y.coords, d)(d / 2))
 
 
 # ---------------------------------------------------------------------------

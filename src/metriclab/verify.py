@@ -24,7 +24,6 @@ from .spaces import (
     _check_space,
     _finite,
     _shown,
-    distance,
     midpoint,
 )
 
@@ -201,8 +200,8 @@ def check_busemann_midpoints(space, x: Point, y: Point, z: Point, *,
     rep = VerificationReport(f"busemann-midpoints[{space.tag()}]", tolerance=tol)
     m = midpoint(space, x, y, selector=selector_xy)
     n = midpoint(space, x, z, selector=selector_xz)
-    dmn = distance(space, m, n)
-    dyz = distance(space, y, z)
+    dmn = space.row(m.coords, (n.coords,))[0]
+    dyz = space.row(y.coords, (z.coords,))[0]
     half = dyz / 2
     lhs, rhs = float(dmn), float(half)
     rep.counts = {"lhs": lhs, "rhs": rhs}

@@ -8,14 +8,16 @@ from fractions import Fraction
 from functools import reduce
 
 from metriclab.grasshopper import UnitJumpGraph
-from metriclab.horofn import shadow_contains
+from metriclab.horofn import T_CAP, shadow_contains
 from metriclab.numeric import bisect_root, golden_min
 from metriclab.spaces import (
+    ConvergenceError,
     PreconditionError,
     SpaceError,
     distance,
     distance_rows,
     point,
+    ray_from,
     tree_edge_point,
     tree_ray_point,
     tree_vertex,
@@ -102,6 +104,63 @@ def _ray_grid(space, c, d):
         t_lo = max(0.0, ts[bj] - 2.0 * ct)
         t_hi = ts[bj] + 2.0 * ct
     return best
+
+
+def _busemann_limit_per_point(space, ray, y, tol=1e-6):
+    """``busemann_value(..., method="limit")`` one validated Point at a
+    time: the doubling loop with Aitken acceptance (an exact pair of
+    truncations on trees), each ray point built by ``point_at`` and each
+    distance read by the module ``distance``. The coordinate loop gives
+    the same values, bit for bit."""
+    o = ray.point_at(0)
+    d0 = distance(space, o, y)
+    if space.exact:
+        T = d0 + 1
+        v1 = distance(space, y, ray.point_at(T)) - T
+        v2 = distance(space, y, ray.point_at(2 * T)) - 2 * T
+        if v1 != v2:
+            raise ConvergenceError("tree Busemann value did not stabilize")
+        return v2
+
+    def f(t):
+        return float(distance(space, y, ray.point_at(t))) - t
+
+    def aitken(f1, f2, f3):
+        den = (f3 - f2) - (f2 - f1)
+        if abs(den) <= 1e-15 * max(1.0, abs(f3)):
+            return f3
+        return f3 - (f3 - f2) ** 2 / den
+    T = max(1.0, 2.0 * float(d0))
+    window = [f(T), f(2.0 * T), f(4.0 * T)]
+    prev = prev_diff = None
+    while T <= T_CAP:
+        accel = aitken(*window)
+        if prev is not None:
+            diff = abs(accel - prev)
+            if prev_diff is not None and diff <= 0.5 * tol and prev_diff <= 0.5 * tol:
+                return accel
+            prev_diff = diff
+        prev = accel
+        T *= 2.0
+        window = [window[1], window[2], f(4.0 * T)]
+    raise ConvergenceError(f"Busemann limit not stable below T = {T_CAP}")
+
+
+def _tits_delta_per_point(space, o, xi, eta):
+    """``tits_delta`` one validated Point at a time: d(c(t), d(t)) / (2t)
+    through ``point_at`` and the module ``distance``, doubling t until two
+    values agree within 1e-4, then one Richardson step."""
+    c, d = ray_from(space, o, xi), ray_from(space, o, eta)
+
+    def f(t):
+        return distance(space, c.point_at(t), d.point_at(t)) / (2 * t)
+    T = 1
+    while T <= T_CAP:
+        v1, v2 = f(T), f(2 * T)
+        if abs(float(v2) - float(v1)) <= 1e-4:
+            return float(2 * v2 - v1)
+        T *= 2
+    raise ConvergenceError(f"Tits limit not stable below t = {T_CAP}")
 
 
 def _closest_search(space, geo, x):

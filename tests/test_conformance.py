@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab.spaces import (
+    DegenerateError,
     Euclidean,
     HyperbolicPlane,
     MaxProduct,
@@ -29,6 +30,7 @@ from metriclab.spaces import (
     distance,
     geodesic_between,
     line_through,
+    midpoint,
     point,
     ray_from,
     tree_end,
@@ -176,6 +178,27 @@ def test_point_at_wraps_the_evaluator_coordinates(space, seed):
             p = geo.point_at(t)
             assert p.space is space
             assert _bits(p.coords) == _bits(geo.at(t))
+
+
+@pytest.mark.parametrize("space", GEODESIC_MODELS,
+                         ids=[f"{k}-{m.tag()}" for k, m in enumerate(GEODESIC_MODELS)])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6))
+def test_midpoint_is_the_segment_point_at_half_its_length(space, seed):
+    # a point and itself too: the sphere's d(a, a) can round to 5e-17, and
+    # then both take the midpoint of that segment
+    rng = random.Random(seed)
+    a, b = space.random_point(rng, 3.0), space.random_point(rng, 3.0)
+    for x, y in ((a, a), (a, b)):
+        try:
+            geo = geodesic_between(space, x, y)
+        except DegenerateError:
+            with pytest.raises(DegenerateError, match="geodesic between identical points"):
+                midpoint(space, x, y)
+            continue
+        m = midpoint(space, x, y)
+        assert m.space is space
+        assert _bits(m.coords) == _bits(geo.point_at(geo.length / 2).coords)
 
 
 _H2, _E2 = HyperbolicPlane(), Euclidean(2)

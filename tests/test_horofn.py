@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from metriclab import horofn
+from metriclab import horofn, suites
 from metriclab.horofn import (
     busemann_value,
     check_busemann_sum_bound,
@@ -16,6 +18,7 @@ from metriclab.horofn import (
 )
 from metriclab.spaces import (
     Euclidean,
+    GeodesicRef,
     HyperbolicPlane,
     MinkowskiLinf,
     MinkowskiLp,
@@ -33,7 +36,7 @@ from metriclab.spaces import (
     tree_end,
     tree_vertex,
 )
-from oracles import _ray_grid
+from oracles import _busemann_limit_per_point, _ray_grid, _tits_delta_per_point
 
 INF = math.inf
 
@@ -58,6 +61,19 @@ def test_busemann_limit_matches_closed_form_euclid():
         closed = busemann_value(e2, r, y, method="closed")
         lim = busemann_value(e2, r, y, method="limit")
         assert abs(closed - lim) <= 1e-6
+
+
+def test_busemann_limit_refuses_ray_points_past_double_range():
+    # d(y, c(0)) overflows to inf on E^2, so the first truncation T is inf;
+    # the H^2 ray's heights leave double range. A ray point past double
+    # range still refuses itself with SpaceError, as its Point did.
+    e2, h = Euclidean(2), HyperbolicPlane()
+    r = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
+    with pytest.raises(SpaceError, match="finite reals"):
+        busemann_value(e2, r, point(e2, (-1e200, 0)), method="limit")
+    rh = ray_from(h, point(h, (0.0, 1e300)), boundary_ideal(h, INF))
+    with pytest.raises(SpaceError, match="leaves double range"):
+        busemann_value(h, rh, point(h, (0.0, 1.0)), method="limit")
 
 
 def test_busemann_minkowski_closed_form_vs_limit():
@@ -275,6 +291,73 @@ def test_sum_bound_examples(ended_tree):
     ch = ray_from(h, point(h, (0, 1)), boundary_ideal(h, INF))
     dh = ray_from(h, point(h, (2, 1)), boundary_ideal(h, INF))
     assert check_busemann_sum_bound(h, ch, dh).passed
+
+
+def test_sum_bound_refuses_a_foreign_ray_and_a_ray_without_an_ideal_end(ended_tree):
+    e2, e3, h, t = Euclidean(2), Euclidean(3), HyperbolicPlane(), ended_tree
+    cases = [
+        (e2, ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0))),
+         ray_from(e3, point(e3, (0, 1, 0)), direction_ideal(e3, (1, 0, 0)))),
+        (h, ray_from(h, point(h, (0, 1)), boundary_ideal(h, INF)),
+         ray_from(e2, point(e2, (2, 1)), direction_ideal(e2, (0, 1)))),
+        (t, ray_from(t, tree_vertex(t, "e2"), tree_end(t, "e1")),
+         ray_from(h, point(h, (2, 1)), boundary_ideal(h, INF))),
+    ]
+    for space, c, foreign in cases:
+        endless = GeodesicRef(space, "ray", c.at)
+        for pair in ((c, foreign), (foreign, c), (c, endless), (endless, c)):
+            with pytest.raises(SpaceError):
+                check_busemann_sum_bound(space, *pair)
+        # busemann_value refuses the foreign ray too, by either method
+        for method in ("closed", "limit"):
+            with pytest.raises(SpaceError, match="different space"):
+                busemann_value(space, foreign, c.point_at(1), method=method)
+
+
+_LIMIT_MODELS = (Euclidean(2), HyperbolicPlane(), suites.ended_tree())
+
+
+def _seeded_rays(space, rng):
+    """A seeded base point, two distinct ideal points xi, eta and a point y."""
+    base, y = space.random_point(rng, 3.0), space.random_point(rng, 3.0)
+    if isinstance(space, HyperbolicPlane):
+        a = rng.uniform(-3.0, 3.0)
+        far = rng.choice((INF, a + rng.choice((-1, 1)) * rng.uniform(0.2, 4.0)))
+        return base, boundary_ideal(space, a), boundary_ideal(space, far), y
+    if isinstance(space, Euclidean):
+        a, turn = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.1, math.pi)
+        return (base, direction_ideal(space, (math.cos(a), math.sin(a))),
+                direction_ideal(space, (math.cos(a + turn), math.sin(a + turn))), y)
+    xi, eta = rng.sample(space.desc.ends, 2)
+    return base, tree_end(space, xi), tree_end(space, eta), y
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value with its type, or the type and message of what it raised."""
+    try:
+        v = fn(*args, **kwargs)
+    except Exception as err:        # the refusals must agree too
+        return type(err), str(err)
+    return type(v), v
+
+
+@pytest.mark.parametrize("space", _LIMIT_MODELS, ids=[m.tag() for m in _LIMIT_MODELS])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10**6))
+def test_busemann_limit_and_tits_delta_build_no_point(builds, space, seed):
+    # the limit loops read the rays' coordinates and the model's distances
+    # and give the per-Point loops' values, bit for bit
+    base, xi, eta, y = _seeded_rays(space, random.Random(seed))
+    ray = ray_from(space, base, xi)
+    want = [_outcome(_busemann_limit_per_point, space, ray, y),
+            _outcome(_tits_delta_per_point, space, base, xi, eta)]
+    builds.update(Point=0)
+    got = [_outcome(busemann_value, space, ray, y, method="limit"),
+           _outcome(tits_delta, space, base, xi, eta)]
+    assert builds["Point"] == 0
+    assert got == want
+    assert want[0][0] in (float, Fraction)
 
 
 def test_tits_delta_euclid_angles():

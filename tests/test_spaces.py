@@ -437,13 +437,16 @@ _E2_FAR = ray_from(_E2, point(_E2, (1e17, 0.0)), direction_ideal(_E2, (1, 0)))
     (ray_from, (_H2, _H2_LOW, boundary_ideal(_H2, 1.0))),
     (geodesic_between, (_H2, _H2_LOW, point(_H2, (1.0, 0.25)))),
     (closest_param, (_E2, _E2_FAR, point(_E2, (0.0, 0.0)))),
+    # the height ratio 1e-300 / 1e300 underflows to 0, whose log is a math error
+    (closest_param, (_H2, ray_from(_H2, point(_H2, (0.0, 1e300)), boundary_ideal(_H2, math.inf)),
+                     point(_H2, (0.0, 1e-300)))),
 ], ids=["tree-end-5001-digits", "tree-ray-end-5001-digits", "lp-p-400-digits",
         "lp-p-5001-digits", "sphere-radius-400-digits", "distance-to-raw-coords",
         "tree-bound-5001-digits", "tree-end-anchor-5001-digits", "boundary-400-digits",
         "boundary-str", "boundary-none",
         "h2-parameter-5001-digits", "tree-parameter-5001-digits", "selector-5001-digits",
         "h2-ray-base-on-carrier-boundary", "h2-segment-end-on-carrier-boundary",
-        "e2-unit-step-rounds-to-zero"])
+        "e2-unit-step-rounds-to-zero", "h2-closest-height-ratio-underflows"])
 def test_bad_input_raises_space_error(make, args):
     # a number past double range is refused where it enters, and a message
     # spells a value too long to print by its length; input at the edge of

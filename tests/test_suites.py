@@ -63,6 +63,15 @@ def test_all_output_digest(seed, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def test_all_builds_points_for_reports_and_witnesses_only(builds):
+    # the closed forms, the Busemann limit, the sum bound and the midpoint
+    # check read coordinates; at seed 7 `all` built 6,426 Points and 1,340
+    # GeodesicRefs while they still made Points of their own (ROADMAP item 15)
+    run_suite(ScenarioConfig(suite="all", seed=7))
+    assert builds["Point"] <= 4850
+    assert builds["GeodesicRef"] <= 650
+
+
 def test_all_enforces_declared_suite_sizes(monkeypatch):
     full = suites.SUITES["axioms"]
     monkeypatch.setitem(suites.SUITES, "axioms", lambda seed, params: full(seed, params)[1:])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab import grasshopper as gh
-from metriclab import verify
+from metriclab import spaces, verify
 from metriclab.grasshopper import line_counterexample
 from metriclab.spaces import (
     Euclidean,
@@ -117,6 +117,38 @@ def test_busemann_midpoints_tree_exhaustive(star_tree):
         assert rep.passed
 
 
+def _half_way(space, a, b):
+    """The midpoint of a and b read off the whole segment between them."""
+    geo = geodesic_between(space, a, b)
+    return geo.point_at(geo.length / 2)
+
+
+@pytest.mark.parametrize("case", ["e2", "h2", "tree", "linf-extremes"])
+def test_busemann_midpoints_build_two_points_and_no_geodesic(builds, star_tree, case):
+    e2, h2, linf = Euclidean(2), HyperbolicPlane(), MinkowskiLinf()
+    space, pts, selectors = {
+        "e2": (e2, [point(e2, c) for c in ((0.5, -1.0), (4.0, 0.3), (1.0, 3.0))], {}),
+        "h2": (h2, [point(h2, c) for c in ((0.0, 1.0), (2.0, 0.5), (-1.0, 3.0))], {}),
+        "tree": (star_tree, [tree_vertex(star_tree, "l1"), tree_vertex(star_tree, "l2"),
+                             tree_edge_point(star_tree, 2, Fraction(1, 4))], {}),
+        "linf-extremes": (linf, [point(linf, c) for c in ((0, 0), (2, 0), (2, 2))],
+                          {"selector_xy": "lower extreme", "selector_xz": "upper extreme"}),
+    }[case]
+    x, y, z = pts
+    expected = check_busemann_midpoints(space, x, y, z, **selectors).to_json()
+    if not selectors:
+        # the per-Point reading: midpoints off whole segments, distances
+        # through the module
+        m, n = _half_way(space, x, y), _half_way(space, x, z)
+        assert expected["counts"] == {"lhs": float(distance(space, m, n)),
+                                      "rhs": float(distance(space, y, z) / 2)}
+    builds.update(Point=0, GeodesicRef=0)
+    rep = check_busemann_midpoints(space, x, y, z, **selectors)
+    assert builds == {"Point": 2, "GeodesicRef": 0}
+    assert rep.to_json() == expected
+    assert rep.passed == (case != "linf-extremes")
+
+
 def test_distance_convexity_euclid_and_hyperbolic():
     e2 = Euclidean(2)
     g1 = geodesic_between(e2, point(e2, (0, 0)), point(e2, (4, 1)))
@@ -142,11 +174,12 @@ def _spy_on_row(monkeypatch, cls):
 
 def _forbid_distance(monkeypatch):
     """Make every one-pair distance call, through the model or the module,
-    fail the test."""
+    fail the test; verify holds no name of its own for the module's."""
     def refuse(*args):
         raise AssertionError("one-pair distance call")
+    assert "distance" not in vars(verify)
     monkeypatch.setattr(Space, "distance", refuse)
-    monkeypatch.setattr(verify, "distance", refuse)
+    monkeypatch.setattr(spaces, "distance", refuse)
 
 
 @pytest.mark.parametrize("model", ["e2", "tree", "product"])
