@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .numeric import bisect_root
 from .spaces import (
+    Euclidean,
     MaxProduct,
     MetricTree,
     Point,
@@ -110,7 +111,7 @@ def grasshopper_distance(space, x: Point, y: Point):
 
 def euclid_jump_chain(space, x: Point, y: Point):
     """Witness chain of unit jumps realizing the analytic Euclidean count."""
-    d = float(distance(space, x, y))
+    d = float(distance(_of_model(space, Euclidean), x, y))
     g = space.grasshopper(x.coords, y.coords)
     if g == 0:
         return [x]
@@ -146,6 +147,7 @@ def _unit_perp(x, y):
 def tree_offset_class_nodes(space: MetricTree, x: Point, y: Point):
     """The finite closed node set: every point whose vertex distances share
     x's or y's residues, with end rays truncated past any useful chain."""
+    _check_member(_of_model(space, MetricTree), x, y)
     return [Point(space, c) for c in space.offset_class(x.coords, y.coords)]
 
 

@@ -43,6 +43,8 @@ def _line_orientation(geo: GeodesicRef, xi: IdealPoint) -> int:
 
 def ray_toward(space, geo: GeodesicRef, xi: IdealPoint) -> GeodesicRef:
     """Restrict/reverse a line so it becomes the unit ray toward xi."""
+    if not _same_space(geo.space, space):
+        raise SpaceError("geodesic belongs to a different space")
     if _line_orientation(geo, xi) == -1:
         geo = geo.reversed()
     elif geo.kind == "ray":
@@ -176,7 +178,8 @@ def tits_delta(space, o: Point, xi: IdealPoint, eta: IdealPoint) -> float:
     T = 1
     while T <= T_CAP:
         v1, v2 = f(T), f(2 * T)
-        if abs(float(v2) - float(v1)) <= 1e-4:
+        # v1 = 0 while the rays still share their first stretch (on a tree)
+        if v1 != 0 and abs(float(v2) - float(v1)) <= 1e-4:
             # the tail is O(1/t); Richardson removes it (exactly on trees)
             return float(2 * v2 - v1)
         T *= 2

@@ -151,16 +151,14 @@ class TreeDesc:
     The traversal that checks connectivity roots the tree at the first
     vertex and keeps what it visits: ``up`` maps each vertex to (parent,
     parent-edge index, depth, level), the root's parent and edge being
-    None and the depth an integer over the denominator bound n (depth * n),
-    and ``total_length`` is the sum of the edge lengths. Neither takes part
-    in equality."""
+    None and the depth an integer over the denominator bound n (depth * n).
+    It takes no part in equality."""
 
     vertices: tuple
     edges: tuple            # (u, v, Fraction length)
     denominator_bound: int
     ends: tuple = ()
     up: dict = field(init=False, compare=False, repr=False)
-    total_length: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -201,7 +199,6 @@ class TreeDesc:
         if len(set(self.ends)) != len(self.ends):
             raise SpaceError("duplicate end ids")
         object.__setattr__(self, "up", up)
-        object.__setattr__(self, "total_length", sum(ln for (_, _, ln) in self.edges))
 
     @staticmethod
     def from_json(source) -> "TreeDesc":
@@ -276,7 +273,8 @@ class Space:
     (ideal points passed by their reps), which return coordinates
     (``GeodesicRef.point_at`` builds the ``Point``), ``direction_ideal``,
     ``ideal_matches``, ``busemann_closed`` and ``rho_closed`` (the Busemann
-    value and the asymptotic-ray pseudometric), ``closest_param`` (closed
+    value, which reads a ray only at ``ray.at(0)`` and ``ray.plus.rep``,
+    and the asymptotic-ray pseudometric), ``closest_param`` (closed
     forms on ``Euclidean``, ``HyperbolicPlane`` and ``MetricTree``),
     ``grasshopper(a, b)`` (the fewest exact unit jumps, math.inf if none)
     and ``extreme_midpoint(a, b, selector)``. Every method is a closed form:
@@ -404,7 +402,11 @@ class NormedSpace(Space):
     same float operations in the same order. ``rho_closed`` is the planar
     form from the planes' ``dual_norm`` (the norm of a linear functional
     given by its coefficients); ``Euclidean`` overrides it with the
-    orthogonal gap in every dimension."""
+    orthogonal gap in every dimension. ``busemann_closed`` reads only the
+    ray's base ``ray.at(0)`` and its unit direction xi = ``ray.plus.rep``,
+    never ``at(1) - at(0)``, which loses up to |base| * 2^-53 of xi. A reversed
+    line's ray runs along -xi, while its ``plus`` is the line's ``minus``,
+    which ``line`` accepts within 1e-9 of -xi."""
 
     def __post_init__(self):
         if type(self.dim) is not int or self.dim < 1:
@@ -453,10 +455,9 @@ class NormedSpace(Space):
         return abs(u[0] * off[1] - u[1] * off[0]) / self.dual_norm((-u[1], u[0]))
 
     def busemann_closed(self, ray, y):
-        o = ray.at(0)
-        u = vsub(ray.at(1), o)
-        grad = tuple(math.copysign(abs(c) ** (self.p - 1.0), c) for c in u)   # u itself on E^n
-        return -vdot(vsub(y, o), grad)
+        # the norm's gradient at the ray's unit direction xi: xi itself on E^n
+        grad = tuple(math.copysign(abs(c) ** (self.p - 1.0), c) for c in ray.plus.rep)
+        return -vdot(vsub(y, ray.at(0)), grad)
 
     def random_point(self, rng, scale):
         return point(self, tuple(rng.uniform(-scale, scale) for _ in range(self.dim)))
@@ -635,9 +636,11 @@ class HyperbolicPlane(Space):
             raise SpaceError(f"upper half-plane point needs finite x and y > 0, got {_shown(c)}")
 
     def row(self, a, bs):
-        # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w))
+        # stable form of arccosh(1 + |z-w|^2 / (2 Im z Im w)); each height
+        # takes its own root, as the product of two tiny ones underflows
         (ax, ay), hypot, asinh, sqrt = a, math.hypot, math.asinh, math.sqrt
-        return [2.0 * asinh(hypot(ax - bx, ay - by) / (2.0 * sqrt(ay * by))) for bx, by in bs]
+        s = 2.0 * sqrt(ay)
+        return [2.0 * asinh(hypot(ax - bx, ay - by) / (s * sqrt(by))) for bx, by in bs]
 
     def _evaluator(self, coords):
         def at(t):
@@ -821,9 +824,7 @@ class RealLine(Space):
         return IdealPoint(self, 1.0 if s > 0 else -1.0)
 
     def busemann_closed(self, ray, y):
-        o = ray.at(0)
-        sgn = 1.0 if ray.at(1) > o else -1.0
-        return -sgn * (y - o)
+        return -ray.plus.rep * (y - ray.at(0))
 
     def rho_closed(self, c, d):
         # rays in the same direction eventually overlap
@@ -1154,7 +1155,8 @@ class MetricTree(Space):
     def closest_param(self, geo, x):
         # exact Gromov-product projection
         lo, hi = geo.domain()
-        big = self.desc.total_length + self.distance(geo.at(0), x) + 1
+        # the foot of x lies on [geo(0), x], so within d(geo(0), x) of geo(0)
+        big = self.distance(geo.at(0), x) + 1
         lo = _as_fraction(lo) if lo != -INF else -big
         hi = _as_fraction(hi) if hi != INF else big
         p, q = geo.at(lo), geo.at(hi)
@@ -1346,6 +1348,10 @@ class GeodesicRef:
     ``kind`` is "segment", "ray", or "line"; the domain is [0, length],
     [0, oo), or all of R. ``minus``/``plus`` are the ideal endpoints of the
     unbounded ends, when defined. ``reversed()`` runs a line backwards.
+    A ray's direction is its ideal end: the closed forms read ``plus.rep``
+    and ``at(0)`` alone. The reversed line of a flat model runs along -xi
+    while its ``plus`` is the line's ``minus``, which ``line_through``
+    accepts within 1e-9 of -xi.
     """
 
     space: object

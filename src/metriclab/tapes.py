@@ -17,11 +17,11 @@ from .spaces import (
     Point,
     PreconditionError,
     SpaceError,
+    _same_space,
     distance,
     distance_rows,
     vadd,
     vscale,
-    vsub,
 )
 from .verify import VerificationReport
 
@@ -185,9 +185,11 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
         raise PreconditionError("need p >= 2")
     if not 0.0 < drift < 1.0:
         raise PreconditionError("drift must lie in (0, 1.0)")
-    if a.kind != "line":
-        raise SpaceError("tape construction needs a base line")
-    u = vsub(a.at(1.0), a.at(0.0))      # unit direction
+    if a.kind != "line" or a.plus is None:
+        raise SpaceError("tape construction needs a base line with ideal ends")
+    if not _same_space(a.space, space):
+        raise SpaceError("base line belongs to a different space")
+    u = a.plus.rep                      # unit direction
     w = (-u[1], u[0])                   # Euclidean perp
 
     half = space.half_chord(u, drift)

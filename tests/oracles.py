@@ -149,7 +149,8 @@ def _busemann_limit_per_point(space, ray, y, tol=1e-6):
 def _tits_delta_per_point(space, o, xi, eta):
     """``tits_delta`` one validated Point at a time: d(c(t), d(t)) / (2t)
     through ``point_at`` and the module ``distance``, doubling t until two
-    values agree within 1e-4, then one Richardson step."""
+    values agree within 1e-4, the first of them nonzero, then one
+    Richardson step."""
     c, d = ray_from(space, o, xi), ray_from(space, o, eta)
 
     def f(t):
@@ -157,7 +158,7 @@ def _tits_delta_per_point(space, o, xi, eta):
     T = 1
     while T <= T_CAP:
         v1, v2 = f(T), f(2 * T)
-        if abs(float(v2) - float(v1)) <= 1e-4:
+        if v1 != 0 and abs(float(v2) - float(v1)) <= 1e-4:
             return float(2 * v2 - v1)
         T *= 2
     raise ConvergenceError(f"Tits limit not stable below t = {T_CAP}")
@@ -258,7 +259,7 @@ def _lattice_jump_graph(space, pts):
     L = math.lcm(desc.denominator_bound, *(c[2].denominator for c in coords if c[0] != "v"))
     reach = (max([c[2] for c in coords if c[0] == "r"], default=0)
              + max(distance(space, a, b) for a in pts for b in pts)
-             + desc.total_length + 3)
+             + sum(ln for _, _, ln in desc.edges) + 3)
     grid = [tree_vertex(space, v) for v in desc.vertices]
     for i, (_, _, ln) in enumerate(desc.edges):
         grid += [tree_edge_point(space, i, Fraction(k, L)) for k in range(1, int(ln * L))]

@@ -66,6 +66,16 @@ def test_grasshopper_refuses_foreign_points(model, path_tree, ended_tree):
             grasshopper_distance(own.space, own, p)
         with pytest.raises(SpaceError):
             grasshopper_distance(own.space, p, own)
+    # the witness builders refuse another model, and another space's points
+    for builder, home in ((euclid_jump_chain, "plane"), (tree_offset_class_nodes, "tree")):
+        if model != home:
+            with pytest.raises(SpaceError, match="expected a"):
+                builder(own.space, own, own)
+        for p in (*pts.values(), "not a point"):
+            for x, y in ((own, p), (p, own)):
+                with pytest.raises(SpaceError) as err:
+                    builder(own.space, x, y)
+                assert "\n" not in str(err.value)
 
 
 def test_grasshopper_without_a_formula_still_refused():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from metriclab import horofn, suites
@@ -34,6 +34,7 @@ from metriclab.spaces import (
     sphere_point,
     tree_edge_point,
     tree_end,
+    tree_ray_point,
     tree_vertex,
 )
 from oracles import _busemann_limit_per_point, _ray_grid, _tits_delta_per_point
@@ -345,6 +346,7 @@ def _outcome(fn, *args, **kwargs):
 @settings(max_examples=10, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 10**6))
+@example(seed=12345)
 def test_busemann_limit_and_tits_delta_build_no_point(builds, space, seed):
     # the limit loops read the rays' coordinates and the model's distances
     # and give the per-Point loops' values, bit for bit
@@ -374,6 +376,17 @@ def test_tits_delta_tree_opposite_ends(ended_tree):
     t = ended_tree
     got = tits_delta(t, tree_vertex(t, "x0"), tree_end(t, "e1"), tree_end(t, "e2"))
     assert got == 1.0
+
+
+def test_tits_delta_waits_until_the_rays_part(ended_tree):
+    # both rays run 23/8 down e2's ray and 1/2 along its edge to x0 before
+    # they part, so f(1) = f(2) = 0 agree long before the tail; this is the
+    # input of seed 12345 in the test above
+    t = ended_tree
+    o = tree_ray_point(t, "e2", Fraction(23, 8))
+    assert tits_delta(t, o, tree_end(t, "e3"), tree_end(t, "e1")) == 1.0
+    base, xi, eta, _ = _seeded_rays(t, random.Random(12345))
+    assert (base.coords, xi.rep, eta.rep) == (o.coords, "e3", "e1")
 
 
 def test_tits_delta_rejects_equal_ideals():
@@ -456,9 +469,10 @@ def test_shadows_reject_bad_tol(tol):
         spherical_shadow_sample(e2, y, x0, 1.0, resolution=720, tol=tol)
 
 
-_E2 = Euclidean(2)
+_E2, _H2 = Euclidean(2), HyperbolicPlane()
 _Y, _X0 = point(_E2, (-2, 0)), point(_E2, (0, 0))
 _UP = ray_from(_E2, _X0, direction_ideal(_E2, (0.0, 1.0)))
+_H2_LINE = line_through(_H2, boundary_ideal(_H2, -1.0), boundary_ideal(_H2, 1.0))
 
 
 @pytest.mark.parametrize("make", [
@@ -466,8 +480,11 @@ _UP = ray_from(_E2, _X0, direction_ideal(_E2, (0.0, 1.0)))
     lambda: spherical_shadow_sample(_E2, _Y, _X0, 1.0, tol=10 ** 400),
     lambda: shadow_contains(_E2, _Y, _X0, point(_E2, (0, 5)), tol=10 ** 400),
     lambda: busemann_value(_E2, _UP, _Y, method=10 ** 5000),
+    # an H^2 line restricted to a ray of E^2 gave beta = 1.718...
+    lambda: ray_toward(_E2, _H2_LINE, _H2_LINE.plus),
+    lambda: ray_toward(_H2, _UP, _UP.plus),
 ], ids=["shadow-rho-400-digits", "shadow-tol-400-digits", "contains-tol-400-digits",
-        "busemann-method-5001-digits"])
+        "busemann-method-5001-digits", "ray-toward-h2-line-in-e2", "ray-toward-e2-ray-in-h2"])
 def test_bad_input_raises_space_error(make):
     with pytest.raises(SpaceError) as err:
         make()

@@ -74,6 +74,16 @@ def test_hyperbolic_log_e_distance():
     assert abs(d - math.acosh(1 + (math.e - 1) ** 2 / (2 * math.e))) < 1e-12
 
 
+@pytest.mark.parametrize("height", [1e-170, 1e-160])
+def test_hyperbolic_distance_between_tiny_heights(height):
+    # the product of the two heights underflowed: to 0 at 1e-170, which
+    # divided by zero, and to a subnormal at 1e-160, which gave 0.96242863
+    h = HyperbolicPlane()
+    a, b = point(h, (0.0, height)), point(h, (height, height))
+    assert abs(distance(h, a, b) - 2.0 * math.asinh(0.5)) <= 1e-15
+    assert distance(h, b, a) == distance(h, a, b)
+
+
 def test_minkowski_p_norm_distance():
     l3 = MinkowskiLp(3.0)
     d = distance(l3, point(l3, (0, 0)), point(l3, (1, 1)))
@@ -656,7 +666,6 @@ def test_tree_desc_validation():
     desc = TreeDesc(("a", "b", "c"), (("b", "a", half), ("c", "b", Fraction(3, 2))), 2)
     # depths are integers over the denominator bound: 1/2 and 2 times 2
     assert desc.up == {"a": (None, None, 0, 0), "b": ("a", 0, 1, 1), "c": ("b", 1, 4, 2)}
-    assert desc.total_length == 2
 
 
 def test_tree_coordinate_validation(ended_tree):

@@ -6,11 +6,13 @@ import pytest
 from metriclab import numeric, spaces, tapes
 from metriclab.spaces import (
     Euclidean,
+    GeodesicRef,
     HyperbolicPlane,
     MinkowskiLinf,
     MinkowskiLp,
     PreconditionError,
     SpaceError,
+    boundary_ideal,
     direction_ideal,
     distance,
     line_through,
@@ -164,6 +166,20 @@ def test_window_shift_invariance():
 def test_build_p_tape_needs_strictly_convex_plane(space):
     with pytest.raises(SpaceError, match="strictly convex planes only"):
         build_p_tape(space, None, 6, 0.6)
+
+
+def test_build_p_tape_refuses_a_line_of_another_space_or_without_ends():
+    # an H^2 line once gave 600 E^2 points built from H^2 coordinates; the
+    # base direction is the line's ideal end, so a line needs one
+    e2, h = Euclidean(2), HyperbolicPlane()
+    h2_line = line_through(h, boundary_ideal(h, -1.0), boundary_ideal(h, 1.0))
+    endless = GeodesicRef(e2, "line", _base_line(e2).at)
+    for space, a, message in ((e2, h2_line, "different space"),
+                              (MinkowskiLp(3.0), _base_line(e2), "different space"),
+                              (e2, endless, "with ideal ends")):
+        with pytest.raises(SpaceError, match=message) as err:
+            build_p_tape(space, a, 6, 0.6)
+        assert "\n" not in str(err.value)
 
 
 def test_build_p_tape_on_rotated_euclidean_line():
