@@ -252,8 +252,10 @@ def spherical_shadow_sample(space, y, x0: Point, rho: float,
     _check_tol(tol, "shadow tolerance")
     cx, cy = x0.coords
     if isinstance(y, IdealPoint):
-        vx, vy = ray_from(space, x0, y).at(1)
-        w = (cx - vx, cy - vy)
+        _check_member(space, x0)
+        if not _same_space(y.space, space):
+            raise SpaceError("ideal point belongs to a different space")
+        w = (-y.rep[0], -y.rep[1])
         sin2 = tol / (2.0 * rho)
     else:
         if y.coords == x0.coords:

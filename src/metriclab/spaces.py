@@ -602,34 +602,44 @@ class MinkowskiLinf(NormedSpace):
 # ---------------------------------------------------------------------------
 # hyperbolic plane
 
-def _hyp_circle_point(m, r, tau):
-    # unit-speed parameterization of the semicircle |z - m| = r
-    return (m + r * math.tanh(tau), r / math.cosh(tau))
+def _hyp_frame(xi, z):
+    """w = -1 / (z - xi), as a complex: the isometry of H^2 that sends the
+    boundary point xi to oo (the identity when xi = oo) and so every
+    geodesic ending at xi to a vertical line."""
+    return complex(*z) if xi == INF else -1.0 / complex(z[0] - xi, z[1])
 
 
-def _hyp_carrier(a, b):
-    """The geodesic of H^2 through a and b: None if it is vertical, else
-    the centre m and radius r of its semicircle."""
-    if abs(a[0] - b[0]) < 1e-14:
-        return None
-    m = (a[0] ** 2 + a[1] ** 2 - b[0] ** 2 - b[1] ** 2) / (2.0 * (a[0] - b[0]))
-    return m, math.hypot(a[0] - m, a[1])
+def _hyp_end(a, b):
+    """The ideal end beyond b of the geodesic of H^2 through a and b: oo
+    or a[0] on a vertical, else a[0] + m +- hypot(m, a[1]), m the centre
+    less a[0], the root against m's sign as -a[1]^2 / (m -+ hypot(m, a[1]))."""
+    dx = b[0] - a[0]
+    if dx == 0:
+        return INF if b[1] > a[1] else a[0]
+    m = 0.5 * ((b[1] - a[1]) / dx * (b[1] + a[1]) + dx)
+    r = math.copysign(math.hypot(m, a[1]), dx)
+    end = a[0] + (m + r if (m >= 0) == (dx > 0) else -a[1] * (a[1] / (m - r)))
+    return end if math.isfinite(end) else INF
 
 
-def _arc_param(x, m, r) -> float:
-    """The parameter atanh((x - m) / r) of the point over x on the
-    semicircle |z - m| = r; SpaceError where |x - m| rounds to r or past
-    it, which puts the point on the boundary."""
-    try:
-        return math.atanh((x - m) / r)
-    except ValueError:          # math domain error: |x - m| / r >= 1
-        raise SpaceError(f"the point over x = {_shown(x)} lies on the boundary "
-                         f"of its geodesic, centre {_shown(m)}, radius {_shown(r)}") from None
+def _hyp_lead(a, b, d):
+    """(end, sgn) for the segment from a to b, of length d: the end xi
+    beyond b with sgn 1, or eta behind a with -1, whichever frame rounds
+    b less. Frame xi puts |b - xi| / Im b ulps on b; frame eta puts
+    |a - eta| / Im a on a, and they grow by e^d toward b; oo puts none."""
+    xi, eta = _hyp_end(a, b), _hyp_end(b, a)
+    if xi == INF or (eta != INF and math.log(math.hypot(b[0] - xi, b[1]) / b[1])
+                     <= d + math.log(math.hypot(a[0] - eta, a[1]) / a[1])):
+        return xi, 1.0
+    return eta, -1.0
 
 
 @dataclass(frozen=True)
 class HyperbolicPlane(Space):
-    """Upper half-plane model of H^2; ideal points are boundary reals or oo."""
+    """Upper half-plane model of H^2; ideal points are boundary reals or oo.
+    A geodesic runs in the frame of an end xi (``_hyp_frame``), where it is
+    the vertical u + i v e^t, mapped back as xi - 1 / (u + i v e^t): points
+    near xi keep their offsets from it (Beardon 1983, ch. 7)."""
 
     def validate(self, c):
         if not (_reals(c, 2) and c[1] > 0):
@@ -642,48 +652,36 @@ class HyperbolicPlane(Space):
         s = 2.0 * sqrt(ay)
         return [2.0 * asinh(hypot(ax - bx, ay - by) / (s * sqrt(by))) for bx, by in bs]
 
-    def _evaluator(self, coords):
+    def _toward(self, z0, xi, sgn=1.0):
+        """The unit-speed geodesic from z0 toward the boundary point xi, or
+        away from it for sgn = -1: u + i v e^(sgn t) in the frame of xi."""
+        w0 = _hyp_frame(xi, z0)
+        u, v = w0.real, w0.imag
+
         def at(t):
             try:
-                c = coords(float(t))
-            except OverflowError:   # exp or cosh far out: raise, never pin
+                w = complex(u, v * math.exp(sgn * float(t)))
+                z = w if xi == INF else xi - 1.0 / w
+            except (OverflowError, ZeroDivisionError):  # exp far out, or w = 0: never pin
                 raise SpaceError(f"geodesic parameter {_shown(t)} leaves double range") from None
+            c = (z.real, z.imag)
             self.validate(c)        # a height can also overflow or underflow silently
             return c
         return at
 
-    def _vertical(self, x0, y0, sgn):
-        return self._evaluator(lambda t: (x0, y0 * math.exp(sgn * t)))
-
-    def _arc(self, m, r, t0, sgn):
-        return self._evaluator(lambda t: _hyp_circle_point(m, r, t0 + sgn * t))
-
     def segment(self, a, b, d):
-        carrier = _hyp_carrier(a, b)
-        if carrier is None:
-            return self._vertical(a[0], a[1], 1.0 if b[1] > a[1] else -1.0)
-        m, r = carrier
-        t1 = _arc_param(a[0], m, r)
-        t2 = _arc_param(b[0], m, r)
-        return self._arc(m, r, t1, 1.0 if t2 > t1 else -1.0)
+        return self._toward(a, *_hyp_lead(a, b, d))
 
-    def ray(self, base, u):
-        bx, by = base
-        if u == INF:
-            return self._vertical(bx, by, 1.0)
-        if abs(bx - u) < 1e-14:
-            return self._vertical(u, by, -1.0)
-        m = (bx * bx + by * by - u * u) / (2.0 * (bx - u))
-        r = abs(u - m)
-        return self._arc(m, r, _arc_param(bx, m, r), 1.0 if u > m else -1.0)
+    def ray(self, base, xi):
+        return self._toward(base, xi)
 
     def line(self, eta, xi, through):
-        if eta == INF:
-            return self._vertical(xi, 1.0, -1.0)
-        if xi == INF:
-            return self._vertical(eta, 1.0, 1.0)
-        return self._arc((eta + xi) / 2.0, abs(xi - eta) / 2.0, 0.0,
-                         1.0 if xi > eta else -1.0)
+        # c(0) is the top of the semicircle, or height 1 on a vertical
+        # line; each half runs in the frame of the end it heads for
+        c0 = ((xi if eta == INF else eta, 1.0) if INF in (eta, xi)
+              else ((eta + xi) / 2.0, abs(xi - eta) / 2.0))
+        ahead, behind = self._toward(c0, xi), self._toward(c0, eta, -1.0)
+        return lambda t: ahead(t) if t >= 0 else behind(t)
 
     def busemann_closed(self, ray, y):
         o = ray.at(0)
@@ -692,7 +690,10 @@ class HyperbolicPlane(Space):
             return math.log(o[1]) - math.log(y[1])
 
         def level(z):
-            return math.log(((z[0] - xi) ** 2 + z[1] ** 2) / z[1])
+            try:        # the squares can underflow to 0 or overflow
+                return math.log(((z[0] - xi) ** 2 + z[1] ** 2) / z[1])
+            except (ValueError, OverflowError):
+                raise SpaceError(f"the Busemann level of {_shown(z)} leaves double range") from None
         return level(y) - level(o)
 
     def rho_closed(self, c, d):
@@ -701,27 +702,18 @@ class HyperbolicPlane(Space):
         return 0.0
 
     def closest_param(self, geo, x):
-        # the foot of the perpendicular from z to a vertical line at a has
-        # height |z - a|; a semicircle over [p, q] is first moved onto the
-        # imaginary axis by the isometry T(z) = (z - p) / (q - z), which
-        # keeps heights |T(z)| (Beardon 1983, ch. 7)
-        o, one = geo.at(0), geo.at(1)
-        carrier = _hyp_carrier(o, one)
-        if carrier is None:
-            def height(z):
-                return math.hypot(z[0] - o[0], z[1])
-        else:
-            m, r = carrier
-            p, q = m - r, m + r
-
-            def height(z):
-                return math.hypot(z[0] - p, z[1]) / math.hypot(q - z[0], z[1])
-        h0 = height(o)
+        # in the frame of the end xi the geodesic is the vertical
+        # u0 + i v0 e^(sgn t), and the foot of the perpendicular from w(x)
+        # sits at height |w(x) - u0| (Beardon 1983, ch. 7)
+        o = geo.at(0)
+        xi, sgn = (_hyp_lead(o, geo.at(geo.length), geo.length) if geo.kind == "segment"
+                   else (geo.plus.rep, 1.0))
+        w0 = _hyp_frame(xi, o)
         try:
-            step = math.log(height(x) / h0)
+            step = math.log(abs(_hyp_frame(xi, x) - w0.real) / w0.imag)
         except ValueError:      # the height ratio underflows to 0
             raise SpaceError(f"the closest parameter to {_shown(x)} leaves double range") from None
-        t = _clip(geo, step if height(one) > h0 else -step)
+        t = _clip(geo, sgn * step)
         return t, self.distance(geo.at(t), x)
 
     def random_point(self, rng, scale):
@@ -1465,7 +1457,7 @@ def closest_param(space, geo: GeodesicRef, x: Point):
     """Parameter minimizing t -> d(geo(t), x) plus the attained distance.
 
     Closed forms on Euclidean space (orthogonal projection), H^2 (the foot
-    of the perpendicular, after a Moebius map onto the imaginary axis) and
+    of the perpendicular, in the frame where the geodesic is vertical) and
     trees (exact Gromov-product projection); every other model raises
     SpaceError. The geodesic must belong to `space`.
     """

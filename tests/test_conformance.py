@@ -203,11 +203,6 @@ def test_midpoint_is_the_segment_point_at_half_its_length(space, seed):
 
 _H2, _E2 = HyperbolicPlane(), Euclidean(2)
 _REFUSED = {
-    # y = 1e308 e^1 overflows to inf: the closed form reads geo(1) off the
-    # evaluator, which checks what it returns
-    "h2-closest-param-at-1e308": (
-        _H2, ray_from(_H2, point(_H2, (0.0, 1e308)), boundary_ideal(_H2, math.inf)),
-        point(_H2, (0.0, 1.0))),
     # the projection's numerator overflows: the foot is (nan, nan)
     "e2-closest-param-past-double-range": (
         _E2, ray_from(_E2, point(_E2, (1e308, 0.0)), direction_ideal(_E2, (-1.0, 0.5))),
@@ -224,3 +219,11 @@ def test_closed_forms_on_evaluator_coordinates_refuse_what_points_refused(case):
     space, geo, x = _REFUSED[case]
     with pytest.raises(SpaceError):
         closest_param(space, geo, x)
+
+
+def test_h2_closest_param_on_a_ray_up_from_1e308():
+    # the frame of the ray's end reads no point past its base, so the foot
+    # clips to t = 0 and the distance is d(o, x)
+    o, x = point(_H2, (0.0, 1e308)), point(_H2, (0.0, 1.0))
+    ray = ray_from(_H2, o, boundary_ideal(_H2, math.inf))
+    assert closest_param(_H2, ray, x) == (0.0, 709.1962086421661) == (0.0, distance(_H2, o, x))

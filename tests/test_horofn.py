@@ -503,9 +503,13 @@ def test_shadows_accept_zero_tol():
 def test_spherical_shadow_sample_rejects_bad_bases():
     e2, e3 = Euclidean(2), Euclidean(3)
     x0 = point(e2, (0, 0))
-    for y in (x0, point(e3, (1, 0, 0)), direction_ideal(e3, (1, 0, 0))):
+    for y in (x0, point(e3, (1, 0, 0)), direction_ideal(e3, (1, 0, 0)),
+              boundary_ideal(_H2, 1.0)):
         with pytest.raises(SpaceError):
             spherical_shadow_sample(e2, y, x0, 1.0, resolution=720, tol=1e-4)
+    # an ideal y reads no ray from x0, so x0 is checked on its own
+    with pytest.raises(SpaceError, match="does not belong"):
+        spherical_shadow_sample(e2, direction_ideal(e2, (1, 0)), point(_H2, (0, 1)), 1.0)
 
 
 def test_shadow_semicontinuity_spot_check():

@@ -1,17 +1,20 @@
 """A ray's direction is its ideal point. The Busemann closed forms and the
 tape builder read a flat ray's direction from ``ray.plus.rep`` and its base
 from ``ray.at(0)``; none rebuilds the direction as ``at(1) - at(0)``, which
-loses up to |o| * 2^-53 of it at a base o far from the origin. The AST scan pins
-the reads, and the far-ray values pin what they give on every flat model."""
+loses up to |o| * 2^-53 of it at a base o far from the origin. The H^2
+closest point and the shadow window read ideal ends the same way. The AST
+scan pins the reads, and the far-ray values pin what they give on every
+flat model."""
 
 import ast
 import inspect
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from metriclab import spaces, tapes
+from metriclab import horofn, spaces, tapes
 from metriclab.horofn import busemann_value
 from metriclab.spaces import (
     Euclidean,
@@ -62,6 +65,19 @@ def test_closed_forms_evaluate_a_geodesic_only_at_zero():
     # the tape builder evaluates its base line at the tape's parameters,
     # never at a literal one but 0
     hits = _evaluations(inspect.getsource(tapes), {"build_p_tape"})
+    assert hits and all(t is None or t == 0 for _, t in hits)
+
+
+def test_h2_feet_and_shadow_windows_read_ideal_ends():
+    # H^2 closest points take the frame of the geodesic's end, and the
+    # shadow window reads an ideal y's direction from its rep: neither
+    # evaluates a geodesic at a literal but 0. Euclidean.closest_param is
+    # left out: a segment has no ideal end, and a reversed flat line's
+    # plus is only within 1e-9 of its direction.
+    hits = _evaluations(textwrap.dedent(inspect.getsource(spaces.HyperbolicPlane.closest_param)),
+                        {"closest_param"})
+    hits += _evaluations(inspect.getsource(horofn.spherical_shadow_sample),
+                         {"spherical_shadow_sample"})
     assert hits and all(t is None or t == 0 for _, t in hits)
 
 

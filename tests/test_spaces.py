@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from metriclab import suites
 from metriclab.grasshopper import UnitJumpGraph
+from metriclab.horofn import busemann_value
 from metriclab.spaces import (
     AmbiguousError,
     DegenerateError,
@@ -217,6 +218,51 @@ def test_hyperbolic_far_points_raise_instead_of_pinning():
         assert r.point_at(700).coords[1] > 0
         with pytest.raises(SpaceError):
             r.point_at(720 if xi != 0.0 else 800)
+    # behind the base of the ray down to 0 the frame point u + i v e^t
+    # underflows to 0, which has no image
+    with pytest.raises(SpaceError, match="leaves double range"):
+        r.point_at(-800)
+
+
+def test_hyperbolic_segments_end_at_their_endpoint():
+    # a segment runs in the frame of the end that rounds its far point
+    # least: the end beyond b, or for a near-vertical climb, whose end
+    # beyond b is far out, the end behind a
+    h = HyperbolicPlane()
+    rng = random.Random(0)
+    pairs = [(h.random_point(rng, 3.0), h.random_point(rng, 3.0)) for _ in range(5000)]
+    for dx in (1e-6, 1e-9, 1e-12, 1e-15):
+        for a, b in (((0.3, 0.5), (0.3 + dx, 3.0)), ((0.3, 3.0), (0.3 + dx, 0.5))):
+            pairs.append((point(h, a), point(h, b)))
+    for a, b in pairs:
+        g = geodesic_between(h, a, b)
+        assert distance(h, g.point_at(g.length), b) <= 1e-12, (a, b)
+
+
+@pytest.mark.parametrize("t", [-30.0, -25.0, 25.0, 30.0])
+def test_hyperbolic_line_halves_keep_to_their_semicircle(t):
+    # each half of a line runs in the frame of the end it heads for; the
+    # gap from c(t) to the carrier |z - m| = r, exact in Fractions on the
+    # double coordinates, is asinh(| |z - m|^2 - r^2 | / (2 r Im z)). The
+    # frame of xi alone would put c(-30) 1.6e-3 off it.
+    h = HyperbolicPlane()
+    rng = random.Random(1)
+    for _ in range(200):
+        eta, xi = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        x, y = map(Fraction, line_through(h, boundary_ideal(h, eta), boundary_ideal(h, xi)).at(t))
+        m, r = (Fraction(eta) + Fraction(xi)) / 2, abs(Fraction(xi) - Fraction(eta)) / 2
+        assert math.asinh(abs((x - m) ** 2 + y * y - r * r) / (2 * r * y)) <= 1e-10
+
+
+def test_hyperbolic_busemann_level_past_double_range_is_refused():
+    # toward xi = 1 the offset of c(380) from xi is near 1e-165, and its
+    # square underflows to 0, whose log is a math error
+    h = HyperbolicPlane()
+    r = ray_from(h, point(h, (0.0, 1.0)), boundary_ideal(h, 1.0))
+    assert abs(busemann_value(h, r, r.point_at(360.0)) + 360.0) <= 1e-11
+    with pytest.raises(SpaceError, match="Busemann level of .* leaves double range") as err:
+        busemann_value(h, r, r.point_at(380.0))
+    assert "\n" not in str(err.value)
 
 
 def test_midpoint_defining_equalities():
@@ -422,8 +468,6 @@ _H2_UP = ray_from(HyperbolicPlane(), Point(HyperbolicPlane(), (0.0, 1.0)),
 _TREE_SEGMENT = geodesic_between(_TREE, tree_vertex(_TREE, "x0"), tree_vertex(_TREE, "spur"))
 _LINF = MinkowskiLinf()
 _H2 = HyperbolicPlane()
-# y = 1e-300 puts the point on its carrier's boundary: |x - m| rounds to r
-_H2_LOW = point(_H2, (0.5, 1e-300))
 _E2 = Euclidean(2)
 # 1e17 + 1.0 rounds to 1e17, so the unit step read off the ray is zero
 _E2_FAR = ray_from(_E2, point(_E2, (1e17, 0.0)), direction_ideal(_E2, (1, 0)))
@@ -444,8 +488,6 @@ _E2_FAR = ray_from(_E2, point(_E2, (1e17, 0.0)), direction_ideal(_E2, (1, 0)))
     (_H2_UP.point_at, (HUGE,)),
     (_TREE_SEGMENT.point_at, (THIRD,)),
     (midpoint, (_LINF, Point(_LINF, (0.0, 0.0)), Point(_LINF, (1.0, 0.0)), HUGE)),
-    (ray_from, (_H2, _H2_LOW, boundary_ideal(_H2, 1.0))),
-    (geodesic_between, (_H2, _H2_LOW, point(_H2, (1.0, 0.25)))),
     (closest_param, (_E2, _E2_FAR, point(_E2, (0.0, 0.0)))),
     # the height ratio 1e-300 / 1e300 underflows to 0, whose log is a math error
     (closest_param, (_H2, ray_from(_H2, point(_H2, (0.0, 1e300)), boundary_ideal(_H2, math.inf)),
@@ -455,7 +497,6 @@ _E2_FAR = ray_from(_E2, point(_E2, (1e17, 0.0)), direction_ideal(_E2, (1, 0)))
         "tree-bound-5001-digits", "tree-end-anchor-5001-digits", "boundary-400-digits",
         "boundary-str", "boundary-none",
         "h2-parameter-5001-digits", "tree-parameter-5001-digits", "selector-5001-digits",
-        "h2-ray-base-on-carrier-boundary", "h2-segment-end-on-carrier-boundary",
         "e2-unit-step-rounds-to-zero", "h2-closest-height-ratio-underflows"])
 def test_bad_input_raises_space_error(make, args):
     # a number past double range is refused where it enters, and a message
@@ -464,6 +505,23 @@ def test_bad_input_raises_space_error(make, args):
     with pytest.raises(SpaceError) as err:
         make(*args)
     assert "\n" not in str(err.value)
+
+
+# y = 1e-300: |x - m| rounds to the radius r of the carrier, so no arc
+# parameter atanh((x - m) / r) exists; the frame of the end needs none
+_H2_LOW = point(_H2, (0.5, 1e-300))
+
+
+def test_hyperbolic_ray_from_a_base_on_its_carrier_boundary():
+    r = ray_from(_H2, _H2_LOW, boundary_ideal(_H2, 1.0))
+    for t in (1.0, 100.0, 690.0):
+        assert distance(_H2, _H2_LOW, r.point_at(t)) - t == 0.0
+
+
+def test_hyperbolic_segment_to_an_end_on_its_carrier_boundary():
+    b = point(_H2, (1.0, 0.25))
+    g = geodesic_between(_H2, _H2_LOW, b)
+    assert distance(_H2, g.point_at(g.length), b) <= 1e-13
 
 
 def test_hyperbolic_ray_point_beyond_double_range_is_refused():
