@@ -330,6 +330,7 @@ def suite_horofn(seed: int, params: dict) -> list:
         x0 = point(e2, (0.0, 0.0))
         rho, eps, delta = 1.0, 0.1, 0.01
         base_shadow = spherical_shadow_sample(e2, y, x0, rho, resolution=720, tol=1e-4)
+        base_coords = [w.coords for w in base_shadow.points]
         dist_yx0 = float(distance(e2, y, x0))
         n_shadow_pts = params.get("shadow_points", 100)
         checked = 0
@@ -345,7 +346,7 @@ def suite_horofn(seed: int, params: dict) -> list:
                 if checked >= n_shadow_pts:
                     break
                 checked += 1
-                nearest = min(float(distance(e2, z, w)) for w in base_shadow.points)
+                nearest = min(e2.row(z.coords, base_coords))
                 if nearest > eps:
                     rep.fail({"z": z, "nearest": nearest})
         rep.counts = {"points": checked}
@@ -568,11 +569,11 @@ def suite_grasshopper(seed: int, params: dict) -> list:
     A = tps.union_sample()
     with out.check("tree-swap-grasshopper-isometry", 0.0) as rep:
         pairs_checked = 0
+        images = [phi.forward(q) for q in A.points]
         for i in range(len(A.points)):
             for j in range(i + 1, len(A.points)):
                 g1 = gh.grasshopper_distance(tree, A.points[i], A.points[j])
-                g2 = gh.grasshopper_distance(tree, phi.forward(A.points[i]),
-                                             phi.forward(A.points[j]))
+                g2 = gh.grasshopper_distance(tree, images[i], images[j])
                 pairs_checked += 1
                 if g1 != g2:
                     rep.fail({"p": A.points[i], "q": A.points[j], "before": g1, "after": g2})
@@ -696,7 +697,7 @@ def suite_counterexamples(seed: int, params: dict) -> list:
                                       sample, 1e-9, 1e-9))
 
     # 5. max-lift of the line counterexample over Euclidean(1); the y grid
-    # step avoids the sine map's fixed points at half-integers
+    # j * 0.25, j = -2..2, includes the sine map's fixed points -0.5, 0 and 0.5
     e1 = Euclidean(1)
     lift = gh.max_product_lift(ls, e1)
     mp = lift.domain

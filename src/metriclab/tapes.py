@@ -9,6 +9,7 @@ pos(j, z) = (j-1)(2p-1)/p + z along the base line.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,8 +77,27 @@ def tape_quadruples(p: int):
     return quads
 
 
+# the row verdicts of the two newest tapes validated that are still alive,
+# oldest first, as (tape ref, space, tol, {row key: (row points, violations)})
+_row_verdicts = []
+
+
+def _forget(tape_ref):
+    _row_verdicts[:] = [e for e in _row_verdicts if e[0] is not tape_ref]
+
+
 def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
-    """Row r-sequence property plus the unit-quadruple system."""
+    """Row r-sequence property plus the unit-quadruple system.
+
+    A row made of the very same Point objects, at the same z, as a row of
+    one of the two tapes validated last, in the very same space and at an
+    equal ``tol``, takes that row's verdict instead of rebuilding its pair
+    table: a copy of a tape perturbed in one point is re-checked in that
+    row and in all its quadruples. Rows are keyed by the ids of their
+    Points, which the store holds so that no id is reused while stored; a
+    tape's verdicts are dropped when the tape itself is freed. Equal
+    coordinates are not enough: a row rebuilt from new Points is validated
+    again, so no verdict passes to the equal, fresh tapes of another run."""
     p = tape.p
     if p < 2:
         raise SpaceError("tape needs p >= 2")
@@ -86,15 +106,22 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
     rows = {}
     for (i, j, z), pt in tape.points.items():
         rows.setdefault((i, j), {})[z] = pt
-    rows_checked = 0
+    known = [v for _, s, t, v in _row_verdicts if s is tape.space and t == tol]
+    verdicts = {}
     for i in range(4):
         for j in range(1, p + 1):
             if (i, j) not in rows:
                 raise SpaceError(f"missing row ({i}, {j})")
-            sub = validate_r_sequence(tape.space, rows[(i, j)], tol=tol)
-            rows_checked += 1
-            if not sub.passed:
-                rep.fail({"row": (i, j), "violations": sub.counts["violations"]})
+            row = rows[(i, j)]
+            zs = sorted(row)
+            key = (*zs, *(id(row[z]) for z in zs))
+            verdict = next((v[key] for v in known if key in v), None)
+            if verdict is None:
+                sub = validate_r_sequence(tape.space, row, tol=tol)
+                verdict = (tuple(row.values()), sub.counts["violations"])
+            verdicts[key] = verdict
+            if verdict[1]:
+                rep.fail({"row": (i, j), "violations": verdict[1]})
     quads = tape_quadruples(p)
     for quad in quads:
         try:
@@ -110,7 +137,9 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
         bad = (d03 != 3) if exact else abs(float(d03) - 3.0) > tol
         if bad:
             rep.fail({"quad": quad, "step": "ends", "d": d03, "expected": 3})
-    return rep.finalize(rows=rows_checked, quadruples=len(quads))
+    del _row_verdicts[:-1]
+    _row_verdicts.append((weakref.ref(tape, _forget), tape.space, tol, verdicts))
+    return rep.finalize(rows=4 * p, quadruples=len(quads))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +207,10 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
     hold and row 1 follow the position law along ``a``. Chords are the
     model's closed ``half_chord``; w = (-u2, u1) is at normed distance 1
     from the base direction u wherever it has one.
+
+    The four rows (i, j) share their anchors on ``a``: the base line is
+    evaluated once per (j, z), 4p + 1 times per j on the default window,
+    and each row adds its own transverse offset to the same floats.
     """
     if not (getattr(space, "half_chord", None) and space.dim == 2):
         raise SpaceError("tape construction runs in strictly convex planes only")
@@ -202,12 +235,14 @@ def build_p_tape(space, a: GeodesicRef, p: int, drift: float, window=None) -> PT
     step_up = vadd(vscale(u, D / 2.0), vscale(w, beta_tape))
 
     zmin, zmax = window or (-2 * p, 2 * p)
+    anchors = {}
+    for j in range(1, p + 1):
+        base = float(tape_position(p, j, 0))
+        for z in range(zmin, zmax + 1):
+            anchors[(j, z)] = a.at(base + z)
     pts = {}
     for i in range(4):
         off = vscale(step_up, i - 1)
-        for j in range(1, p + 1):
-            base = float(tape_position(p, j, 0))
-            for z in range(zmin, zmax + 1):
-                anchor = a.at(base + z)
-                pts[(i, j, z)] = Point(space, vadd(anchor, off))
+        for (j, z), anchor in anchors.items():
+            pts[(i, j, z)] = Point(space, vadd(anchor, off))
     return PTape(space, p, pts)

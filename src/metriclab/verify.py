@@ -167,7 +167,9 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
         xc, yc, zc = x.coords, y.coords, z.coords
         dxy, dxz = row(xc, (yc, zc))
         dyx, dyz = row(yc, (xc, zc))
-        if (dxy != dyx) if exact else abs(float(dxy) - float(dyx)) > tol:
+        # float tests are written `not ... <= tol`, as in is_isometry: an
+        # infinite distance gives nan, which must fail
+        if (dxy != dyx) if exact else not abs(float(dxy) - float(dyx)) <= tol:
             rep.fail({"axiom": "symmetry", "x": x, "y": y, "dxy": dxy, "dyx": dyx})
         zero = (dxy == 0) if exact else float(dxy) <= tol
         if zero != (xc == yc):
@@ -180,7 +182,7 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
                           "slack": dxy + dyz - dxz})
         else:
             slack = float(dxy) + float(dyz) - float(dxz)
-            if slack < -tol:
+            if not slack >= -tol:
                 rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z, "slack": slack})
         checked += 1
     return rep.finalize(triples=checked)

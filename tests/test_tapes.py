@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from metriclab.spaces import (
     HyperbolicPlane,
     MinkowskiLinf,
     MinkowskiLp,
+    Point,
     PreconditionError,
     SpaceError,
     boundary_ideal,
@@ -211,6 +213,92 @@ def test_build_p_tape_runs_no_search(monkeypatch):
                 monkeypatch.setattr(mod, name, stub)
     for space, drift in ((Euclidean(2), 0.6), (MinkowskiLp(3.0), 0.8), (MinkowskiLp(1.5), 0.6)):
         assert validate_p_tape(build_p_tape(space, _base_line(space), 6, drift)).passed
+
+
+def test_build_p_tape_evaluates_the_base_line_once_per_anchor():
+    # the four rows share their anchors: 6 j x 25 z evaluations, not 600
+    e2 = Euclidean(2)
+    a = _base_line(e2)
+    calls = []
+
+    def at(t):
+        calls.append(t)
+        return a.at(t)
+    tape = build_p_tape(e2, dataclasses.replace(a, at=at), 6, 0.6)
+    assert len(calls) == len(set(calls)) == 150
+    assert tape.points == build_p_tape(e2, a, 6, 0.6).points
+    for (i, j, z), pt in tape.points.items():
+        if i == 1:      # row 1 sits on the base line itself
+            assert pt.coords == a.at(float(tape_position(6, j, 0)) + z)
+
+
+def _count_row_checks(monkeypatch):
+    """The r-sequence tables built from now on, each as its number of points,
+    starting from an empty verdict store."""
+    monkeypatch.setattr(tapes, "_row_verdicts", [])
+    built, check = [], tapes.validate_r_sequence
+
+    def counted(space, points, tol=1e-9):
+        built.append(len(points))
+        return check(space, points, tol=tol)
+    monkeypatch.setattr(tapes, "validate_r_sequence", counted)
+    return built
+
+
+def test_a_perturbed_tape_revalidates_only_its_changed_row(monkeypatch):
+    built = _count_row_checks(monkeypatch)
+    e2 = Euclidean(2)
+    tape = build_p_tape(e2, _base_line(e2), 6, 0.6)
+    assert validate_p_tape(tape).passed
+    assert len(built) == 24
+    bad = PTape(e2, tape.p, dict(tape.points))
+    c = bad.points[(1, 3, 0)].coords
+    bad.points[(1, 3, 0)] = point(e2, (c[0] + 0.05, c[1]))
+    del built[:]
+    rep = validate_p_tape(bad)
+    assert len(built) == 1
+    # the changed row still fails, beside the quadruples through (1, 3, 0)
+    assert [w["row"] for w in rep.witnesses if "row" in w] == [[1, 3]]
+    monkeypatch.setattr(tapes, "_row_verdicts", [])
+    assert validate_p_tape(bad).to_json() == rep.to_json()
+
+
+def test_row_verdicts_need_the_same_points_space_and_tol(monkeypatch):
+    built = _count_row_checks(monkeypatch)
+    e2 = Euclidean(2)
+    tape = build_p_tape(e2, _base_line(e2), 6, 0.6)
+    first = validate_p_tape(tape).to_json()
+    rebuilt = PTape(e2, 6, {k: Point(e2, pt.coords) for k, pt in tape.points.items()})
+    twin = Euclidean(2)
+    cases = ((rebuilt, 1e-9),                                   # equal coordinates
+             (PTape(twin, 6, tape.points), 1e-9),               # an equal space
+             (tape, 1e-8), (tape, 0.0))                         # another tol
+    for other, tol in cases:
+        del built[:]
+        rep = validate_p_tape(other, tol=tol)
+        assert len(built) == 24, tol
+        # at tol 0 rounding breaks 22 rows, which a shared verdict would pass
+        failed_rows = [w for w in rep.witnesses if "row" in w]
+        assert len(failed_rows) == (22 if tol == 0.0 else 0), tol
+    # the tape itself, at its own tol, was evicted by the later ones
+    del built[:]
+    assert validate_p_tape(tape).to_json() == first
+    assert len(built) == 24 and len(tapes._row_verdicts) == 2
+    del built[:]
+    assert validate_p_tape(tape).to_json() == first
+    assert built == []
+
+
+def test_row_verdicts_live_no_longer_than_their_tape(monkeypatch):
+    # the store holds a tape's Points only while the tape itself is alive
+    _count_row_checks(monkeypatch)
+    e2 = Euclidean(2)
+    tape = build_p_tape(e2, _base_line(e2), 6, 0.6)
+    assert validate_p_tape(tape).passed
+    assert validate_p_tape(build_p_tape(e2, _base_line(e2), 4, 0.75)).passed
+    assert [ref() for ref, *_ in tapes._row_verdicts] == [tape]
+    del tape
+    assert tapes._row_verdicts == []
 
 
 def test_tape_missing_point_is_domain_error():

@@ -85,6 +85,17 @@ def test_metric_axioms_stay_exact_beyond_float_range():
     assert {(w["axiom"], w["slack"]) for w in rep.witnesses} == {("triangle", str(-4 * big))}
 
 
+def test_metric_axioms_fail_on_an_infinite_distance():
+    # d((1e308, 0), (-1e308, 0)) overflows to inf; inf - inf is nan, which
+    # no float comparison with the tolerance passes
+    e2 = Euclidean(2)
+    sample = SampleSet(e2, (point(e2, (1e308, 0.0)), point(e2, (-1e308, 0.0))))
+    rep = check_metric_axioms(e2, sample, triples=50)
+    assert not rep.passed and rep.witnesses
+    assert {w["axiom"] for w in rep.witnesses} == {"symmetry", "triangle"}
+    assert all(w.get("dxy", w.get("slack")) in ("inf", "nan") for w in rep.witnesses)
+
+
 def test_busemann_midpoints_euclid_equality():
     e2 = Euclidean(2)
     rep = check_busemann_midpoints(e2, point(e2, (0, 0)), point(e2, (4, 0)),
