@@ -28,6 +28,7 @@ import math
 import operator
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -149,16 +150,26 @@ class TreeDesc:
     (the tree's ends, used for ideal points).
 
     The traversal that checks connectivity roots the tree at the first
-    vertex and keeps what it visits: ``up`` maps each vertex to (parent,
-    parent-edge index, depth, level), the root's parent and edge being
-    None and the depth an integer over the denominator bound n (depth * n).
-    It takes no part in equality."""
+    vertex, and a second O(V) pass cuts it into heavy paths (Sleator and
+    Tarjan): a vertex's heavy child is its child with the largest subtree,
+    and a heavy path runs from its head down through heavy children.
+    ``order`` lists the vertices path by path, each path a contiguous slice
+    from its head down, and ``depths`` their depths in that order. ``up``
+    maps each vertex to (parent, parent-edge index, depth, head, position,
+    lift): the root's parent and edge are None; the depth is an integer over
+    the denominator bound n (depth * n); the position is the vertex's index
+    in ``order``, the head its path head's index, and the lift the head's
+    parent (None on the root's path). A root path crosses at most log2(V)
+    light edges, so the way up from any vertex visits at most log2(V) + 1
+    heavy paths. None of the three tables takes part in equality."""
 
     vertices: tuple
     edges: tuple            # (u, v, Fraction length)
     denominator_bound: int
     ends: tuple = ()
     up: dict = field(init=False, compare=False, repr=False)
+    order: tuple = field(init=False, compare=False, repr=False)
+    depths: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vs = set(self.vertices)
@@ -182,23 +193,52 @@ class TreeDesc:
         # connectivity: every vertex is reached (acyclicity follows from the
         # edge count), so the parent table is the tree's unique one
         root = self.vertices[0]
-        up = {root: (None, None, 0, 0)}
+        parent, kids = {root: (None, None, 0)}, {}
+        seen = []               # parents before their children
         stack = [root]
         while stack:
             cur = stack.pop()
-            _, _, depth, level = up[cur]
+            seen.append(cur)
+            depth = parent[cur][2]
+            kids[cur] = ks = []
             for (w, i, ln) in adj[cur]:
-                if w not in up:
-                    up[w] = (cur, i, depth + ln.numerator * (n // ln.denominator), level + 1)
-                    stack.append(w)
-        if len(up) != len(vs):
+                if w not in parent:
+                    parent[w] = (cur, i, depth + ln.numerator * (n // ln.denominator))
+                    ks.append(w)
+            stack += ks
+        if len(seen) != len(vs):
             raise SpaceError("edge set is not connected")
         for e in self.ends:
             if e not in vs:
                 raise SpaceError(f"end anchor {_shown(e)} is not a vertex")
         if len(set(self.ends)) != len(self.ends):
             raise SpaceError("duplicate end ids")
+        # subtree sizes and heavy children, children first
+        size, heavy = {}, {}
+        for v in reversed(seen):
+            total, most, h = 1, 0, None
+            for w in kids[v]:
+                sw = size[w]
+                total += sw
+                if sw > most:
+                    most, h = sw, w
+            size[v], heavy[v] = total, h
+        # the heavy paths one after another, each from its head down
+        up, order, heads = {}, [], [root]
+        while heads:
+            v, head = heads.pop(), len(order)
+            lift = parent[v][0]
+            while v is not None:
+                up[v] = (*parent[v], head, len(order), lift)
+                order.append(v)
+                h = heavy[v]
+                for w in kids[v]:
+                    if w != h:
+                        heads.append(w)
+                v = h
         object.__setattr__(self, "up", up)
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "depths", tuple(up[v][2] for v in order))
 
     @staticmethod
     def from_json(source) -> "TreeDesc":
@@ -850,12 +890,14 @@ class MetricTree(Space):
     0 < offset < length, or ('r', end, offset) with offset > 0 on the
     infinite ray at an end. Ideal points are the ends' anchor vertices.
 
-    Queries run on the parent table ``desc.up`` of the ``TreeDesc``, whose
-    depths are integers over the denominator bound n. A point is anchored
-    at a vertex with an integer depth over lcm(n, its offset's denominator);
-    a distance climbs two anchors, over their common denominator L, to their
-    common ancestor, and a geodesic point climbs from an endpoint over
-    lcm(L, the parameter's denominator). All of it is integer arithmetic,
+    Queries run on the tables of the ``TreeDesc``, whose depths are
+    integers over the denominator bound n. A point is anchored at a vertex
+    with an integer depth over lcm(n, its offset's denominator). A distance
+    hops two anchors, over their common denominator L, from heavy path to
+    heavy path until both are on the path of their common ancestor; a
+    geodesic point hops up from an endpoint over lcm(L, the parameter's
+    denominator) to the heavy path it lies on, then bisects that path's
+    depths. Either takes O(log V) hops. All of it is integer arithmetic,
     with one ``Fraction`` per returned distance or offset."""
 
     desc: TreeDesc
@@ -891,18 +933,27 @@ class MetricTree(Space):
     def _coords(self, v, d, M):
         """Canonical coordinates of the point at integer depth d over M (a
         multiple of n) on the way up from v, or on v's end ray below v."""
-        up, k = self.desc.up, M // self.desc.denominator_bound
-        parent, i, depth, _ = up[v]
-        # climb while the parent is at least as high as d
-        while depth * k > d and up[parent][2] * k >= d:
-            v = parent
-            parent, i, depth, _ = up[v]
+        desc = self.desc
+        up, k = desc.up, M // desc.denominator_bound
+        parent, i, depth, head, pos, lift = up[v]
+        if depth * k > d and up[parent][2] * k >= d:
+            # the point is at the highest ancestor of v at depth >= t =
+            # ceil(d / k), or on the edge above it: hop heads while the lift
+            # is that deep, then bisect the heavy path's depths down to v
+            t = -(-d // k)
+            while lift is not None:
+                entry = up[lift]
+                if entry[2] < t:
+                    break
+                _, _, _, head, pos, lift = entry
+            v = desc.order[bisect_left(desc.depths, t, head, pos)]
+            parent, i, depth, _, _, _ = up[v]
         depth *= k
         if d == depth:
             return ("v", v)
         if d > depth:
             return ("r", v, Fraction(d - depth, M))
-        u = self.desc.edges[i][0]
+        u = desc.edges[i][0]
         return ("e", i, Fraction(depth - d if u == v else d - up[parent][2] * k, M))
 
     def _top(self, va, da, vb, db, L):
@@ -911,20 +962,26 @@ class MetricTree(Space):
         if va == vb:
             return min(da, db)
         up = self.desc.up
-        # climb to the common ancestor by level
-        u, v = va, vb
-        lu, lv = up[u][3], up[v][3]
-        while lu > lv:
-            u, lu = up[u][0], lu - 1
-        while lv > lu:
-            v, lv = up[v][0], lv - 1
-        while u != v:
-            u, v = up[u][0], up[v][0]
-        top = up[u][2] * (L // self.desc.denominator_bound)
+        a = ea = up[va]
+        b = eb = up[vb]
+        # the later path head is no ancestor of the other anchor: hop from
+        # it to its lift until both are on one heavy path
+        ha, hb = ea[3], eb[3]
+        while ha != hb:
+            if ha > hb:
+                ea = up[ea[5]]
+                ha = ea[3]
+            else:
+                eb = up[eb[5]]
+                hb = eb[3]
+        # the shallower of the two is the common ancestor
+        if ea[4] > eb[4]:
+            ea = eb
+        top = ea[2] * (L // self.desc.denominator_bound)
         # the endpoint anchored at the common ancestor may sit above it
-        if u == va:
+        if ea is a:
             return min(top, da)
-        if u == vb:
+        if ea is b:
             return min(top, db)
         return top
 
@@ -994,8 +1051,8 @@ class MetricTree(Space):
         return coords
 
     def row(self, a, bs):
-        # a is anchored once; each b is one anchor and one integer climb
-        # over the pair's common denominator
+        # a is anchored once; each b is one anchor and one common-ancestor
+        # search over the pair's common denominator
         va, pa, qa = self._anchor(a)
         anchor, top, lcm = self._anchor, self._top, math.lcm
         out = []
@@ -1008,9 +1065,9 @@ class MetricTree(Space):
 
     def rows(self, coords):
         # each point is anchored once over one common L; a pair is then one
-        # integer climb, and equal lengths share one Fraction (a memo of at
-        # most _ROW_MEMO lengths: on the benchmark pools 77-98% of the pairs
-        # hit it)
+        # common-ancestor search, and equal lengths share one Fraction (a
+        # memo of at most _ROW_MEMO lengths: on the benchmark pools 77-98%
+        # of the pairs hit it)
         anchors = [self._anchor(c) for c in coords]
         L = math.lcm(*(q for _, _, q in anchors))
         anchors = [(v, p * (L // q)) for v, p, q in anchors]

@@ -9,6 +9,7 @@ pos(j, z) = (j-1)(2p-1)/p + z along the base line.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,9 @@ class PTape:
 
 def validate_r_sequence(space, points: dict, tol: float = 1e-9) -> VerificationReport:
     """Is ``points`` (int z -> Point) a unit-step copy of a window of integers:
-    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)?"""
+    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)? Float tests
+    are written ``not ... <= tol``, as in ``is_isometry``: a nan distance
+    fails."""
     zs = sorted(points)
     if len(zs) < 2:
         raise SpaceError("r-sequence window needs at least two indices")
@@ -48,7 +51,7 @@ def validate_r_sequence(space, points: dict, tol: float = 1e-9) -> VerificationR
     rows = distance_rows(space, [points[z] for z in zs])
     for a, (z1, row) in enumerate(zip(zs, rows)):
         for z2, d in zip(zs[a + 1:], row):
-            bad = (d != z2 - z1) if exact else abs(float(d) - (z2 - z1)) > tol
+            bad = (d != z2 - z1) if exact else not abs(float(d) - (z2 - z1)) <= tol
             if bad:
                 rep.fail({"z1": z1, "z2": z2, "d": d, "expected": z2 - z1})
     return rep.finalize(pairs=len(zs) * (len(zs) - 1) // 2)
@@ -130,11 +133,11 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
             raise SpaceError(f"tape is missing point {missing}") from None
         for a in range(3):
             d = distance(tape.space, pts[a], pts[a + 1])
-            bad = (d != 1) if exact else abs(float(d) - 1.0) > tol
+            bad = (d != 1) if exact else not abs(float(d) - 1.0) <= tol
             if bad:
                 rep.fail({"quad": quad, "step": a, "d": d, "expected": 1})
         d03 = distance(tape.space, pts[0], pts[3])
-        bad = (d03 != 3) if exact else abs(float(d03) - 3.0) > tol
+        bad = (d03 != 3) if exact else not abs(float(d03) - 3.0) <= tol
         if bad:
             rep.fail({"quad": quad, "step": "ends", "d": d03, "expected": 3})
     del _row_verdicts[:-1]
@@ -169,20 +172,21 @@ def check_third_division(space, pts: dict) -> VerificationReport:
         third = dtot / 3.0
         segs = [float(distance(space, ys[a], ys[a + 1])) for a in range(3)]
         for a, seg in enumerate(segs):
-            if abs(seg - third) > tol:
+            if not abs(seg - third) <= tol:
                 rep.fail({"relation": rel, "segment": a, "d": seg, "expected": third})
-        if abs(sum(segs) - dtot) > tol:
+        if not abs(sum(segs) - dtot) <= tol:
             rep.fail({"relation": rel, "segment": "collinearity",
                       "sum": sum(segs), "total": dtot})
     relations_hold = not rep.witnesses
     rep.data["relations_hold"] = relations_hold
     if relations_hold:
         for i in (1, 2):
-            spread = max(
-                float(distance(space, pts[(i, j1)], pts[(i, j2)]))
-                for j1 in range(1, p + 1) for j2 in range(j1 + 1, p + 1))
+            ds = [float(distance(space, pts[(i, j1)], pts[(i, j2)]))
+                  for j1 in range(1, p + 1) for j2 in range(j1 + 1, p + 1)]
+            # max keeps a nan only when it comes first
+            spread = next(filter(math.isnan, ds), max(ds))
             rep.data[f"row{i}_spread"] = spread
-            if spread > tol:
+            if not spread <= tol:
                 rep.fail({"row": i, "spread": spread})
     return rep.finalize(relations=len(quads))
 

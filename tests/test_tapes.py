@@ -49,6 +49,49 @@ def test_r_sequence_straight_and_perturbed():
     assert any(w["z1"] == 2 and w["z2"] == 3 for w in rep.witnesses)
 
 
+def test_r_sequence_fails_a_nan_distance():
+    # 2e308 apart at height 1e308, the H^2 row reads inf / inf = nan (see
+    # test_hyperbolic_row_at_heights_near_double_range); a nan is no unit step
+    h2 = HyperbolicPlane()
+    pts = {0: point(h2, (1e308, 1e308)), 1: point(h2, (-1e308, 1e308))}
+    rep = validate_r_sequence(h2, pts)
+    assert not rep.passed
+    assert [(w["z1"], w["z2"]) for w in rep.witnesses] == [(0, 1)]
+
+
+def _nan_on_equal_points(monkeypatch):
+    # the plane's metric, except that d(x, x) reads nan
+    monkeypatch.setattr(Euclidean, "row", lambda self, a, bs: [
+        math.nan if b == a else math.dist(a, b) for b in bs])
+
+
+def test_p_tape_fails_nan_distances(monkeypatch):
+    e2 = Euclidean(2)
+    tape = build_p_tape(e2, _base_line(e2), 3, 0.8)
+    monkeypatch.setattr(Euclidean, "row", lambda self, a, bs: [math.nan] * len(bs))
+    rep = validate_p_tape(tape)
+    assert not rep.passed
+    # every row and every step of every quadruple
+    assert rep.counts["violations"] == 4 * 3 + 4 * 2 * 3
+
+
+def test_third_division_fails_nan_distances(monkeypatch):
+    e2 = Euclidean(2)
+    pts = {(i, j): point(e2, (float(i), 0.0)) for i in range(4) for j in range(1, 4)}
+    # row 1's last two points coincide, row 2's all three: their spreads
+    # read nan after a finite distance, and nan first
+    pts[(1, 2)] = pts[(1, 3)] = point(e2, (1.0, 1e-12))
+    _nan_on_equal_points(monkeypatch)
+    rep = check_third_division(e2, pts)
+    assert rep.data["relations_hold"]
+    assert not rep.passed
+    assert [w["row"] for w in rep.witnesses] == [1, 2]
+    pts[(0, 1)] = pts[(1, 1)]
+    rep = check_third_division(e2, pts)
+    assert not rep.data["relations_hold"]
+    assert any(w["relation"][:2] == [[0, 1], [1, 1]] for w in rep.witnesses)
+
+
 def test_r_sequence_tree_line_exact(ended_tree):
     line = line_through(ended_tree, tree_end(ended_tree, "e1"),
                         tree_end(ended_tree, "e2"))
