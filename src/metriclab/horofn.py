@@ -10,6 +10,7 @@ exact: the limit stabilizes at a finite rational truncation.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .spaces import (
     ConvergenceError,
@@ -81,12 +82,15 @@ def _busemann_limit(space, ray, y, *, tol):
     yc, dist = y.coords, space.distance
     d0 = dist(ray.at(0), yc)
     if space.exact:
-        T = d0 + 1
-        v1 = dist(yc, ray.at(T)) - T
-        v2 = dist(yc, ray.at(2 * T)) - 2 * T
-        if v1 != v2:
+        # T = d0 + 1 = t/m; d(y, c(2T)) - 2T = d(y, c(T)) - T is decided
+        # on the integer ratios n1/m1 and n2/m2 of the two distances
+        n, m = d0.as_integer_ratio()
+        t = n + m
+        n1, m1 = dist(yc, ray.at(Fraction(t, m))).as_integer_ratio()
+        n2, m2 = dist(yc, ray.at(Fraction(2 * t, m))).as_integer_ratio()
+        if (n2 * m1 - n1 * m2) * m != t * m1 * m2:
             raise ConvergenceError("tree Busemann value did not stabilize")
-        return v2
+        return Fraction(n2 * m - 2 * t * m2, m2 * m)
 
     def f(t):
         return float(dist(yc, ray.at(t))) - t

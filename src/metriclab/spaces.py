@@ -299,7 +299,9 @@ class Space:
     it ``distance(a, b)``, which is ``row(a, (b,))[0]``, and
     ``rows(coords)``, the pair distances of a list of coordinates, row i
     holding d(coords[i], coords[j]) for j > i; both are ``row``'s values,
-    so they agree bit for bit. No model overrides ``distance``. Only
+    and ``row`` decides each pair on its own (the l_p plane rescales only
+    the pairs whose plain value leaves its range), so they agree bit for
+    bit. No model overrides ``distance``. Only
     ``MetricTree`` and ``MaxProduct`` override ``rows``, where a whole
     table shares work across its pairs and measures faster than one
     ``row`` per point (150 points, Python 3.11): the tree anchors every
@@ -321,7 +323,10 @@ class Space:
     what a model cannot do, by default or for its input (``rho_closed`` on
     rays that are not asymptotic), raises SpaceError; no method searches,
     and none returns None for it. ``exact`` is true where distances are
-    exact Fractions.
+    exact Fractions. Exact values are compared and converted on their
+    integer numerator and denominator, since each Fraction operator runs
+    Python code, and a Fraction is built only for a returned value or a
+    kept witness.
 
     Each input rule has one home: ``_finite`` tests a number parameter,
     ``_check_member`` a point's space, ``MetricTree._end`` a tree end, and
@@ -529,9 +534,12 @@ class Euclidean(NormedSpace):
         return enorm(vsub(off, vscale(u, vdot(off, u))))
 
     def closest_param(self, geo, x):
-        # orthogonal projection onto the carrier, clipped to the domain
+        # orthogonal projection onto the carrier, clipped to the domain. A
+        # ray runs along its ideal end, where at(1) - at(0) would lose up
+        # to |o| * 2^-53 of it; a segment has no end, and a reversed line's
+        # plus is only within 1e-9 of its direction
         o = geo.at(0)
-        u = vsub(geo.at(1), o)
+        u = geo.plus.rep if geo.kind == "ray" else vsub(geo.at(1), o)
         uu = vdot(u, u)
         if uu == 0:     # o + u rounds to o far from the origin
             raise SpaceError(f"the unit step of a geodesic through {_shown(o)} rounds to zero")
@@ -579,12 +587,17 @@ class MinkowskiLp(NormedSpace):
         (ax, ay), p, q = a, self.p, 1.0 / self.p
         try:
             out = [(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in bs]
-            if INF not in out:
-                return out
         except OverflowError:       # abs(gap) ** p beyond double range
-            pass
-        # a power or the sum of two left double range: rescale each pair
-        return [_direction_norm(self.norm, (ax - bx, ay - by), p) for bx, by in bs]
+            out = [INF] * len(bs)
+        # each pair on its own: a plain value in [lo, inf) is kept, as
+        # _direction_norm keeps it, and only the others are rescaled. The
+        # sum is inf where a value is (and where a finite sum overflows,
+        # which only costs the pass below)
+        lo = sys.float_info.min ** q
+        if not out or (sum(out) < INF and min(out) >= lo):
+            return out
+        return [d if lo <= d < INF else _direction_norm(self.norm, (ax - bx, ay - by), p)
+                for d, (bx, by) in zip(out, bs)]
 
     def half_chord(self, u, beta):
         # alpha u and beta w sit in separate coordinates only on an axis
@@ -898,7 +911,10 @@ class MetricTree(Space):
     geodesic point hops up from an endpoint over lcm(L, the parameter's
     denominator) to the heavy path it lies on, then bisects that path's
     depths. Either takes O(log V) hops. All of it is integer arithmetic,
-    with one ``Fraction`` per returned distance or offset."""
+    with one ``Fraction`` per returned distance or offset; so are the closed
+    Busemann value and the offset bounds of ``validate``. Exact values are
+    compared and converted on their integer numerator and denominator, and
+    a ``Fraction`` is built only for a returned value or a kept witness."""
 
     desc: TreeDesc
 
@@ -1026,12 +1042,15 @@ class MetricTree(Space):
         elif c[0] == "e":
             _, idx, off = c
             ln = self._edge(idx)[2]
-            if not isinstance(off, Fraction) or not (0 < off < ln):
+            # 0 < off < ln on the integer ratios, whose denominators are positive
+            n, m = off.as_integer_ratio() if isinstance(off, Fraction) else (0, 1)
+            a, b = ln.as_integer_ratio()
+            if not (0 < n and n * b < a * m):
                 raise SpaceError(f"edge offset must be a Fraction in (0, {_shown(ln)}): {_shown(off)}")
         else:
             _, end, off = c
             self._end(end)
-            if not isinstance(off, Fraction) or off <= 0:
+            if not (isinstance(off, Fraction) and off.numerator > 0):
                 raise SpaceError(f"ray offset must be a positive Fraction: {_shown(off)}")
 
     def _edge(self, idx):
@@ -1167,7 +1186,7 @@ class MetricTree(Space):
 
             def at(t):
                 tf = _as_fraction(t)
-                if tf < 0:
+                if tf.numerator < 0:
                     raise SpaceError(f"parameter {_shown(t)} below domain")
                 return ("r", end, off + tf)
             return at
@@ -1181,14 +1200,18 @@ class MetricTree(Space):
 
     def busemann_closed(self, ray, y):
         # h(y) - h(ray(0)), where h is the distance to the end's vertex, and
-        # minus the offset on the end's own ray
-        end = ray.plus.rep
+        # minus the offset on the end's own ray: integer depths over the
+        # common denominator L of the two anchors, one Fraction at the end
+        end, o = ray.plus.rep, ray.at(0)
+        (vy, py, qy), (vo, po, qo) = self._anchor(y), self._anchor(o)
+        L = math.lcm(qy, qo)
+        de = self.desc.up[end][2] * (L // self.desc.denominator_bound)
 
-        def h(c):
+        def h(c, v, p):
             if c[0] == "r" and c[1] == end:
-                return -c[2]
-            return self.distance(c, ("v", end))
-        return h(y) - h(ray.at(0))
+                return de - p
+            return p + de - 2 * self._top(v, p, end, de, L)
+        return Fraction(h(y, vy, py * (L // qy)) - h(o, vo, po * (L // qo)), L)
 
     def rho_closed(self, c, d):
         # exact: merging rays give 0; otherwise (rays toward different ends)

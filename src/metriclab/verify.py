@@ -30,6 +30,13 @@ from .spaces import (
 MAX_WITNESSES = 32
 
 
+def _float_row(row):
+    """An exact row as floats: a Fraction d as d.numerator / d.denominator,
+    the very division float(d) performs (numbers.Rational.__float__)
+    without its Python calls; any other number by float()."""
+    return [d.numerator / d.denominator if type(d) is Fraction else float(d) for d in row]
+
+
 @dataclass
 class VerificationReport:
     """Pass/fail record with witnesses; serializes with a stable field order."""
@@ -167,23 +174,32 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
         xc, yc, zc = x.coords, y.coords, z.coords
         dxy, dxz = row(xc, (yc, zc))
         dyx, dyz = row(yc, (xc, zc))
-        # float tests are written `not ... <= tol`, as in is_isometry: an
-        # infinite distance gives nan, which must fail
-        if (dxy != dyx) if exact else not abs(float(dxy) - float(dyx)) <= tol:
+        if exact:
+            # on the integer ratios n/m (m > 0, in lowest terms): equal
+            # values have equal ratios, and d(x, z) > d(x, y) + d(y, z) is
+            # one cross-multiplication
+            (nxy, mxy), (nyz, myz) = dxy.as_integer_ratio(), dyz.as_integer_ratio()
+            nxz, mxz = dxz.as_integer_ratio()
+            asym = (nxy, mxy) != dyx.as_integer_ratio()
+            zero = nxy == 0
+            torn = nxz * mxy * myz > (nxy * myz + nyz * mxy) * mxz
+        else:
+            # float tests are written `not ... <= tol`, as in is_isometry:
+            # an infinite distance gives nan, which must fail
+            fxy = float(dxy)
+            asym = not abs(fxy - float(dyx)) <= tol
+            zero = fxy <= tol
+            slack = fxy + float(dyz) - float(dxz)
+            torn = not slack >= -tol
+        if asym:
             rep.fail({"axiom": "symmetry", "x": x, "y": y, "dxy": dxy, "dyx": dyx})
-        zero = (dxy == 0) if exact else float(dxy) <= tol
         if zero != (xc == yc):
             rep.fail({"axiom": "identity", "x": x, "y": y, "d": dxy})
-        # exact distances may lie beyond float range, so their slack stays
-        # exact and is built only for a witness
-        if exact:
-            if dxz > dxy + dyz:
-                rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z,
-                          "slack": dxy + dyz - dxz})
-        else:
-            slack = float(dxy) + float(dyz) - float(dxz)
-            if not slack >= -tol:
-                rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z, "slack": slack})
+        if torn:
+            # exact distances may lie beyond float range, so their slack
+            # stays exact and is built only for a witness
+            rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z,
+                      "slack": dxy + dyz - dxz if exact else slack})
         checked += 1
     return rep.finalize(triples=checked)
 
@@ -284,9 +300,10 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     It builds its two tables, X over the sample and Y over the images,
     whole; after preserves_unit_distance on the same sample both are
     already stored. Each row is decided by one comprehension, and on an
-    exact check a row equal in X and Y is skipped whole. A failing pair is
-    kept as (i, j, d_before, d_after) until there are MAX_WITNESSES of
-    them, in sample order, and only those get a witness: the first
+    exact check a row equal in X and Y is skipped whole; with tol > 0 an
+    exact row is compared as floats. A failing pair is kept as (i, j)
+    until there are MAX_WITNESSES of them, in sample order, and only those
+    get a witness, with the distances of the tables: the first
     MAX_WITNESSES in the order found. The report's "violations" counts
     every failing pair."""
     _check_tol(tol)
@@ -294,26 +311,29 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
     pts = sample.points
     images = [f.forward(p) for p in pts]
-    rows = zip(_pair_rows(X, pts), _pair_rows(Y, images))
-    exact = tol == 0 and X.exact and Y.exact
+    table_x, table_y = _pair_rows(X, pts), _pair_rows(Y, images)
+    x_exact, y_exact = X.exact, Y.exact
+    exact = tol == 0 and x_exact and y_exact
     n = len(pts)
     pairs = found = 0
     failing = []
-    for i, (row_x, row_y) in enumerate(rows):
+    for i, (row_x, row_y) in enumerate(zip(table_x, table_y)):
         pairs += len(row_x)
         js = range(i + 1, n)
         if exact:
             if row_x == row_y:
                 continue
-            bad = [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y) if dx != dy]
+            bad = [j for j, dx, dy in zip(js, row_x, row_y) if dx != dy]
         else:
-            bad = [(i, j, dx, dy) for j, dx, dy in zip(js, row_x, row_y)
-                   if not abs(float(dx) - float(dy)) <= tol]
+            fx = _float_row(row_x) if x_exact else row_x
+            fy = _float_row(row_y) if y_exact else row_y
+            bad = [j for j, dx, dy in zip(js, fx, fy) if not abs(float(dx) - float(dy)) <= tol]
         found += len(bad)
         if len(failing) < MAX_WITNESSES:
-            failing += bad[:MAX_WITNESSES - len(failing)]
-    for i, j, dx, dy in failing:
-        rep.fail({"x": pts[i], "y": pts[j], "d_before": dx, "d_after": dy})
+            failing += [(i, j) for j in bad[:MAX_WITNESSES - len(failing)]]
+    for i, j in failing:
+        k = j - i - 1
+        rep.fail({"x": pts[i], "y": pts[j], "d_before": table_x[i][k], "d_after": table_y[i][k]})
     return rep.finalize(pairs=pairs, violations=found)     # the pairs past the cap count too
 
 
@@ -322,18 +342,26 @@ _UNIT_MODES = {"eq": operator.eq, "le": operator.le, "lt": operator.lt}
 
 def _unit_class(mode: str, tol: float, exact: bool):
     """The classifier of a row of distances of one space: each d compared
-    with 1 per mode. Exact distances compare as they are when tol == 0;
-    otherwise |d - 1| <= tol snaps to exactly 1 first, which for "eq" (with
-    tol >= 0) is the whole test."""
+    with 1 per mode. Exact distances compare on their integer ratios when
+    tol == 0; otherwise |d - 1| <= tol snaps to exactly 1 first, which for
+    "eq" (with tol >= 0) is the whole test, an exact d taken as a float by
+    ``_float_row``."""
     cmp = _UNIT_MODES.get(mode)
     if cmp is None:
         raise SpaceError(f"unknown mode {_shown(mode)}")
     if exact and tol == 0:
-        return lambda row: [cmp(d, 1) for d in row]
+        # d = n/m with m > 0 compares with 1 as n does with m
+        return lambda row: [cmp(d.numerator, d.denominator) for d in row]
     if mode == "eq":
-        # an int or Fraction minus a float is float(d) - 1.0 already
-        return lambda row: [abs(v - 1.0) <= tol for v in row]
-    return lambda row: [cmp(1.0 if abs(v - 1.0) <= tol else v, 1) for v in map(float, row)]
+        def classify(vs):
+            # an int or Fraction minus a float is float(d) - 1.0 already
+            return [abs(v - 1.0) <= tol for v in vs]
+    else:
+        def classify(vs):
+            return [cmp(1.0 if abs(v - 1.0) <= tol else v, 1) for v in map(float, vs)]
+    if exact:
+        return lambda row: classify(_float_row(row))
+    return classify
 
 
 def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,

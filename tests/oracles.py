@@ -4,6 +4,7 @@ them."""
 
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -12,8 +13,10 @@ from metriclab.horofn import T_CAP, shadow_contains
 from metriclab.numeric import bisect_root, golden_min
 from metriclab.spaces import (
     ConvergenceError,
+    MinkowskiLp,
     PreconditionError,
     SpaceError,
+    _direction_norm,
     distance,
     distance_rows,
     point,
@@ -30,7 +33,12 @@ from metriclab.verify import SampleSet, VerificationReport
 
 def _normed_distance(space, a, b):
     """The flat models' distance as the norm of the difference tuple,
-    ``norm(vsub(a, b))``: the formula the fused kernels must reproduce."""
+    ``norm(vsub(a, b))``: the formula the fused kernels must reproduce. On
+    the l_p plane ``_direction_norm`` takes that norm, which keeps a plain
+    value of at least the smallest normal double to the power 1 / p and
+    rescales any other."""
+    if isinstance(space, MinkowskiLp):
+        return _direction_norm(space.norm, vsub(a, b), space.p)
     return space.norm(vsub(a, b))
 
 
@@ -266,6 +274,50 @@ def _lattice_jump_graph(space, pts):
     for e in desc.ends:
         grid += [tree_ray_point(space, e, Fraction(k, L)) for k in range(1, int(reach * L) + 1)]
     return UnitJumpGraph.build(space, grid)
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts by Fraction operators: the library decides them on integer
+# numerators and denominators, and these are the expressions it replaced
+
+def _check_metric_axioms_fraction(space, sample, *, triples=200, seed=0):
+    """``check_metric_axioms`` on an exact space, each verdict a Fraction
+    operator: d(x, y) != d(y, x), d(x, y) == 0 and d(x, z) > d(x, y) +
+    d(y, z), on the same random triples."""
+    rep = VerificationReport(f"metric-axioms[{space.tag()}]", tolerance=1e-9)
+    rng = random.Random(seed)
+    pts = sample.points
+    for _ in range(triples):
+        x, y, z = rng.choice(pts), rng.choice(pts), rng.choice(pts)
+        dxy, dxz = space.row(x.coords, (y.coords, z.coords))
+        dyx, dyz = space.row(y.coords, (x.coords, z.coords))
+        if dxy != dyx:
+            rep.fail({"axiom": "symmetry", "x": x, "y": y, "dxy": dxy, "dyx": dyx})
+        if (dxy == 0) != (x.coords == y.coords):
+            rep.fail({"axiom": "identity", "x": x, "y": y, "d": dxy})
+        if dxz > dxy + dyz:
+            rep.fail({"axiom": "triangle", "x": x, "y": y, "z": z, "slack": dxy + dyz - dxz})
+    return rep.finalize(triples=triples)
+
+
+def _tree_busemann_fraction(space, ray, y):
+    """``MetricTree.busemann_closed`` by Fraction operators: h(y) -
+    h(ray(0)), h the distance to the end's vertex, and minus the offset on
+    the end's own ray."""
+    end = ray.plus.rep
+
+    def h(c):
+        if c[0] == "r" and c[1] == end:
+            return -c[2]
+        return space.distance(c, ("v", end))
+    return h(y) - h(ray.at(0))
+
+
+def _tree_offset_in_bounds(off, length=None):
+    """``MetricTree.validate``'s offset bounds by Fraction operators:
+    0 < off < length on an edge of that length, off > 0 on a ray (no
+    length)."""
+    return off > 0 if length is None else 0 < off < length
 
 
 # ---------------------------------------------------------------------------

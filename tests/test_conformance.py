@@ -20,6 +20,7 @@ from metriclab.spaces import (
     MaxProduct,
     MetricTree,
     MinkowskiLinf,
+    NormedSpace,
     Point,
     RealLine,
     Space,
@@ -53,11 +54,15 @@ def _key(d):
     return type(d), d.hex() if isinstance(d, float) else d
 
 
-@pytest.mark.parametrize("space", MODELS, ids=[f"{k}-{m.tag()}" for k, m in enumerate(MODELS)])
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 12))
-def test_row_distance_and_rows_agree(space, seed, n):
-    pts = random_sample(space, n, seed).points
+def _extreme_gaps(space):
+    """Points of a flat model at gaps 1e-200, 1e-120 (on the diagonal in
+    the plane) and 1e200 from the origin, side by side in one sample."""
+    gaps = ((0.0, 0.0), (1e-200, 0.0), (1e-120, 1e-120), (1e200, 0.0))
+    return [point(space, (c + (0.0,) * space.dim)[:space.dim]) for c in gaps]
+
+
+def _check_rows_agree(space, pts):
+    n = len(pts)
     coords = [p.coords for p in pts]
     table = list(space.rows(coords))
     assert len(table) == n
@@ -67,6 +72,17 @@ def test_row_distance_and_rows_agree(space, seed, n):
         assert [_key(d) for d in table[i]] == row[i + 1:]
     if space.exact:
         assert all(type(d) is Fraction for r in table for d in r)
+
+
+@pytest.mark.parametrize("space", MODELS, ids=[f"{k}-{m.tag()}" for k, m in enumerate(MODELS)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 12))
+def test_row_distance_and_rows_agree(space, seed, n):
+    _check_rows_agree(space, random_sample(space, n, seed).points)
+    # each pair decides its own value: a row holding gaps at both ends of
+    # double range gives each the value it has alone
+    if isinstance(space, NormedSpace):
+        _check_rows_agree(space, _extreme_gaps(space))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from metriclab.spaces import (
     MinkowskiLinf,
     MinkowskiLp,
     RealLine,
+    closest_param,
     direction_ideal,
     point,
     ray_from,
@@ -111,3 +112,21 @@ def test_far_euclidean_rays_match_the_exact_value(scale):
                 for a, b, u in zip(y.coords, o.coords, xi.rep))
     got = busemann_value(e2, ray_from(e2, o, xi), y)
     assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 15) * abs(want)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_far_euclidean_ray_projects_along_its_ideal_end(scale):
+    # the point 50 along the ray from (s, s/3) toward (3, 4)/5, projected
+    # back: at(1) - at(0) put its parameter 1.1e-12 off at s = 1e3 and
+    # 1.2e-6 off at 1e9; the exact projection of the same doubles onto the
+    # direction xi is the reference
+    e2 = Euclidean(2)
+    o = point(e2, (scale, scale / 3.0))
+    xi = direction_ideal(e2, (3.0, 4.0))
+    ray = ray_from(e2, o, xi)
+    x = ray.point_at(50.0)
+    u = [Fraction(c) for c in xi.rep]
+    want = (sum((Fraction(a) - Fraction(b)) * c for a, b, c in zip(x.coords, o.coords, u))
+            / sum(c * c for c in u))
+    t, _ = closest_param(e2, ray, x)
+    assert abs(Fraction(t) - want) <= Fraction(1, 10 ** 14)

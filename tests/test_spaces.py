@@ -99,6 +99,33 @@ def test_hyperbolic_row_at_heights_near_double_range(a, b, want):
     assert math.isclose(HyperbolicPlane().row(a, [b])[0], want, rel_tol=1e-15)
 
 
+# E^n squares each gap before the root and never rescales, so a gap past
+# about 1.3e154 reads inf and one below about 1.5e-154 reads 0.0, where
+# MinkowskiLp(2.0) keeps both. A mend changes the hottest float kernel and
+# the "e1-extremes" pin, so it waits for a change of its own.
+@pytest.mark.xfail(strict=True, reason="E^n row squares before the root: range loss")
+@pytest.mark.parametrize("gap", [1e200, 1e-200], ids=["overflows", "underflows"])
+def test_euclidean_row_at_gaps_near_double_range(gap):
+    assert Euclidean(2).row((0.0, 0.0), [(gap, 0.0)])[0] == gap
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_lp_distances_do_not_depend_on_their_row_companions(p):
+    # a plain value that underflowed below the smallest normal double to
+    # the power 1/p is rescaled pair by pair, whatever else the row holds
+    lp = MinkowskiLp(p)
+    o, bs = (0.0, 0.0), [(1e200, 0.0), (1e-200, 0.0), (1e-120, 1e-120)]
+    alone = [lp.distance(o, b) for b in bs]
+    assert [d.hex() for d in lp.row(o, bs)] == [d.hex() for d in alone]
+    for got, want in zip(alone, (1e200, 1e-200, 2 ** (1 / p) * 1e-120)):
+        assert math.isclose(got, want, rel_tol=1e-12)
+    assert lp.row(o, [o, o]) == [0.0, 0.0]
+    # at tol 0 the identity tells the two points apart: d = 1e-200 > 0
+    sample = SampleSet(lp, (point(lp, o), point(lp, bs[1])))
+    rep = check_metric_axioms(lp, sample, triples=20, tol=0.0)
+    assert rep.passed, rep.witnesses
+
+
 def test_minkowski_p_norm_distance():
     l3 = MinkowskiLp(3.0)
     d = distance(l3, point(l3, (0, 0)), point(l3, (1, 1)))
@@ -483,8 +510,10 @@ _TREE_SEGMENT = geodesic_between(_TREE, tree_vertex(_TREE, "x0"), tree_vertex(_T
 _LINF = MinkowskiLinf()
 _H2 = HyperbolicPlane()
 _E2 = Euclidean(2)
-# 1e17 + 1.0 rounds to 1e17, so the unit step read off the ray is zero
-_E2_FAR = ray_from(_E2, point(_E2, (1e17, 0.0)), direction_ideal(_E2, (1, 0)))
+# 1e17 + 1.0 rounds to 1e17, so the unit step read off the line is zero (a
+# ray reads its step from its ideal end instead)
+_E2_FAR = line_through(_E2, direction_ideal(_E2, (-1, 0)), direction_ideal(_E2, (1, 0)),
+                       point(_E2, (1e17, 0.0)))
 
 
 @pytest.mark.parametrize("make, args", [
