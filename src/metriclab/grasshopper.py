@@ -52,7 +52,8 @@ class UnitJumpGraph:
             if exact:
                 hits = [j for j, d in enumerate(row, i + 1) if d == 1]
             else:
-                hits = [j for j, d in enumerate(row, i + 1) if abs(float(d) - 1.0) <= 1e-9]
+                # d - 1.0 converts an int, bool or Fraction d as float(d) does
+                hits = [j for j, d in enumerate(row, i + 1) if abs(d - 1.0) <= 1e-9]
             adj[i] += hits
             for j in hits:
                 adj[j].append(i)
@@ -230,7 +231,10 @@ def _sine_warp(n: int):
         return t + math.sin(two_pi_n * t) / two_pi_n
 
     def unwarp(s: float, lo: float, hi: float) -> float:
-        return bisect_root(lambda t: warp(t) - s, lo, hi, tol=1e-15)
+        # warp(t) - s in one call, the same float operations in the same order
+        def gap(t):
+            return t + math.sin(two_pi_n * t) / two_pi_n - s
+        return bisect_root(gap, lo, hi, tol=1e-15)
     return warp, unwarp
 
 

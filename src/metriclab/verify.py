@@ -9,6 +9,7 @@ its check found them, which is sample order, and counts every one in
 
 from __future__ import annotations
 
+import bisect
 import marshal
 import math
 import operator
@@ -181,19 +182,21 @@ def check_metric_axioms(space, sample: SampleSet, *, triples: int = 200,
             (nxy, mxy), (nyz, myz) = dxy.as_integer_ratio(), dyz.as_integer_ratio()
             nxz, mxz = dxz.as_integer_ratio()
             asym = (nxy, mxy) != dyx.as_integer_ratio()
-            zero = nxy == 0
+            ident = (nxy == 0) != (xc == yc)
             torn = nxz * mxy * myz > (nxy * myz + nyz * mxy) * mxz
         else:
             # float tests are written `not ... <= tol`, as in is_isometry:
-            # an infinite distance gives nan, which must fail
+            # an infinite distance gives nan, which must fail. Equal points
+            # need d <= tol, distinct ones only d > 0: two points closer
+            # than tol are still two points
             fxy = float(dxy)
             asym = not abs(fxy - float(dyx)) <= tol
-            zero = fxy <= tol
+            ident = not fxy <= tol if xc == yc else not fxy > 0
             slack = fxy + float(dyz) - float(dxz)
             torn = not slack >= -tol
         if asym:
             rep.fail({"axiom": "symmetry", "x": x, "y": y, "dxy": dxy, "dyx": dyx})
-        if zero != (xc == yc):
+        if ident:
             rep.fail({"axiom": "identity", "x": x, "y": y, "d": dxy})
         if torn:
             # exact distances may lie beyond float range, so their slack
@@ -268,13 +271,15 @@ _pair_tables = []
 
 def _pair_rows(space, points):
     """The rows of distance_rows(space, points) as one list, shared by the
-    two bijection checks: on one sample they ask for the same tables.
+    two bijection checks: on one sample both read the table of X over the
+    sample and of Y over the images.
 
     A stored table serves only the very same space and strictly equal
     coordinates, so that 1, 1.0, True and -0.0 never share one: on an exact
     space the coordinate list compares as it is (tree offsets are
     Fractions), elsewhere its marshal bytes do, and coordinates marshal
-    refuses get a table of their own. At most two tables are kept."""
+    refuses get a table of their own. At most two tables are kept.
+    ``_moved`` compares single points under the same rule."""
     _check_member(space, *points)
     coords = [p.coords for p in points]
     if space.exact:
@@ -293,15 +298,35 @@ def _pair_rows(space, points):
     return rows
 
 
+def _moved(space, points, others):
+    """For each pair of points, True unless the two are strictly equal as
+    ``_pair_rows`` keys them: coordinates equal on an exact space, else
+    equal marshal bytes; coordinates marshal refuses count as moved."""
+    if space.exact:
+        return [p.coords != q.coords for p, q in zip(points, others)]
+    dumps = marshal.dumps
+    out = []
+    for p, q in zip(points, others):
+        try:
+            out.append(dumps(p.coords, 2) != dumps(q.coords, 2))
+        except ValueError:
+            out.append(True)
+    return out
+
+
 def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
                 tol: float = 1e-9) -> VerificationReport:
     """d_Y(f x, f y) = d_X(x, y) on all sample pairs; exact when tol == 0.
 
     It builds its two tables, X over the sample and Y over the images,
     whole; after preserves_unit_distance on the same sample both are
-    already stored. Each row is decided by one comprehension, and on an
-    exact check a row equal in X and Y is skipped whole; with tol > 0 an
-    exact row is compared as floats. A failing pair is kept as (i, j)
+    already stored. On an exact check a row equal in X and Y is skipped
+    whole. Otherwise the rows are compared as floats (an exact row taken by
+    ``_float_row``), and a row whose math.dist is at most tol / 2 is
+    skipped: math.dist converts each entry as float() does and is at least
+    every |fl(dx - dy)| but for its last ulp, which the half absorbs, and a
+    nan or inf fails the screen. Any other row is decided by one
+    comprehension, pair by pair. A failing pair is kept as (i, j)
     until there are MAX_WITNESSES of them, in sample order, and only those
     get a witness, with the distances of the tables: the first
     MAX_WITNESSES in the order found. The report's "violations" counts
@@ -314,7 +339,7 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     table_x, table_y = _pair_rows(X, pts), _pair_rows(Y, images)
     x_exact, y_exact = X.exact, Y.exact
     exact = tol == 0 and x_exact and y_exact
-    n = len(pts)
+    n, screen, dist = len(pts), 0.5 * tol, math.dist
     pairs = found = 0
     failing = []
     for i, (row_x, row_y) in enumerate(zip(table_x, table_y)):
@@ -327,6 +352,8 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
         else:
             fx = _float_row(row_x) if x_exact else row_x
             fy = _float_row(row_y) if y_exact else row_y
+            if dist(fx, fy) <= screen:
+                continue
             bad = [j for j, dx, dy in zip(js, fx, fy) if not abs(float(dx) - float(dy)) <= tol]
         found += len(bad)
         if len(failing) < MAX_WITNESSES:
@@ -372,10 +399,12 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
     inverse is tested the same way on the image sample. An unknown mode
     raises before f is evaluated.
 
-    It asks for X over the preimages first, then X over the sample (the
-    same table when the inverse returns the sample exactly) and Y over the
-    images, so the two tables it leaves stored are those is_isometry asks
-    for on the same sample.
+    It builds two tables, X over the sample and Y over the images, so the
+    tables it leaves stored are the two is_isometry asks for on the same
+    sample. The inverse direction builds none: a preimage strictly equal to
+    its sample point (``_moved``) has the sample's distances, so a pair of
+    two such preimages takes the forward class, and only a pair that
+    touches a moved preimage is computed, one ``row`` per preimage row.
     """
     _check_tol(tol)
     X, Y = spaces
@@ -384,16 +413,30 @@ def preserves_unit_distance(spaces, f: BijectionSpec, sample: SampleSet,
     pts = list(sample.points)
     images = [f.forward(p) for p in pts]
     preimages = [f.inverse(q) for q in images]
-    rows_back = _pair_rows(X, preimages)
-    rows = zip(_pair_rows(X, pts), _pair_rows(Y, images), rows_back)
+    _check_member(X, *preimages)
+    moved = _moved(X, pts, preimages)
+    movers = [j for j, m in enumerate(moved) if m]
+    pre = [q.coords for q in preimages]
+    row, n = X.row, len(pts)
+    shared = X.exact == Y.exact
     pairs = 0
-    for i, (row_x, row_y, row_back) in enumerate(rows):
+    for i, (row_x, row_y) in enumerate(zip(_pair_rows(X, pts), _pair_rows(Y, images))):
         pairs += len(row_x)
-        cx, cy = unit_x(row_x), unit_y(row_y)
-        cb = cx if row_back is row_x else unit_x(row_back)
+        cx = unit_x(row_x)
+        cy = cx if shared and row_y is row_x else unit_y(row_y)
+        if moved[i]:
+            cb = unit_x(row(pre[i], pre[i + 1:]))
+        else:
+            # the moved partners after i only; every other pair is forward
+            js = movers[bisect.bisect_right(movers, i):]
+            cb = cx
+            if js:
+                cb = list(cx)
+                for j, c in zip(js, unit_x(row(pre[i], [pre[j] for j in js]))):
+                    cb[j - i - 1] = c
         if cx == cy == cb:
             continue
-        for j, before, after, back in zip(range(i + 1, len(pts)), cx, cy, cb):
+        for j, before, after, back in zip(range(i + 1, n), cx, cy, cb):
             if before != after:
                 rep.fail({"direction": "forward", "x": pts[i], "y": pts[j],
                           "before": before, "after": after})

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from metriclab.grasshopper import (
     tree_offset_class_nodes,
     tree_swap_bijection,
 )
+from metriclab.numeric import bisect_root
 from metriclab.spaces import (
     Euclidean,
     HyperbolicPlane,
@@ -322,6 +324,101 @@ def test_line_counterexample_values():
         assert abs(d - 1.0) < 1e-12
         back = f.inverse(f.forward(point(rl, x)))
         assert abs(back.coords - x) < 1e-12
+
+
+def _sine_sweep(seed):
+    """(n, s, lo, hi): images of the sine warp of n = 1, 2, 3 on the brackets
+    of the line and of a tree edge of length 1/n, half of them from points
+    within 1e-5 of a flat point (2m + 1) / (2n), where the inverse is
+    steepest."""
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3):
+        warp, _ = gh._sine_warp(n)
+        for k in range(40):
+            if n == 1:
+                x = rng.randrange(-3, 3) + 0.5 if k % 2 else rng.uniform(-3, 3)
+            else:
+                x = 0.5 / n if k % 2 else rng.uniform(0, 1 / n)
+            if k % 2:
+                x += rng.uniform(-1e-5, 1e-5)
+            s = warp(x)
+            out.append((n, s, s - 0.5, s + 0.5) if n == 1 else (n, s, 0.0, 1 / n))
+    return out
+
+
+def test_unwarp_matches_the_two_call_form():
+    # one closure per evaluation; the float operations of warp(t) - s
+    for n, s, lo, hi in _sine_sweep(5):
+        warp, unwarp = gh._sine_warp(n)
+        assert unwarp(s, lo, hi) == bisect_root(lambda t: warp(t) - s, lo, hi, tol=1e-15)
+
+
+def _decimal_pi():
+    """pi to the context precision (the series of the decimal module's recipes)."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def _decimal_sin(x, pi):
+    """sin(x) by its Taylor series after reducing x to within pi of 0."""
+    x -= 2 * pi * (x / (2 * pi)).to_integral_value()
+    i, lasts, s, num, fact, sign = 1, 0, x, x, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        num *= x * x
+        fact *= i * (i - 1)
+        sign = -sign
+        s += sign * num / fact
+    return +s
+
+
+def _exact_unwarp(n, s, lo, hi):
+    """The t in [lo, hi] with t + sin(2 pi n t) / (2 pi n) = s for the exact
+    value of the double s, to 1e-30, by bisection at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pi = _decimal_pi()
+        k, target = 2 * pi * n, Decimal(s)
+        a, b = Decimal(lo), Decimal(hi)
+        while b - a > Decimal("1e-30"):
+            m = (a + b) / 2
+            if m + _decimal_sin(k * m, pi) / k > target:
+                b = m
+            else:
+                a = m
+        return (a + b) / 2
+
+
+def test_unwarp_error_against_the_exact_inverse():
+    # delta bounds |warp(t) - s| at the returned t: a few ulps of rounding
+    # in the float warp and the bisection's last bracket of 1e-15 at slope
+    # <= 2. The inverse's slope 1 / (1 + cos(k t)) is unbounded at the flat
+    # points, where warp grows as (k^2 / 6) (t - t0)^3, so everywhere the
+    # error is at most cbrt(24 delta / k^2), and where the slope of warp is
+    # at least 1/2 at most delta over that slope
+    steep = 0
+    for n, s, lo, hi in _sine_sweep(5):
+        k = 2 * math.pi * n
+        got = gh._sine_warp(n)[1](s, lo, hi)
+        exact = _exact_unwarp(n, s, lo, hi)
+        err = float(abs(Decimal(got) - exact))
+        delta = 4 * math.ulp(1 + abs(s)) + 2e-15
+        assert err <= (24 * delta / k ** 2) ** (1 / 3), (n, s)
+        slope = 1 + math.cos(k * float(exact))
+        if slope >= 0.5:
+            assert err <= delta / slope, (n, s)
+        steep += err > 1e-9
+    assert steep > 0        # the sweep reaches the steep inverse
 
 
 def test_sphere_flip_preserves_units_and_breaks_isometry():

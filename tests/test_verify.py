@@ -65,6 +65,29 @@ def test_metric_axioms_catalog_samples(star_tree):
         assert rep.passed, rep.witnesses
 
 
+@pytest.mark.parametrize("space", [MinkowskiLp(1.5), MinkowskiLp(3.0), MinkowskiLinf(),
+                                   RealLine()], ids=["l1.5", "l3", "linf", "line"])
+def test_metric_axioms_keep_points_closer_than_tol_distinct(space):
+    # two points 1e-200 apart are still two points: identity asks d > 0 of
+    # distinct points and d <= tol only of equal ones (E^2 reads 0.0 here,
+    # because its row squares the gap first)
+    a, b = (0.0, 1e-200) if isinstance(space, RealLine) else ((0.0, 0.0), (1e-200, 0.0))
+    sample = SampleSet(space, (point(space, a), point(space, b)))
+    rep = check_metric_axioms(space, sample, triples=50, seed=1)
+    assert rep.passed, rep.witnesses
+
+
+def test_metric_axioms_fail_equal_points_apart():
+    class Offset(RealLine):             # d(x, x) = 1
+        def row(self, a, bs):
+            return [abs(a - b) + 1.0 for b in bs]
+    space = Offset()
+    sample = SampleSet(space, tuple(point(space, v) for v in (0.0, 2.0)))
+    rep = check_metric_axioms(space, sample, triples=50, seed=1)
+    assert rep.witnesses and {w["axiom"] for w in rep.witnesses} == {"identity"}
+    assert all(w["x"] == w["y"] for w in rep.witnesses)
+
+
 def test_metric_axioms_stay_exact_beyond_float_range():
     # edges of 10^400 are exact tree lengths that no float holds: the
     # triangle test compares them exactly, and a failing triangle's slack is
@@ -603,16 +626,27 @@ def test_unknown_mode_raises_before_the_bijection_is_evaluated():
     assert calls == []
 
 
-def _count_builds(monkeypatch, model):
+def _count_builds(monkeypatch, model, asked=None):
     """Empties the stored tables and records the size of every table that
-    model's rows builds from then on."""
+    model's rows builds from then on; given a list ``asked``, also every
+    pair (a, b) that model's row is asked for outside of rows."""
     monkeypatch.setattr(verify, "_pair_tables", [])
-    builds, rows = [], model.rows
+    builds, rows, row, inside = [], model.rows, model.row, []
 
     def counted(self, coords):
         builds.append(len(coords))
-        return rows(self, coords)
+        inside.append(True)
+        try:
+            return list(rows(self, coords))
+        finally:
+            inside.pop()
     monkeypatch.setattr(model, "rows", counted)
+    if asked is not None:
+        def counted_row(self, a, bs):
+            if not inside:
+                asked.extend((a, b) for b in bs)
+            return row(self, a, bs)
+        monkeypatch.setattr(model, "row", counted_row)
     return builds
 
 
@@ -630,19 +664,29 @@ def _line_sine_sample():
     return SampleSet(rl, tuple(point(rl, v) for v in vals))
 
 
-def test_line_sine_checks_build_three_tables(monkeypatch):
-    # X over the preimages, X over the sample and Y over the images; the
-    # isometry check reuses the last two
-    builds = _count_builds(monkeypatch, RealLine)
+def test_line_sine_inverse_rows_read_only_moved_pairs(monkeypatch):
+    # X over the sample and Y over the images, which the isometry check
+    # reuses; the inverse direction asks row only for the pairs that touch
+    # a preimage not bit-identical to its sample point
+    asked = []
+    builds = _count_builds(monkeypatch, RealLine, asked)
     rl = RealLine()
-    unit, iso = _unit_then_isometry((rl, rl), line_counterexample(), _line_sine_sample())
+    spec, sample = line_counterexample(), _line_sine_sample()
+    unit, iso = _unit_then_isometry((rl, rl), spec, sample)
     assert unit.passed and not iso.passed
-    assert builds == [18, 18, 18]
+    assert builds == [18, 18]
+    back = [spec.inverse(spec.forward(p)).coords for p in sample.points]
+    moved = [repr(b) != repr(p.coords) for b, p in zip(back, sample.points)]  # -0.0 too
+    assert 0 < sum(moved) < len(back)
+    assert asked == [(back[i], back[j]) for i, j in itertools.combinations(range(len(back)), 2)
+                     if moved[i] or moved[j]]
 
 
 def test_tree_swap_checks_build_two_tables(monkeypatch):
-    # the swap is an exact involution: the preimages are the sample
-    builds = _count_builds(monkeypatch, MetricTree)
+    # the swap is an exact involution: the preimages are the sample, so
+    # the inverse direction computes no distance
+    asked = []
+    builds = _count_builds(monkeypatch, MetricTree, asked)
     tree = swap_tree()
     tps = gh.TreePointSet(tree, Fraction(1, 10), Fraction(1, 5))
     nodes = gh.tree_offset_class_nodes(tree, tps.a_alpha[0], tps.a_beta[0])
@@ -651,14 +695,17 @@ def test_tree_swap_checks_build_two_tables(monkeypatch):
     unit, iso = _unit_then_isometry((tree, tree), gh.tree_swap_bijection(tps), sample, 0.0)
     assert unit.passed and not iso.passed
     assert builds == [len(sample.points)] * 2
+    assert asked == []
 
 
 def test_identity_checks_build_one_table(monkeypatch):
-    builds = _count_builds(monkeypatch, HyperbolicPlane)
+    asked = []
+    builds = _count_builds(monkeypatch, HyperbolicPlane, asked)
     h2 = HyperbolicPlane()
     unit, iso = _unit_then_isometry((h2, h2), _identity(h2), random_sample(h2, 30, seed=5))
     assert unit.passed and iso.passed
     assert builds == [30]
+    assert asked == []
 
 
 def _doubling(space):
@@ -819,7 +866,8 @@ class _Tabled(RealLine):
     exact: bool = False
 
     def row(self, a, bs):
-        return [self.table[min(a, b)][abs(b - a) - 1] for b in bs]
+        a = int(a)
+        return [self.table[min(a, b)][abs(b - a) - 1] for b in map(int, bs)]
 
 
 # few values, so that many pairs fail; nan, +-inf, ints and Fractions among
@@ -831,13 +879,15 @@ _EXACT_DISTANCES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(4, 3), Fr
                     Fraction(12), 1, 3)
 
 
-def _tabled_case(x_table, y_table, exact, back):
+def _tabled_case(x_table, y_table, exact, back, coord=int):
     """Spaces X and Y over the tables, a bijection k -> k whose declared
-    inverse sends k to back[k] (a permutation), and the sample 0..n-1."""
+    inverse sends k to back[k] (a permutation), and the sample 0..n-1, each
+    point k with the coordinate coord(k): Fraction(k) is one that marshal
+    refuses."""
     X, Y = _Tabled(x_table, exact), _Tabled(y_table, exact)
     spec = BijectionSpec("tabled", X, Y, lambda p: Point(Y, p.coords),
-                         lambda q: Point(X, back[q.coords]))
-    return (X, Y), spec, SampleSet(X, tuple(Point(X, k) for k in range(len(back))))
+                         lambda q: Point(X, coord(back[int(q.coords)])))
+    return (X, Y), spec, SampleSet(X, tuple(Point(X, coord(k)) for k in range(len(back))))
 
 
 def _table_of(n, values):
@@ -855,7 +905,20 @@ def _tabled_cases(draw):
     def table():
         return tuple(tuple(draw(st.lists(values, min_size=n - 1 - i, max_size=n - 1 - i)))
                      for i in range(n - 1))
-    return _tabled_case(table(), table(), exact, draw(st.permutations(range(n))))
+    if draw(st.booleans()):
+        back = draw(st.permutations(range(n)))
+    else:
+        # only some points move: the others are their own preimages
+        back = list(range(n))
+        movers = draw(st.lists(st.integers(0, n - 1), unique=True))
+        for k, b in zip(movers, draw(st.permutations(movers))):
+            back[k] = b
+    return _tabled_case(table(), table(), exact, back, draw(st.sampled_from([int, Fraction])))
+
+
+# distances at, under and just over 1e-9 from 0.0, and at half of it, where
+# is_isometry's row screen stops
+_AT_TOL = (5e-10, 1e-9, 0.0, math.nextafter(1e-9, math.inf), math.nextafter(5e-10, math.inf))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -870,6 +933,14 @@ def _tabled_cases(draw):
 # nan, +-inf, ints and Fractions among 66 failing d_after
 @example(case=_tabled_case(_table_of(12, [0.25]), _table_of(12, _FLOAT_DISTANCES), False,
                            list(range(12))), tol=1e-9, mode="eq")
+# rows at the tolerance, with some points moved, at tol 1e-9 and 0
+@example(case=_tabled_case(_table_of(12, [0.0]), _table_of(12, _AT_TOL), False,
+                           [0, 2, 1] + list(range(3, 11)) + [11]), tol=1e-9, mode="eq")
+@example(case=_tabled_case(_table_of(12, [0.0]), _table_of(12, _AT_TOL), False,
+                           list(range(10)) + [11, 10]), tol=0.0, mode="le")
+@example(case=_tabled_case(_table_of(12, [1.0, 2.0]), _table_of(12, [1.0, 2.0]), False,
+                           [5] + list(range(1, 5)) + [0] + list(range(6, 12))), tol=0.0,
+         mode="eq")
 def test_bijection_checks_match_the_per_pair_loops(case, tol, mode):
     spaces, spec, sample = case
     got = is_isometry(spaces, spec, sample, tol=tol).to_json()
@@ -889,7 +960,23 @@ def _tree_swap_sample():
     return (tree, tree), gh.tree_swap_bijection(tps), sample
 
 
-@pytest.mark.parametrize("case", ["line-sine", "line-double", "tree-swap", "e2-identity"])
+def _tree_line_sine_sample():
+    """The line-sine map on the line factor of MaxProduct(tree, R), on tree
+    vertices (coordinates marshal takes) and edge points (whose Fraction
+    offsets it refuses) beside values of which some round-trip exactly."""
+    tree = swap_tree()
+    spec = gh.max_product_lift(line_counterexample(), tree)
+    mp = spec.domain
+    rng = random.Random(8)
+    left = [tree_vertex(tree, v).coords for v in tree.desc.vertices]
+    left += [tree.random_point(rng, 4.0).coords for _ in range(8)]
+    values = [0.0, 0.25, 0.5, 1.0] + [rng.uniform(-3, 3) for _ in range(8)]
+    pts = [Point(mp, (c, v)) for c, v in itertools.product(left, values)][::3]
+    return (mp, mp), spec, SampleSet(mp, tuple(pts))
+
+
+@pytest.mark.parametrize("case", ["line-sine", "line-double", "tree-swap", "e2-identity",
+                                  "tree-line-sine"])
 def test_bijection_checks_on_models_match_the_per_pair_loops(case):
     # a float space and an exact one, failing and passing
     rl, e2 = RealLine(), Euclidean(2)
@@ -898,6 +985,7 @@ def test_bijection_checks_on_models_match_the_per_pair_loops(case):
         "line-double": lambda: ((rl, rl), _doubling(rl), random_sample(rl, 40, seed=3)),
         "tree-swap": _tree_swap_sample,
         "e2-identity": lambda: ((e2, e2), _identity(e2), random_sample(e2, 40, seed=4)),
+        "tree-line-sine": _tree_line_sine_sample,
     }[case]()
     for tol in (0.0, 1e-9):
         assert (is_isometry(spaces, spec, sample, tol=tol).to_json()
@@ -906,6 +994,39 @@ def test_bijection_checks_on_models_match_the_per_pair_loops(case):
             assert (preserves_unit_distance(spaces, spec, sample, mode=mode, tol=tol).to_json()
                     == _preserves_unit_distance_pairwise(spaces, spec, sample, mode=mode,
                                                          tol=tol).to_json())
+
+
+def _outcome(check, *args, **kw):
+    """check's report as JSON, or the type and message of what it raised."""
+    try:
+        return check(*args, **kw).to_json()
+    except OverflowError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("back", [list(range(8)), [0, 3, 2, 1, 4, 5, 7, 6]],
+                         ids=["fixed", "swaps"])
+def test_bijection_checks_raise_as_the_per_pair_loops_beyond_double_range(exact, back):
+    # an int past double range converts to float nowhere: every check that
+    # compares as floats raises the per-pair loop's OverflowError
+    big = 10 ** 400
+    unit = Fraction(1) if exact else 1.0
+    x_table = _table_of(8, [unit, 2 * unit, big])
+    y_table = _table_of(8, [unit, big, 2 * unit, unit])
+    spaces, spec, sample = _tabled_case(x_table, y_table, exact, back)
+    raised = 0
+    for tol in (0.0, 1e-9):
+        got = _outcome(is_isometry, spaces, spec, sample, tol=tol)
+        assert got == _outcome(_is_isometry_pairwise, spaces, spec, sample, tol=tol)
+        raised += type(got) is tuple
+        for mode in ("eq", "le", "lt"):
+            got = _outcome(preserves_unit_distance, spaces, spec, sample, mode=mode, tol=tol)
+            assert got == _outcome(_preserves_unit_distance_pairwise, spaces, spec, sample,
+                                   mode=mode, tol=tol)
+            raised += type(got) is tuple
+    # an exact check at tol 0 compares integer ratios and never raises
+    assert raised == (8 if not exact else 4)
 
 
 _UNIT_NEAR = (1.0, 1.0 + 1e-10, 1.0 - 1e-8, 0.5, 2.0, math.nan, math.inf, 1, Fraction(1),
