@@ -148,6 +148,7 @@ def ray_pseudodistance(space, c: GeodesicRef, d: GeodesicRef):
 def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,
                              tol: float = 1e-6) -> VerificationReport:
     """0 <= beta_c(d(0)) + beta_d(c(0)) <= 2 rho_xi(c, d), within tol."""
+    _check_tol(tol)
     rep = VerificationReport("busemann-sum-bound", tolerance=tol)
     # rho first: it refuses a foreign ray, and every model one without an ideal end
     rho = ray_pseudodistance(space, c, d)

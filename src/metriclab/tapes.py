@@ -10,7 +10,6 @@ pos(j, z) = (j-1)(2p-1)/p + z along the base line.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .spaces import (
     vadd,
     vscale,
 )
-from .verify import VerificationReport
+from .verify import VerificationReport, _check_tol, _screened
 
 
 @dataclass
@@ -40,9 +39,11 @@ class PTape:
 
 def validate_r_sequence(space, points: dict, tol: float = 1e-9) -> VerificationReport:
     """Is ``points`` (int z -> Point) a unit-step copy of a window of integers:
-    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)? Float tests
-    are written ``not ... <= tol``, as in ``is_isometry``: a nan distance
-    fails."""
+    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)? On a float
+    space a row that passes ``_screened`` against its integer steps is
+    skipped whole; any other row is tested pair by pair, written
+    ``not ... <= tol`` as in ``is_isometry``: a nan distance fails."""
+    _check_tol(tol)
     zs = sorted(points)
     if len(zs) < 2:
         raise SpaceError("r-sequence window needs at least two indices")
@@ -50,10 +51,13 @@ def validate_r_sequence(space, points: dict, tol: float = 1e-9) -> VerificationR
     exact = space.exact
     rows = distance_rows(space, [points[z] for z in zs])
     for a, (z1, row) in enumerate(zip(zs, rows)):
-        for z2, d in zip(zs[a + 1:], row):
-            bad = (d != z2 - z1) if exact else not abs(float(d) - (z2 - z1)) <= tol
+        want = [z2 - z1 for z2 in zs[a + 1:]]
+        if not exact and _screened(row, want, tol):
+            continue
+        for z2, d, w in zip(zs[a + 1:], row, want):
+            bad = (d != w) if exact else not abs(float(d) - w) <= tol
             if bad:
-                rep.fail({"z1": z1, "z2": z2, "d": d, "expected": z2 - z1})
+                rep.fail({"z1": z1, "z2": z2, "d": d, "expected": w})
     return rep.finalize(pairs=len(zs) * (len(zs) - 1) // 2)
 
 
@@ -80,27 +84,10 @@ def tape_quadruples(p: int):
     return quads
 
 
-# the row verdicts of the two newest tapes validated that are still alive,
-# oldest first, as (tape ref, space, tol, {row key: (row points, violations)})
-_row_verdicts = []
-
-
-def _forget(tape_ref):
-    _row_verdicts[:] = [e for e in _row_verdicts if e[0] is not tape_ref]
-
-
 def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
-    """Row r-sequence property plus the unit-quadruple system.
-
-    A row made of the very same Point objects, at the same z, as a row of
-    one of the two tapes validated last, in the very same space and at an
-    equal ``tol``, takes that row's verdict instead of rebuilding its pair
-    table: a copy of a tape perturbed in one point is re-checked in that
-    row and in all its quadruples. Rows are keyed by the ids of their
-    Points, which the store holds so that no id is reused while stored; a
-    tape's verdicts are dropped when the tape itself is freed. Equal
-    coordinates are not enough: a row rebuilt from new Points is validated
-    again, so no verdict passes to the equal, fresh tapes of another run."""
+    """Row r-sequence property, each of the 4p rows by
+    ``validate_r_sequence``, plus the unit-quadruple system."""
+    _check_tol(tol)
     p = tape.p
     if p < 2:
         raise SpaceError("tape needs p >= 2")
@@ -109,22 +96,13 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
     rows = {}
     for (i, j, z), pt in tape.points.items():
         rows.setdefault((i, j), {})[z] = pt
-    known = [v for _, s, t, v in _row_verdicts if s is tape.space and t == tol]
-    verdicts = {}
     for i in range(4):
         for j in range(1, p + 1):
             if (i, j) not in rows:
                 raise SpaceError(f"missing row ({i}, {j})")
-            row = rows[(i, j)]
-            zs = sorted(row)
-            key = (*zs, *(id(row[z]) for z in zs))
-            verdict = next((v[key] for v in known if key in v), None)
-            if verdict is None:
-                sub = validate_r_sequence(tape.space, row, tol=tol)
-                verdict = (tuple(row.values()), sub.counts["violations"])
-            verdicts[key] = verdict
-            if verdict[1]:
-                rep.fail({"row": (i, j), "violations": verdict[1]})
+            found = validate_r_sequence(tape.space, rows[(i, j)], tol=tol).counts["violations"]
+            if found:
+                rep.fail({"row": (i, j), "violations": found})
     quads = tape_quadruples(p)
     for quad in quads:
         try:
@@ -140,8 +118,6 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
         bad = (d03 != 3) if exact else not abs(float(d03) - 3.0) <= tol
         if bad:
             rep.fail({"quad": quad, "step": "ends", "d": d03, "expected": 3})
-    del _row_verdicts[:-1]
-    _row_verdicts.append((weakref.ref(tape, _forget), tape.space, tol, verdicts))
     return rep.finalize(rows=4 * p, quadruples=len(quads))
 
 

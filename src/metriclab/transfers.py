@@ -23,7 +23,7 @@ from .spaces import (
     tree_end,
 )
 from .horofn import _line_orientation, busemann_value, ray_toward
-from .verify import VerificationReport
+from .verify import VerificationReport, _check_tol
 
 
 @dataclass
@@ -93,6 +93,7 @@ class ScissorsConfig:
 def validate_scissors(space, cfg: ScissorsConfig, tol: float = 1e-9) -> VerificationReport:
     """Check the five incidence conditions and set the degeneracy flag
     (x on a and on d). Failures are report entries, not errors."""
+    _check_tol(tol)
     rep = VerificationReport("scissors-incidence", tolerance=tol)
     pairs = [
         ("a(-oo)=b(-oo)", cfg.a.minus, cfg.b.minus),

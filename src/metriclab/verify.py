@@ -269,26 +269,30 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> Verific
 _pair_tables = []
 
 
+def _key(space, c):
+    """The strict-equality key of coordinates ``c``, so that 1, 1.0, True
+    and -0.0 never match: ``c`` itself on an exact space (tree offsets are
+    Fractions), else its marshal bytes (version 2 writes no back-references),
+    or None, which equals nothing, where marshal refuses ``c``."""
+    if space.exact:
+        return c
+    try:
+        return marshal.dumps(c, 2)
+    except ValueError:
+        return None
+
+
 def _pair_rows(space, points):
     """The rows of distance_rows(space, points) as one list, shared by the
     two bijection checks: on one sample both read the table of X over the
-    sample and of Y over the images.
-
-    A stored table serves only the very same space and strictly equal
-    coordinates, so that 1, 1.0, True and -0.0 never share one: on an exact
-    space the coordinate list compares as it is (tree offsets are
-    Fractions), elsewhere its marshal bytes do, and coordinates marshal
-    refuses get a table of their own. At most two tables are kept.
-    ``_moved`` compares single points under the same rule."""
+    sample and of Y over the images. A stored table serves only the very
+    same space and an equal ``_key`` of the coordinate list; at most two
+    tables are kept."""
     _check_member(space, *points)
     coords = [p.coords for p in points]
-    if space.exact:
-        key = coords
-    else:
-        try:
-            key = marshal.dumps(coords, 2)   # version 2 writes no back-references
-        except ValueError:
-            return list(space.rows(coords))
+    key = _key(space, coords)
+    if key is None:
+        return list(space.rows(coords))
     for s, k, rows in _pair_tables:
         if s is space and k == key:
             return rows
@@ -299,19 +303,19 @@ def _pair_rows(space, points):
 
 
 def _moved(space, points, others):
-    """For each pair of points, True unless the two are strictly equal as
-    ``_pair_rows`` keys them: coordinates equal on an exact space, else
-    equal marshal bytes; coordinates marshal refuses count as moved."""
-    if space.exact:
-        return [p.coords != q.coords for p, q in zip(points, others)]
-    dumps = marshal.dumps
-    out = []
-    for p, q in zip(points, others):
-        try:
-            out.append(dumps(p.coords, 2) != dumps(q.coords, 2))
-        except ValueError:
-            out.append(True)
-    return out
+    """For each pair of points, True unless their coordinates have an equal
+    ``_key``."""
+    keys = [_key(space, p.coords) for p in points]
+    return [k is None or k != _key(space, q.coords) for k, q in zip(keys, others)]
+
+
+def _screened(xs, ys, tol):
+    """True only if every |x - y| of the two rows is at most tol, decided in
+    C as math.dist(xs, ys) <= tol / 2: math.dist converts each entry as
+    float() does and is at least every |fl(x - y)| but for its last ulp,
+    which the half absorbs, and a nan or inf fails it. A row that fails
+    is decided pair by pair."""
+    return math.dist(xs, ys) <= 0.5 * tol
 
 
 def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
@@ -322,15 +326,12 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     whole; after preserves_unit_distance on the same sample both are
     already stored. On an exact check a row equal in X and Y is skipped
     whole. Otherwise the rows are compared as floats (an exact row taken by
-    ``_float_row``), and a row whose math.dist is at most tol / 2 is
-    skipped: math.dist converts each entry as float() does and is at least
-    every |fl(dx - dy)| but for its last ulp, which the half absorbs, and a
-    nan or inf fails the screen. Any other row is decided by one
-    comprehension, pair by pair. A failing pair is kept as (i, j)
-    until there are MAX_WITNESSES of them, in sample order, and only those
-    get a witness, with the distances of the tables: the first
-    MAX_WITNESSES in the order found. The report's "violations" counts
-    every failing pair."""
+    ``_float_row``), a row that passes ``_screened`` is skipped, and any
+    other row is decided by one comprehension, pair by pair. A failing pair
+    is kept as (i, j) until there are MAX_WITNESSES of them, in sample
+    order, and only those get a witness, with the distances of the tables:
+    the first MAX_WITNESSES in the order found. The report's "violations"
+    counts every failing pair."""
     _check_tol(tol)
     X, Y = spaces
     rep = VerificationReport(f"is-isometry[{f.name}]", tolerance=tol)
@@ -339,7 +340,7 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     table_x, table_y = _pair_rows(X, pts), _pair_rows(Y, images)
     x_exact, y_exact = X.exact, Y.exact
     exact = tol == 0 and x_exact and y_exact
-    n, screen, dist = len(pts), 0.5 * tol, math.dist
+    n = len(pts)
     pairs = found = 0
     failing = []
     for i, (row_x, row_y) in enumerate(zip(table_x, table_y)):
@@ -352,7 +353,7 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
         else:
             fx = _float_row(row_x) if x_exact else row_x
             fy = _float_row(row_y) if y_exact else row_y
-            if dist(fx, fy) <= screen:
+            if _screened(fx, fy, tol):
                 continue
             bad = [j for j, dx, dy in zip(js, fx, fy) if not abs(float(dx) - float(dy)) <= tol]
         found += len(bad)

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from metriclab import numeric, spaces, tapes
+from metriclab import numeric, spaces, tapes, verify
 from metriclab.spaces import (
     Euclidean,
     GeodesicRef,
     HyperbolicPlane,
     MinkowskiLinf,
     MinkowskiLp,
-    Point,
     PreconditionError,
     SpaceError,
     boundary_ideal,
@@ -275,73 +274,72 @@ def test_build_p_tape_evaluates_the_base_line_once_per_anchor():
             assert pt.coords == a.at(float(tape_position(6, j, 0)) + z)
 
 
-def _count_row_checks(monkeypatch):
-    """The r-sequence tables built from now on, each as its number of points,
-    starting from an empty verdict store."""
-    monkeypatch.setattr(tapes, "_row_verdicts", [])
-    built, check = [], tapes.validate_r_sequence
-
-    def counted(space, points, tol=1e-9):
-        built.append(len(points))
-        return check(space, points, tol=tol)
-    monkeypatch.setattr(tapes, "validate_r_sequence", counted)
-    return built
+def _off_pairs(monkeypatch, offsets):
+    """The plane's metric, except that d(x, y) for a pair of x-coordinates
+    (x[0], y[0]) in ``offsets`` reads that much longer."""
+    monkeypatch.setattr(Euclidean, "row", lambda self, a, bs: [
+        math.dist(a, b) + offsets.get((a[0], b[0]), 0.0) for b in bs])
 
 
-def test_a_perturbed_tape_revalidates_only_its_changed_row(monkeypatch):
-    built = _count_row_checks(monkeypatch)
+def _per_pair_witnesses(space, pts, tol):
+    """validate_r_sequence's witnesses, the float pairs tested one by one."""
+    zs = sorted(pts)
+    return [{"z1": z1, "z2": z2, "d": d, "expected": z2 - z1}
+            for a, z1 in enumerate(zs) for z2 in zs[a + 1:]
+            for d in [float(distance(space, pts[z1], pts[z2]))]
+            if not abs(d - (z2 - z1)) <= tol]
+
+
+def test_r_sequence_passes_a_row_off_by_less_than_tol(monkeypatch):
+    # one pair 0.75 tol long fails the row screen (tol / 2) and then
+    # passes pair by pair
+    e2, tol = Euclidean(2), 1e-9
+    pts = {z: point(e2, (float(z), 0.0)) for z in range(-5, 6)}
+    _off_pairs(monkeypatch, {(-5.0, 5.0): 0.75 * tol})
+    assert not verify._screened([10.0 + 0.75 * tol], [10], tol)
+    rep = validate_r_sequence(e2, pts, tol=tol)
+    assert rep.passed and rep.counts == {"pairs": 55, "violations": 0}
+
+
+def test_r_sequence_off_by_more_than_tol_fails_as_the_per_pair_test(monkeypatch):
+    # z = 0 moved 1.5 tol and z = 2 moved 0.75 tol: every pair through z = 0
+    # but (0, 2) fails, rows through z = 2 fail the screen but hold passing
+    # pairs, and the rows after z = 2 pass it
+    e2, tol = Euclidean(2), 1e-9
+    pts = {z: point(e2, (float(z), 0.0)) for z in range(-5, 6)}
+    pts[0] = point(e2, (1.5 * tol, 0.0))
+    pts[2] = point(e2, (2.0 + 0.75 * tol, 0.0))
+    want = _per_pair_witnesses(e2, pts, tol)
+    rep = validate_r_sequence(e2, pts, tol=tol)
+    assert len(want) == 9 and rep.witnesses == want
+    assert rep.counts["violations"] == len(want)
+    # one pair off in an otherwise exact row
+    _off_pairs(monkeypatch, {(-5.0, 5.0): 1.5 * tol})
+    pts = {z: point(e2, (float(z), 0.0)) for z in range(-5, 6)}
+    rep = validate_r_sequence(e2, pts, tol=tol)
+    assert rep.witnesses == [{"z1": -5, "z2": 5, "d": 10.0 + 1.5 * tol, "expected": 10}]
+
+
+def test_r_sequence_fails_an_infinite_distance():
+    # 2e308 apart, the plane's distance reads inf
+    e2 = Euclidean(2)
+    pts = {0: point(e2, (-1e308, 0.0)), 1: point(e2, (1e308, 0.0)), 2: point(e2, (1e308, 1.0))}
+    rep = validate_r_sequence(e2, pts)
+    assert [(w["z1"], w["z2"], w["d"]) for w in rep.witnesses] == [(0, 1, "inf"), (0, 2, "inf")]
+
+
+def test_validate_p_tape_does_not_depend_on_what_ran_before():
     e2 = Euclidean(2)
     tape = build_p_tape(e2, _base_line(e2), 6, 0.6)
-    assert validate_p_tape(tape).passed
-    assert len(built) == 24
     bad = PTape(e2, tape.p, dict(tape.points))
     c = bad.points[(1, 3, 0)].coords
     bad.points[(1, 3, 0)] = point(e2, (c[0] + 0.05, c[1]))
-    del built[:]
-    rep = validate_p_tape(bad)
-    assert len(built) == 1
-    # the changed row still fails, beside the quadruples through (1, 3, 0)
-    assert [w["row"] for w in rep.witnesses if "row" in w] == [[1, 3]]
-    monkeypatch.setattr(tapes, "_row_verdicts", [])
-    assert validate_p_tape(bad).to_json() == rep.to_json()
-
-
-def test_row_verdicts_need_the_same_points_space_and_tol(monkeypatch):
-    built = _count_row_checks(monkeypatch)
-    e2 = Euclidean(2)
-    tape = build_p_tape(e2, _base_line(e2), 6, 0.6)
-    first = validate_p_tape(tape).to_json()
-    rebuilt = PTape(e2, 6, {k: Point(e2, pt.coords) for k, pt in tape.points.items()})
-    twin = Euclidean(2)
-    cases = ((rebuilt, 1e-9),                                   # equal coordinates
-             (PTape(twin, 6, tape.points), 1e-9),               # an equal space
-             (tape, 1e-8), (tape, 0.0))                         # another tol
-    for other, tol in cases:
-        del built[:]
-        rep = validate_p_tape(other, tol=tol)
-        assert len(built) == 24, tol
-        # at tol 0 rounding breaks 22 rows, which a shared verdict would pass
-        failed_rows = [w for w in rep.witnesses if "row" in w]
-        assert len(failed_rows) == (22 if tol == 0.0 else 0), tol
-    # the tape itself, at its own tol, was evicted by the later ones
-    del built[:]
-    assert validate_p_tape(tape).to_json() == first
-    assert len(built) == 24 and len(tapes._row_verdicts) == 2
-    del built[:]
-    assert validate_p_tape(tape).to_json() == first
-    assert built == []
-
-
-def test_row_verdicts_live_no_longer_than_their_tape(monkeypatch):
-    # the store holds a tape's Points only while the tape itself is alive
-    _count_row_checks(monkeypatch)
-    e2 = Euclidean(2)
-    tape = build_p_tape(e2, _base_line(e2), 6, 0.6)
+    alone = validate_p_tape(bad).to_json()
     assert validate_p_tape(tape).passed
-    assert validate_p_tape(build_p_tape(e2, _base_line(e2), 4, 0.75)).passed
-    assert [ref() for ref, *_ in tapes._row_verdicts] == [tape]
-    del tape
-    assert tapes._row_verdicts == []
+    after = validate_p_tape(bad).to_json()
+    assert after == alone
+    # the changed row fails, beside the quadruples through (1, 3, 0)
+    assert [w["row"] for w in after["witnesses"] if "row" in w] == [[1, 3]]
 
 
 def test_tape_missing_point_is_domain_error():
