@@ -20,6 +20,7 @@ from .spaces import (
     Point,
     SpaceError,
     _check_member,
+    _check_tol,
     _finite,
     _same_space,
     _shown,
@@ -27,7 +28,7 @@ from .spaces import (
     point,
     ray_from,
 )
-from .verify import SampleSet, VerificationReport, _check_tol
+from .verify import SampleSet, VerificationReport
 
 INF = math.inf
 T_CAP = 1e8     # truncation cap of the Busemann and Tits limits
@@ -108,6 +109,7 @@ def _busemann_limit(space, ray, y, *, tol):
     T = max(1.0, 2.0 * float(d0))
     if T > T_CAP:   # no doubling step runs; a ray point past double range refuses itself
         ray.point_at(4.0 * T)
+        raise ConvergenceError(f"Busemann limit: d(y, c(0)) puts T = {T:g} past T_CAP = {T_CAP:g}")
     window = [f(T), f(2.0 * T), f(4.0 * T)]
     prev = None
     prev_diff = None

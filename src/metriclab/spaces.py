@@ -77,35 +77,12 @@ def vdot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def enorm(a):
-    return math.sqrt(sum(float(x) * float(x) for x in a))
-
-
 def pnorm(a, p):
     return sum(abs(float(x)) ** p for x in a) ** (1.0 / p)
 
 
 def supnorm(a):
     return max(abs(float(x)) for x in a)
-
-
-def _direction_norm(norm, v, p) -> float:
-    """norm(v) for a direction v, norm the l_p norm. Where squaring or
-    powering before the root takes the plain value to inf, or below the
-    smallest normal double to the power 1 / p (under which the sum of p-th
-    powers is subnormal), it is m * norm(v / m) instead, m the largest
-    |component|: the scaled sum lies in [1, len(v)]. A v whose plain norm
-    is a double at or above that bound keeps its bits; for p <= 3 the bound
-    is below 1e-100."""
-    try:
-        n = norm(v)
-    except OverflowError:           # abs(x) ** p beyond double range on l_p
-        n = INF
-    if n < sys.float_info.min ** (1.0 / p) or n == INF:
-        m = supnorm(v)
-        if 0 < m < INF:
-            n = m * norm(tuple(float(x) / m for x in v))
-    return n
 
 
 def _shown(v) -> str:
@@ -299,8 +276,8 @@ class Space:
     it ``distance(a, b)``, which is ``row(a, (b,))[0]``, and
     ``rows(coords)``, the pair distances of a list of coordinates, row i
     holding d(coords[i], coords[j]) for j > i; both are ``row``'s values,
-    and ``row`` decides each pair on its own (the l_p plane rescales only
-    the pairs whose plain value leaves its range), so they agree bit for
+    and ``row`` decides each pair on its own (the l_p plane and H^2 recompute
+    only the pairs whose plain value leaves its range), so they agree bit for
     bit. No model overrides ``distance``. Only
     ``MetricTree`` and ``MaxProduct`` override ``rows``, where a whole
     table shares work across its pairs and measures faster than one
@@ -328,9 +305,9 @@ class Space:
     Python code, and a Fraction is built only for a returned value or a
     kept witness.
 
-    Each input rule has one home: ``_finite`` tests a number parameter,
-    ``_check_member`` a point's space, ``MetricTree._end`` a tree end, and
-    a message spells the caller's value with ``_shown``.
+    Each input rule has one home: ``_finite`` tests a number, ``_check_tol`` a
+    tolerance, ``_check_member`` a point's space, ``MetricTree._end`` a tree
+    end, and a message spells the caller's value with ``_shown``.
 
     A strictly convex plane that carries tapes also gives
     ``half_chord(u, beta)``: the alpha >= 0 with |alpha u + beta w| = 1 for
@@ -409,6 +386,13 @@ def _finite(x) -> bool:
         return False
 
 
+def _check_tol(tol, what: str = "tol"):
+    """SpaceError unless tol is _finite and >= 0: a nan or negative tol
+    would fail every comparison, a wrong verdict with no error."""
+    if not (_finite(tol) and tol >= 0):
+        raise SpaceError(f"{what} must be a finite number >= 0, got {_shown(tol)}")
+
+
 def _reals(c, dim) -> bool:
     """Is c a dim-tuple of finite real numbers? Exact types are one set
     test; subclasses such as bool take the isinstance pass. NaN, an
@@ -442,9 +426,9 @@ class NormedSpace(Space):
     Subclasses give ``norm``, its exponent ``p`` (a field on the l_p plane,
     the class constant 2 on ``Euclidean`` and inf on the sup-norm plane),
     ``dim`` (a field on ``Euclidean``, the class constant 2 on the l_p and
-    sup-norm planes) and ``row``, which is
-    ``norm(vsub(a, b))`` fused into one pass over the coordinates, with the
-    same float operations in the same order. ``rho_closed`` is the planar
+    sup-norm planes) and ``row``, which is ``norm(vsub(a, b))`` on float
+    coordinates, bit for bit. Each ``norm`` is range-safe by itself, and
+    E^n reads both from C. ``rho_closed`` is the planar
     form from the planes' ``dual_norm`` (the norm of a linear functional
     given by its coefficients); ``Euclidean`` overrides it with the
     orthogonal gap in every dimension. ``busemann_closed`` reads only the
@@ -481,7 +465,7 @@ class NormedSpace(Space):
         v = tuple(v)
         if not _reals(v, self.dim):
             raise SpaceError(f"a direction is {self.dim} finite reals, got {_shown(v)}")
-        n = _direction_norm(self.norm, v, self.p)
+        n = self.norm(v)
         if n == 0 or n == INF:      # a norm past double range would give (0, 0)
             raise SpaceError(f"direction {_shown(v)} is zero or its norm overflows a double")
         return IdealPoint(self, tuple(float(x) / n for x in v))
@@ -514,24 +498,20 @@ class Euclidean(NormedSpace):
     p = 2
 
     def norm(self, v):
-        return enorm(v)
+        return math.hypot(*v)
 
     def row(self, a, bs):
-        sqrt = math.sqrt
-        if self.dim == 1:       # sqrt(0 + d * d) is sqrt(d * d): d * d is never -0.0
-            (ax,) = a
-            return [sqrt((ax - bx) * (ax - bx)) for (bx,) in bs]
-        if self.dim != 2:
-            return [sqrt(sum((x - y) * (x - y) for x, y in zip(a, b))) for b in bs]
-        ax, ay = a
-        return [sqrt(dx * dx + dy * dy) for bx, by in bs for dx, dy in ((ax - bx, ay - by),)]
+        # math.dist and math.hypot share one CPython routine, which scales its
+        # inputs; its bits may differ between versions (the tests pin 3.11)
+        dist = math.dist
+        return [dist(a, b) for b in bs]
 
     def rho_closed(self, c, d):
         # the gap between the parallel lines: the part of off orthogonal to u
         _check_asymptotic(c, d)
         off = vsub(c.at(0), d.at(0))
         u = c.plus.rep
-        return enorm(vsub(off, vscale(u, vdot(off, u))))
+        return self.norm(vsub(off, vscale(u, vdot(off, u))))
 
     def closest_param(self, geo, x):
         # orthogonal projection onto the carrier, clipped to the domain. A
@@ -578,7 +558,19 @@ class MinkowskiLp(NormedSpace):
             raise SpaceError(f"MinkowskiLp requires an int or float 1 < p < oo, got {_shown(self.p)}")
 
     def norm(self, v):
-        return pnorm(v, self.p)
+        # the plain value where it is a double at or above the smallest normal
+        # to the power 1 / p, else (inf, or a subnormal sum of powers)
+        # m * |v / m|_p, m the largest |component|: that sum lies in [1, 2]
+        p = self.p
+        try:
+            n = pnorm(v, p)
+        except OverflowError:       # abs(x) ** p beyond double range
+            n = INF
+        if n < sys.float_info.min ** (1.0 / p) or n == INF:
+            m = supnorm(v)
+            if 0 < m < INF:
+                n = m * pnorm(tuple(float(x) / m for x in v), p)
+        return n
 
     def dual_norm(self, v):
         return pnorm(v, self.p / (self.p - 1.0))
@@ -589,15 +581,15 @@ class MinkowskiLp(NormedSpace):
             out = [(abs(ax - bx) ** p + abs(ay - by) ** p) ** q for bx, by in bs]
         except OverflowError:       # abs(gap) ** p beyond double range
             out = [INF] * len(bs)
-        # each pair on its own: a plain value in [lo, inf) is kept, as
-        # _direction_norm keeps it, and only the others are rescaled. The
-        # sum is inf where a value is (and where a finite sum overflows,
-        # which only costs the pass below)
+        # each pair on its own: a plain value in [lo, inf) is kept, as norm
+        # keeps it, and only the others are rescaled. The sum is inf where a
+        # value is (and where a finite sum overflows, which only costs the
+        # pass below)
         lo = sys.float_info.min ** q
         if not out or (sum(out) < INF and min(out) >= lo):
             return out
-        return [d if lo <= d < INF else _direction_norm(self.norm, (ax - bx, ay - by), p)
-                for d, (bx, by) in zip(out, bs)]
+        norm = self.norm
+        return [d if lo <= d < INF else norm((ax - bx, ay - by)) for d, (bx, by) in zip(out, bs)]
 
     def half_chord(self, u, beta):
         # alpha u and beta w sit in separate coordinates only on an axis
@@ -703,7 +695,15 @@ class HyperbolicPlane(Space):
         # takes its own root, as the product of two tiny ones underflows
         (ax, ay), hypot, asinh, sqrt = a, math.hypot, math.asinh, math.sqrt
         s = 2.0 * sqrt(ay)
-        return [2.0 * asinh(hypot(ax - bx, ay - by) / (s * sqrt(by))) for bx, by in bs]
+        out = [2.0 * asinh(hypot(ax - bx, ay - by) / (s * sqrt(by))) for bx, by in bs]
+        # each pair on its own: a value in (0, inf) is kept, and the others
+        # (heights near 1e308 overflow the denominator) halve the gaps and the
+        # 2; halving every pair would round a one-ulp subnormal gap to 0
+        if not out or (sum(out) < INF and min(out) > 0):
+            return out
+        return [d if 0 < d < INF else
+                2.0 * asinh(hypot(ax / 2 - bx / 2, ay / 2 - by / 2) / (sqrt(ay) * sqrt(by)))
+                for d, (bx, by) in zip(out, bs)]
 
     def _toward(self, z0, xi, sgn=1.0):
         """The unit-speed geodesic from z0 toward the boundary point xi, or
@@ -793,7 +793,7 @@ class SphereIntrinsic(Space):
     def validate(self, c):
         if not _reals(c, self.dim):
             raise SpaceError(f"expected a finite direction in R^{self.dim}, got {_shown(c)}")
-        if abs(enorm(c) - 1.0) > 1e-12:
+        if abs(math.hypot(*c) - 1.0) > 1e-12:
             raise SpaceError(f"sphere direction must be unit within 1e-12: {_shown(c)}")
 
     def row(self, a, bs):
@@ -813,7 +813,7 @@ class SphereIntrinsic(Space):
         if abs(float(d) / r - math.pi) <= 1e-12:
             raise AmbiguousError("antipodal sphere points: minimizer not unique")
         w = vsub(b, vscale(a, vdot(a, b)))
-        w = vscale(w, 1.0 / enorm(w))
+        w = vscale(w, 1.0 / math.hypot(*w))
 
         def at(t):
             ang = float(t) / r
@@ -1365,7 +1365,7 @@ def tree_ray_point(space: MetricTree, end, offset: Number) -> Point:
 def sphere_point(space: SphereIntrinsic, direction) -> Point:
     _of_model(space, SphereIntrinsic)
     try:
-        n = _direction_norm(enorm, direction, 2)
+        n = math.hypot(*direction)
     except OverflowError:           # float() of an int or Fraction beyond double range
         raise SpaceError("a direction component leaves double range") from None
     if n == 0:
@@ -1549,5 +1549,6 @@ def closest_param(space, geo: GeodesicRef, x: Point):
 
 def on_geodesic(space, geo: GeodesicRef, x: Point, tol: float = 1e-9):
     """(bool, parameter, residual) for membership of x on geo."""
+    _check_tol(tol)
     t, resid = closest_param(space, geo, x)
     return (float(resid) <= tol, t, resid)

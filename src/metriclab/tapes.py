@@ -18,13 +18,14 @@ from .spaces import (
     Point,
     PreconditionError,
     SpaceError,
+    _check_tol,
     _same_space,
     distance,
     distance_rows,
     vadd,
     vscale,
 )
-from .verify import VerificationReport, _check_tol, _screened
+from .verify import VerificationReport, _screened
 
 
 @dataclass

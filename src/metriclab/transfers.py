@@ -14,6 +14,7 @@ from .spaces import (
     MetricTree,
     Point,
     SpaceError,
+    _check_tol,
     boundary_ideal,
     closest_param,
     direction_ideal,
@@ -23,7 +24,7 @@ from .spaces import (
     tree_end,
 )
 from .horofn import _line_orientation, busemann_value, ray_toward
-from .verify import VerificationReport, _check_tol
+from .verify import VerificationReport
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .spaces import (
     SpaceError,
     _check_member,
     _check_space,
-    _finite,
+    _check_tol,
     _shown,
     midpoint,
 )
@@ -107,13 +107,6 @@ def _jsonable(v):
     if isinstance(v, Point):
         return _jsonable(v.coords)
     return v
-
-
-def _check_tol(tol, what: str = "tol"):
-    """SpaceError unless tol is _finite and >= 0: a nan or negative tol
-    would fail every comparison, a wrong verdict with no error."""
-    if not (_finite(tol) and tol >= 0):
-        raise SpaceError(f"{what} must be a finite number >= 0, got {_shown(tol)}")
 
 
 # ---------------------------------------------------------------------------

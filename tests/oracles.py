@@ -13,10 +13,8 @@ from metriclab.horofn import T_CAP, shadow_contains
 from metriclab.numeric import bisect_root, golden_min
 from metriclab.spaces import (
     ConvergenceError,
-    MinkowskiLp,
     PreconditionError,
     SpaceError,
-    _direction_norm,
     distance,
     distance_rows,
     point,
@@ -33,12 +31,7 @@ from metriclab.verify import SampleSet, VerificationReport
 
 def _normed_distance(space, a, b):
     """The flat models' distance as the norm of the difference tuple,
-    ``norm(vsub(a, b))``: the formula the fused kernels must reproduce. On
-    the l_p plane ``_direction_norm`` takes that norm, which keeps a plain
-    value of at least the smallest normal double to the power 1 / p and
-    rescales any other."""
-    if isinstance(space, MinkowskiLp):
-        return _direction_norm(space.norm, vsub(a, b), space.p)
+    ``norm(vsub(a, b))``: the formula the fused kernels must reproduce."""
     return space.norm(vsub(a, b))
 
 
@@ -54,9 +47,23 @@ def _max_row(left, right):
     return list(map(max, left, right))
 
 
-def _euclidean_row(a, bs):
-    """The Euclidean row in any dimension, the root of a sum of squares."""
-    return [math.sqrt(sum((x - y) * (x - y) for x, y in zip(a, b))) for b in bs]
+def _e1_row(a, bs):
+    """The E^1 row exactly: |fl(a) - fl(b)| on the doubles of the two
+    coordinates, correctly rounded (a Fraction converts to the nearest
+    double)."""
+    (x,) = a
+    return [float(abs(Fraction(float(x)) - Fraction(float(y)))) for (y,) in bs]
+
+
+def _euclidean_root(a, b, k=1200):
+    """The exact root of the sum of squares of the gaps fl(x - y) between
+    the doubles of a and b, each gap rounded once as the row rounds it, as
+    the bracket (r / 2^k, (r + 1) / 2^k) of Fractions that holds it: r is
+    math.isqrt of the Fraction sum scaled by 4^k and floored. 2^-1200 is
+    far below the smallest subnormal, 2^-1074."""
+    s = sum(Fraction(float(x) - float(y)) ** 2 for x, y in zip(a, b))
+    r = math.isqrt(s.numerator * 4 ** k // s.denominator)
+    return Fraction(r, 2 ** k), Fraction(r + 1, 2 ** k)
 
 
 def _sphere_distance(space, a, b):

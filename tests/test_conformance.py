@@ -25,6 +25,7 @@ from metriclab.spaces import (
     RealLine,
     Space,
     SpaceError,
+    SphereIntrinsic,
     boundary_ideal,
     closest_param,
     direction_ideal,
@@ -34,12 +35,13 @@ from metriclab.spaces import (
     midpoint,
     point,
     ray_from,
+    sphere_point,
     tree_end,
 )
 from metriclab.suites import CATALOG, ended_tree, swap_tree
 from metriclab.verify import random_sample
 
-from oracles import _euclidean_row, _linf_row, _max_row
+from oracles import _e1_row, _euclidean_root, _linf_row, _max_row
 
 # the catalog, plus products with a tree factor: one exact throughout, one
 # whose distances are Fractions or floats pair by pair; E^1 and the
@@ -86,8 +88,42 @@ def test_row_distance_and_rows_agree(space, seed, n):
 
 
 # ---------------------------------------------------------------------------
-# the row kernels against the calls they replace: max per pair, and the
-# generic root of a sum on E^1
+# every norm is range-safe by itself: at components 1e-200 and 1e200 the
+# norms, the unit directions and the sphere's points keep their values
+
+_NORMED = [m for m in MODELS if isinstance(m, NormedSpace)]
+
+
+@pytest.mark.parametrize("space", _NORMED, ids=[m.tag() for m in _NORMED])
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_norms_and_directions_keep_extreme_components(space, c):
+    n = space.dim
+    # |(c, ..., c)| = c n^(1/p), and |(-c, 0, ...)| = c. An l_p norm that
+    # keeps its plain value raises a sum near 1e+-300 to the double 1 / p,
+    # whose rounding the log of the sum, about 690, scales to 3e-14
+    root = 1.0 if space.p == math.inf else n ** (1.0 / space.p)
+    for v in ((c,) * n, (-c,) + (0.0,) * (n - 1)):
+        want = c * root if 0.0 not in v else c
+        assert math.isclose(space.norm(v), want, rel_tol=1e-13)
+        rep = direction_ideal(space, v).rep
+        assert rep == pytest.approx(tuple(x / want for x in v), rel=1e-13, abs=0.0)
+
+
+_SPHERES = [m for m, _ in CATALOG if isinstance(m, SphereIntrinsic)] + [SphereIntrinsic(2.5, 2)]
+
+
+@pytest.mark.parametrize("space", _SPHERES, ids=[m.tag() for m in _SPHERES])
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_sphere_points_keep_extreme_components(space, c):
+    n = space.dim
+    assert sphere_point(space, (c,) * n).coords == pytest.approx((n ** -0.5,) * n, rel=1e-15)
+    axis = (0.0,) * (n - 1) + (-c,)
+    assert sphere_point(space, axis).coords == (0.0,) * (n - 1) + (-1.0,)
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against the calls they replace: max per pair; and E^n
+# against the exact distance of its doubles
 
 def _check_kernels(space, coords):
     """space's row and rows against the reference rows, in type and bits."""
@@ -96,7 +132,7 @@ def _check_kernels(space, coords):
             return _max_row(space.left.row(a[0], [b[0] for b in bs]),
                             space.right.row(a[1], [b[1] for b in bs]))
     else:
-        reference = _linf_row if isinstance(space, MinkowskiLinf) else _euclidean_row
+        reference = _linf_row if isinstance(space, MinkowskiLinf) else _e1_row
     for i, a in enumerate(coords):
         want = [_key(d) for d in reference(a, coords)]
         assert [_key(d) for d in space.row(a, coords)] == want
@@ -128,7 +164,8 @@ _KERNEL_EDGES = {
     "product-tie-float-left": (MaxProduct(RealLine(), RealLine()),
                                [(0.0, Fraction(0)), (0.5, _HALF), (1.5, Fraction(1)),
                                 (-0.0, Fraction(3, 2))]),
-    # exact coordinates, and squares that overflow or underflow
+    # exact coordinates, which E^1 reads as their doubles before it
+    # subtracts, and gaps whose squares overflow or underflow
     "e1-fractions": (Euclidean(1), [(Fraction(1, 3),), (Fraction(-2, 7),), (0,), (1.5,),
                                     (_HALF,)]),
     "e1-extremes": (Euclidean(1), [(1e200,), (-1e200,), (5e-324,), (0.0,), (-0.0,), (1e-160,)]),
@@ -140,6 +177,28 @@ def test_row_kernels_match_the_calls_they_replace_at_the_edges(case):
     space, coords = _KERNEL_EDGES[case]
     coords = [Point(space, c).coords for c in coords]      # valid points only
     _check_kernels(space, coords)
+
+
+_EUCLIDEAN = [Euclidean(1), Euclidean(2), Euclidean(3)]
+
+
+@pytest.mark.parametrize("space", _EUCLIDEAN, ids=[m.tag() for m in _EUCLIDEAN])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 8),
+       scale=st.sampled_from((1e-200, 1e-9, 1.0, 1e200)))
+def test_euclidean_rows_lie_within_one_ulp_of_the_exact_root(space, seed, n, scale):
+    # the exact root of the sum of squares of the rounded gaps, bracketed
+    # by math.isqrt, lies within 1 ulp of the row's value
+    pts = random_sample(space, n, seed).points
+    coords = [tuple(x * scale for x in p.coords) for p in pts]
+    coords += [p.coords for p in _extreme_gaps(space)]
+    coords += [(Fraction(1, 3),) * space.dim, (Fraction(-2, 7),) + (_HALF,) * (space.dim - 1)]
+    coords = [Point(space, c).coords for c in coords]
+    for a in coords:
+        for b, d in zip(coords, space.row(a, coords)):
+            lo, hi = _euclidean_root(a, b)
+            u = Fraction(math.ulp(d))
+            assert Fraction(d) - u <= lo and hi <= Fraction(d) + u, (a, b, d)
 
 
 # ---------------------------------------------------------------------------

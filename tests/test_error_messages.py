@@ -17,6 +17,7 @@ from metriclab.spaces import (
     SpaceError,
     direction_ideal,
     line_through,
+    on_geodesic,
     point,
     ray_from,
 )
@@ -67,8 +68,8 @@ def test_no_raise_spells_a_value_with_repr():
 
 
 def _tol_checks():
-    """One call per float check that takes a ``tol`` and had no guard on
-    it, each on inputs that pass at the default tol."""
+    """One verdict per float check that takes a ``tol`` and had no guard
+    on it, each on inputs that pass at the default tol."""
     e2, h = Euclidean(2), HyperbolicPlane()
     xi = direction_ideal(e2, (1.0, 0.0))
     line = line_through(e2, direction_ideal(e2, (-1.0, 0.0)), xi, point(e2, (0.0, 0.0)))
@@ -77,10 +78,11 @@ def _tol_checks():
     row = {z: point(e2, (float(z), 0.0)) for z in range(-3, 4)}
     tape = build_p_tape(e2, line, 3, 0.8)
     return {
-        "r-sequence": lambda tol: validate_r_sequence(e2, row, tol=tol),
-        "p-tape": lambda tol: validate_p_tape(tape, tol=tol),
-        "scissors": lambda tol: validate_scissors(h, hyperbolic_scissors(), tol=tol),
-        "sum-bound": lambda tol: check_busemann_sum_bound(e2, c, d, tol=tol),
+        "r-sequence": lambda tol: validate_r_sequence(e2, row, tol=tol).passed,
+        "p-tape": lambda tol: validate_p_tape(tape, tol=tol).passed,
+        "scissors": lambda tol: validate_scissors(h, hyperbolic_scissors(), tol=tol).passed,
+        "sum-bound": lambda tol: check_busemann_sum_bound(e2, c, d, tol=tol).passed,
+        "on-geodesic": lambda tol: on_geodesic(e2, line, row[3], tol=tol)[0],
     }
 
 
@@ -89,6 +91,6 @@ def test_every_float_check_refuses_a_tol_that_is_not_finite_and_nonnegative(tol)
     # a nan or negative tol fails every comparison and an infinite one
     # passes every comparison, a wrong verdict with no error
     for name, check in _tol_checks().items():
-        assert check(1e-9).passed, name
+        assert check(1e-9), name
         with pytest.raises(SpaceError, match="tol must be a finite number >= 0"):
             check(tol)

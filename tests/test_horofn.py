@@ -17,6 +17,7 @@ from metriclab.horofn import (
     tits_delta,
 )
 from metriclab.spaces import (
+    ConvergenceError,
     Euclidean,
     GeodesicRef,
     HyperbolicPlane,
@@ -65,13 +66,17 @@ def test_busemann_limit_matches_closed_form_euclid():
 
 
 def test_busemann_limit_refuses_ray_points_past_double_range():
-    # d(y, c(0)) overflows to inf on E^2, so the first truncation T is inf;
-    # the H^2 ray's heights leave double range. A ray point past double
-    # range still refuses itself with SpaceError, as its Point did.
+    # d(y, c(0)) = 1e200 on E^2 puts the first truncation T past T_CAP, and
+    # the limit says so in one line (the closed form gives 1e200); the H^2
+    # ray's heights leave double range. A ray point past double range
+    # still refuses itself with SpaceError, as its Point did.
     e2, h = Euclidean(2), HyperbolicPlane()
     r = ray_from(e2, point(e2, (0, 0)), direction_ideal(e2, (1, 0)))
-    with pytest.raises(SpaceError, match="finite reals"):
-        busemann_value(e2, r, point(e2, (-1e200, 0)), method="limit")
+    y = point(e2, (-1e200, 0))
+    with pytest.raises(ConvergenceError,
+                       match=r"^Busemann limit: d\(y, c\(0\)\) puts T = 2e\+200 past T_CAP = 1e\+08$"):
+        busemann_value(e2, r, y, method="limit")
+    assert busemann_value(e2, r, y) == 1e200
     rh = ray_from(h, point(h, (0.0, 1e300)), boundary_ideal(h, INF))
     with pytest.raises(SpaceError, match="leaves double range"):
         busemann_value(h, rh, point(h, (0.0, 1.0)), method="limit")

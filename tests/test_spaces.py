@@ -31,7 +31,6 @@ from metriclab.spaces import (
     direction_ideal,
     distance,
     distance_rows,
-    enorm,
     geodesic_between,
     line_through,
     midpoint,
@@ -85,12 +84,10 @@ def test_hyperbolic_distance_between_tiny_heights(height):
     assert distance(h, b, a) == distance(h, a, b)
 
 
-# at heights near 1e308 the denominator 2 sqrt(Im z) sqrt(Im w) overflows to
-# inf: a width past double range then reads inf / inf = nan, and a finite
-# one reads 0. The true values (mpmath, 200 bits) are 2 asinh(1) and
-# 2 asinh(1e307 / 2e308). A mend must keep every normal-range bit, which
-# the `all` digests pin, so it waits for a change of its own.
-@pytest.mark.xfail(strict=True, reason="ROADMAP small mends: H^2 row overflow")
+# at heights near 1e308 the plain denominator 2 sqrt(Im z) sqrt(Im w)
+# overflows to inf, where a width past double range read inf / inf = nan
+# and a finite one read 0; the row recomputes those pairs with halved gaps.
+# The true values (mpmath, 200 bits) are 2 asinh(1) and 2 asinh(1e307 / 2e308)
 @pytest.mark.parametrize("a, b, want", [
     ((1e308, 1e308), (-1e308, 1e308), 1.762747174039086),
     ((0.0, 1e308), (1e307, 1e308), 0.09995838013869733),
@@ -99,11 +96,8 @@ def test_hyperbolic_row_at_heights_near_double_range(a, b, want):
     assert math.isclose(HyperbolicPlane().row(a, [b])[0], want, rel_tol=1e-15)
 
 
-# E^n squares each gap before the root and never rescales, so a gap past
-# about 1.3e154 reads inf and one below about 1.5e-154 reads 0.0, where
-# MinkowskiLp(2.0) keeps both. A mend changes the hottest float kernel and
-# the "e1-extremes" pin, so it waits for a change of its own.
-@pytest.mark.xfail(strict=True, reason="E^n row squares before the root: range loss")
+# squaring each gap before the root would read a gap past about 1.3e154 as
+# inf and one below about 1.5e-154 as 0.0; math.dist scales its inputs
 @pytest.mark.parametrize("gap", [1e200, 1e-200], ids=["overflows", "underflows"])
 def test_euclidean_row_at_gaps_near_double_range(gap):
     assert Euclidean(2).row((0.0, 0.0), [(gap, 0.0)])[0] == gap
@@ -620,7 +614,7 @@ def test_finite_nonzero_directions_whose_plain_sum_leaves_double_range():
     # a direction whose plain norm is a nonzero double, with a normal sum
     # of powers, keeps its bits
     for v in ((3.0, 4.0), (1e100, 3e99), (1e-100, 2e-101), (0.1, -0.7)):
-        assert direction_ideal(e2, v).rep == tuple(x / enorm(v) for x in v)
+        assert direction_ideal(e2, v).rep == tuple(x / math.hypot(*v) for x in v)
         assert direction_ideal(lp, v).rep == tuple(x / pnorm(v, 3.0) for x in v)
     v = (1e-20, -3e-21)
     assert direction_ideal(MinkowskiLp(10.0), v).rep == tuple(x / pnorm(v, 10.0) for x in v)
