@@ -158,9 +158,10 @@ def check_busemann_sum_bound(space, c: GeodesicRef, d: GeodesicRef,
     bd = space.busemann_closed(d, c.at(0))
     total = float(bc) + float(bd)
     rep.counts = {"sum": total, "rho": float(rho)}
-    if total < -tol:
+    # written as failing forms, so that a nan sum or rho fails
+    if not -tol <= total:
         rep.fail({"reason": "negative sum", "sum": total})
-    if total > 2.0 * float(rho) + tol:
+    if not total <= 2.0 * float(rho) + tol:
         rep.fail({"reason": "exceeds 2 rho", "sum": total, "rho": float(rho)})
     return rep.finalize()
 

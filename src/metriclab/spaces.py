@@ -698,12 +698,18 @@ class HyperbolicPlane(Space):
         out = [2.0 * asinh(hypot(ax - bx, ay - by) / (s * sqrt(by))) for bx, by in bs]
         # each pair on its own: a value in (0, inf) is kept, and the others
         # (heights near 1e308 overflow the denominator) halve the gaps and the
-        # 2; halving every pair would round a one-ulp subnormal gap to 0
+        # 2; halving every pair would round a one-ulp subnormal gap to 0. A
+        # halved quotient q still past double range (tiny heights, wide gap)
+        # takes asinh(q) = log(2q) + O(q^-2) on its logs
         if not out or (sum(out) < INF and min(out) > 0):
             return out
-        return [d if 0 < d < INF else
-                2.0 * asinh(hypot(ax / 2 - bx / 2, ay / 2 - by / 2) / (sqrt(ay) * sqrt(by)))
-                for d, (bx, by) in zip(out, bs)]
+        for k, (bx, by) in enumerate(bs):
+            if not 0 < out[k] < INF:
+                h, ra, rb = hypot(ax / 2 - bx / 2, ay / 2 - by / 2), sqrt(ay), sqrt(by)
+                q = h / (ra * rb)
+                out[k] = 2.0 * (asinh(q) if q < INF else
+                                math.log(2.0) + math.log(h) - math.log(ra) - math.log(rb))
+        return out
 
     def _toward(self, z0, xi, sgn=1.0):
         """The unit-speed geodesic from z0 toward the boundary point xi, or

@@ -25,7 +25,7 @@ from .spaces import (
     vadd,
     vscale,
 )
-from .verify import VerificationReport, _screened
+from .verify import VerificationReport, _mismatches
 
 
 @dataclass
@@ -40,25 +40,20 @@ class PTape:
 
 def validate_r_sequence(space, points: dict, tol: float = 1e-9) -> VerificationReport:
     """Is ``points`` (int z -> Point) a unit-step copy of a window of integers:
-    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)? On a float
-    space a row that passes ``_screened`` against its integer steps is
-    skipped whole; any other row is tested pair by pair, written
-    ``not ... <= tol`` as in ``is_isometry``: a nan distance fails."""
+    d(x_z1, x_z2) = |z1 - z2| for all pairs (exact on trees)? Each row is
+    decided against its integer steps by ``_mismatches``, as ``is_isometry``
+    decides its rows: exactly on an exact space, otherwise within tol, where
+    a nan distance fails."""
     _check_tol(tol)
     zs = sorted(points)
     if len(zs) < 2:
         raise SpaceError("r-sequence window needs at least two indices")
     rep = VerificationReport("r-sequence", tolerance=tol)
-    exact = space.exact
     rows = distance_rows(space, [points[z] for z in zs])
     for a, (z1, row) in enumerate(zip(zs, rows)):
         want = [z2 - z1 for z2 in zs[a + 1:]]
-        if not exact and _screened(row, want, tol):
-            continue
-        for z2, d, w in zip(zs[a + 1:], row, want):
-            bad = (d != w) if exact else not abs(float(d) - w) <= tol
-            if bad:
-                rep.fail({"z1": z1, "z2": z2, "d": d, "expected": w})
+        for k in _mismatches(row, want, tol, space.exact):
+            rep.fail({"z1": z1, "z2": zs[a + 1 + k], "d": row[k], "expected": want[k]})
     return rep.finalize(pairs=len(zs) * (len(zs) - 1) // 2)
 
 
@@ -93,7 +88,6 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
     if p < 2:
         raise SpaceError("tape needs p >= 2")
     rep = VerificationReport(f"p-tape[p={p}]", tolerance=tol)
-    exact = tape.space.exact
     rows = {}
     for (i, j, z), pt in tape.points.items():
         rows.setdefault((i, j), {})[z] = pt
@@ -110,15 +104,12 @@ def validate_p_tape(tape: PTape, tol: float = 1e-9) -> VerificationReport:
             pts = [tape.points[idx] for idx in quad]
         except KeyError as missing:
             raise SpaceError(f"tape is missing point {missing}") from None
-        for a in range(3):
-            d = distance(tape.space, pts[a], pts[a + 1])
-            bad = (d != 1) if exact else not abs(float(d) - 1.0) <= tol
-            if bad:
-                rep.fail({"quad": quad, "step": a, "d": d, "expected": 1})
-        d03 = distance(tape.space, pts[0], pts[3])
-        bad = (d03 != 3) if exact else not abs(float(d03) - 3.0) <= tol
-        if bad:
-            rep.fail({"quad": quad, "step": "ends", "d": d03, "expected": 3})
+        # the three unit steps, then the ends at distance 3
+        ds = [distance(tape.space, pts[a], pts[b]) for a, b in ((0, 1), (1, 2), (2, 3), (0, 3))]
+        want = [1, 1, 1, 3]
+        for k in _mismatches(ds, want, tol, tape.space.exact):
+            rep.fail({"quad": quad, "step": k if k < 3 else "ends", "d": ds[k],
+                      "expected": want[k]})
     return rep.finalize(rows=4 * p, quadruples=len(quads))
 
 
@@ -148,12 +139,11 @@ def check_third_division(space, pts: dict) -> VerificationReport:
         dtot = float(distance(space, ys[0], ys[3]))
         third = dtot / 3.0
         segs = [float(distance(space, ys[a], ys[a + 1])) for a in range(3)]
-        for a, seg in enumerate(segs):
-            if not abs(seg - third) <= tol:
-                rep.fail({"relation": rel, "segment": a, "d": seg, "expected": third})
-        if not abs(sum(segs) - dtot) <= tol:
-            rep.fail({"relation": rel, "segment": "collinearity",
-                      "sum": sum(segs), "total": dtot})
+        # three equal thirds, then metric collinearity
+        for k in _mismatches(segs + [sum(segs)], [third] * 3 + [dtot], tol, False):
+            rep.fail({"relation": rel, "segment": k, "d": segs[k], "expected": third} if k < 3
+                     else {"relation": rel, "segment": "collinearity", "sum": sum(segs),
+                           "total": dtot})
     relations_hold = not rep.witnesses
     rep.data["relations_hold"] = relations_hold
     if relations_hold:

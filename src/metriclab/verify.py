@@ -226,7 +226,8 @@ def check_busemann_midpoints(space, x: Point, y: Point, z: Point, *,
 
 def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> VerificationReport:
     """Midpoint convexity of D(t, t') = d(g1(t), g2(t')), within 1e-9, over a
-    lattice on the two segment domains."""
+    lattice on the two segment domains; a lattice distance that is not
+    finite fails too."""
     if g1.kind != "segment" or g2.kind != "segment":
         raise SpaceError("distance convexity check needs segments")
     rep = VerificationReport(f"distance-convexity[{space.tag()}]", tolerance=1e-9)
@@ -239,6 +240,10 @@ def check_distance_convexity(space, g1: GeodesicRef, g2: GeodesicRef) -> Verific
     _check_member(space, *p1, *p2)
     c2 = [p.coords for p in p2]
     D = [[float(d) for d in space.row(p.coords, c2)] for p in p1]
+    # an inf or nan never compares past avg + 1e-9, so each fails on its own
+    for i, row in enumerate(D):
+        for j in [j for j, d in enumerate(row) if not math.isfinite(d)]:
+            rep.fail({"at": (t1[i], t2[j]), "d": row[j]})
     checked = 0
     for i1 in range(grid + 1):
         for j1 in range(grid + 1):
@@ -302,13 +307,19 @@ def _moved(space, points, others):
     return [k is None or k != _key(space, q.coords) for k, q in zip(keys, others)]
 
 
-def _screened(xs, ys, tol):
-    """True only if every |x - y| of the two rows is at most tol, decided in
-    C as math.dist(xs, ys) <= tol / 2: math.dist converts each entry as
-    float() does and is at least every |fl(x - y)| but for its last ulp,
-    which the half absorbs, and a nan or inf fails it. A row that fails
-    is decided pair by pair."""
-    return math.dist(xs, ys) <= 0.5 * tol
+def _mismatches(xs, ys, tol, exact):
+    """The indices k at which xs[k] and ys[k] differ: by ``!=`` when
+    ``exact`` (two lists, so an equal row is one C comparison), otherwise
+    by more than tol as floats. A float row is first screened in C by
+    math.dist(xs, ys) <= tol / 2: math.dist converts each entry as float()
+    does and is at least every |fl(x - y)| but for its last ulp, which the
+    half absorbs, and a nan or inf fails it. A row that fails the screen is
+    decided pair by pair, written ``not ... <= tol``: a nan or inf fails."""
+    if exact:
+        return [] if xs == ys else [k for k, (x, y) in enumerate(zip(xs, ys)) if x != y]
+    if math.dist(xs, ys) <= 0.5 * tol:
+        return []
+    return [k for k, (x, y) in enumerate(zip(xs, ys)) if not abs(float(x) - float(y)) <= tol]
 
 
 def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
@@ -317,11 +328,10 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
 
     It builds its two tables, X over the sample and Y over the images,
     whole; after preserves_unit_distance on the same sample both are
-    already stored. On an exact check a row equal in X and Y is skipped
-    whole. Otherwise the rows are compared as floats (an exact row taken by
-    ``_float_row``), a row that passes ``_screened`` is skipped, and any
-    other row is decided by one comprehension, pair by pair. A failing pair
-    is kept as (i, j) until there are MAX_WITNESSES of them, in sample
+    already stored. Each row of X is decided against the row of Y by
+    ``_mismatches``: exactly on an exact check, otherwise as floats (an
+    exact row taken by ``_float_row``). A failing pair is kept by its place
+    (i, k) in the tables until there are MAX_WITNESSES of them, in sample
     order, and only those get a witness, with the distances of the tables:
     the first MAX_WITNESSES in the order found. The report's "violations"
     counts every failing pair."""
@@ -333,28 +343,20 @@ def is_isometry(spaces, f: BijectionSpec, sample: SampleSet,
     table_x, table_y = _pair_rows(X, pts), _pair_rows(Y, images)
     x_exact, y_exact = X.exact, Y.exact
     exact = tol == 0 and x_exact and y_exact
-    n = len(pts)
     pairs = found = 0
     failing = []
     for i, (row_x, row_y) in enumerate(zip(table_x, table_y)):
         pairs += len(row_x)
-        js = range(i + 1, n)
-        if exact:
-            if row_x == row_y:
-                continue
-            bad = [j for j, dx, dy in zip(js, row_x, row_y) if dx != dy]
-        else:
-            fx = _float_row(row_x) if x_exact else row_x
-            fy = _float_row(row_y) if y_exact else row_y
-            if _screened(fx, fy, tol):
-                continue
-            bad = [j for j, dx, dy in zip(js, fx, fy) if not abs(float(dx) - float(dy)) <= tol]
+        if not exact:
+            row_x = _float_row(row_x) if x_exact else row_x
+            row_y = _float_row(row_y) if y_exact else row_y
+        bad = _mismatches(row_x, row_y, tol, exact)
         found += len(bad)
         if len(failing) < MAX_WITNESSES:
-            failing += [(i, j) for j in bad[:MAX_WITNESSES - len(failing)]]
-    for i, j in failing:
-        k = j - i - 1
-        rep.fail({"x": pts[i], "y": pts[j], "d_before": table_x[i][k], "d_after": table_y[i][k]})
+            failing += [(i, k) for k in bad[:MAX_WITNESSES - len(failing)]]
+    for i, k in failing:
+        rep.fail({"x": pts[i], "y": pts[i + 1 + k], "d_before": table_x[i][k],
+                  "d_after": table_y[i][k]})
     return rep.finalize(pairs=pairs, violations=found)     # the pairs past the cap count too
 
 

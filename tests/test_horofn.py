@@ -299,6 +299,18 @@ def test_sum_bound_examples(ended_tree):
     assert check_busemann_sum_bound(h, ch, dh).passed
 
 
+def test_sum_bound_fails_a_nan_sum():
+    # bases 2e308 apart overflow the gap: the Busemann values are inf and
+    # -inf, so the sum is nan, and so is rho; both bounds passed a nan
+    e2 = Euclidean(2)
+    xi = direction_ideal(e2, (1, 0))
+    c = ray_from(e2, point(e2, (1e308, 0.0)), xi)
+    d = ray_from(e2, point(e2, (-1e308, 0.0)), xi)
+    rep = check_busemann_sum_bound(e2, c, d)
+    assert not rep.passed and rep.to_json()["counts"] == {"sum": "nan", "rho": "nan"}
+    assert [w["reason"] for w in rep.witnesses] == ["negative sum", "exceeds 2 rho"]
+
+
 def test_sum_bound_refuses_a_foreign_ray_and_a_ray_without_an_ideal_end(ended_tree):
     e2, e3, h, t = Euclidean(2), Euclidean(3), HyperbolicPlane(), ended_tree
     cases = [

@@ -87,11 +87,15 @@ def test_hyperbolic_distance_between_tiny_heights(height):
 # at heights near 1e308 the plain denominator 2 sqrt(Im z) sqrt(Im w)
 # overflows to inf, where a width past double range read inf / inf = nan
 # and a finite one read 0; the row recomputes those pairs with halved gaps.
-# The true values (mpmath, 200 bits) are 2 asinh(1) and 2 asinh(1e307 / 2e308)
+# The true values (mpmath, 200 bits) are 2 asinh(1) and 2 asinh(1e307 / 2e308).
+# At tiny heights a wide gap overflows the halved quotient too, which read
+# inf; that pair takes asinh(q) as log(2q) on logs (true value by mpmath's
+# acosh at 60 digits)
 @pytest.mark.parametrize("a, b, want", [
     ((1e308, 1e308), (-1e308, 1e308), 1.762747174039086),
     ((0.0, 1e308), (1e307, 1e308), 0.09995838013869733),
-], ids=["width-past-double-range", "finite-width"])
+    ((0.0, 1e-300), (1e10, 1e-300), 1427.6027576563083),
+], ids=["width-past-double-range", "finite-width", "tiny-heights-wide-gap"])
 def test_hyperbolic_row_at_heights_near_double_range(a, b, want):
     assert math.isclose(HyperbolicPlane().row(a, [b])[0], want, rel_tol=1e-15)
 

@@ -33,6 +33,9 @@ TEST_ONLY_PARAMETERS = {
     ("cli", "main", "argv"),
     # golden_min stays for perfbench's tracer LAYERS, and only tests call it
     ("numeric", "golden_min", "tol"),
+    # the suites and perfbench pass only the default "eq"; the "le" and
+    # "lt" relations are kept, and only tests turn them
+    ("verify", "preserves_unit_distance", "mode"),
 }
 
 
@@ -46,13 +49,14 @@ def _public_functions():
 
 
 def _optional_parameters(fn):
-    """(position or None, name) of each parameter of fn with a default; the
-    position is None for a keyword-only parameter."""
+    """(position or None, name, default node) of each parameter of fn with a
+    default; the position is None for a keyword-only parameter."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
-    yield from ((None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+    yield from ((i, a.arg, args.defaults[i - first])
+                for i, a in enumerate(positional) if i >= first)
+    yield from ((None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                 if d is not None)
 
 
@@ -70,14 +74,23 @@ def _calls(root):
                     yield name, node
 
 
-def _sets(call, position, name) -> bool:
-    """Does the call pass the parameter, by keyword or by position? A
-    ``*args`` or ``**kwargs`` in the call counts as passing everything."""
-    if any(kw.arg == name or kw.arg is None for kw in call.keywords):
+def _is_default(node, default) -> bool:
+    """Is the argument a constant of the default's literal value and type?"""
+    return (isinstance(node, ast.Constant) and isinstance(default, ast.Constant)
+            and type(node.value) is type(default.value) and node.value == default.value)
+
+
+def _sets(call, position, name, default) -> bool:
+    """Does the call pass the parameter, by keyword or by position, with a
+    value other than its default literal? A ``*args`` or ``**kwargs`` in
+    the call counts as passing everything."""
+    if any(kw.arg is None or (kw.arg == name and not _is_default(kw.value, default))
+           for kw in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return position is not None and len(call.args) > position
+    return (position is not None and len(call.args) > position
+            and not _is_default(call.args[position], default))
 
 
 def test_no_new_public_function_goes_uncalled():
@@ -103,6 +116,6 @@ def test_no_optional_parameter_is_set_only_by_tests():
             calls.setdefault(name, []).append(call)
     unset = {(mod, fn.name, param)
              for mod, fn in _public_functions()
-             for position, param in _optional_parameters(fn)
-             if not any(_sets(c, position, param) for c in calls.get(fn.name, ()))}
+             for position, param, default in _optional_parameters(fn)
+             if not any(_sets(c, position, param, default) for c in calls.get(fn.name, ()))}
     assert unset == TEST_ONLY_PARAMETERS

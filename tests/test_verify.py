@@ -295,6 +295,17 @@ def test_distance_convexity_linf_violation():
     assert rep.witnesses
 
 
+def test_distance_convexity_fails_a_table_past_double_range():
+    # segments 2e308 apart: every lattice distance overflows to inf, and
+    # inf > inf + 1e-9 is False, so the lattice alone passed its 1,025 pairs
+    e2 = Euclidean(2)
+    g1 = geodesic_between(e2, point(e2, (-1e308, 0.0)), point(e2, (-1e308, 1.0)))
+    g2 = geodesic_between(e2, point(e2, (1e308, 0.0)), point(e2, (1e308, 1.0)))
+    rep = check_distance_convexity(e2, g1, g2)
+    assert not rep.passed and rep.counts == {"pairs": 1025, "violations": 81}
+    assert rep.witnesses[0] == {"at": [0.0, 0.0], "d": "inf"}
+
+
 def test_fail_stores_only_the_witnesses_it_keeps(monkeypatch):
     # the bent pair fails 425 times: the report's list never holds more
     # than the MAX_WITNESSES it keeps, and "violations" counts every one
@@ -894,6 +905,26 @@ def _table_of(n, values):
     """The table of n points, filled row by row with values over and over."""
     fill = itertools.cycle(values)
     return tuple(tuple(itertools.islice(fill, n - 1 - i)) for i in range(n - 1))
+
+
+# a float row passes the math.dist screen (at most tol / 2) whole, or is
+# decided pair by pair; None marks an exact row, which is never screened
+@pytest.mark.parametrize("xs, ys, exact, screened, want", [
+    ([Fraction(1, 3), Fraction(2)], [Fraction(1, 3), 2], True, None, []),
+    ([Fraction(1, 3), Fraction(2)], [Fraction(1, 3), 2 + Fraction(1, 2 ** 60)], True, None,
+     [1]),
+    ([1.0, 2.0 + 0.25e-9, 10.0], [1, 2, 10], False, True, []),
+    ([1.0, 2.0, 10.0 + 0.75e-9], [1, 2, 10], False, False, []),
+    ([1.0, 2.0 + 1.5e-9, 10.0], [1, 2, 10], False, False, [1]),
+    ([1.0, math.nan, 10.0], [1, 2, 10], False, False, [1]),
+    ([1.0, 2.0, math.inf], [1, 2, 10], False, False, [2]),
+], ids=["exact-equal", "exact-off-by-2^-60", "within-half-tol", "at-0.75-tol", "at-1.5-tol",
+        "nan", "inf"])
+def test_mismatches_decide_a_row_within_tol(xs, ys, exact, screened, want):
+    tol = 1e-9
+    if not exact:
+        assert (math.dist(xs, ys) <= 0.5 * tol) == screened
+    assert verify._mismatches(xs, ys, tol, exact) == want
 
 
 @st.composite
